@@ -342,6 +342,10 @@ fi
 kill -TERM "$CLEAN_PID" "$CHAOS_PID"
 wait "$CLEAN_PID" || { echo "clean rvmond drain exited nonzero"; exit 1; }
 wait "$CHAOS_PID" || { echo "chaos rvmond drain exited nonzero"; exit 1; }
+# Offline audit of the drained chaos root, SIGHUP-reloaded tenant `u`
+# included: both commands run the daemon's own journal replayer.
+./target/release/rvmon top "$NCH_CHAOS" >/dev/null
+./target/release/rvmon replay "$NCH_CHAOS/u" >/dev/null
 rm -rf "$NCH_CLEAN" "$NCH_CHAOS" "$NCH_SPECS" "$NCH_OUT1" "$NCH_OUT2" \
     "$NCH_PROXY" "$NCH_FIFO" "$NCH_J1" "$NCH_J2" "$NCH_H1" "$NCH_H2"
 cargo test -q --release --test netchaos_differential --test self_healing \

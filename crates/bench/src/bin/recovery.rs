@@ -14,10 +14,11 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use rv_core::journal::{AUX_FREE, AUX_GC};
+use rv_core::recover::alloc_pinned;
 use rv_core::snapshot::write_checkpoint;
 use rv_core::{
-    load_latest_checkpoint, read_journal, Binding, EngineConfig, GcPolicy, JournalStats,
-    JournalWriter, PropertyMonitor, Record,
+    recover, Binding, EngineConfig, GcPolicy, JournalStats, JournalWriter, NoopObserver,
+    PropertyMonitor, Record, ReplayFrom,
 };
 use rv_heap::{Heap, HeapConfig, ObjId, SplitMix64};
 use rv_logic::EventId;
@@ -91,14 +92,7 @@ fn run_bare(spec: &CompiledSpec, steps: &[Step]) -> (Duration, u64) {
                 let pairs: Vec<_> = slots
                     .iter()
                     .map(|&(p, s)| {
-                        let obj = *pool[s].get_or_insert_with(|| {
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                        (p, obj)
+                        (p, *pool[s].get_or_insert_with(|| alloc_pinned(&mut heap, class)))
                     })
                     .collect();
                 monitor.process(&heap, *e, Binding::from_pairs(&pairs));
@@ -155,14 +149,7 @@ fn run_journaled(
                 let pairs: Vec<_> = slots
                     .iter()
                     .map(|&(p, s)| {
-                        let obj = *pool[s].get_or_insert_with(|| {
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                        (p, obj)
+                        (p, *pool[s].get_or_insert_with(|| alloc_pinned(&mut heap, class)))
                     })
                     .collect();
                 let binding = Binding::from_pairs(&pairs);
@@ -194,55 +181,17 @@ fn run_journaled(
     // Recovery: scan, restore the newest checkpoint, rebuild the heap
     // from the record prefix, replay the suffix.
     let start = Instant::now();
-    let scan = read_journal(dir).expect("scan journal");
-    let (checkpoint, skipped) = load_latest_checkpoint(dir, scan.next_seq);
-    assert!(skipped.is_empty(), "clean run must not skip checkpoints: {skipped:?}");
-    let mut recovered = PropertyMonitor::new(spec.clone(), &config);
-    let mut replay_from = 0u64;
-    if let Some(cp) = &checkpoint {
-        recovered.restore_snapshot(&cp.payload, &cp.file).expect("restore checkpoint");
-        replay_from = cp.seq;
-    }
-    let mut rheap = Heap::new(HeapConfig::manual());
-    let rclass = rheap.register_class("Obj");
-    let mut known = std::collections::HashSet::new();
-    let mut replayed = 0u64;
-    for sr in &scan.records {
-        match &sr.record {
-            Record::Aux { tag, bytes } if *tag == AUX_FREE => {
-                for chunk in bytes.chunks_exact(8) {
-                    let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    rheap.unpin(ObjId::from_bits(bits));
-                }
-            }
-            Record::Aux { tag, .. } if *tag == AUX_GC => {
-                rheap.collect();
-            }
-            Record::Event { event, binding } => {
-                for &p in &spec.event_params[event.as_usize()] {
-                    let obj = binding.get(p).expect("event binds its declared params");
-                    if known.insert(obj.to_bits()) {
-                        let frame = rheap.enter_frame();
-                        let fresh = rheap.alloc(rclass);
-                        rheap.pin(fresh);
-                        rheap.exit_frame(frame);
-                        assert_eq!(fresh, obj, "heap replay must reproduce ObjIds");
-                    }
-                }
-                if sr.seq >= replay_from {
-                    recovered.process(&rheap, *event, *binding);
-                    replayed += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    recovered.reflag_dead_keys(&rheap);
-    recovered.check_invariants(&rheap).expect("recovered state is sound");
-    recovered.finish(&rheap);
-    let recover = start.elapsed();
-    assert_eq!(recovered.triggers(), triggers, "recovery must reproduce the verdicts");
-    (journaled, jstats, generation, checkpoint_bytes, recover, replayed, triggers)
+    let mut recovered = recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| NoopObserver)
+        .expect("recover the journal");
+    assert!(
+        recovered.plan.skipped_checkpoints.is_empty(),
+        "clean run must not skip checkpoints: {:?}",
+        recovered.plan.skipped_checkpoints
+    );
+    recovered.monitor.finish(&recovered.heap);
+    let recover_time = start.elapsed();
+    assert_eq!(recovered.monitor.triggers(), triggers, "recovery must reproduce the verdicts");
+    (journaled, jstats, generation, checkpoint_bytes, recover_time, recovered.events, triggers)
 }
 
 fn ms(d: Duration) -> f64 {

@@ -2,51 +2,54 @@
 //! simulated process death, differentially checked against an
 //! uninterrupted oracle run.
 //!
-//! [`crash_and_recover`] drives one property block over a
+//! [`crash_and_recover`] drives a whole-spec [`PropertyMonitor`] over a
 //! seed-reproducible schedule of parametric events, object deaths, heap
-//! collections, and safepoint sweeps, journaling every operation through
-//! a [`JournalWriter`] and writing periodic engine checkpoints. At a
-//! seed-chosen operation it simulates a crash: the writer is dropped and
-//! the on-disk artifacts are mutilated per a [`KillClass`] — the journal
-//! tail truncated at an adversarial byte offset (including byte 0), a bit
-//! flipped in the journal tail, or the newest checkpoint truncated or
-//! bit-flipped. Recovery then proceeds exactly as `rvmon recover` would:
-//! scan the durable journal prefix, restore the latest usable checkpoint,
-//! rebuild the heap by replaying the operation log from sequence 0,
-//! replay the event suffix with trigger deliveries at or below the
-//! durable high-water mark suppressed, re-flag dead keys through the
-//! ALIVENESS path, and resume the remaining schedule with a
-//! [`JournalWriter::resume`]d writer.
+//! collections, and safepoint sweeps. It journals every operation in the
+//! vocabulary `rvmond` and `rvmon run` write — `AUX_SPEC` at sequence 0,
+//! then `Event`, `AUX_FREE`, `AUX_GC`, `AUX_SWEEP`, one record per
+//! operation, plus `Trigger` records — through a [`JournalWriter`], and
+//! writes periodic engine checkpoints. At a seed-chosen operation it
+//! simulates a crash: the writer is dropped and the on-disk artifacts are
+//! mutilated per a [`KillClass`] — the journal tail truncated at an
+//! adversarial byte offset (including byte 0), a bit flipped in the
+//! journal tail, or the newest checkpoint truncated or bit-flipped.
+//! Recovery then runs the daemon's own replayer, [`recover`]: it restores
+//! the latest usable checkpoint, rebuilds the heap from sequence 0,
+//! and replays the event suffix with reports at or below the durable
+//! trigger high-water mark suppressed. The harness resumes the remaining
+//! schedule with a [`JournalWriter::resume`]d writer.
 //!
 //! The differential check is the paper's own currency: the recovered
-//! run's final verdicts and E/M/FM/CM statistics must equal the
-//! uninterrupted oracle's (and the Figure 5 reference monitor's), with
-//! zero duplicate trigger deliveries.
+//! run's final verdicts (per property block) and E/M/FM/CM statistics
+//! must equal the uninterrupted oracle's, each block's verdicts must equal
+//! the Figure 5 reference monitor's, and no goal report may be delivered
+//! twice.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use rv_heap::{Heap, HeapConfig, ObjId, SplitMix64};
-use rv_logic::{AnyFormalism, EventId, ParamId};
+use rv_heap::{ClassId, Heap, HeapConfig, HeapStats, ObjId, SplitMix64};
+use rv_logic::{EventId, ParamId};
 use rv_spec::CompiledSpec;
 
 use crate::binding::Binding;
 use crate::chaos::dedup;
-use crate::engine::{Engine, EngineConfig, GcPolicy};
-use crate::error::EngineError;
+use crate::engine::{EngineConfig, GcPolicy};
 use crate::journal::{
-    read_journal, JournalWriter, Record, AUX_CT_COLLECT, AUX_CT_INIT, AUX_CT_KILL, AUX_SWEEP,
-    SEGMENT_HEADER_LEN,
+    read_journal, JournalWriter, Record, AUX_FREE, AUX_GC, AUX_SPEC, AUX_SWEEP, SEGMENT_HEADER_LEN,
 };
+use crate::multi::PropertyMonitor;
+use crate::obs::NoopObserver;
+use crate::recover::{alloc_pinned, recover, ReplayFrom};
 use crate::reference::{monitor_trace, Trigger};
-use crate::snapshot::{
-    checkpoint_path, list_checkpoints, load_latest_checkpoint, write_checkpoint,
-};
+use crate::service::TriggerRecord;
+use crate::snapshot::{checkpoint_path, list_checkpoints, write_checkpoint};
 use crate::stats::EngineStats;
 
 /// Live parameter objects available to the schedule generator.
 const POOL: usize = 6;
-/// Per-op probability of killing (and replacing) a pool object.
+/// Per-op probability of killing a pool object (its slot allocates a
+/// fresh one at its next mention).
 const KILL_PROB: f64 = 0.15;
 /// Per-op probability of forcing a heap collection.
 const COLLECT_PROB: f64 = 0.08;
@@ -122,18 +125,17 @@ pub struct CrashOutcome {
     pub checkpoint_seq: Option<u64>,
     /// Journal bytes the recovery reader discarded as torn or corrupt.
     pub lost_bytes: u64,
-    /// Monitors the post-restore ALIVENESS pass re-flagged.
-    pub reflagged: u64,
     /// Final statistics of the uninterrupted oracle run.
     pub oracle_stats: EngineStats,
     /// Final statistics of the crashed-and-recovered run.
     pub recovered_stats: EngineStats,
-    /// Oracle goal reports: first report per binding, sorted.
-    pub oracle_triggers: Vec<Trigger>,
-    /// Recovered-run goal reports, deduplicated the same way.
-    pub recovered_triggers: Vec<Trigger>,
-    /// Figure 5 reference-monitor reports on the same trace.
-    pub reference_triggers: Vec<Trigger>,
+    /// Oracle goal reports per property block: first report per
+    /// binding, sorted.
+    pub oracle_triggers: Vec<Vec<Trigger>>,
+    /// Recovered-run goal reports per block, deduplicated the same way.
+    pub recovered_triggers: Vec<Vec<Trigger>>,
+    /// Figure 5 reference-monitor reports per block on the same trace.
+    pub reference_triggers: Vec<Vec<Trigger>>,
     /// Goal reports delivered exactly once across the crash boundary.
     pub delivered: u64,
     /// Duplicate `(event_seq, ordinal)` deliveries observed — must be 0.
@@ -178,7 +180,7 @@ impl CrashOutcome {
 enum Op {
     /// Dispatch an event with parameters drawn from pool slots.
     Event(EventId, Vec<(ParamId, usize)>),
-    /// Kill and replace a pool object.
+    /// Kill a pool object.
     Kill(usize),
     /// Force a heap collection.
     Collect,
@@ -214,152 +216,195 @@ fn schedule(spec: &CompiledSpec, seed: u64, events: usize) -> Vec<Op> {
     ops
 }
 
-/// The monitored program: a manual heap plus a pinned object pool whose
-/// entire history is determined by the op schedule, so an identically
-/// replayed schedule rebuilds identical [`ObjId`]s.
+/// The monitored program: a manual heap plus a pool of parameter slots.
+/// A slot's object is allocated lazily at its first mention, so the
+/// journal's event records fully determine allocation order.
 struct World {
     heap: Heap,
-    class: rv_heap::ClassId,
-    pool: Vec<ObjId>,
+    class: ClassId,
+    pool: Vec<Option<ObjId>>,
 }
 
 impl World {
     fn new() -> World {
         let mut heap = Heap::new(HeapConfig::manual());
-        let class = heap.register_class("Object");
-        let frame = heap.enter_frame();
-        let pool: Vec<ObjId> = (0..POOL).map(|_| heap.alloc(class)).collect();
-        for &o in &pool {
-            heap.pin(o);
+        let class = heap.register_class("Obj");
+        World { heap, class, pool: vec![None; POOL] }
+    }
+
+    /// Performs `op`'s heap side and returns the record that journals it.
+    fn record(&mut self, op: &Op) -> Record {
+        match op {
+            Op::Kill(slot) => {
+                let bytes = self.pool[*slot].take().map_or(Vec::new(), |obj| {
+                    self.heap.unpin(obj);
+                    obj.to_bits().to_le_bytes().to_vec()
+                });
+                Record::Aux { tag: AUX_FREE, bytes }
+            }
+            Op::Collect => {
+                self.heap.collect();
+                Record::Aux { tag: AUX_GC, bytes: Vec::new() }
+            }
+            Op::Sweep => Record::Aux { tag: AUX_SWEEP, bytes: Vec::new() },
+            Op::Event(event, slots) => {
+                let pairs: Vec<(ParamId, ObjId)> = slots
+                    .iter()
+                    .map(|&(p, s)| {
+                        (
+                            p,
+                            *self.pool[s]
+                                .get_or_insert_with(|| alloc_pinned(&mut self.heap, self.class)),
+                        )
+                    })
+                    .collect();
+                Record::Event { event: *event, binding: Binding::from_pairs(&pairs) }
+            }
         }
-        heap.exit_frame(frame);
-        World { heap, class, pool }
-    }
-
-    fn kill(&mut self, slot: usize) {
-        self.heap.unpin(self.pool[slot]);
-        let f = self.heap.enter_frame();
-        let fresh = self.heap.alloc(self.class);
-        self.heap.pin(fresh);
-        self.heap.exit_frame(f);
-        self.pool[slot] = fresh;
-    }
-
-    fn binding(&self, slots: &[(ParamId, usize)]) -> Binding {
-        let pairs: Vec<(ParamId, ObjId)> = slots.iter().map(|&(p, s)| (p, self.pool[s])).collect();
-        Binding::from_pairs(&pairs)
     }
 }
 
-fn build_engine(spec: &CompiledSpec, block: usize, policy: GcPolicy) -> Engine<AnyFormalism> {
-    let prop = &spec.properties[block];
-    let config = EngineConfig { policy, record_triggers: true, ..EngineConfig::default() };
-    Engine::new(prop.formalism.clone(), spec.event_def.clone(), prop.goal, config)
+/// Whether `record` journals one schedule op (resumption counts them).
+fn is_op(record: &Record) -> bool {
+    matches!(record, Record::Event { .. } | Record::Aux { tag: AUX_FREE | AUX_GC | AUX_SWEEP, .. })
 }
 
-/// Runs the schedule uninterrupted and returns `(stats, deduped triggers,
+/// Applies a journaled op's engine side, returning the reports it fired
+/// with their property block, in block order.
+fn step(
+    monitor: &mut PropertyMonitor,
+    heap: &Heap,
+    record: &Record,
+) -> Result<Vec<(usize, Trigger)>, String> {
+    match record {
+        Record::Aux { tag: AUX_SWEEP, .. } => {
+            for engine in monitor.engines_mut() {
+                engine.full_sweep(heap);
+            }
+            Ok(Vec::new())
+        }
+        Record::Event { event, binding } => {
+            let before: Vec<usize> = monitor.engines().iter().map(|e| e.triggers().len()).collect();
+            monitor.try_process(heap, *event, *binding).map_err(|e| e.to_string())?;
+            Ok(monitor
+                .engines()
+                .iter()
+                .enumerate()
+                .flat_map(|(b, e)| e.triggers()[before[b]..].iter().map(move |t| (b, *t)))
+                .collect())
+        }
+        _ => Ok(Vec::new()),
+    }
+}
+
+/// Deduplicated goal reports, one list per property block.
+type Verdicts = Vec<Vec<Trigger>>;
+
+/// Finishes the run and returns its per-block verdicts.
+fn finish(monitor: &mut PropertyMonitor, heap: &Heap) -> Result<Verdicts, String> {
+    monitor.finish(heap);
+    monitor.check_invariants(heap).map_err(|e| e.to_string())?;
+    Ok(monitor.engines().iter().map(|e| dedup(e.triggers())).collect())
+}
+
+/// Runs the schedule uninterrupted and returns `(stats, verdicts,
 /// trace)` — the oracle side of the differential check.
 fn oracle_run(
     spec: &CompiledSpec,
-    block: usize,
-    policy: GcPolicy,
+    config: &EngineConfig,
     ops: &[Op],
-) -> Result<(EngineStats, Vec<Trigger>, Vec<(EventId, Binding)>), EngineError> {
+) -> Result<(EngineStats, Verdicts, Vec<(EventId, Binding)>), String> {
     let mut world = World::new();
-    let mut engine = build_engine(spec, block, policy);
+    let mut monitor = PropertyMonitor::new(spec.clone(), config);
     let mut trace = Vec::new();
     for op in ops {
-        match op {
-            Op::Kill(slot) => world.kill(*slot),
-            Op::Collect => {
-                world.heap.collect();
-            }
-            Op::Sweep => engine.full_sweep(&world.heap),
-            Op::Event(e, slots) => {
-                let binding = world.binding(slots);
-                trace.push((*e, binding));
-                engine.try_process(&world.heap, *e, binding)?;
-            }
+        let record = world.record(op);
+        if let Record::Event { event, binding } = record {
+            trace.push((event, binding));
         }
+        step(&mut monitor, &world.heap, &record)?;
     }
-    engine.finish(&world.heap);
-    engine.check_invariants(&world.heap)?;
-    Ok((engine.stats(), dedup(engine.triggers()), trace))
+    let verdicts = finish(&mut monitor, &world.heap)?;
+    Ok((monitor.stats(), verdicts, trace))
 }
 
-/// Executes `ops` (whose global schedule indices start at
-/// `first_op_index`) against a journaled engine, appending op and trigger
-/// records and writing a checkpoint every `checkpoint_every` ops.
-/// `on_trigger` sees each fired report's `(event_seq, ordinal)` key.
-#[allow(clippy::too_many_arguments)]
-fn run_journaled(
-    world: &mut World,
-    engine: &mut Engine<AnyFormalism>,
-    journal: &mut JournalWriter,
-    dir: &Path,
-    block: u16,
-    ops: &[Op],
-    first_op_index: usize,
+fn io(e: std::io::Error) -> String {
+    format!("crash harness IO: {e}")
+}
+
+/// A journaled run: the program, its monitor, and the write-ahead
+/// journal, checkpointed every few ops.
+struct Run<'a> {
+    dir: &'a Path,
+    world: World,
+    monitor: PropertyMonitor,
+    journal: JournalWriter,
+    generation: u64,
     checkpoint_every: usize,
-    next_generation: &mut u64,
-    mut on_trigger: impl FnMut(u64, u32),
-) -> Result<(), EngineError> {
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Kill(slot) => {
-                let bytes = (*slot as u32).to_le_bytes().to_vec();
-                journal.append(&Record::Aux { tag: AUX_CT_KILL, bytes }).expect("journal append");
-                world.kill(*slot);
+}
+
+impl Run<'_> {
+    /// Executes `ops` (whose global schedule indices start at
+    /// `first_op_index`), appending op and trigger records and writing a
+    /// checkpoint every `checkpoint_every` ops. `on_trigger` sees each
+    /// fired report's `(event_seq, ordinal)` key.
+    fn run(
+        &mut self,
+        ops: &[Op],
+        first_op_index: usize,
+        mut on_trigger: impl FnMut((u64, u32)),
+    ) -> Result<(), String> {
+        for (i, op) in ops.iter().enumerate() {
+            let record = self.world.record(op);
+            let seq = self.journal.append(&record).map_err(io)?;
+            for (ordinal, (block, t)) in
+                step(&mut self.monitor, &self.world.heap, &record)?.into_iter().enumerate()
+            {
+                let ordinal = ordinal as u32;
+                self.journal
+                    .append(&Record::Trigger {
+                        event_seq: seq,
+                        ordinal,
+                        block: block as u16,
+                        step: t.step as u64,
+                        verdict: t.verdict,
+                        binding: t.binding,
+                    })
+                    .map_err(io)?;
+                on_trigger((seq, ordinal));
             }
-            Op::Collect => {
-                journal
-                    .append(&Record::Aux { tag: AUX_CT_COLLECT, bytes: Vec::new() })
-                    .expect("journal append");
-                world.heap.collect();
-            }
-            Op::Sweep => {
-                journal
-                    .append(&Record::Aux { tag: AUX_SWEEP, bytes: Vec::new() })
-                    .expect("journal append");
-                engine.full_sweep(&world.heap);
-            }
-            Op::Event(e, slots) => {
-                let binding = world.binding(slots);
-                let seq =
-                    journal.append(&Record::Event { event: *e, binding }).expect("journal append");
-                let before = engine.triggers().len();
-                engine.try_process(&world.heap, *e, binding)?;
-                let fired: Vec<Trigger> = engine.triggers()[before..].to_vec();
-                for (ord, t) in fired.iter().enumerate() {
-                    let ordinal = ord as u32;
-                    journal
-                        .append(&Record::Trigger {
-                            event_seq: seq,
-                            ordinal,
-                            block,
-                            step: t.step as u64,
-                            verdict: t.verdict,
-                            binding: t.binding,
+            if (first_op_index + i + 1).is_multiple_of(self.checkpoint_every) {
+                self.journal.sync().map_err(io)?;
+                if let Some(payload) = self.monitor.snapshot_bytes() {
+                    let covered = self.journal.next_seq();
+                    write_checkpoint(self.dir, self.generation, covered, &payload).map_err(io)?;
+                    self.journal
+                        .append(&Record::CheckpointMark {
+                            generation: self.generation,
+                            seq: covered,
                         })
-                        .expect("journal append");
-                    on_trigger(seq, ordinal);
+                        .map_err(io)?;
+                    self.generation += 1;
                 }
             }
         }
-        if (first_op_index + i + 1) % checkpoint_every == 0 {
-            journal.sync().expect("journal sync");
-            if let Some(payload) = engine.snapshot_bytes() {
-                let covered = journal.next_seq();
-                write_checkpoint(dir, *next_generation, covered, &payload)
-                    .expect("checkpoint write");
-                journal
-                    .append(&Record::CheckpointMark { generation: *next_generation, seq: covered })
-                    .expect("journal append");
-                *next_generation += 1;
-            }
+        Ok(())
+    }
+}
+
+/// Goal-report deliveries across the crash boundary.
+#[derive(Default)]
+struct Deliveries {
+    seen: HashSet<(u64, u32)>,
+    duplicates: u64,
+}
+
+impl Deliveries {
+    fn deliver(&mut self, key: (u64, u32)) {
+        if !self.seen.insert(key) {
+            self.duplicates += 1;
         }
     }
-    Ok(())
 }
 
 fn last_segment_path(dir: &Path) -> Option<PathBuf> {
@@ -434,43 +479,41 @@ fn apply_kill(dir: &Path, kill: KillClass, rng: &mut SplitMix64) {
     }
 }
 
-/// Runs property block `block` of `spec` under `policy`, kills the
-/// journaled run at a seed-chosen op via `kill`, recovers from the
-/// mutilated artifacts in `dir`, finishes the schedule, and differentially
-/// checks the result against an uninterrupted oracle run.
+/// Runs every property block of the spec `source` under `policy`, kills
+/// the journaled run at a seed-chosen op via `kill`, recovers from the
+/// mutilated artifacts in `dir` through [`recover`], finishes the
+/// schedule, and differentially checks the result against an
+/// uninterrupted oracle run.
 ///
 /// `dir` is created (and wiped) by the harness; callers own its cleanup.
 ///
 /// # Errors
 ///
-/// Any [`EngineError`] from the engine, the recovery scan, or the final
-/// invariant checks — under correct operation, none.
-///
-/// # Panics
-///
-/// Panics on IO failure of the scratch directory, or if `block` is out of
-/// range for `spec`.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+/// A message from spec compilation, the engine, the scratch directory's
+/// IO, the recovery scan or replay, or the final invariant checks — under
+/// correct operation, none.
+#[allow(clippy::too_many_arguments)]
 pub fn crash_and_recover(
-    spec: &CompiledSpec,
-    block: usize,
+    source: &str,
     policy: GcPolicy,
     seed: u64,
     events: usize,
     checkpoint_every: usize,
     kill: KillClass,
     dir: &Path,
-) -> Result<CrashOutcome, EngineError> {
+) -> Result<CrashOutcome, String> {
+    let spec = CompiledSpec::from_source(source).map_err(|d| d.message)?;
+    let config = EngineConfig { policy, record_triggers: true, ..EngineConfig::default() };
     if dir.exists() {
-        std::fs::remove_dir_all(dir).expect("clear scratch dir");
+        std::fs::remove_dir_all(dir).map_err(io)?;
     }
-    let checkpoint_every = checkpoint_every.max(1);
-    let ops = schedule(spec, seed, events);
-    let (oracle_stats, oracle_triggers, trace) = oracle_run(spec, block, policy, &ops)?;
-    let reference_triggers = {
-        let prop = &spec.properties[block];
-        dedup(&monitor_trace(&prop.formalism, prop.goal, &trace).triggers)
-    };
+    let ops = schedule(&spec, seed, events);
+    let (oracle_stats, oracle_triggers, trace) = oracle_run(&spec, &config, &ops)?;
+    let reference_triggers = spec
+        .properties
+        .iter()
+        .map(|p| dedup(&monitor_trace(&p.formalism, p.goal, &trace).triggers))
+        .collect();
 
     // The crash point and mutilation offsets come from a stream distinct
     // from the schedule's, salted by kill class.
@@ -480,148 +523,81 @@ pub fn crash_and_recover(
     let crash_op = ops.len() / 4 + crash_rng.gen_range(span);
 
     // --- Pre-crash journaled run -----------------------------------------
-    let mut journal = JournalWriter::create_with(dir, SEGMENT_BYTES).expect("create journal");
-    journal
-        .append(&Record::Aux { tag: AUX_CT_INIT, bytes: (POOL as u32).to_le_bytes().to_vec() })
-        .expect("journal append");
-    let mut world = World::new();
-    let mut engine = build_engine(spec, block, policy);
-    let mut generation = 0u64;
-    run_journaled(
-        &mut world,
-        &mut engine,
-        &mut journal,
-        dir,
-        block as u16,
-        &ops[..crash_op],
-        0,
-        checkpoint_every,
-        &mut generation,
-        |_, _| {},
-    )?;
+    let begin = |generation: u64| -> Result<Run<'_>, String> {
+        let mut journal = JournalWriter::create_with(dir, SEGMENT_BYTES).map_err(io)?;
+        journal
+            .append(&Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() })
+            .map_err(io)?;
+        Ok(Run {
+            dir,
+            world: World::new(),
+            monitor: PropertyMonitor::new(spec.clone(), &config),
+            journal,
+            generation,
+            checkpoint_every: checkpoint_every.max(1),
+        })
+    };
+    let mut run = begin(0)?;
+    run.run(&ops[..crash_op], 0, |_| {})?;
     // Model the bytes that reached the OS before the kill; the mutilation
     // below decides which of them survive.
-    journal.sync().expect("journal sync");
-    drop(journal);
-    drop(world);
-    drop(engine);
+    run.journal.sync().map_err(io)?;
+    drop(run);
 
     apply_kill(dir, kill, &mut crash_rng);
 
     // --- Recovery ---------------------------------------------------------
-    let scan = read_journal(dir)?;
-    let lost_bytes = scan.truncation.as_ref().map_or(0, |t| t.lost_bytes);
-    let (checkpoint, _skipped) = load_latest_checkpoint(dir, scan.next_seq);
-    let hwm = scan.trigger_high_water_mark();
-
-    let mut world = World::new();
-    let mut engine = build_engine(spec, block, policy);
-    let mut replay_from = 0u64;
-    let mut checkpoint_seq = None;
-    if let Some(cp) = &checkpoint {
-        engine.restore_snapshot(&cp.payload, &cp.file)?;
-        replay_from = cp.seq;
-        checkpoint_seq = Some(cp.seq);
-    }
-
-    let mut delivered: HashSet<(u64, u32)> = HashSet::new();
-    let mut duplicate_deliveries = 0u64;
-    let deliver = |key: (u64, u32), dups: &mut u64, set: &mut HashSet<(u64, u32)>| {
-        if !set.insert(key) {
-            *dups += 1;
+    let durable = read_journal(dir).map_err(|e| e.to_string())?;
+    let lost_bytes = durable.truncation.as_ref().map_or(0, |t| t.lost_bytes);
+    let next_generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
+    let mut deliveries = Deliveries::default();
+    let (mut run, resumed_at_op, checkpoint_seq) = if durable.records.is_empty() {
+        // Not even the spec header survived: the run starts over.
+        (begin(next_generation)?, 0, None)
+    } else {
+        let rec = recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| NoopObserver)?;
+        let scan = &rec.plan.scan;
+        // Reports journaled before the crash were delivered then; the
+        // replayer's refired ones are delivered now.
+        for sr in &scan.records {
+            if let Some(t) = TriggerRecord::from_record(&sr.record) {
+                deliveries.deliver(t.key());
+            }
         }
+        for t in rec.refired() {
+            deliveries.deliver(t.key());
+        }
+        // The program re-executes its durable prefix; the replayer must
+        // have rebuilt exactly the heap that prefix leaves behind.
+        let resumed_at_op = scan.records.iter().filter(|sr| is_op(&sr.record)).count();
+        let mut world = World::new();
+        for op in &ops[..resumed_at_op] {
+            world.record(op);
+        }
+        let shape = |heap: &Heap| HeapStats { gc_pause_ns: 0, ..heap.stats() };
+        if shape(&world.heap) != shape(&rec.heap) {
+            return Err(format!(
+                "replayed heap {:?} differs from the program's {:?}",
+                shape(&rec.heap),
+                shape(&world.heap)
+            ));
+        }
+        world.heap = rec.heap;
+        let run = Run {
+            dir,
+            world,
+            monitor: rec.monitor,
+            journal: JournalWriter::resume(dir, scan).map_err(io)?,
+            generation: next_generation,
+            checkpoint_every: checkpoint_every.max(1),
+        };
+        (run, resumed_at_op, rec.plan.checkpoint.map(|c| c.seq))
     };
 
-    // Replay the durable prefix: heap ops rebuild the world from sequence
-    // 0 (identical ObjIds), engine effects apply only past the checkpoint.
-    let mut op_records = 0usize;
-    for sr in &scan.records {
-        match &sr.record {
-            Record::Aux { tag, bytes } if *tag == AUX_CT_INIT => {
-                let pool =
-                    bytes.get(..4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize);
-                if pool != Some(POOL) {
-                    return Err(EngineError::CorruptJournal {
-                        file: dir.display().to_string(),
-                        offset: 0,
-                        detail: "crash-harness init record names a different pool size".into(),
-                    });
-                }
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_CT_KILL => {
-                op_records += 1;
-                let slot = bytes
-                    .get(..4)
-                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
-                    .unwrap_or(0);
-                world.kill(slot % POOL);
-            }
-            Record::Aux { tag, .. } if *tag == AUX_CT_COLLECT => {
-                op_records += 1;
-                world.heap.collect();
-            }
-            Record::Aux { tag, .. } if *tag == AUX_SWEEP => {
-                op_records += 1;
-                if sr.seq >= replay_from {
-                    engine.full_sweep(&world.heap);
-                }
-            }
-            Record::Event { event, binding } => {
-                op_records += 1;
-                if sr.seq >= replay_from {
-                    let before = engine.triggers().len();
-                    engine.try_process(&world.heap, *event, *binding)?;
-                    let fired = engine.triggers().len() - before;
-                    for ord in 0..fired as u32 {
-                        // Reports at or below the durable high-water mark
-                        // were already delivered before the crash — their
-                        // journal records account for them below.
-                        if hwm.is_none_or(|h| (sr.seq, ord) > h) {
-                            deliver((sr.seq, ord), &mut duplicate_deliveries, &mut delivered);
-                        }
-                    }
-                }
-            }
-            Record::Trigger { event_seq, ordinal, .. } => {
-                deliver((*event_seq, *ordinal), &mut duplicate_deliveries, &mut delivered);
-            }
-            _ => {}
-        }
-    }
-
-    // Satellite of the recovery contract: dead keys whose deaths predate
-    // the checkpoint are re-flagged through the ALIVENESS path, and the
-    // recovered state must be structurally sound before resuming.
-    let reflagged = engine.reflag_dead_keys(&world.heap);
-    engine.check_invariants(&world.heap)?;
-
     // --- Resume the lost tail of the schedule ----------------------------
-    let mut journal = JournalWriter::resume(dir, &scan).expect("resume journal");
-    let mut generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
-    let resumed_at_op = op_records;
-    {
-        let dups = &mut duplicate_deliveries;
-        let set = &mut delivered;
-        run_journaled(
-            &mut world,
-            &mut engine,
-            &mut journal,
-            dir,
-            block as u16,
-            &ops[resumed_at_op..],
-            resumed_at_op,
-            checkpoint_every,
-            &mut generation,
-            |seq, ord| {
-                if !set.insert((seq, ord)) {
-                    *dups += 1;
-                }
-            },
-        )?;
-    }
-    journal.sync().expect("journal sync");
-    engine.finish(&world.heap);
-    engine.check_invariants(&world.heap)?;
+    run.run(&ops[resumed_at_op..], resumed_at_op, |key| deliveries.deliver(key))?;
+    run.journal.sync().map_err(io)?;
+    let recovered_triggers = finish(&mut run.monitor, &run.world.heap)?;
 
     Ok(CrashOutcome {
         trace_len: trace.len(),
@@ -629,14 +605,13 @@ pub fn crash_and_recover(
         resumed_at_op,
         checkpoint_seq,
         lost_bytes,
-        reflagged,
         oracle_stats,
-        recovered_stats: engine.stats(),
+        recovered_stats: run.monitor.stats(),
         oracle_triggers,
-        recovered_triggers: dedup(engine.triggers()),
+        recovered_triggers,
         reference_triggers,
-        delivered: delivered.len() as u64,
-        duplicate_deliveries,
+        delivered: deliveries.seen.len() as u64,
+        duplicate_deliveries: deliveries.duplicates,
     })
 }
 
@@ -656,9 +631,7 @@ mod tests {
         ))
     }
 
-    fn has_next_spec() -> CompiledSpec {
-        CompiledSpec::from_source(
-            r#"HasNext(Iterator i) {
+    const HAS_NEXT: &str = r#"HasNext(Iterator i) {
                 event hasnexttrue(i);
                 event hasnextfalse(i);
                 event next(i);
@@ -668,18 +641,14 @@ mod tests {
                     none [ hasnextfalse -> none  next -> error ]
                     error []
                 @error { report "bad"; }
-            }"#,
-        )
-        .unwrap()
-    }
+            }"#;
 
     #[test]
     fn every_kill_class_recovers_to_the_oracle_outcome() {
-        let spec = has_next_spec();
         for kill in KillClass::ALL {
             let dir = scratch_dir("classes");
             let out =
-                crash_and_recover(&spec, 0, GcPolicy::CoenableLazy, 7, 96, 8, kill, &dir).unwrap();
+                crash_and_recover(HAS_NEXT, GcPolicy::CoenableLazy, 7, 96, 8, kill, &dir).unwrap();
             assert!(
                 out.ok(),
                 "{}: verdicts_match={} stats_match={} dups={} delivered={} \
@@ -698,14 +667,12 @@ mod tests {
 
     #[test]
     fn losing_the_whole_journal_restarts_from_scratch() {
-        let spec = has_next_spec();
         let dir = scratch_dir("wipe");
         // Huge checkpoint interval: no checkpoint is ever written, and
         // truncating the only segment to zero bytes leaves nothing durable
         // — recovery must re-run the entire schedule.
         let out = crash_and_recover(
-            &spec,
-            0,
+            HAS_NEXT,
             GcPolicy::AllParamsDead,
             11,
             48,
@@ -722,14 +689,13 @@ mod tests {
 
     #[test]
     fn crash_runs_are_reproducible_and_actually_lose_bytes() {
-        let spec = has_next_spec();
         let dir_a = scratch_dir("repro");
         let dir_b = scratch_dir("repro");
         let kill = KillClass::TruncateJournal(55);
         let a =
-            crash_and_recover(&spec, 0, GcPolicy::CoenableLazy, 13, 96, 8, kill, &dir_a).unwrap();
+            crash_and_recover(HAS_NEXT, GcPolicy::CoenableLazy, 13, 96, 8, kill, &dir_a).unwrap();
         let b =
-            crash_and_recover(&spec, 0, GcPolicy::CoenableLazy, 13, 96, 8, kill, &dir_b).unwrap();
+            crash_and_recover(HAS_NEXT, GcPolicy::CoenableLazy, 13, 96, 8, kill, &dir_b).unwrap();
         assert_eq!(a.recovered_stats, b.recovered_stats, "same seed, same run");
         assert_eq!(a.crash_op, b.crash_op);
         assert_eq!(a.resumed_at_op, b.resumed_at_op);

@@ -85,8 +85,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // --- Record model --------------------------------------------------------
 
-/// Auxiliary record tag: the spec source header (`rvmon run` writes it at
-/// sequence 0 so `rvmon recover DIR` is self-contained).
+/// Auxiliary record tag: the spec source header. Every journal carries
+/// it at sequence 0, so a journal directory is self-contained.
 pub const AUX_SPEC: u8 = 0;
 /// Auxiliary record tag: a trace `!free` directive (payload: object bits).
 pub const AUX_FREE: u8 = 1;
@@ -104,8 +104,7 @@ pub const AUX_GC_CYCLE: u8 = 4;
 /// session (payload: object bits as `u64` LE, then the client-visible
 /// object name in UTF-8). The service layer journals one per allocation
 /// so recovery can rebuild the name → `ObjId` map its clients keep
-/// using; `rvmon replay` ignores the tag (allocation order is already
-/// implied by the event records).
+/// using.
 pub const AUX_OBJ: u8 = 5;
 /// Auxiliary record tag: one session-scoped trace line from a
 /// `rvmond` client (payload: `session: u64 LE`, `cseq: u64 LE`, then
@@ -130,16 +129,6 @@ pub const AUX_FATAL: u8 = 7;
 /// idempotent: a client retrying a reload whose acknowledgement was
 /// lost in transit cannot cut over twice.
 pub const AUX_RELOAD: u8 = 8;
-/// Auxiliary record tag: crash-harness pool initialisation (payload:
-/// pool size as `u32`).
-pub const AUX_CT_INIT: u8 = 16;
-/// Auxiliary record tag: crash-harness kill-and-replace of a pool slot
-/// (payload: slot as `u32`).
-pub const AUX_CT_KILL: u8 = 17;
-/// Auxiliary record tag: crash-harness forced heap collection (empty
-/// payload).
-pub const AUX_CT_COLLECT: u8 = 18;
-
 /// One journal record. The variants mirror what the pipeline must be able
 /// to reconstruct after a crash: the parametric event stream, the goal
 /// reports already delivered (for duplicate suppression), degradation

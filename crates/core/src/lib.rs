@@ -64,6 +64,7 @@ pub mod multi;
 pub mod netchaos;
 pub mod obs;
 pub mod profile;
+pub mod recover;
 pub mod reference;
 pub mod service;
 pub mod shard;
@@ -97,6 +98,7 @@ pub use crate::profile::{
     chrome_trace_json, prometheus_text, InstanceRecord, PhaseProfiler, ProvenanceLedger,
     ProvenanceSummary, SpanLog, TimelineSpan,
 };
+pub use crate::recover::{recover, Recovered, ReplayFrom};
 pub use crate::reference::{monitor_trace, ReferenceRun, Trigger};
 pub use crate::service::{
     encode_frame, read_frame, read_frame_timed, serve_connection, write_frame, Backpressure,

@@ -1058,8 +1058,8 @@ fn timeline_daemon(rest: &[String]) -> ExitCode {
 fn top(dir: &std::path::Path) -> ExitCode {
     use rv_monitor::core::journal::AUX_GC_CYCLE;
     use rv_monitor::core::{
-        read_journal, EngineConfig, GcCycleRecord, MetricsRegistry, Phase, PhaseProfiler,
-        PropertyMonitor, Record,
+        recover, EngineConfig, GcCycleRecord, MetricsRegistry, Phase, PhaseProfiler, Record,
+        ReplayFrom,
     };
 
     // A daemon root has no journal of its own — each tenant subdirectory
@@ -1083,32 +1083,18 @@ fn top(dir: &std::path::Path) -> ExitCode {
         }
     }
 
-    let fail = |msg: String| {
-        eprintln!("rvmon: error: {msg}");
-        ExitCode::from(2)
+    let config = EngineConfig::default();
+    let mut rec = match recover(dir, ReplayFrom::Start, &config, |i| {
+        (MetricsRegistry::new(), PhaseProfiler::new().with_label(&format!("block{}", i + 1)))
+    }) {
+        Ok(r) => r,
+        Err(msg) => {
+            eprintln!("rvmon: error: {msg}");
+            return ExitCode::from(2);
+        }
     };
-    let scan = match read_journal(dir) {
-        Ok(s) => s,
-        Err(e) => return fail(e.to_string()),
-    };
-    let spec = match spec_from_scan(dir, &scan) {
-        Ok(s) => s,
-        Err(msg) => return fail(msg),
-    };
-    let event_params = spec.event_params.clone();
-    let spec_name = spec.name.clone();
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    let mut monitor = PropertyMonitor::with_observers(spec, &config, |i| {
-        (
-            MetricsRegistry::new(),
-            PhaseProfiler::new().with_label(&format!("{spec_name}/block{}", i + 1)),
-        )
-    });
-    let outcome = match replay_records(&scan, &event_params, &mut monitor, 0, None) {
-        Ok(o) => o,
-        Err(msg) => return fail(msg),
-    };
-    monitor.finish(&outcome.heap);
+    rec.monitor.finish(&rec.heap);
+    let (monitor, scan) = (&rec.monitor, &rec.plan.scan);
 
     let mut merged = PhaseProfiler::new().with_label("ALL");
     for engine in monitor.engines() {
@@ -1118,7 +1104,7 @@ fn top(dir: &std::path::Path) -> ExitCode {
     let stats = monitor.stats();
     println!(
         "rvmon top — {} event(s) replayed from {} durable record(s) in {}",
-        outcome.replayed_events,
+        rec.events,
         scan.records.len(),
         dir.display()
     );
@@ -1181,8 +1167,7 @@ fn top(dir: &std::path::Path) -> ExitCode {
 /// the daemon.
 fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) -> ExitCode {
     use rv_monitor::core::{
-        read_journal, EngineConfig, JournalWriter, MetricsRegistry, Phase, PhaseProfiler,
-        PropertyMonitor,
+        recover, EngineConfig, JournalWriter, MetricsRegistry, Phase, PhaseProfiler, ReplayFrom,
     };
 
     println!("rvmon top — daemon root {} with {} tenant(s)", root.display(), tenants.len());
@@ -1193,18 +1178,15 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
     let mut failures = 0usize;
     for (name, dir) in tenants {
         let result = (|| -> Result<(), String> {
-            let scan = read_journal(dir).map_err(|e| e.to_string())?;
-            let spec = spec_from_scan(dir, &scan)?;
-            let event_params = spec.event_params.clone();
-            let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-            let mut monitor = PropertyMonitor::with_observers(spec, &config, |i| {
+            let config = EngineConfig::default();
+            let mut rec = recover(dir, ReplayFrom::Start, &config, |i| {
                 (
                     MetricsRegistry::new(),
                     PhaseProfiler::new().with_label(&format!("{name}/block{}", i + 1)),
                 )
-            });
-            let outcome = replay_records(&scan, &event_params, &mut monitor, 0, None)?;
-            monitor.finish(&outcome.heap);
+            })?;
+            rec.monitor.finish(&rec.heap);
+            let (monitor, scan) = (&rec.monitor, &rec.plan.scan);
             let mut merged = PhaseProfiler::new().with_label(name);
             for engine in monitor.engines() {
                 let (_, profiler) = engine.observer();
@@ -1248,7 +1230,7 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
                 stats.monitors_flagged,
                 stats.monitors_collected,
                 stats.triggers,
-                outcome.replayed_events,
+                rec.events,
                 scan.records.len()
             );
             Ok(())
@@ -1891,290 +1873,34 @@ fn run_sharded(
     Ok(ExitCode::SUCCESS)
 }
 
-/// Shared replay core for `recover` and `replay`: rebuilds the heap from
-/// the durable record prefix (identical `ObjId`s, because allocation
-/// order is replayed exactly) and feeds events with sequence ≥
-/// `replay_from` to the monitor, suppressing goal reports at or below the
-/// durable high-water mark.
-struct ReplayOutcome {
-    replayed_events: u64,
-    suppressed_triggers: u64,
-    heap: rv_monitor::heap::Heap,
-}
-
-fn replay_records<O: rv_monitor::core::EngineObserver>(
-    scan: &rv_monitor::core::JournalScan,
-    event_params: &[Vec<rv_monitor::logic::ParamId>],
-    monitor: &mut rv_monitor::core::PropertyMonitor<O>,
-    replay_from: u64,
-    hwm: Option<(u64, u32)>,
-) -> Result<ReplayOutcome, String> {
-    use rv_monitor::core::journal::{AUX_FREE, AUX_GC, AUX_OBJ, AUX_SLINE, AUX_SPEC, AUX_SWEEP};
-    use rv_monitor::core::{Binding, Record};
-    use rv_monitor::heap::{Heap, HeapConfig, ObjId};
-
-    let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut known: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    // Daemon journals name objects (`AUX_OBJ`) and carry session-stamped
-    // raw lines (`AUX_SLINE`) instead of pre-bound `Event` records; the
-    // name → ObjId map makes those replayable here too.
-    let mut objects: std::collections::HashMap<String, ObjId> = std::collections::HashMap::new();
-    let mut replayed_events = 0u64;
-    let mut suppressed_triggers = 0u64;
-    for sr in &scan.records {
-        match &sr.record {
-            Record::Aux { tag, bytes } if *tag == AUX_OBJ => {
-                let Some(bits) =
-                    bytes.get(..8).and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-                else {
-                    return Err(format!("journal record {}: truncated AUX_OBJ", sr.seq));
-                };
-                let name = String::from_utf8_lossy(bytes.get(8..).unwrap_or(&[])).into_owned();
-                let frame = heap.enter_frame();
-                let fresh = heap.alloc(class);
-                heap.pin(fresh);
-                heap.exit_frame(frame);
-                if fresh.to_bits() != bits {
-                    return Err(format!(
-                        "heap replay diverged at record {}: journal names object {bits:#x} \
-                         but the rebuilt heap allocated {:#x}",
-                        sr.seq,
-                        fresh.to_bits()
-                    ));
-                }
-                known.insert(bits);
-                objects.insert(name, fresh);
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_SLINE => {
-                if bytes.len() < 16 {
-                    return Err(format!("journal record {}: truncated AUX_SLINE", sr.seq));
-                }
-                let line = String::from_utf8_lossy(&bytes[16..]).into_owned();
-                let mut words = line.split_whitespace();
-                match words.next() {
-                    Some("!gc") => {
-                        heap.collect();
-                    }
-                    Some("!sweep") if sr.seq >= replay_from => {
-                        for engine in monitor.engines_mut() {
-                            engine.full_sweep(&heap);
-                        }
-                    }
-                    Some("!free") => {
-                        for name in words {
-                            let Some(&obj) = objects.get(name) else {
-                                return Err(format!(
-                                    "journal record {} frees unknown object `{name}`",
-                                    sr.seq
-                                ));
-                            };
-                            heap.unpin(obj);
-                        }
-                    }
-                    Some(directive) if directive.starts_with('!') => {}
-                    Some(event_name) => {
-                        let Some(event) = monitor.spec().alphabet.lookup(event_name) else {
-                            return Err(format!(
-                                "journal record {}: unknown event `{event_name}`",
-                                sr.seq
-                            ));
-                        };
-                        let params = &event_params[event.as_usize()];
-                        let mut pairs = Vec::with_capacity(params.len());
-                        for (&p, name) in params.iter().zip(words) {
-                            let Some(&obj) = objects.get(name) else {
-                                return Err(format!(
-                                    "journal record {} names unknown object `{name}`",
-                                    sr.seq
-                                ));
-                            };
-                            pairs.push((p, obj));
-                        }
-                        if pairs.len() != params.len() {
-                            return Err(format!(
-                                "journal record {}: event `{event_name}` is missing parameters",
-                                sr.seq
-                            ));
-                        }
-                        if sr.seq >= replay_from {
-                            let binding = Binding::from_pairs(&pairs);
-                            let before: Vec<usize> =
-                                monitor.engines().iter().map(|e| e.triggers().len()).collect();
-                            monitor
-                                .try_process(&heap, event, binding)
-                                .map_err(|e| format!("engine error at record {}: {e}", sr.seq))?;
-                            let fired: usize = monitor
-                                .engines()
-                                .iter()
-                                .enumerate()
-                                .map(|(bi, e)| e.triggers().len() - before[bi])
-                                .sum();
-                            for ord in 0..fired as u32 {
-                                if hwm.is_some_and(|h| (sr.seq, ord) <= h) {
-                                    suppressed_triggers += 1;
-                                }
-                            }
-                            replayed_events += 1;
-                        }
-                    }
-                    None => {}
-                }
-            }
-            Record::Aux { tag, .. } if *tag == AUX_SPEC || *tag == AUX_GC => {
-                if *tag == AUX_GC {
-                    heap.collect();
-                }
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_FREE => {
-                for chunk in bytes.chunks_exact(8) {
-                    let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    if !known.contains(&bits) {
-                        return Err(format!(
-                            "journal record {} frees object {bits:#x} never seen in an event",
-                            sr.seq
-                        ));
-                    }
-                    heap.unpin(ObjId::from_bits(bits));
-                }
-            }
-            Record::Aux { tag, .. } if *tag == AUX_SWEEP => {
-                if sr.seq >= replay_from {
-                    for engine in monitor.engines_mut() {
-                        engine.full_sweep(&heap);
-                    }
-                }
-            }
-            Record::Event { event, binding } => {
-                // Allocate first-mention objects in the event's declared
-                // parameter order — the same order the original run used —
-                // so the rebuilt heap hands out identical ObjIds.
-                for &p in &event_params[event.as_usize()] {
-                    let Some(obj) = binding.get(p) else {
-                        return Err(format!(
-                            "journal record {} binds a different parameter set than \
-                             event {} declares",
-                            sr.seq,
-                            event.as_usize()
-                        ));
-                    };
-                    if known.insert(obj.to_bits()) {
-                        let frame = heap.enter_frame();
-                        let fresh = heap.alloc(class);
-                        heap.pin(fresh);
-                        heap.exit_frame(frame);
-                        if fresh != obj {
-                            return Err(format!(
-                                "heap replay diverged at record {}: journal names object \
-                                 {:#x} but the rebuilt heap allocated {:#x}",
-                                sr.seq,
-                                obj.to_bits(),
-                                fresh.to_bits()
-                            ));
-                        }
-                    }
-                }
-                if sr.seq >= replay_from {
-                    let before: Vec<usize> =
-                        monitor.engines().iter().map(|e| e.triggers().len()).collect();
-                    monitor
-                        .try_process(&heap, *event, *binding)
-                        .map_err(|e| format!("engine error at record {}: {e}", sr.seq))?;
-                    let fired: usize = monitor
-                        .engines()
-                        .iter()
-                        .enumerate()
-                        .map(|(bi, e)| e.triggers().len() - before[bi])
-                        .sum();
-                    for ord in 0..fired as u32 {
-                        if hwm.is_some_and(|h| (sr.seq, ord) <= h) {
-                            suppressed_triggers += 1;
-                        }
-                    }
-                    replayed_events += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(ReplayOutcome { replayed_events, suppressed_triggers, heap })
-}
-
-/// Compiles the spec carried in the journal's sequence-0 record.
-fn spec_from_scan(
-    dir: &std::path::Path,
-    scan: &rv_monitor::core::JournalScan,
-) -> Result<CompiledSpec, String> {
-    use rv_monitor::core::journal::AUX_SPEC;
-    use rv_monitor::core::Record;
-
-    let Some(first) = scan.records.first() else {
-        return Err(format!("journal at {} holds no durable records", dir.display()));
-    };
-    let Record::Aux { tag, bytes } = &first.record else {
-        return Err("journal does not begin with a spec record".to_owned());
-    };
-    if *tag != AUX_SPEC {
-        return Err("journal does not begin with a spec record".to_owned());
-    }
-    let source = String::from_utf8(bytes.clone())
-        .map_err(|_| "spec record is not valid UTF-8".to_owned())?;
-    CompiledSpec::from_source(&source)
-        .map_err(|d| format!("journaled spec no longer compiles: {}", d.message))
-}
-
-/// `rvmon recover` — crash recovery over a journal directory.
+/// `rvmon recover` — crash recovery over a journal directory: the same
+/// replayer `rvmond` runs per tenant, then a fresh checkpoint at the
+/// repaired journal tail.
 fn recover(dir: &std::path::Path) -> ExitCode {
     use rv_monitor::core::snapshot::{list_checkpoints, write_checkpoint};
-    use rv_monitor::core::{
-        load_latest_checkpoint, read_journal, EngineConfig, JournalWriter, PropertyMonitor, Record,
-    };
+    use rv_monitor::core::{EngineConfig, JournalWriter, Record, ReplayFrom};
 
     let fail = |msg: String| {
         eprintln!("rvmon: error: {msg}");
         ExitCode::from(2)
     };
-    let scan = match read_journal(dir) {
-        Ok(s) => s,
-        Err(e) => return fail(e.to_string()),
-    };
-    let spec = match spec_from_scan(dir, &scan) {
-        Ok(s) => s,
+    let config = EngineConfig::default();
+    let rec = match rv_monitor::core::recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| {
+        rv_monitor::core::NoopObserver
+    }) {
+        Ok(r) => r,
         Err(msg) => return fail(msg),
     };
-    let event_params = spec.event_params.clone();
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    let mut monitor = PropertyMonitor::new(spec, &config);
-
-    let (checkpoint, skipped) = load_latest_checkpoint(dir, scan.next_seq);
-    for reason in &skipped {
+    let scan = &rec.plan.scan;
+    for reason in &rec.plan.skipped_checkpoints {
         eprintln!("rvmon: warning: skipping checkpoint: {reason}");
     }
-    let mut replay_from = 0u64;
-    if let Some(cp) = &checkpoint {
-        if let Err(e) = monitor.restore_snapshot(&cp.payload, &cp.file) {
-            return fail(e.to_string());
-        }
-        replay_from = cp.seq;
-    }
-    let hwm = scan.trigger_high_water_mark();
-    let outcome = match replay_records(&scan, &event_params, &mut monitor, replay_from, hwm) {
-        Ok(o) => o,
-        Err(msg) => return fail(msg),
-    };
-    // Dead keys whose deaths predate the checkpoint go back through the
-    // ALIVENESS flagging path, then the recovered state must pass the
-    // structural invariant check before we touch the journal.
-    let reflagged = monitor.reflag_dead_keys(&outcome.heap);
-    if let Err(e) = monitor.check_invariants(&outcome.heap) {
-        return fail(e.to_string());
-    }
-    let mut journal = match JournalWriter::resume(dir, &scan) {
+    let mut journal = match JournalWriter::resume(dir, scan) {
         Ok(j) => j,
         Err(e) => return fail(format!("cannot resume journal: {e}")),
     };
     let generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
-    if let Some(payload) = monitor.snapshot_bytes() {
+    if let Some(payload) = rec.monitor.snapshot_bytes() {
         let covered = journal.next_seq();
         if let Err(e) = write_checkpoint(dir, generation, covered, &payload) {
             return fail(format!("checkpoint write failed: {e}"));
@@ -2195,55 +1921,39 @@ fn recover(dir: &std::path::Path) -> ExitCode {
         ),
         None => println!("journal tail was clean (no torn records)"),
     }
-    match checkpoint {
+    match &rec.plan.checkpoint {
         Some(cp) => println!(
             "restored checkpoint generation {} (covers seq < {}), replayed {} event(s)",
-            cp.generation, cp.seq, outcome.replayed_events
+            cp.generation, cp.seq, rec.events
         ),
-        None => {
-            println!("no usable checkpoint — full replay of {} event(s)", outcome.replayed_events)
-        }
+        None => println!("no usable checkpoint — full replay of {} event(s)", rec.events),
     }
-    println!(
-        "suppressed {} already-delivered goal report(s); re-flagged {} monitor(s)",
-        outcome.suppressed_triggers, reflagged
-    );
-    println!("stats: {}", monitor.stats());
+    println!("suppressed {} already-delivered goal report(s)", rec.suppressed);
+    println!("stats: {}", rec.monitor.stats());
     ExitCode::SUCCESS
 }
 
-/// `rvmon replay` — audit a journal by re-executing it from sequence 0.
+/// `rvmon replay` — audit a journal by re-executing it from sequence 0,
+/// across every spec reload it carries.
 fn replay(dir: &std::path::Path) -> ExitCode {
-    use rv_monitor::core::{read_journal, EngineConfig, PropertyMonitor};
+    use rv_monitor::core::{recover, EngineConfig, NoopObserver, ReplayFrom};
 
-    let fail = |msg: String| {
-        eprintln!("rvmon: error: {msg}");
-        ExitCode::from(2)
+    let config = EngineConfig::default();
+    let mut rec = match recover(dir, ReplayFrom::Start, &config, |_| NoopObserver) {
+        Ok(r) => r,
+        Err(msg) => {
+            eprintln!("rvmon: error: {msg}");
+            return ExitCode::from(2);
+        }
     };
-    let scan = match read_journal(dir) {
-        Ok(s) => s,
-        Err(e) => return fail(e.to_string()),
-    };
-    let spec = match spec_from_scan(dir, &scan) {
-        Ok(s) => s,
-        Err(msg) => return fail(msg),
-    };
-    let event_params = spec.event_params.clone();
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    let mut monitor = PropertyMonitor::new(spec, &config);
-    let outcome = match replay_records(&scan, &event_params, &mut monitor, 0, None) {
-        Ok(o) => o,
-        Err(msg) => return fail(msg),
-    };
-    monitor.finish(&outcome.heap);
-    if let Err(e) = monitor.check_invariants(&outcome.heap) {
-        return fail(e.to_string());
-    }
+    rec.monitor.finish(&rec.heap);
+    let scan = &rec.plan.scan;
     println!(
-        "replayed {} event(s) from {} durable record(s) in {}",
-        outcome.replayed_events,
+        "replayed {} event(s) from {} durable record(s) in {}: {} goal report(s)",
+        rec.events,
         scan.records.len(),
-        dir.display()
+        dir.display(),
+        rec.fired.len()
     );
     if let Some(t) = &scan.truncation {
         println!(
@@ -2251,12 +1961,10 @@ fn replay(dir: &std::path::Path) -> ExitCode {
             t.file, t.offset, t.lost_bytes, t.reason
         );
     }
-    for (i, engine) in monitor.engines().iter().enumerate() {
-        for t in engine.triggers() {
-            println!("block {}: {:?} at step {} for {:?}", i + 1, t.verdict, t.step, t.binding);
-        }
+    for t in &rec.fired {
+        println!("block {}: {:?} at step {} for {:?}", t.block + 1, t.verdict, t.step, t.binding);
     }
-    println!("stats: {}", monitor.stats());
+    println!("stats: {}", rec.monitor.stats());
     ExitCode::SUCCESS
 }
 

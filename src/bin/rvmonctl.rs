@@ -14,16 +14,12 @@
 use std::net::TcpStream;
 use std::process::ExitCode;
 
+use rv_monitor::core::service::{
+    FRAME_BYE, FRAME_HELLO, FRAME_OK, FRAME_REJECT, FRAME_STATS, FRAME_STATS_REPLY,
+};
 use rv_monitor::core::{
     read_frame, write_frame, ClientStats, ReconnectPolicy, ResilientClient, TenantOptions,
 };
-
-const FRAME_HELLO: u8 = 0x01;
-const FRAME_STATS: u8 = 0x04;
-const FRAME_BYE: u8 = 0x05;
-const FRAME_OK: u8 = 0x80;
-const FRAME_STATS_REPLY: u8 = 0x82;
-const FRAME_REJECT: u8 = 0x83;
 
 fn usage() -> ExitCode {
     eprintln!(

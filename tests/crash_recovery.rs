@@ -175,8 +175,9 @@ fn every_property_survives_every_kill_class() {
         let spec = compiled(property).expect("catalog property compiles");
         for (ki, kill) in KillClass::ALL.into_iter().enumerate() {
             let dir = scratch(&format!("p{pi}k{ki}"));
-            let out = crash_and_recover(&spec, 0, GcPolicy::CoenableLazy, 23, 96, 8, kill, &dir)
-                .expect("harness runs clean");
+            let out =
+                crash_and_recover(property.source(), GcPolicy::CoenableLazy, 23, 96, 8, kill, &dir)
+                    .expect("harness runs clean");
             assert!(
                 out.ok(),
                 "{}/{}: verdicts_match={} stats_match={} dups={} delivered={} (oracle {})",
@@ -198,12 +199,12 @@ fn every_property_survives_every_kill_class() {
 /// kill offsets.
 #[test]
 fn seed_sweep_crashes_at_many_offsets_without_duplicates() {
-    let spec = compiled(Property::UnsafeIter).expect("catalog property compiles");
+    let source = Property::UnsafeIter.source();
     for policy in POLICIES {
         for seed in [1u64, 2, 3, 5, 8] {
             for (ki, kill) in KillClass::ALL.into_iter().enumerate() {
                 let dir = scratch(&format!("s{seed}{policy:?}k{ki}"));
-                let out = crash_and_recover(&spec, 0, policy, seed, 80, 6, kill, &dir)
+                let out = crash_and_recover(source, policy, seed, 80, 6, kill, &dir)
                     .expect("harness runs clean");
                 assert!(
                     out.ok(),

@@ -234,3 +234,63 @@ fn reload_is_idempotent_versioned_and_durable() {
     drop(svc);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+const HAS_NEXT: &str = r#"
+HasNext(Iterator i) {
+    event hasnexttrue(i);
+    event hasnextfalse(i);
+    event next(i);
+    fsm:
+        unknown [ hasnexttrue -> more  hasnextfalse -> none  next -> error ]
+        more [ hasnexttrue -> more  next -> unknown ]
+        none [ hasnextfalse -> none  next -> error ]
+        error []
+    @error { report "next without hasNext"; }
+}
+"#;
+
+/// Runs `rvmon <args>` and returns (exit code, stdout, stderr).
+fn rvmon(args: &[&std::ffi::OsStr]) -> (i32, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rvmon"))
+        .args(args)
+        .output()
+        .expect("run rvmon");
+    (
+        out.status.code().expect("rvmon exited by signal"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A tenant reloaded to a spec with different events stays auditable:
+/// `rvmon replay` follows the journal's spec lineage across the cutover
+/// and reports the daemon's trigger count, and `rvmon top` tables the
+/// daemon root.
+#[test]
+fn rvmon_audits_a_tenant_reloaded_to_different_events() {
+    let root = scratch("reload-audit");
+    let svc = Service::new(supervised_config(&root, 1)).unwrap();
+    svc.admit("t", SPEC, TenantOptions::default()).unwrap();
+    drive(&svc, "t", "i", 2);
+    assert_eq!(svc.reload("t", 5, HAS_NEXT).unwrap(), 2);
+    for k in 0..3 {
+        svc.submit("t", &format!("hasnexttrue h{k}")).unwrap();
+        svc.submit("t", &format!("next h{k}")).unwrap();
+        svc.submit("t", &format!("next h{k}")).unwrap();
+    }
+    svc.sync("t", 2).unwrap();
+    let triggers = snapshot(&svc, "t").triggers;
+    assert_eq!(triggers, 5, "2 UnsafeIter matches, then 3 HasNext errors");
+    assert!(svc.drain() >= 1);
+    drop(svc);
+
+    let tenant = root.join("t");
+    let (code, out, err) = rvmon(&["replay".as_ref(), tenant.as_os_str()]);
+    assert_eq!(code, 0, "rvmon replay failed\nstdout: {out}\nstderr: {err}");
+    assert!(out.contains(&format!(": {triggers} goal report(s)")), "{out}");
+
+    let (code, out, err) = rvmon(&["top".as_ref(), root.as_os_str()]);
+    assert_eq!(code, 0, "rvmon top failed\nstdout: {out}\nstderr: {err}");
+    assert!(!err.contains("tenant `t`"), "tenant row failed: {err}");
+    let _ = std::fs::remove_dir_all(&root);
+}
