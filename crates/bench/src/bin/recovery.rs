@@ -20,7 +20,7 @@ use rv_core::{
     recover, Binding, EngineConfig, GcPolicy, JournalStats, JournalWriter, NoopObserver,
     PropertyMonitor, Record, ReplayFrom,
 };
-use rv_heap::{Heap, HeapConfig, ObjId, SplitMix64};
+use rv_heap::{ClassId, Heap, HeapConfig, ObjId, SplitMix64};
 use rv_logic::EventId;
 use rv_props::Property;
 use rv_spec::CompiledSpec;
@@ -70,42 +70,63 @@ struct Row {
     triggers: u64,
 }
 
+/// The monitored program: a manual heap and a pool of parameter slots.
+struct World {
+    heap: Heap,
+    class: ClassId,
+    pool: Vec<Option<ObjId>>,
+}
+
+impl World {
+    fn new() -> World {
+        let mut heap = Heap::new(HeapConfig::manual());
+        let class = heap.register_class("Obj");
+        World { heap, class, pool: vec![None; POOL] }
+    }
+
+    /// Performs `step`'s heap side and returns the record that journals
+    /// it (none for a kill of an empty slot).
+    fn step(&mut self, step: &Step) -> Option<Record> {
+        match step {
+            Step::Kill(slot) => self.pool[*slot].take().map(|obj| {
+                self.heap.unpin(obj);
+                Record::Aux { tag: AUX_FREE, bytes: obj.to_bits().to_le_bytes().to_vec() }
+            }),
+            Step::Collect => {
+                self.heap.collect();
+                Some(Record::Aux { tag: AUX_GC, bytes: Vec::new() })
+            }
+            Step::Event(event, slots) => {
+                let pairs: Vec<_> = slots
+                    .iter()
+                    .map(|&(p, s)| {
+                        let (heap, class) = (&mut self.heap, self.class);
+                        (p, *self.pool[s].get_or_insert_with(|| alloc_pinned(heap, class)))
+                    })
+                    .collect();
+                Some(Record::Event { event: *event, binding: Binding::from_pairs(&pairs) })
+            }
+        }
+    }
+}
+
 /// Runs the schedule without any durability machinery.
 fn run_bare(spec: &CompiledSpec, steps: &[Step]) -> (Duration, u64) {
     let config = EngineConfig { policy: GcPolicy::CoenableLazy, ..EngineConfig::default() };
     let mut monitor = PropertyMonitor::new(spec.clone(), &config);
-    let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut pool: Vec<Option<ObjId>> = vec![None; POOL];
+    let mut world = World::new();
     let start = Instant::now();
     for step in steps {
-        match step {
-            Step::Kill(slot) => {
-                if let Some(obj) = pool[*slot].take() {
-                    heap.unpin(obj);
-                }
-            }
-            Step::Collect => {
-                heap.collect();
-            }
-            Step::Event(e, slots) => {
-                let pairs: Vec<_> = slots
-                    .iter()
-                    .map(|&(p, s)| {
-                        (p, *pool[s].get_or_insert_with(|| alloc_pinned(&mut heap, class)))
-                    })
-                    .collect();
-                monitor.process(&heap, *e, Binding::from_pairs(&pairs));
-            }
+        if let Some(Record::Event { event, binding }) = world.step(step) {
+            monitor.process(&world.heap, event, binding);
         }
     }
-    monitor.finish(&heap);
+    monitor.finish(&world.heap);
     (start.elapsed(), monitor.triggers())
 }
 
 /// Runs the same schedule with the write-ahead journal and periodic
 /// checkpoints, then times a full recovery from the directory.
-#[allow(clippy::too_many_lines)]
 fn run_journaled(
     spec: &CompiledSpec,
     source: &str,
@@ -115,9 +136,7 @@ fn run_journaled(
     let _ = std::fs::remove_dir_all(dir);
     let config = EngineConfig { policy: GcPolicy::CoenableLazy, ..EngineConfig::default() };
     let mut monitor = PropertyMonitor::new(spec.clone(), &config);
-    let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut pool: Vec<Option<ObjId>> = vec![None; POOL];
+    let mut world = World::new();
     let mut journal = JournalWriter::create(dir).expect("create journal");
     let mut since_checkpoint = 0usize;
     let mut generation = 0u64;
@@ -127,51 +146,26 @@ fn run_journaled(
         .append(&Record::Aux { tag: rv_core::journal::AUX_SPEC, bytes: source.as_bytes().to_vec() })
         .expect("journal spec");
     for step in steps {
-        match step {
-            Step::Kill(slot) => {
-                if let Some(obj) = pool[*slot].take() {
-                    journal
-                        .append(&Record::Aux {
-                            tag: AUX_FREE,
-                            bytes: obj.to_bits().to_le_bytes().to_vec(),
-                        })
-                        .expect("journal free");
-                    heap.unpin(obj);
-                }
-            }
-            Step::Collect => {
+        let Some(record) = world.step(step) else { continue };
+        journal.append(&record).expect("journal step");
+        if let Record::Event { event, binding } = record {
+            monitor.process(&world.heap, event, binding);
+            since_checkpoint += 1;
+            if since_checkpoint >= CHECKPOINT_EVERY {
+                since_checkpoint = 0;
+                journal.sync().expect("sync journal");
+                let payload = monitor.snapshot_bytes().expect("serializable state");
+                checkpoint_bytes += payload.len() as u64;
+                let covered = journal.next_seq();
+                write_checkpoint(dir, generation, covered, &payload).expect("write checkpoint");
                 journal
-                    .append(&Record::Aux { tag: AUX_GC, bytes: Vec::new() })
-                    .expect("journal gc");
-                heap.collect();
-            }
-            Step::Event(e, slots) => {
-                let pairs: Vec<_> = slots
-                    .iter()
-                    .map(|&(p, s)| {
-                        (p, *pool[s].get_or_insert_with(|| alloc_pinned(&mut heap, class)))
-                    })
-                    .collect();
-                let binding = Binding::from_pairs(&pairs);
-                journal.append(&Record::Event { event: *e, binding }).expect("journal event");
-                monitor.process(&heap, *e, binding);
-                since_checkpoint += 1;
-                if since_checkpoint >= CHECKPOINT_EVERY {
-                    since_checkpoint = 0;
-                    journal.sync().expect("sync journal");
-                    let payload = monitor.snapshot_bytes().expect("serializable state");
-                    checkpoint_bytes += payload.len() as u64;
-                    let covered = journal.next_seq();
-                    write_checkpoint(dir, generation, covered, &payload).expect("write checkpoint");
-                    journal
-                        .append(&Record::CheckpointMark { generation, seq: covered })
-                        .expect("journal mark");
-                    generation += 1;
-                }
+                    .append(&Record::CheckpointMark { generation, seq: covered })
+                    .expect("journal mark");
+                generation += 1;
             }
         }
     }
-    monitor.finish(&heap);
+    monitor.finish(&world.heap);
     journal.sync().expect("final sync");
     let journaled = start.elapsed();
     let jstats = journal.stats();

@@ -297,8 +297,9 @@ fn step(
     }
 }
 
-/// Deduplicated goal reports, one list per property block.
+/// Deduplicated goal reports per block, and the schedule's events.
 type Verdicts = Vec<Vec<Trigger>>;
+type Trace = Vec<(EventId, Binding)>;
 
 /// Finishes the run and returns its per-block verdicts.
 fn finish(monitor: &mut PropertyMonitor, heap: &Heap) -> Result<Verdicts, String> {
@@ -313,7 +314,7 @@ fn oracle_run(
     spec: &CompiledSpec,
     config: &EngineConfig,
     ops: &[Op],
-) -> Result<(EngineStats, Verdicts, Vec<(EventId, Binding)>), String> {
+) -> Result<(EngineStats, Verdicts, Trace), String> {
     let mut world = World::new();
     let mut monitor = PropertyMonitor::new(spec.clone(), config);
     let mut trace = Vec::new();
@@ -420,6 +421,15 @@ fn last_segment_path(dir: &Path) -> Option<PathBuf> {
     last
 }
 
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).expect("stat artifact").len()
+}
+
+fn truncate(path: &Path, len: u64) {
+    let file = std::fs::OpenOptions::new().write(true).open(path).expect("open artifact");
+    file.set_len(len).expect("truncate artifact");
+}
+
 fn flip_bit(path: &Path, offset: u64, bit: u8) {
     let mut bytes = std::fs::read(path).expect("read artifact");
     let i = offset as usize;
@@ -435,19 +445,12 @@ fn apply_kill(dir: &Path, kill: KillClass, rng: &mut SplitMix64) {
     match kill {
         KillClass::TruncateJournal(pct) => {
             if let Some(path) = last_segment_path(dir) {
-                let len = std::fs::metadata(&path).expect("stat segment").len();
-                let keep = len * u64::from(pct.min(100)) / 100;
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .expect("open segment")
-                    .set_len(keep)
-                    .expect("truncate segment");
+                truncate(&path, file_len(&path) * u64::from(pct.min(100)) / 100);
             }
         }
         KillClass::BitFlipJournal => {
             if let Some(path) = last_segment_path(dir) {
-                let len = std::fs::metadata(&path).expect("stat segment").len();
+                let len = file_len(&path);
                 if len > SEGMENT_HEADER_LEN {
                     let span = len - SEGMENT_HEADER_LEN;
                     let offset = SEGMENT_HEADER_LEN + rng.gen_range(span as usize) as u64;
@@ -458,19 +461,13 @@ fn apply_kill(dir: &Path, kill: KillClass, rng: &mut SplitMix64) {
         KillClass::TruncateCheckpoint => {
             if let Some(&generation) = list_checkpoints(dir).last() {
                 let path = checkpoint_path(dir, generation);
-                let len = std::fs::metadata(&path).expect("stat checkpoint").len();
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .expect("open checkpoint")
-                    .set_len(len / 2)
-                    .expect("truncate checkpoint");
+                truncate(&path, file_len(&path) / 2);
             }
         }
         KillClass::BitFlipCheckpoint => {
             if let Some(&generation) = list_checkpoints(dir).last() {
                 let path = checkpoint_path(dir, generation);
-                let len = std::fs::metadata(&path).expect("stat checkpoint").len();
+                let len = file_len(&path);
                 if len > 0 {
                     flip_bit(&path, rng.gen_range(len as usize) as u64, rng.gen_range(8) as u8);
                 }
@@ -555,7 +552,8 @@ pub fn crash_and_recover(
         // Not even the spec header survived: the run starts over.
         (begin(next_generation)?, 0, None)
     } else {
-        let rec = recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| NoopObserver)?;
+        let rec = recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| NoopObserver)
+            .map_err(|e| e.to_string())?;
         let scan = &rec.plan.scan;
         // Reports journaled before the crash were delivered then; the
         // replayer's refired ones are delivered now.

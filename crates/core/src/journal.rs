@@ -772,6 +772,16 @@ impl JournalWriter {
         Ok(())
     }
 
+    /// Hands buffered records to the OS without fsyncing them, so a
+    /// reader of the directory sees them.
+    ///
+    /// # Errors
+    ///
+    /// Any IO error flushing.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+
     /// The sequence number the next appended record will get.
     #[must_use]
     pub fn next_seq(&self) -> u64 {

@@ -98,7 +98,7 @@ pub use crate::profile::{
     chrome_trace_json, prometheus_text, InstanceRecord, PhaseProfiler, ProvenanceLedger,
     ProvenanceSummary, SpanLog, TimelineSpan,
 };
-pub use crate::recover::{recover, Recovered, ReplayFrom};
+pub use crate::recover::{recover, RecoverError, Recovered, ReplayFrom};
 pub use crate::reference::{monitor_trace, ReferenceRun, Trigger};
 pub use crate::service::{
     encode_frame, read_frame, read_frame_timed, serve_connection, write_frame, Backpressure,

@@ -235,6 +235,12 @@ impl<O: EngineObserver> PropertyMonitor<O> {
         Ok(())
     }
 
+    /// Re-runs dead-key flagging over every block after a restore; returns
+    /// the number of newly flagged monitors.
+    pub fn reflag_dead_keys(&mut self, heap: &Heap) -> u64 {
+        self.engines.iter_mut().map(|e| e.reflag_dead_keys(heap)).sum()
+    }
+
     /// Structural invariant check over every block (recovery acceptance
     /// gate).
     pub fn check_invariants(&self, heap: &Heap) -> Result<(), EngineError> {
@@ -330,6 +336,7 @@ mod tests {
         assert_eq!(restored.stats(), m.stats());
         assert_eq!(restored.snapshot_bytes().unwrap(), bytes, "round-trip is byte-identical");
         restored.check_invariants(&heap).unwrap();
+        assert_eq!(restored.reflag_dead_keys(&heap), 0, "nothing died, nothing to reflag");
 
         // Both copies must continue identically — modulo cache_hits, since a
         // restore deliberately starts with a cold lookup cache.

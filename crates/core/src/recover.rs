@@ -17,22 +17,28 @@
 //!   fresh engine per `AUX_RELOAD` cutover;
 //! * allocates objects that `Event` records mention for the first time in
 //!   the event's declared parameter order (`rvmon run` journals carry no
-//!   `AUX_OBJ` records);
+//!   `AUX_OBJ` records; once a journal has carried an `AUX_OBJ` or
+//!   `AUX_SLINE`, it is a daemon journal and every object needs one);
 //! * classifies every goal report replay fires: at or below the durable
 //!   trigger high-water mark it was delivered before the crash
 //!   (suppressed); past it, it is a refired first-time delivery.
 //!
 //! Replay is exact: the restored engine meets the same heap states the
 //! journaling engine met, so it discovers dead keys lazily where that
-//! engine did, and E/M/FM/CM match an uninterrupted run. No eager
-//! re-flagging pass runs (it would flag monitors the lazy path collects
-//! unflagged, inflating FM). Replay ends with `check_invariants`.
+//! engine did, and E/M/FM/CM match an uninterrupted run. It does not run
+//! the eager [`Engine::reflag_dead_keys`] pass, which can flag monitors
+//! the lazy path collects unflagged and so inflate FM. Replay ends with
+//! `check_invariants`.
 //! `rvmond`'s tenant recovery, `rvmon recover`/`replay`/`top`, the crash
-//! harness and the recovery bench all run this one function.
+//! harness and the recovery bench all run this one function; `rvmond`
+//! calls its two halves, `plan` and `replay`, so it can check the
+//! tenant's spec (`tail_spec`) before paying for replay.
 //!
 //! [`plan_recovery`]: crate::snapshot::plan_recovery
+//! [`Engine::reflag_dead_keys`]: crate::engine::Engine::reflag_dead_keys
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::path::Path;
 
 use rv_heap::{ClassId, Heap, HeapConfig, ObjId};
@@ -42,8 +48,8 @@ use rv_spec::CompiledSpec;
 use crate::binding::Binding;
 use crate::engine::EngineConfig;
 use crate::journal::{
-    read_journal, Record, SeqRecord, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ, AUX_RELOAD, AUX_SLINE,
-    AUX_SPEC, AUX_SWEEP,
+    read_journal, JournalScan, Record, SeqRecord, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ, AUX_RELOAD,
+    AUX_SLINE, AUX_SPEC, AUX_SWEEP,
 };
 use crate::multi::PropertyMonitor;
 use crate::obs::EngineObserver;
@@ -58,6 +64,29 @@ pub enum ReplayFrom {
     LatestCheckpoint,
     /// Ignore checkpoints and re-execute every record (audit replay).
     Start,
+}
+
+/// Why a journal directory could not be recovered.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum RecoverError {
+    /// A journaled spec (the creation `AUX_SPEC` or an `AUX_RELOAD`) no
+    /// longer compiles.
+    Spec(String),
+    /// The journal head is unusable, a record is inconsistent, or the
+    /// recovered state fails to restore or to pass `check_invariants`.
+    Journal(String),
+}
+
+impl fmt::Display for RecoverError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecoverError::Spec(msg) | RecoverError::Journal(msg) => f.write_str(msg),
+        }
+    }
+}
+
+fn reject<T>(msg: String) -> Result<T, RecoverError> {
+    Err(RecoverError::Journal(msg))
 }
 
 /// Cumulative engine counters carried across hot reloads (and, via the
@@ -173,20 +202,29 @@ impl<O: EngineObserver> Recovered<O> {
 ///
 /// # Errors
 ///
-/// A message naming the offending record when the journal head is
-/// unusable, carries no spec, or is inconsistent: a rebuilt `ObjId` that
-/// diverges from the journaled one, an unknown object, a truncated
-/// `AUX_OBJ`/`AUX_SLINE`/`AUX_FATAL`, a malformed `AUX_RELOAD`, an
-/// unknown event, an arity mismatch, or a free of a never-allocated
-/// object. Also when the checkpoint fails to restore or the recovered
-/// state fails `check_invariants`.
+/// [`RecoverError::Spec`] when a journaled spec no longer compiles.
+/// [`RecoverError::Journal`], naming the offending record, when the
+/// journal head is unusable, carries no spec, or is inconsistent: a
+/// rebuilt `ObjId` that diverges from the journaled one, an unknown
+/// object, a truncated `AUX_OBJ`/`AUX_SLINE`/`AUX_FATAL`, a malformed
+/// `AUX_RELOAD`, an unknown event, an arity mismatch, or a free of a
+/// never-allocated object; also when the checkpoint fails to restore or
+/// the recovered state fails `check_invariants`.
 pub fn recover<O: EngineObserver>(
     dir: &Path,
     from: ReplayFrom,
     config: &EngineConfig,
     observers: impl FnMut(usize) -> O,
-) -> Result<Recovered<O>, String> {
-    let plan = match from {
+) -> Result<Recovered<O>, RecoverError> {
+    replay(plan(dir, from)?, config, observers)
+}
+
+/// The first half of [`recover`]: reads the durable journal in `dir`
+/// and, for [`ReplayFrom::LatestCheckpoint`], picks the checkpoint to
+/// restore. Fails with [`RecoverError::Journal`] when the journal head is
+/// unusable.
+pub(crate) fn plan(dir: &Path, from: ReplayFrom) -> Result<Recovery, RecoverError> {
+    match from {
         ReplayFrom::LatestCheckpoint => plan_recovery(dir),
         ReplayFrom::Start => read_journal(dir).map(|scan| Recovery {
             scan,
@@ -194,101 +232,130 @@ pub fn recover<O: EngineObserver>(
             skipped_checkpoints: Vec::new(),
         }),
     }
-    .map_err(|e| e.to_string())?;
-    let Some((first, rest)) = plan.scan.records.split_first() else {
-        return Err(format!("journal at {} holds no durable records", dir.display()));
+    .map_err(|e| RecoverError::Journal(e.to_string()))
+}
+
+/// The spec source in force at the journal tail: the last `AUX_RELOAD`'s,
+/// else the `AUX_SPEC` at sequence 0. Cheap: it decodes no other record.
+/// Fails with [`RecoverError::Journal`] when the journal is empty, does
+/// not begin with a spec record, or its last `AUX_RELOAD` is malformed.
+pub(crate) fn tail_spec(scan: &JournalScan) -> Result<String, RecoverError> {
+    for sr in scan.records.iter().rev() {
+        if let Record::Aux { tag: AUX_RELOAD, bytes } = &sr.record {
+            return reload_of(sr.seq, bytes).map(|(_, _, source)| source);
+        }
+    }
+    head_spec(scan)
+}
+
+fn head_spec(scan: &JournalScan) -> Result<String, RecoverError> {
+    let Some(first) = scan.records.first() else {
+        return reject("journal holds no durable records".to_owned());
     };
     let Record::Aux { tag: AUX_SPEC, bytes } = &first.record else {
-        return Err("journal does not begin with a spec record".to_owned());
+        return reject("journal does not begin with a spec record".to_owned());
     };
-    let source = String::from_utf8(bytes.clone())
-        .map_err(|_| "spec record is not valid UTF-8".to_owned())?;
+    String::from_utf8(bytes.clone())
+        .map_err(|_| RecoverError::Journal("spec record is not valid UTF-8".to_owned()))
+}
+
+fn reload_of(seq: u64, bytes: &[u8]) -> Result<(u64, BaseCounters, String), RecoverError> {
+    BaseCounters::decode_reload(bytes)
+        .ok_or_else(|| RecoverError::Journal(format!("journal record {seq}: malformed AUX_RELOAD")))
+}
+
+/// The second half of [`recover`]: restores the plan's checkpoint and
+/// re-executes its durable records. Errors as [`recover`]'s.
+pub(crate) fn replay<O: EngineObserver>(
+    mut plan: Recovery,
+    config: &EngineConfig,
+    mut observers: impl FnMut(usize) -> O,
+) -> Result<Recovered<O>, RecoverError> {
+    let source = head_spec(&plan.scan)?;
+    let spec = compile(plan.scan.records[0].seq, &source)?;
+    let config = EngineConfig { record_triggers: true, ..config.clone() };
     let mut heap = Heap::new(HeapConfig::manual());
     let class = heap.register_class("Obj");
+    // Replay walks the records and restores the checkpoint while it
+    // builds the result that owns them; both go back in at the end.
+    let (hwm, replay_from) = (plan.scan.trigger_high_water_mark(), plan.replay_from());
+    let records = std::mem::take(&mut plan.scan.records);
+    let checkpoint = plan.checkpoint.take();
     let mut replay = Replay {
-        config: EngineConfig { record_triggers: true, ..config.clone() },
-        observers,
-        checkpoint: plan.checkpoint.as_ref(),
-        replay_from: plan.replay_from(),
-        hwm: plan.scan.trigger_high_water_mark(),
-        spec: compile(first.seq, &source)?,
-        source,
-        monitor: None,
-        heap,
-        class,
+        replay_from,
+        current: checkpoint.is_none(),
+        checkpoint: checkpoint.as_ref(),
+        hwm,
         known: HashSet::new(),
-        objects: HashMap::new(),
-        sessions: HashMap::new(),
-        spec_version: 1,
-        reload_token: 0,
-        base: BaseCounters::default(),
-        events: 0,
-        fired: Vec::new(),
-        suppressed: 0,
+        named: false,
+        rec: Recovered {
+            monitor: PropertyMonitor::with_observers(spec.clone(), &config, &mut observers),
+            plan,
+            heap,
+            class,
+            objects: HashMap::new(),
+            sessions: HashMap::new(),
+            spec_source: source,
+            spec_version: 1,
+            reload_token: 0,
+            base: BaseCounters::default(),
+            events: 0,
+            fired: Vec::new(),
+            suppressed: 0,
+        },
+        spec,
+        config,
+        observers,
     };
-    for sr in rest {
+    for sr in &records[1..] {
         replay.apply(sr)?;
     }
-    replay.ensure_monitor()?;
-    let monitor = replay.monitor.take().expect("ensured above");
-    monitor.check_invariants(&replay.heap).map_err(|e| e.to_string())?;
-    Ok(Recovered {
-        monitor,
-        heap: replay.heap,
-        class,
-        objects: replay.objects,
-        sessions: replay.sessions,
-        spec_source: replay.source,
-        spec_version: replay.spec_version,
-        reload_token: replay.reload_token,
-        base: replay.base,
-        events: replay.events,
-        fired: replay.fired,
-        suppressed: replay.suppressed,
-        plan,
-    })
+    replay.make_current()?;
+    let mut rec = replay.rec;
+    rec.monitor.check_invariants(&rec.heap).map_err(|e| RecoverError::Journal(e.to_string()))?;
+    rec.plan.scan.records = records;
+    rec.plan.checkpoint = checkpoint;
+    Ok(rec)
 }
 
-fn compile(seq: u64, source: &str) -> Result<CompiledSpec, String> {
+fn compile(seq: u64, source: &str) -> Result<CompiledSpec, RecoverError> {
     CompiledSpec::from_source(source).map_err(|d| {
-        format!("journal record {seq}: journaled spec no longer compiles: {}", d.message)
+        RecoverError::Spec(format!(
+            "journal record {seq}: journaled spec no longer compiles: {}",
+            d.message
+        ))
     })
 }
 
-/// Replay state between records.
+/// Replay state between records: the recovery built so far, and what
+/// continuing it needs.
 struct Replay<'a, O: EngineObserver, F> {
+    rec: Recovered<O>,
     config: EngineConfig,
     observers: F,
     checkpoint: Option<&'a Checkpoint>,
     replay_from: u64,
     hwm: Option<(u64, u32)>,
-    /// The spec in force at the current record, and its source.
+    /// The spec in force at the current record.
     spec: CompiledSpec,
-    source: String,
-    /// Built lazily at the first engine effect at or past `replay_from`
-    /// (restoring the checkpoint), or fresh at a cutover past it.
-    monitor: Option<PropertyMonitor<O>>,
-    heap: Heap,
-    class: ClassId,
+    /// Whether `rec.monitor` holds the engine state at the current
+    /// record: false until the checkpoint is restored, or a cutover at
+    /// or past it starts a fresh engine.
+    current: bool,
     /// Bits of every object allocated so far.
     known: HashSet<u64>,
-    objects: HashMap<String, ObjId>,
-    sessions: HashMap<u64, u64>,
-    spec_version: u64,
-    reload_token: u64,
-    base: BaseCounters,
-    events: u64,
-    fired: Vec<TriggerRecord>,
-    suppressed: usize,
+    /// Whether an `AUX_OBJ` or `AUX_SLINE` has been seen: a daemon
+    /// journal, whose every object has an `AUX_OBJ` record.
+    named: bool,
 }
 
 impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
-    fn apply(&mut self, sr: &SeqRecord) -> Result<(), String> {
+    fn apply(&mut self, sr: &SeqRecord) -> Result<(), RecoverError> {
         let seq = sr.seq;
         match &sr.record {
             Record::Event { event, binding } => self.event_record(seq, *event, *binding),
             Record::Aux { tag: AUX_GC, .. } => {
-                self.heap.collect();
+                self.rec.heap.collect();
                 Ok(())
             }
             Record::Aux { tag: AUX_SWEEP, .. } => self.sweep(seq),
@@ -296,11 +363,11 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
                 for chunk in bytes.chunks_exact(8) {
                     let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
                     if !self.known.contains(&bits) {
-                        return Err(format!(
+                        return reject(format!(
                             "journal record {seq} frees object {bits:#x} never allocated"
                         ));
                     }
-                    self.heap.unpin(ObjId::from_bits(bits));
+                    self.rec.heap.unpin(ObjId::from_bits(bits));
                 }
                 Ok(())
             }
@@ -308,24 +375,26 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
                 let Some(bits) =
                     bytes.get(..8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
                 else {
-                    return Err(format!("journal record {seq}: truncated AUX_OBJ"));
+                    return reject(format!("journal record {seq}: truncated AUX_OBJ"));
                 };
+                self.named = true;
                 let obj = ObjId::from_bits(bits);
                 if !self.known.contains(&bits) {
                     let fresh = self.alloc();
                     if fresh != obj {
-                        return Err(format!(
+                        return reject(format!(
                             "heap replay diverged at record {seq}: journal names object \
                              {bits:#x} but the rebuilt heap allocated {:#x}",
                             fresh.to_bits()
                         ));
                     }
                 }
-                self.objects.insert(String::from_utf8_lossy(&bytes[8..]).into_owned(), obj);
+                self.rec.objects.insert(String::from_utf8_lossy(&bytes[8..]).into_owned(), obj);
                 Ok(())
             }
             Record::Aux { tag: AUX_SLINE, bytes } => {
                 let (session, cseq) = session_key(seq, bytes, "AUX_SLINE")?;
+                self.named = true;
                 self.note_session(session, cseq);
                 self.line(seq, &String::from_utf8_lossy(&bytes[16..]))
             }
@@ -338,19 +407,20 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
                 Ok(())
             }
             Record::Aux { tag: AUX_RELOAD, bytes } => {
-                let Some((token, base, source)) = BaseCounters::decode_reload(bytes) else {
-                    return Err(format!("journal record {seq}: malformed AUX_RELOAD"));
-                };
+                let (token, base, source) = reload_of(seq, bytes)?;
                 self.spec = compile(seq, &source)?;
-                self.source = source;
-                self.spec_version += 1;
-                self.reload_token = token;
-                self.base = base;
-                // A cutover at or past the checkpoint replaces whatever
-                // engine state came before it.
-                if seq >= self.replay_from {
-                    self.monitor = Some(self.fresh_monitor());
-                }
+                self.rec.spec_source = source;
+                self.rec.spec_version += 1;
+                self.rec.reload_token = token;
+                self.rec.base = base;
+                // Every cutover starts a fresh engine; one at or past the
+                // checkpoint replaces whatever engine state came before it.
+                self.rec.monitor = PropertyMonitor::with_observers(
+                    self.spec.clone(),
+                    &self.config,
+                    &mut self.observers,
+                );
+                self.current |= seq >= self.replay_from;
                 Ok(())
             }
             _ => Ok(()),
@@ -359,26 +429,30 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
 
     /// A pre-bound `Event` record. Objects it mentions for the first
     /// time are allocated in the event's declared parameter order, the
-    /// order the journaling run allocated them in.
-    fn event_record(&mut self, seq: u64, event: EventId, binding: Binding) -> Result<(), String> {
+    /// order the journaling run allocated them in; a daemon journal
+    /// names every object with an `AUX_OBJ` first.
+    fn event_record(
+        &mut self,
+        seq: u64,
+        event: EventId,
+        binding: Binding,
+    ) -> Result<(), RecoverError> {
         let Some(params) = self.spec.event_params.get(event.as_usize()).cloned() else {
-            return Err(format!("journal record {seq}: unknown event e{}", event.as_usize()));
+            return reject(format!("journal record {seq}: unknown event e{}", event.as_usize()));
         };
         for p in params {
             let Some(obj) = binding.get(p) else {
-                return Err(format!(
+                return reject(format!(
                     "journal record {seq} binds a different parameter set than event {} declares",
                     event.as_usize()
                 ));
             };
             if !self.known.contains(&obj.to_bits()) {
-                let fresh = self.alloc();
-                if fresh != obj {
-                    return Err(format!(
-                        "journal record {seq} references object {:#x} with no AUX_OBJ record \
-                         (the rebuilt heap allocates {:#x} next)",
-                        obj.to_bits(),
-                        fresh.to_bits()
+                let fresh = if self.named { None } else { Some(self.alloc()) };
+                if fresh != Some(obj) {
+                    return reject(format!(
+                        "journal record {seq} references object {:#x} with no AUX_OBJ record",
+                        obj.to_bits()
                     ));
                 }
             }
@@ -387,37 +461,41 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
     }
 
     /// One session-stamped trace line, resolved against the object names.
-    fn line(&mut self, seq: u64, line: &str) -> Result<(), String> {
+    fn line(&mut self, seq: u64, line: &str) -> Result<(), RecoverError> {
         let mut words = line.split_whitespace();
         match words.next() {
             None => Ok(()),
             Some("!gc") => {
-                self.heap.collect();
+                self.rec.heap.collect();
                 Ok(())
             }
             Some("!sweep") => self.sweep(seq),
             Some("!free") => {
                 for name in words {
-                    let Some(&obj) = self.objects.get(name) else {
-                        return Err(format!("journal record {seq} frees unknown object `{name}`"));
+                    let Some(&obj) = self.rec.objects.get(name) else {
+                        return reject(format!(
+                            "journal record {seq} frees unknown object `{name}`"
+                        ));
                     };
-                    self.heap.unpin(obj);
+                    self.rec.heap.unpin(obj);
                 }
                 Ok(())
             }
             Some(event_name) => {
                 let Some(event) = self.spec.alphabet.lookup(event_name) else {
-                    return Err(format!("journal record {seq}: unknown event `{event_name}`"));
+                    return reject(format!("journal record {seq}: unknown event `{event_name}`"));
                 };
                 let params = &self.spec.event_params[event.as_usize()];
                 let names: Vec<&str> = words.collect();
                 if names.len() != params.len() {
-                    return Err(format!("journal record {seq}: event arity mismatch in `{line}`"));
+                    return reject(format!(
+                        "journal record {seq}: event arity mismatch in `{line}`"
+                    ));
                 }
                 let mut pairs = Vec::with_capacity(params.len());
                 for (&p, name) in params.iter().zip(names) {
-                    let Some(&obj) = self.objects.get(name) else {
-                        return Err(format!(
+                    let Some(&obj) = self.rec.objects.get(name) else {
+                        return reject(format!(
                             "journal record {seq} references `{name}` with no AUX_OBJ record"
                         ));
                     };
@@ -429,41 +507,36 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
     }
 
     fn alloc(&mut self) -> ObjId {
-        let obj = alloc_pinned(&mut self.heap, self.class);
+        let obj = alloc_pinned(&mut self.rec.heap, self.rec.class);
         self.known.insert(obj.to_bits());
         obj
     }
 
     fn note_session(&mut self, session: u64, cseq: u64) {
         if session != 0 {
-            let hwm = self.sessions.entry(session).or_insert(0);
+            let hwm = self.rec.sessions.entry(session).or_insert(0);
             *hwm = (*hwm).max(cseq);
         }
     }
 
-    fn fresh_monitor(&mut self) -> PropertyMonitor<O> {
-        PropertyMonitor::with_observers(self.spec.clone(), &self.config, &mut self.observers)
-    }
-
-    /// Builds the monitor on first use: the spec in force, restored from
-    /// the checkpoint.
-    fn ensure_monitor(&mut self) -> Result<(), String> {
-        if self.monitor.is_none() {
-            let mut monitor = self.fresh_monitor();
-            if let Some(cp) = self.checkpoint {
-                monitor.restore_snapshot(&cp.payload, &cp.file).map_err(|e| e.to_string())?;
-            }
-            self.monitor = Some(monitor);
+    /// Restores the checkpoint into the (still fresh) monitor of the spec
+    /// in force, at the first engine effect past it.
+    fn make_current(&mut self) -> Result<(), RecoverError> {
+        if let (false, Some(cp)) = (self.current, self.checkpoint) {
+            self.rec
+                .monitor
+                .restore_snapshot(&cp.payload, &cp.file)
+                .map_err(|e| RecoverError::Journal(e.to_string()))?;
         }
+        self.current = true;
         Ok(())
     }
 
-    fn sweep(&mut self, seq: u64) -> Result<(), String> {
+    fn sweep(&mut self, seq: u64) -> Result<(), RecoverError> {
         if seq >= self.replay_from {
-            self.ensure_monitor()?;
-            let monitor = self.monitor.as_mut().expect("ensured above");
-            for engine in monitor.engines_mut() {
-                engine.full_sweep(&self.heap);
+            self.make_current()?;
+            for engine in self.rec.monitor.engines_mut() {
+                engine.full_sweep(&self.rec.heap);
             }
         }
         Ok(())
@@ -471,23 +544,23 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
 
     /// Dispatches one event at or past the checkpoint and classifies the
     /// reports it fires against the durable high-water mark.
-    fn dispatch(&mut self, seq: u64, event: EventId, binding: Binding) -> Result<(), String> {
+    fn dispatch(&mut self, seq: u64, event: EventId, binding: Binding) -> Result<(), RecoverError> {
         if seq < self.replay_from {
             return Ok(());
         }
-        self.ensure_monitor()?;
-        let monitor = self.monitor.as_mut().expect("ensured above");
+        self.make_current()?;
+        let monitor = &mut self.rec.monitor;
         let before: Vec<usize> = monitor.engines().iter().map(|e| e.triggers().len()).collect();
         monitor
-            .try_process(&self.heap, event, binding)
-            .map_err(|e| format!("engine error at record {seq}: {e}"))?;
+            .try_process(&self.rec.heap, event, binding)
+            .map_err(|e| RecoverError::Journal(format!("engine error at record {seq}: {e}")))?;
         let mut ordinal = 0u32;
         for (block, engine) in monitor.engines().iter().enumerate() {
             for t in &engine.triggers()[before[block]..] {
                 if self.hwm.is_some_and(|h| (seq, ordinal) <= h) {
-                    self.suppressed += 1;
+                    self.rec.suppressed += 1;
                 }
-                self.fired.push(TriggerRecord {
+                self.rec.fired.push(TriggerRecord {
                     event_seq: seq,
                     ordinal,
                     block: block as u16,
@@ -498,15 +571,15 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
                 ordinal += 1;
             }
         }
-        self.events += 1;
+        self.rec.events += 1;
         Ok(())
     }
 }
 
 /// Decodes the `(session, cseq)` prefix of an `AUX_SLINE`/`AUX_FATAL`.
-fn session_key(seq: u64, bytes: &[u8], tag: &str) -> Result<(u64, u64), String> {
+fn session_key(seq: u64, bytes: &[u8], tag: &str) -> Result<(u64, u64), RecoverError> {
     if bytes.len() < 16 {
-        return Err(format!("journal record {seq}: truncated {tag}"));
+        return reject(format!("journal record {seq}: truncated {tag}"));
     }
     let u = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
     Ok((u(0), u(8)))

@@ -51,7 +51,7 @@
 //! message, and joins them; each worker fsyncs its journal and writes a
 //! final checkpoint (PR-3 RVCK), so a restarted service resumes from a
 //! near-instant restore. After a hard kill, [`Service::recover_all`]
-//! rebuilds every tenant from its journal directory with [`recover`]
+//! rebuilds every tenant from its journal directory with [`recover::recover`]
 //! (checkpoint restore plus suffix replay with `(event_seq, ordinal)`
 //! high-water-mark duplicate suppression), so triggers are delivered
 //! exactly once across the crash.
@@ -65,7 +65,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rv_heap::{Heap, HeapConfig, ObjId};
+use rv_heap::{Heap, ObjId};
 use rv_logic::Verdict;
 use rv_spec::CompiledSpec;
 
@@ -81,7 +81,7 @@ use crate::journal::{
 };
 use crate::multi::PropertyMonitor;
 use crate::obs::MetricsRegistry;
-use crate::recover::{alloc_pinned, recover, BaseCounters, ReplayFrom};
+use crate::recover::{self, alloc_pinned, BaseCounters, RecoverError, ReplayFrom};
 use crate::slo::{SloConfig, SloSnapshot, SloTracker};
 use crate::snapshot::{list_checkpoints, write_checkpoint};
 
@@ -2465,144 +2465,102 @@ impl Worker {
             retry.backoff = Duration::from_millis(u64::from(ms));
         }
         let internal = |msg: String| (REJECT_TENANT_FAILED, msg);
-
-        let has_journal = dir.join("journal-00000000").exists();
-        let mut recovered_events = 0u64;
-        let mut suppressed = 0u64;
-        let (mut w, current_source) = if has_journal {
-            let rec =
-                recover(dir, ReplayFrom::LatestCheckpoint, &engine_cfg, |_| MetricsRegistry::new())
-                    .map_err(internal)?;
-            if let Some(src) = &spec_source {
-                if spec_hash(src) != spec_hash(&rec.spec_source) {
-                    return Err((
-                        REJECT_SPEC_MISMATCH,
-                        format!("tenant `{name}` already exists with a different spec"),
-                    ));
-                }
-            }
-            recovered_events = rec.events;
-            suppressed = rec.suppressed as u64;
-            let mut journal =
-                JournalWriter::resume(dir, &rec.plan.scan).map_err(|e| internal(e.to_string()))?;
-            // Reports that fired past the durable HWM during replay were
-            // lost between dispatch and trigger-journaling before the
-            // crash. They are first-time deliveries — journal them now
-            // so the *next* recovery suppresses them.
-            for t in rec.refired() {
-                journal
-                    .append_retry(&t.to_record(), &retry)
-                    .map_err(|e| internal(e.to_string()))?;
-            }
-            if !rec.refired().is_empty() {
-                journal.sync().map_err(|e| internal(e.to_string()))?;
-            }
-            let generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
-            // Rebuild the poll window: every journaled report in key
-            // order, then the refired tail (their keys all sit past the
-            // journaled HWM).
-            {
-                let mut log = triggers.lock().expect("trigger log poisoned");
-                log.reset(config.trigger_log_cap);
-                for sr in &rec.plan.scan.records {
-                    if let Some(t) = TriggerRecord::from_record(&sr.record) {
-                        log.push(t);
-                    }
-                }
-                for t in rec.refired() {
-                    log.push(*t);
-                }
-            }
-            let w = Worker {
-                name: name.to_owned(),
-                alphabet: rec.monitor.spec().alphabet.clone(),
-                event_params: rec.monitor.spec().event_params.clone(),
-                monitor: rec.monitor,
-                heap: rec.heap,
-                class: rec.class,
-                objects: rec.objects,
-                journal,
-                dir: dir.to_path_buf(),
-                retry,
-                checkpoint_every: config.checkpoint_every.max(1),
-                events_since_checkpoint: 0,
-                generation,
-                shared: Arc::clone(shared),
-                bad_lines: 0,
-                sessions: rec.sessions,
-                deduped: 0,
-                gap_dropped: 0,
-                deduped_base: 0,
-                base: rec.base,
-                spec_version: rec.spec_version,
-                reload_token: rec.reload_token,
-                engine_cfg,
-                opts,
-                triggers: Arc::clone(triggers),
-                obs: Arc::clone(obs),
-                flight: Arc::clone(flight),
-            };
-            (w, rec.spec_source)
-        } else {
-            let source = spec_source.expect("admit() requires a spec for fresh tenants");
-            let spec = CompiledSpec::from_source(&source)
+        let rejected = |e: RecoverError| match e {
+            RecoverError::Spec(msg) => (REJECT_BAD_SPEC, msg),
+            RecoverError::Journal(msg) => internal(msg),
+        };
+        if !dir.join("journal-00000000").exists() {
+            // A fresh tenant: its journal starts with the spec, and the
+            // worker is recovered from that one-record journal.
+            let source = spec_source.as_deref().expect("admit() requires a spec for fresh tenants");
+            CompiledSpec::from_source(source)
                 .map_err(|d| (REJECT_BAD_SPEC, format!("spec does not compile: {}", d.message)))?;
-            let monitor =
-                PropertyMonitor::with_observers(spec, &engine_cfg, |_| MetricsRegistry::new());
             std::fs::create_dir_all(dir).map_err(|e| internal(e.to_string()))?;
             write_options(dir, &opts).map_err(|e| internal(e.to_string()))?;
             let mut journal = JournalWriter::create(dir).map_err(|e| internal(e.to_string()))?;
-            journal
-                .append_retry(
-                    &Record::Aux { tag: AUX_SPEC, bytes: source.clone().into_bytes() },
-                    &retry,
-                )
-                .map_err(|e| internal(e.to_string()))?;
-            let mut heap = Heap::new(HeapConfig::manual());
-            let class = heap.register_class("Obj");
-            triggers.lock().expect("trigger log poisoned").reset(config.trigger_log_cap);
-            let w = Worker {
-                name: name.to_owned(),
-                alphabet: monitor.spec().alphabet.clone(),
-                event_params: monitor.spec().event_params.clone(),
-                monitor,
-                heap,
-                class,
-                objects: HashMap::new(),
-                journal,
-                dir: dir.to_path_buf(),
-                retry,
-                checkpoint_every: config.checkpoint_every.max(1),
-                events_since_checkpoint: 0,
-                generation: 0,
-                shared: Arc::clone(shared),
-                bad_lines: 0,
-                sessions: HashMap::new(),
-                deduped: 0,
-                gap_dropped: 0,
-                deduped_base: 0,
-                base: BaseCounters::default(),
-                spec_version: 1,
-                reload_token: 0,
-                engine_cfg,
-                opts,
-                triggers: Arc::clone(triggers),
-                obs: Arc::clone(obs),
-                flight: Arc::clone(flight),
-            };
-            (w, source)
+            let head = Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() };
+            journal.append_retry(&head, &retry).map_err(|e| internal(e.to_string()))?;
+            journal.flush().map_err(|e| internal(e.to_string()))?;
+        }
+        let plan = recover::plan(dir, ReplayFrom::LatestCheckpoint).map_err(rejected)?;
+        // A mismatching admission is refused before it pays for replay.
+        if let Some(src) = &spec_source {
+            if spec_hash(src) != spec_hash(&recover::tail_spec(&plan.scan).map_err(rejected)?) {
+                return Err((
+                    REJECT_SPEC_MISMATCH,
+                    format!("tenant `{name}` already exists with a different spec"),
+                ));
+            }
+        }
+        let rec =
+            recover::replay(plan, &engine_cfg, |_| MetricsRegistry::new()).map_err(rejected)?;
+        let mut journal =
+            JournalWriter::resume(dir, &rec.plan.scan).map_err(|e| internal(e.to_string()))?;
+        // Reports that fired past the durable HWM during replay were
+        // lost between dispatch and trigger-journaling before the
+        // crash. They are first-time deliveries — journal them now
+        // so the *next* recovery suppresses them.
+        for t in rec.refired() {
+            journal.append_retry(&t.to_record(), &retry).map_err(|e| internal(e.to_string()))?;
+        }
+        if !rec.refired().is_empty() {
+            journal.sync().map_err(|e| internal(e.to_string()))?;
+        }
+        let generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
+        // Rebuild the poll window: every journaled report in key
+        // order, then the refired tail (their keys all sit past the
+        // journaled HWM).
+        {
+            let mut log = triggers.lock().expect("trigger log poisoned");
+            log.reset(config.trigger_log_cap);
+            for sr in &rec.plan.scan.records {
+                if let Some(t) = TriggerRecord::from_record(&sr.record) {
+                    log.push(t);
+                }
+            }
+            for t in rec.refired() {
+                log.push(*t);
+            }
+        }
+        let mut w = Worker {
+            name: name.to_owned(),
+            alphabet: rec.monitor.spec().alphabet.clone(),
+            event_params: rec.monitor.spec().event_params.clone(),
+            monitor: rec.monitor,
+            heap: rec.heap,
+            class: rec.class,
+            objects: rec.objects,
+            journal,
+            dir: dir.to_path_buf(),
+            retry,
+            checkpoint_every: config.checkpoint_every.max(1),
+            events_since_checkpoint: 0,
+            generation,
+            shared: Arc::clone(shared),
+            bad_lines: 0,
+            sessions: rec.sessions,
+            deduped: 0,
+            gap_dropped: 0,
+            deduped_base: 0,
+            base: rec.base,
+            spec_version: rec.spec_version,
+            reload_token: rec.reload_token,
+            engine_cfg,
+            opts,
+            triggers: Arc::clone(triggers),
+            obs: Arc::clone(obs),
+            flight: Arc::clone(flight),
         };
-
         w.install_flags();
         {
             let mut snap = w.shared.lock().expect("snapshot poisoned");
-            snap.recovered_events = recovered_events;
-            snap.suppressed_triggers = suppressed;
+            snap.recovered_events = rec.events;
+            snap.suppressed_triggers = rec.suppressed as u64;
             // The checkpoint counter survives restarts: prior generations
             // are on disk, and the exposition's `_total` series should
             // stay monotonic across a clean drain/restart cycle.
             snap.checkpoints = list_checkpoints(&w.dir).len() as u64;
-            snap.spec_hash = spec_hash(&current_source);
+            snap.spec_hash = spec_hash(&rec.spec_source);
             // A supervised restart reuses the snapshot: dedup totals
             // already on it become this incarnation's base.
             w.deduped_base = snap.deduped_events;
@@ -3173,6 +3131,41 @@ UnsafeIter(Collection c, Iterator i) {
         assert_eq!(spec, SPEC);
         assert_eq!(got, opts);
         assert!(decode_hello(&[1, 2]).is_none(), "truncated HELLO");
+    }
+
+    #[test]
+    fn recovery_rejects_are_typed_and_spec_checks_precede_replay() {
+        let root = temp_root("recover-rejects");
+        let write = |name: &str, records: &[Record]| {
+            let mut w = JournalWriter::create(&root.join(name)).unwrap();
+            for r in records {
+                w.append(r).unwrap();
+            }
+            w.sync().unwrap();
+        };
+        // A journaled spec that no longer compiles is a bad spec, which
+        // clients treat as fatal, not a failed tenant they retry.
+        write("stale", &[Record::Aux { tag: AUX_SPEC, bytes: b"spec X {".to_vec() }]);
+        // A valid spec, then a record replay rejects.
+        write(
+            "torn",
+            &[
+                Record::Aux { tag: AUX_SPEC, bytes: SPEC.as_bytes().to_vec() },
+                Record::Aux { tag: AUX_OBJ, bytes: vec![1, 2, 3] },
+            ],
+        );
+        let svc = Service::new(config(&root)).unwrap();
+        let (code, msg) = svc.admit("stale", "", TenantOptions::default()).unwrap_err();
+        assert_eq!(code, REJECT_BAD_SPEC, "{msg}");
+        // The mismatch is refused before replay reaches the bad record.
+        let other = SPEC.replace("improper", "an improper");
+        let (code, msg) = svc.admit("torn", &other, TenantOptions::default()).unwrap_err();
+        assert_eq!(code, REJECT_SPEC_MISMATCH, "{msg}");
+        let (code, msg) = svc.admit("torn", SPEC, TenantOptions::default()).unwrap_err();
+        assert_eq!(code, REJECT_TENANT_FAILED, "{msg}");
+        assert!(msg.contains("truncated AUX_OBJ"), "{msg}");
+        let _ = svc.drain();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

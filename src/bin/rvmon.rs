@@ -104,6 +104,7 @@
 
 use std::process::ExitCode;
 
+use rv_monitor::core::{EngineStats, MetricsRegistry, PhaseProfiler, RecoverError, Recovered};
 use rv_monitor::logic::{AnyFormalism, Formalism as _};
 use rv_monitor::spec::{compile, parse, print, CompiledSpec};
 
@@ -1057,10 +1058,7 @@ fn timeline_daemon(rest: &[String]) -> ExitCode {
 /// E/M/FM/CM counters.
 fn top(dir: &std::path::Path) -> ExitCode {
     use rv_monitor::core::journal::AUX_GC_CYCLE;
-    use rv_monitor::core::{
-        recover, EngineConfig, GcCycleRecord, MetricsRegistry, Phase, PhaseProfiler, Record,
-        ReplayFrom,
-    };
+    use rv_monitor::core::{GcCycleRecord, Record};
 
     // A daemon root has no journal of its own — each tenant subdirectory
     // carries one. Attribute costs per tenant instead of erroring out
@@ -1083,58 +1081,20 @@ fn top(dir: &std::path::Path) -> ExitCode {
         }
     }
 
-    let config = EngineConfig::default();
-    let mut rec = match recover(dir, ReplayFrom::Start, &config, |i| {
-        (MetricsRegistry::new(), PhaseProfiler::new().with_label(&format!("block{}", i + 1)))
-    }) {
+    let (rec, merged) = match profiled_replay(dir, "block", "ALL") {
         Ok(r) => r,
-        Err(msg) => {
-            eprintln!("rvmon: error: {msg}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(e),
     };
-    rec.monitor.finish(&rec.heap);
-    let (monitor, scan) = (&rec.monitor, &rec.plan.scan);
-
-    let mut merged = PhaseProfiler::new().with_label("ALL");
-    for engine in monitor.engines() {
-        let (_, profiler) = engine.observer();
-        merged.merge_from(profiler);
-    }
-    let stats = monitor.stats();
+    let scan = &rec.plan.scan;
     println!(
         "rvmon top — {} event(s) replayed from {} durable record(s) in {}",
         rec.events,
         scan.records.len(),
         dir.display()
     );
-    println!(
-        "{:<18} {:>8} {:>12} {:>12} {:>12} {:>14}",
-        "phase", "spans", "p50 ns", "p95 ns", "p99 ns", "total ns"
-    );
-    for p in Phase::ALL {
-        let h = merged.phase(p);
-        if h.count() == 0 {
-            continue;
-        }
-        println!(
-            "{:<18} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>14}",
-            p.label(),
-            h.count(),
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-            h.sum()
-        );
-    }
-    println!(
-        "E={} M={} FM={} CM={} triggers={}",
-        stats.events,
-        stats.monitors_created,
-        stats.monitors_flagged,
-        stats.monitors_collected,
-        stats.triggers
-    );
+    print_phase_header("");
+    print_phases(&merged, "");
+    println!("{}", fig10_counts(&rec.monitor.stats()));
     // The journaled GC telemetry, if the run recorded any — one line
     // here, the full per-cycle table under `rvmon gc-log`.
     let gc: Vec<GcCycleRecord> = scan
@@ -1159,6 +1119,78 @@ fn top(dir: &std::path::Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reports `msg` as an error and returns exit code 2, the code for a
+/// usage, IO or corrupt-artifact failure.
+fn fail(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("rvmon: error: {msg}");
+    ExitCode::from(2)
+}
+
+/// Replays `dir` from sequence 0 with one phase profiler per block
+/// (labelled `{block_label}N`), finishes the run, and merges the
+/// profilers into one labelled `label`.
+fn profiled_replay(
+    dir: &std::path::Path,
+    block_label: &str,
+    label: &str,
+) -> Result<(Recovered<(MetricsRegistry, PhaseProfiler)>, PhaseProfiler), RecoverError> {
+    use rv_monitor::core::{recover, EngineConfig, ReplayFrom};
+
+    let mut rec = recover(dir, ReplayFrom::Start, &EngineConfig::default(), |i| {
+        (
+            MetricsRegistry::new(),
+            PhaseProfiler::new().with_label(&format!("{block_label}{}", i + 1)),
+        )
+    })?;
+    rec.monitor.finish(&rec.heap);
+    let mut merged = PhaseProfiler::new().with_label(label);
+    for engine in rec.monitor.engines() {
+        merged.merge_from(&engine.observer().1);
+    }
+    Ok((rec, merged))
+}
+
+/// Prints the header of the `rvmon top` phase table, led by `prefix`.
+fn print_phase_header(prefix: &str) {
+    println!(
+        "{prefix}{:<18} {:>8} {:>12} {:>12} {:>12} {:>14}",
+        "phase", "spans", "p50 ns", "p95 ns", "p99 ns", "total ns"
+    );
+}
+
+/// Prints one `rvmon top` row, led by `prefix`, per phase with spans.
+fn print_phases(merged: &PhaseProfiler, prefix: &str) {
+    use rv_monitor::core::Phase;
+
+    for p in Phase::ALL {
+        let h = merged.phase(p);
+        if h.count() == 0 {
+            continue;
+        }
+        println!(
+            "{prefix}{:<18} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>14}",
+            p.label(),
+            h.count(),
+            h.quantile(0.50),
+            h.quantile(0.95),
+            h.quantile(0.99),
+            h.sum()
+        );
+    }
+}
+
+/// The Figure 10 counts and the trigger total, as `rvmon top` prints them.
+fn fig10_counts(stats: &EngineStats) -> String {
+    format!(
+        "E={} M={} FM={} CM={} triggers={}",
+        stats.events,
+        stats.monitors_created,
+        stats.monitors_flagged,
+        stats.monitors_collected,
+        stats.triggers
+    )
+}
+
 /// `rvmon top` over a daemon root: one cost table per tenant, each row
 /// tagged with the tenant name. The engine phases come from a per-tenant
 /// replay; the `journal_append` row comes from re-appending that
@@ -1166,32 +1198,16 @@ fn top(dir: &std::path::Path) -> ExitCode {
 /// write-ahead cost is attributed per tenant rather than folded across
 /// the daemon.
 fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) -> ExitCode {
-    use rv_monitor::core::{
-        recover, EngineConfig, JournalWriter, MetricsRegistry, Phase, PhaseProfiler, ReplayFrom,
-    };
+    use rv_monitor::core::{JournalWriter, Phase};
 
     println!("rvmon top — daemon root {} with {} tenant(s)", root.display(), tenants.len());
-    println!(
-        "{:<12} {:<18} {:>8} {:>12} {:>12} {:>12} {:>14}",
-        "tenant", "phase", "spans", "p50 ns", "p95 ns", "p99 ns", "total ns"
-    );
+    print_phase_header(&format!("{:<12} ", "tenant"));
     let mut failures = 0usize;
     for (name, dir) in tenants {
         let result = (|| -> Result<(), String> {
-            let config = EngineConfig::default();
-            let mut rec = recover(dir, ReplayFrom::Start, &config, |i| {
-                (
-                    MetricsRegistry::new(),
-                    PhaseProfiler::new().with_label(&format!("{name}/block{}", i + 1)),
-                )
-            })?;
-            rec.monitor.finish(&rec.heap);
-            let (monitor, scan) = (&rec.monitor, &rec.plan.scan);
-            let mut merged = PhaseProfiler::new().with_label(name);
-            for engine in monitor.engines() {
-                let (_, profiler) = engine.observer();
-                merged.merge_from(profiler);
-            }
+            let (rec, mut merged) =
+                profiled_replay(dir, &format!("{name}/block"), name).map_err(|e| e.to_string())?;
+            let scan = &rec.plan.scan;
             // Scratch re-append: same records, fresh journal, timed spans.
             let scratch =
                 std::env::temp_dir().join(format!("rvmon-top-{}-{name}", std::process::id()));
@@ -1205,31 +1221,10 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
             }
             drop(journal);
             let _ = std::fs::remove_dir_all(&scratch);
-            for p in Phase::ALL {
-                let h = merged.phase(p);
-                if h.count() == 0 {
-                    continue;
-                }
-                println!(
-                    "{:<12} {:<18} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>14}",
-                    name,
-                    p.label(),
-                    h.count(),
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                    h.sum()
-                );
-            }
-            let stats = monitor.stats();
+            print_phases(&merged, &format!("{name:<12} "));
             println!(
-                "{:<12} E={} M={} FM={} CM={} triggers={} ({} event(s) from {} record(s))",
-                name,
-                stats.events,
-                stats.monitors_created,
-                stats.monitors_flagged,
-                stats.monitors_collected,
-                stats.triggers,
+                "{name:<12} {} ({} event(s) from {} record(s))",
+                fig10_counts(&rec.monitor.stats()),
                 rec.events,
                 scan.records.len()
             );
@@ -1880,16 +1875,12 @@ fn recover(dir: &std::path::Path) -> ExitCode {
     use rv_monitor::core::snapshot::{list_checkpoints, write_checkpoint};
     use rv_monitor::core::{EngineConfig, JournalWriter, Record, ReplayFrom};
 
-    let fail = |msg: String| {
-        eprintln!("rvmon: error: {msg}");
-        ExitCode::from(2)
-    };
     let config = EngineConfig::default();
     let rec = match rv_monitor::core::recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| {
         rv_monitor::core::NoopObserver
     }) {
         Ok(r) => r,
-        Err(msg) => return fail(msg),
+        Err(e) => return fail(e),
     };
     let scan = &rec.plan.scan;
     for reason in &rec.plan.skipped_checkpoints {
@@ -1941,12 +1932,12 @@ fn replay(dir: &std::path::Path) -> ExitCode {
     let config = EngineConfig::default();
     let mut rec = match recover(dir, ReplayFrom::Start, &config, |_| NoopObserver) {
         Ok(r) => r,
-        Err(msg) => {
-            eprintln!("rvmon: error: {msg}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(e),
     };
     rec.monitor.finish(&rec.heap);
+    if let Err(e) = rec.monitor.check_invariants(&rec.heap) {
+        return fail(e);
+    }
     let scan = &rec.plan.scan;
     println!(
         "replayed {} event(s) from {} durable record(s) in {}: {} goal report(s)",

@@ -12,7 +12,8 @@ use rv_monitor::core::journal::{
 use rv_monitor::core::recover::alloc_pinned;
 use rv_monitor::core::snapshot::write_checkpoint;
 use rv_monitor::core::{
-    recover, Binding, EngineConfig, JournalWriter, NoopObserver, Record, Recovered, ReplayFrom,
+    recover, Binding, EngineConfig, JournalWriter, NoopObserver, Record, RecoverError, Recovered,
+    ReplayFrom,
 };
 use rv_monitor::heap::{Heap, HeapConfig, ObjId};
 use rv_monitor::logic::{EventId, ParamId, Verdict};
@@ -72,7 +73,7 @@ fn journal(records: &[Record]) -> PathBuf {
 }
 
 fn replay(dir: &Path, from: ReplayFrom) -> Result<Recovered<NoopObserver>, String> {
-    recover(dir, from, &EngineConfig::default(), |_| NoopObserver)
+    recover(dir, from, &EngineConfig::default(), |_| NoopObserver).map_err(|e| e.to_string())
 }
 
 /// The error replaying `records` after an UnsafeIter spec header.
@@ -95,6 +96,9 @@ fn every_inconsistent_journal_is_rejected() {
     let cases: Vec<(Vec<Record>, &str)> = vec![
         (vec![obj(id[1], "c")], "heap replay diverged"),
         (vec![create(id[1], id[0])], "with no AUX_OBJ record"),
+        // Once a journal names objects, `i` needs a name too, even though
+        // it is exactly the object the rebuilt heap would allocate next.
+        (vec![obj(id[0], "c"), create(id[0], id[1])], "with no AUX_OBJ record"),
         (vec![obj(id[0], "c"), sline(1, 1, "create c i")], "`i` with no AUX_OBJ record"),
         (vec![aux(AUX_OBJ, [1, 2, 3])], "truncated AUX_OBJ"),
         (vec![aux(AUX_SLINE, [0; 9])], "truncated AUX_SLINE"),
@@ -126,6 +130,26 @@ fn every_inconsistent_journal_is_rejected() {
     let dir = journal(&[aux(AUX_GC, [])]);
     let err = replay(&dir, ReplayFrom::Start).err().unwrap();
     assert!(err.contains("does not begin with a spec record"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A spec that no longer compiles is its own error class.
+    let dir = journal(&[aux(AUX_SPEC, "spec X {")]);
+    let err = recover(&dir, ReplayFrom::Start, &EngineConfig::default(), |_| NoopObserver);
+    assert!(matches!(err.err(), Some(RecoverError::Spec(m)) if m.contains("no longer compiles")));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn first_mentions_allocate_only_in_unnamed_journals() {
+    let id = ids(2);
+    let create = Record::Event {
+        event: EventId(0),
+        binding: Binding::from_pairs(&[(ParamId(0), id[0]), (ParamId(1), id[1])]),
+    };
+    let dir = journal(&[aux(AUX_SPEC, UNSAFE_ITER), create]);
+    let rec = replay(&dir, ReplayFrom::Start).unwrap();
+    assert_eq!(rec.events, 1);
+    assert!(rec.objects.is_empty(), "an `rvmon run` journal names no objects");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
