@@ -9,6 +9,18 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Exposition lint for a scraped Prometheus body: no duplicate series, and
+# every counter family ends in `_total`. The Rust suites run the full lint
+# (tests/common); this keeps the two scrapes below honest against the
+# release binaries.
+lint_exposition() {
+    awk '/^#/ || /^$/ { next }
+         seen[$1]++ { print "duplicate series: " $1; exit 1 }' "$1"
+    awk '$2 == "TYPE" && $4 == "counter" && $3 !~ /_total$/ {
+             print "counter without _total suffix: " $3; exit 1
+         }' "$1"
+}
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -137,11 +149,7 @@ if command -v python3 >/dev/null 2>&1; then
 open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1], timeout=10).read())
 ' "$URL" "$EXPO"
     wait "$SRV_PID"
-    awk '/^#/ || /^$/ { next }
-         seen[$1]++ { print "duplicate series: " $1; exit 1 }' "$EXPO"
-    awk '$2 == "TYPE" && $4 == "counter" && $3 !~ /_total$/ {
-             print "counter without _total suffix: " $3; exit 1
-         }' "$EXPO"
+    lint_exposition "$EXPO"
     grep -q 'rvmon_events_total' "$EXPO"
     rm -f "$SRV_OUT" "$EXPO"
 fi
@@ -390,8 +398,7 @@ open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1] + "/metrics", t
     grep -q '^rvmond_slo_error_budget_remaining{tenant="t",objective="latency"}' "$TRC_EXPO"
     grep -q '^rvmond_slo_burn_rate{tenant="t",objective="availability"}' "$TRC_EXPO"
     grep -q '^rvmond_stage_latency_us{tenant="t",stage="engine",quantile="0.99"}' "$TRC_EXPO"
-    awk '/^#/ || /^$/ { next }
-         seen[$1]++ { print "duplicate series: " $1; exit 1 }' "$TRC_EXPO"
+    lint_exposition "$TRC_EXPO"
     python3 -c 'import sys, urllib.request
 open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1] + "/healthz", timeout=10).read())
 ' "$TRC_HTTP" "$TRC_HEALTH"

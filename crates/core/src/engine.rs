@@ -1763,51 +1763,6 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         self.bytes_over = bytes_over;
         Ok(())
     }
-
-    /// Re-evaluates the GC flag of every live monitor against the current
-    /// heap through the regular ALIVENESS path — the post-restore pass
-    /// that re-discovers dead keys the snapshot stored as plain object
-    /// ids. Returns how many monitors were newly flagged. Sound for the
-    /// same reason lazy flagging is (Theorem 2): flags only say "no goal
-    /// reachable", and dead objects stay dead. Not exact, so journal
-    /// recovery does not run it: it judges each binding by every death
-    /// `heap` holds, and can flag a monitor the lazy path would have
-    /// collected unflagged, raising FM above an uninterrupted run's.
-    pub fn reflag_dead_keys(&mut self, heap: &Heap) -> u64 {
-        let cause = flag_cause(self.config.policy, &self.aliveness);
-        let mut candidates: Vec<MonitorId> = Vec::new();
-        for (id, inst) in self.store.iter() {
-            if inst.flagged {
-                continue;
-            }
-            let dead = inst.binding.dead_params(heap);
-            if dead.is_empty() {
-                continue;
-            }
-            if should_flag(
-                self.config.policy,
-                &self.aliveness,
-                inst.binding.domain(),
-                inst.last_event,
-                dead,
-            ) {
-                candidates.push(id);
-            }
-        }
-        let mut newly = 0u64;
-        for id in candidates {
-            let (binding, last_event) = {
-                let inst = self.store.get(id);
-                (inst.binding, inst.last_event)
-            };
-            if self.store.flag(id) {
-                newly += 1;
-                let dead = binding.dead_params(heap);
-                self.observer.monitor_flagged(id, &binding, last_event, dead, cause);
-            }
-        }
-        newly
-    }
 }
 
 /// Version byte of the engine snapshot payload (bumped on any layout
@@ -2619,22 +2574,6 @@ mod snapshot_tests {
         assert_eq!(original.triggers(), restored.triggers());
         assert_eq!(original.snapshot_bytes().unwrap(), restored.snapshot_bytes().unwrap());
         restored.check_invariants(&heap).unwrap();
-    }
-
-    #[test]
-    fn reflag_after_restore_matches_the_aliveness_path() {
-        // CoenableLazy: the dying iterators' monitors sit at `create`, and the
-        // dead iterator parameter makes the match goal unreachable, so the
-        // ALIVENESS path must re-flag them after a pure restore.
-        let (engine, _, heap, _, _) = mid_run_engine(GcPolicy::CoenableLazy);
-        let bytes = engine.snapshot_bytes().unwrap();
-        let (mut restored, _) = unsafe_iter_engine(GcPolicy::CoenableLazy);
-        restored.restore_snapshot(&bytes, "mem").unwrap();
-        let newly = restored.reflag_dead_keys(&heap);
-        assert!(newly >= 1, "the dying iterators' monitors must be re-flagged");
-        restored.check_invariants(&heap).unwrap();
-        // Idempotent.
-        assert_eq!(restored.reflag_dead_keys(&heap), 0);
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod client;
 pub mod crashtest;
 pub mod engine;
 pub mod error;
+pub mod expo;
 pub mod flight;
 pub mod journal;
 pub mod multi;

@@ -25,8 +25,8 @@
 //!   identity against [`EngineStats`](crate::EngineStats) that the test
 //!   suite checks for the whole catalog.
 //! * [`prometheus_text`] — renders a merged registry + profilers as the
-//!   Prometheus text exposition format (served by `rvmon serve` over a
-//!   std-only TCP listener; no new dependencies).
+//!   `rvmon_*` families of the Prometheus text exposition, through the
+//!   [`expo`](crate::expo) writer (served by `rvmon serve`).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -35,9 +35,10 @@ use std::time::Instant;
 use rv_logic::{Alphabet, EventDef, EventId, ParamSet, Verdict};
 
 use crate::binding::Binding;
+use crate::expo::{Exposition, Kind};
 use crate::obs::{
     json_escape, json_f64, EngineObserver, FlagCause, GcCycleRecord, GcKind, GcReason, Histogram,
-    MetricsRegistry, Phase, HISTOGRAM_BUCKETS,
+    MetricsRegistry, Phase,
 };
 use crate::store::MonitorId;
 
@@ -703,39 +704,13 @@ impl EngineObserver for ProvenanceLedger {
 // Prometheus text exposition
 // ---------------------------------------------------------------------------
 
-fn prom_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
-    let mut cumulative: u64 = 0;
-    for (i, &c) in h.bucket_counts().iter().enumerate() {
-        cumulative = cumulative.saturating_add(c);
-        if c == 0 && i < HISTOGRAM_BUCKETS {
-            continue; // elide empty finite buckets; +Inf always prints
-        }
-        if i < HISTOGRAM_BUCKETS {
-            let _ = writeln!(out, "{name}_bucket{{{labels}le=\"{}\"}} {cumulative}", 1u64 << i);
-        }
-    }
-    let _ = writeln!(out, "{name}_bucket{{{labels}le=\"+Inf\"}} {}", h.count());
-    let bare = labels.trim_end_matches(',');
-    if bare.is_empty() {
-        let _ = writeln!(out, "{name}_sum {}", h.sum());
-        let _ = writeln!(out, "{name}_count {}", h.count());
-    } else {
-        let _ = writeln!(out, "{name}_sum{{{bare}}} {}", h.sum());
-        let _ = writeln!(out, "{name}_count{{{bare}}} {}", h.count());
-    }
-}
-
-fn prom_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
 /// Renders a merged [`MetricsRegistry`] plus per-property
 /// [`PhaseProfiler`]s in the Prometheus text exposition format
 /// (`text/plain; version=0.0.4`). Served by `rvmon serve`; also usable as
 /// a one-shot dump.
 #[must_use]
 pub fn prometheus_text(metrics: &MetricsRegistry, profilers: &[PhaseProfiler]) -> String {
-    let mut out = String::new();
+    let mut expo = Exposition::default();
     let counters: [(&str, &str, u64); 12] = [
         ("rvmon_events_total", "Events dispatched (Fig. 10 E)", metrics.events()),
         ("rvmon_monitors_created_total", "Monitor instances created (M)", metrics.created()),
@@ -759,122 +734,90 @@ pub fn prometheus_text(metrics: &MetricsRegistry, profilers: &[PhaseProfiler]) -
         ),
     ];
     for (name, help, value) in counters {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
+        expo.family(name, help, Kind::Counter).sample(&[], value);
     }
-    let _ = writeln!(out, "# HELP rvmon_gc_cycles_total GC cycles by collector kind and reason");
-    let _ = writeln!(out, "# TYPE rvmon_gc_cycles_total counter");
-    for kind in GcKind::ALL {
-        for reason in GcReason::ALL {
-            let _ = writeln!(
-                out,
-                "rvmon_gc_cycles_total{{kind=\"{}\",reason=\"{}\"}} {}",
-                kind.label(),
-                reason.label(),
-                metrics.gc_cycles(kind, reason)
-            );
+    let mut f = expo.family(
+        "rvmon_gc_cycles_total",
+        "GC cycles by collector kind and reason",
+        Kind::Counter,
+    );
+    for k in GcKind::ALL {
+        for r in GcReason::ALL {
+            f.sample(&[("kind", k.label()), ("reason", r.label())], metrics.gc_cycles(k, r));
         }
     }
-    let _ = writeln!(out, "# HELP rvmon_gc_scanned_total Objects/monitors examined by GC cycles");
-    let _ = writeln!(out, "# TYPE rvmon_gc_scanned_total counter");
-    for kind in GcKind::ALL {
-        let _ = writeln!(
-            out,
-            "rvmon_gc_scanned_total{{kind=\"{}\"}} {}",
-            kind.label(),
-            metrics.gc_scanned(kind)
-        );
-    }
-    let _ =
-        writeln!(out, "# HELP rvmon_gc_reclaimed_total Objects/monitors reclaimed by GC cycles");
-    let _ = writeln!(out, "# TYPE rvmon_gc_reclaimed_total counter");
-    for kind in GcKind::ALL {
-        let _ = writeln!(
-            out,
-            "rvmon_gc_reclaimed_total{{kind=\"{}\"}} {}",
-            kind.label(),
-            metrics.gc_reclaimed(kind)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP rvmon_gc_debt Monitors created since the last sweep minus monitors it reclaimed"
+    let mut f = expo.family(
+        "rvmon_gc_scanned_total",
+        "Objects/monitors examined by GC cycles",
+        Kind::Counter,
     );
-    let _ = writeln!(out, "# TYPE rvmon_gc_debt gauge");
-    let _ = writeln!(out, "rvmon_gc_debt {}", metrics.gc_debt());
-    let _ = writeln!(out, "# HELP rvmon_gc_pause_ns Stop-the-world GC pause durations (ns)");
-    let _ = writeln!(out, "# TYPE rvmon_gc_pause_ns histogram");
     for kind in GcKind::ALL {
-        let h = metrics.gc_pause(kind);
-        if h.count() == 0 {
-            continue;
-        }
-        let labels = format!("kind=\"{}\",", kind.label());
-        prom_histogram(&mut out, "rvmon_gc_pause_ns", &labels, h);
+        f.sample(&[("kind", kind.label())], metrics.gc_scanned(kind));
     }
-    let _ =
-        writeln!(out, "# HELP rvmon_event_latency_ns End-to-end per-event dispatch latency (ns)");
-    let _ = writeln!(out, "# TYPE rvmon_event_latency_ns histogram");
-    if metrics.event_latency_ns().count() > 0 {
-        prom_histogram(&mut out, "rvmon_event_latency_ns", "", metrics.event_latency_ns());
-    }
-    let _ = writeln!(
-        out,
-        "# HELP rvmon_phase_duration_ns Wall-clock nanoseconds per hot-path phase span"
+    let mut f = expo.family(
+        "rvmon_gc_reclaimed_total",
+        "Objects/monitors reclaimed by GC cycles",
+        Kind::Counter,
     );
-    let _ = writeln!(out, "# TYPE rvmon_phase_duration_ns histogram");
+    for kind in GcKind::ALL {
+        f.sample(&[("kind", kind.label())], metrics.gc_reclaimed(kind));
+    }
+    expo.family(
+        "rvmon_gc_debt",
+        "Monitors created since the last sweep minus monitors it reclaimed",
+        Kind::Gauge,
+    )
+    .sample(&[], metrics.gc_debt());
+    let mut f =
+        expo.family("rvmon_gc_pause_ns", "Stop-the-world GC pause durations (ns)", Kind::Histogram);
+    for kind in GcKind::ALL {
+        f.histogram(&[("kind", kind.label())], metrics.gc_pause(kind));
+    }
+    expo.family(
+        "rvmon_event_latency_ns",
+        "End-to-end per-event dispatch latency (ns)",
+        Kind::Histogram,
+    )
+    .histogram(&[], metrics.event_latency_ns());
+    let mut f = expo.family(
+        "rvmon_phase_duration_ns",
+        "Wall-clock nanoseconds per hot-path phase span",
+        Kind::Histogram,
+    );
     for p in Phase::ALL {
-        let h = metrics.phase(p);
-        if h.count() == 0 {
-            continue;
-        }
-        let labels = format!("phase=\"{}\",", p.label());
-        prom_histogram(&mut out, "rvmon_phase_duration_ns", &labels, h);
+        f.histogram(&[("phase", p.label())], metrics.phase(p));
     }
     if !profilers.is_empty() {
-        let _ =
-            writeln!(out, "# HELP rvmon_profile_phase_ns Per-property profiler phase spans (ns)");
-        let _ = writeln!(out, "# TYPE rvmon_profile_phase_ns histogram");
+        let mut f = expo.family(
+            "rvmon_profile_phase_ns",
+            "Per-property profiler phase spans (ns)",
+            Kind::Histogram,
+        );
         for prof in profilers {
-            let property = prom_escape(prof.label());
             for p in Phase::ALL {
-                let h = prof.phase(p);
-                if h.count() == 0 {
-                    continue;
-                }
-                let labels = format!("property=\"{property}\",phase=\"{}\",", p.label());
-                prom_histogram(&mut out, "rvmon_profile_phase_ns", &labels, h);
+                f.histogram(&[("property", prof.label()), ("phase", p.label())], prof.phase(p));
             }
         }
-        let _ = writeln!(out, "# HELP rvmon_profile_spans_total Opened profiler spans per phase");
-        let _ = writeln!(out, "# TYPE rvmon_profile_spans_total counter");
+        let mut f = expo.family(
+            "rvmon_profile_spans_total",
+            "Opened profiler spans per phase",
+            Kind::Counter,
+        );
         for prof in profilers {
-            let property = prom_escape(prof.label());
             for p in Phase::ALL {
-                if prof.enters(p) == 0 {
-                    continue;
+                if prof.enters(p) > 0 {
+                    f.sample(&[("property", prof.label()), ("phase", p.label())], prof.enters(p));
                 }
-                let _ = writeln!(
-                    out,
-                    "rvmon_profile_spans_total{{property=\"{property}\",phase=\"{}\"}} {}",
-                    p.label(),
-                    prof.enters(p)
-                );
             }
         }
     }
-    let _ = writeln!(
-        out,
-        "# HELP rvmon_profiler_self_overhead_ns Measured cost of one profiler span pair"
-    );
-    let _ = writeln!(out, "# TYPE rvmon_profiler_self_overhead_ns gauge");
-    let _ = writeln!(
-        out,
-        "rvmon_profiler_self_overhead_ns {}",
-        json_f64(PhaseProfiler::measure_self_overhead(4096))
-    );
-    out
+    expo.family(
+        "rvmon_profiler_self_overhead_ns",
+        "Measured cost of one profiler span pair",
+        Kind::Gauge,
+    )
+    .sample(&[], json_f64(PhaseProfiler::measure_self_overhead(4096)));
+    expo.finish()
 }
 
 #[cfg(test)]
@@ -1026,22 +969,12 @@ mod tests {
         assert!(bucket_4.ends_with(" 1"), "{bucket_4}");
     }
 
-    /// Satellite: label values are attacker-ish input (property names come
-    /// from user specs) — backslashes, quotes, and newlines must be
-    /// escaped per the exposition format.
+    /// Label values are attacker-ish input (property names come from
+    /// user specs) — backslashes, quotes, and newlines must be escaped
+    /// per the exposition format, backslash first so later escapes are
+    /// not double-escaped.
     #[test]
     fn prometheus_label_values_are_escaped() {
-        assert_eq!(prom_escape(r"a\b"), r"a\\b");
-        assert_eq!(prom_escape("say \"hi\""), "say \\\"hi\\\"");
-        assert_eq!(prom_escape("two\nlines"), "two\\nlines");
-        let input = "\\\"\n"; // one backslash, one quote, one newline
-        let expected: String = ["\\\\", "\\\"", "\\n"].concat();
-        assert_eq!(
-            prom_escape(input),
-            expected,
-            "backslash escapes first so later escapes are not double-escaped"
-        );
-
         let m = MetricsRegistry::new();
         let mut prof = PhaseProfiler::new().with_label("Evil\\Prop\"v1\"\nrest");
         prof.phase_timed(Phase::Sweep, 10);
@@ -1052,6 +985,7 @@ mod tests {
             .expect("span counter rendered");
         assert!(label_line.contains("property=\"Evil\\\\Prop\\\"v1\\\"\\nrest\""), "{label_line}");
         assert!(!text.contains("v1\"\n"), "no raw newline survives inside a label value");
+        crate::expo::lint::lint_exposition(&text);
     }
 
     #[test]
@@ -1085,25 +1019,8 @@ mod tests {
         assert!(text.contains("rvmon_event_latency_ns_bucket{le=\"+Inf\"} 1"), "{text}");
         assert!(text.contains("rvmon_event_latency_ns_sum 1234"), "{text}");
         assert!(text.contains("rvmon_event_latency_ns_count 1"), "{text}");
-        // Lint invariants the ci smoke stage also checks: every counter
-        // family ends in _total and no duplicate series lines exist.
-        let mut seen = std::collections::HashSet::new();
-        let mut family_type = std::collections::HashMap::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split(' ');
-                let fam = it.next().unwrap();
-                let ty = it.next().unwrap();
-                family_type.insert(fam.to_string(), ty.to_string());
-                if ty == "counter" {
-                    assert!(fam.ends_with("_total"), "counter family without _total: {fam}");
-                }
-            } else if !line.starts_with('#') && !line.is_empty() {
-                let series = line.rsplit_once(' ').unwrap().0;
-                assert!(seen.insert(series.to_string()), "duplicate series: {series}");
-            }
-        }
-        assert_eq!(family_type.get("rvmon_gc_debt").map(String::as_str), Some("gauge"));
+        crate::expo::lint::lint_exposition(&text);
+        assert!(text.contains("# TYPE rvmon_gc_debt gauge\n"), "{text}");
     }
 
     #[test]

@@ -25,17 +25,17 @@
 //!
 //! Replay is exact: the restored engine meets the same heap states the
 //! journaling engine met, so it discovers dead keys lazily where that
-//! engine did, and E/M/FM/CM match an uninterrupted run. It does not run
-//! the eager [`Engine::reflag_dead_keys`] pass, which can flag monitors
-//! the lazy path collects unflagged and so inflate FM. Replay ends with
-//! `check_invariants`.
+//! engine did, and E/M/FM/CM match an uninterrupted run. Recovery is
+//! lazy only: no pass re-flags monitors against the rebuilt heap, since
+//! judging every binding by every death the heap holds would flag
+//! monitors the lazy path collects unflagged and inflate FM. Replay ends
+//! with `check_invariants`.
 //! `rvmond`'s tenant recovery, `rvmon recover`/`replay`/`top`, the crash
 //! harness and the recovery bench all run this one function; `rvmond`
 //! calls its two halves, `plan` and `replay`, so it can check the
 //! tenant's spec (`tail_spec`) before paying for replay.
 //!
 //! [`plan_recovery`]: crate::snapshot::plan_recovery
-//! [`Engine::reflag_dead_keys`]: crate::engine::Engine::reflag_dead_keys
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;

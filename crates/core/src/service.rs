@@ -71,6 +71,7 @@ use rv_spec::CompiledSpec;
 
 use crate::binding::Binding;
 use crate::engine::EngineConfig;
+use crate::expo::{Exposition, Kind};
 use crate::flight::{
     render_dump, FlightEvent, FlightKind, FlightRecorder, RequestTrace, RequestTraceRing, Stage,
     StageStats, FLIGHT_CAP,
@@ -80,9 +81,9 @@ use crate::journal::{
     AUX_SLINE, AUX_SPEC, AUX_SWEEP,
 };
 use crate::multi::PropertyMonitor;
-use crate::obs::MetricsRegistry;
+use crate::obs::NoopObserver;
 use crate::recover::{self, alloc_pinned, BaseCounters, RecoverError, ReplayFrom};
-use crate::slo::{SloConfig, SloSnapshot, SloTracker};
+use crate::slo::{ObjectiveSnapshot, SloConfig, SloSnapshot, SloTracker};
 use crate::snapshot::{list_checkpoints, write_checkpoint};
 
 // --- Wire protocol -------------------------------------------------------
@@ -1694,67 +1695,37 @@ impl Service {
     #[must_use]
     pub fn prometheus(&self) -> String {
         let snaps = self.snapshots();
-        let mut out = String::new();
-        let service: &[(&str, &str, u64)] = &[
-            (
-                "rvmond_tenants_admitted_total",
-                "Tenants admitted",
-                self.stats.tenants_admitted.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_tenants_rejected_total",
-                "Tenant admissions rejected",
-                self.stats.tenants_rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_conns_opened_total",
-                "Connection permits granted",
-                self.stats.conns_opened.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_conns_rejected_total",
-                "Connection permits refused",
-                self.stats.conns_rejected.load(Ordering::Relaxed),
-            ),
+        let mut expo = Exposition::default();
+        let st = &self.stats;
+        let service: [(&str, &str, &AtomicU64); 11] = [
+            ("rvmond_tenants_admitted_total", "Tenants admitted", &st.tenants_admitted),
+            ("rvmond_tenants_rejected_total", "Tenant admissions rejected", &st.tenants_rejected),
+            ("rvmond_conns_opened_total", "Connection permits granted", &st.conns_opened),
+            ("rvmond_conns_rejected_total", "Connection permits refused", &st.conns_rejected),
             (
                 "rvmond_events_submitted_total",
                 "Events accepted into ingest queues",
-                self.stats.events_submitted.load(Ordering::Relaxed),
+                &st.events_submitted,
             ),
-            (
-                "rvmond_events_shed_total",
-                "Events dropped by shed backpressure",
-                self.stats.events_shed.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_bad_frames_total",
-                "Malformed frames rejected",
-                self.stats.bad_frames.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_idle_reaped_total",
-                "Connections reaped for idling",
-                self.stats.idle_reaped.load(Ordering::Relaxed),
-            ),
+            ("rvmond_events_shed_total", "Events dropped by shed backpressure", &st.events_shed),
+            ("rvmond_bad_frames_total", "Malformed frames rejected", &st.bad_frames),
+            ("rvmond_idle_reaped_total", "Connections reaped for idling", &st.idle_reaped),
             (
                 "rvmond_tenants_restarted_total",
                 "Supervised tenant restarts completed",
-                self.stats.tenants_restarted.load(Ordering::Relaxed),
+                &st.tenants_restarted,
             ),
             (
                 "rvmond_tenants_circuit_broken_total",
                 "Tenants circuit-broken after exhausting the restart budget",
-                self.stats.tenants_circuit_broken.load(Ordering::Relaxed),
+                &st.tenants_circuit_broken,
             ),
-            (
-                "rvmond_spec_reloads_total",
-                "Hot spec reloads applied",
-                self.stats.spec_reloads.load(Ordering::Relaxed),
-            ),
+            ("rvmond_spec_reloads_total", "Hot spec reloads applied", &st.spec_reloads),
         ];
         for (name, help, value) in service {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+            expo.family(name, help, Kind::Counter).sample(&[], value.load(Ordering::Relaxed));
         }
+        // Per-tenant series; the `_total` suffix marks the counters.
         let per_tenant: &[(&str, &str, fn(&TenantSnapshot) -> u64)] = &[
             ("rvmond_tenant_events_total", "Events processed", |s| s.events),
             ("rvmond_tenant_triggers_total", "Goal reports delivered", |s| s.triggers),
@@ -1771,105 +1742,73 @@ impl Service {
             ("rvmond_tenant_deduped_events_total", "Duplicate session lines suppressed", |s| {
                 s.deduped_events
             }),
+            ("rvmond_tenant_monitors_live", "Live monitor instances", |s| s.monitors_live),
+            ("rvmond_tenant_spec_version", "Spec version (1 + reloads)", |s| s.spec_version),
         ];
-        for (name, help, get) in per_tenant {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+        for &(name, help, get) in per_tenant {
+            let kind = if name.ends_with("_total") { Kind::Counter } else { Kind::Gauge };
+            let mut f = expo.family(name, help, kind);
             for s in &snaps {
-                out.push_str(&format!("{name}{{tenant=\"{}\"}} {}\n", s.name, get(s)));
+                f.sample(&[("tenant", &s.name)], get(s));
             }
         }
-        out.push_str("# HELP rvmond_tenant_monitors_live Live monitor instances\n");
-        out.push_str("# TYPE rvmond_tenant_monitors_live gauge\n");
-        for s in &snaps {
-            out.push_str(&format!(
-                "rvmond_tenant_monitors_live{{tenant=\"{}\"}} {}\n",
-                s.name, s.monitors_live
-            ));
-        }
-        out.push_str("# HELP rvmond_tenant_spec_version Spec version (1 + reloads)\n");
-        out.push_str("# TYPE rvmond_tenant_spec_version gauge\n");
-        for s in &snaps {
-            out.push_str(&format!(
-                "rvmond_tenant_spec_version{{tenant=\"{}\"}} {}\n",
-                s.name, s.spec_version
-            ));
-        }
-        out.push_str("# HELP rvmond_build_info Daemon build information\n");
-        out.push_str("# TYPE rvmond_build_info gauge\n");
-        out.push_str(&format!(
-            "rvmond_build_info{{version=\"{}\",commit=\"{}\"}} 1\n",
-            self.config.version, self.config.commit
-        ));
-        out.push_str("# HELP rvmond_uptime_seconds Seconds since the daemon started\n");
-        out.push_str("# TYPE rvmond_uptime_seconds gauge\n");
-        out.push_str(&format!("rvmond_uptime_seconds {}\n", self.uptime_seconds()));
+        expo.family("rvmond_build_info", "Daemon build information", Kind::Gauge)
+            .sample(&[("version", &self.config.version), ("commit", &self.config.commit)], 1);
+        expo.family("rvmond_uptime_seconds", "Seconds since the daemon started", Kind::Gauge)
+            .sample(&[], self.uptime_seconds());
         let obs = self.obs_snapshots();
-        out.push_str("# HELP rvmond_stage_events_total Stage samples recorded\n");
-        out.push_str("# TYPE rvmond_stage_events_total counter\n");
+        let mut f =
+            expo.family("rvmond_stage_events_total", "Stage samples recorded", Kind::Counter);
         for (name, stages, _, _) in &obs {
             for stage in Stage::ALL {
-                out.push_str(&format!(
-                    "rvmond_stage_events_total{{tenant=\"{name}\",stage=\"{}\"}} {}\n",
-                    stage.label(),
+                f.sample(
+                    &[("tenant", name), ("stage", stage.label())],
                     stages.stage(stage).count(),
-                ));
+                );
             }
         }
-        out.push_str("# HELP rvmond_stage_latency_us Per-stage latency quantiles\n");
-        out.push_str("# TYPE rvmond_stage_latency_us gauge\n");
+        let mut f =
+            expo.family("rvmond_stage_latency_us", "Per-stage latency quantiles", Kind::Gauge);
         for (name, stages, _, _) in &obs {
             for stage in Stage::ALL {
                 let h = stages.stage(stage);
-                for (q, v) in
-                    [("0.5", h.quantile(0.5)), ("0.9", h.quantile(0.9)), ("0.99", h.quantile(0.99))]
-                {
-                    out.push_str(&format!(
-                        "rvmond_stage_latency_us{{tenant=\"{name}\",stage=\"{}\",quantile=\"{q}\"}} {:.1}\n",
-                        stage.label(),
-                        v / 1000.0,
-                    ));
+                for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
+                    f.sample(
+                        &[("tenant", name), ("stage", stage.label()), ("quantile", label)],
+                        format_args!("{:.1}", h.quantile(q) / 1000.0),
+                    );
                 }
             }
         }
-        out.push_str(
-            "# HELP rvmond_slo_error_budget_remaining Fraction of the error budget left\n",
-        );
-        out.push_str("# TYPE rvmond_slo_error_budget_remaining gauge\n");
-        for (name, _, slo, _) in &obs {
-            out.push_str(&format!(
-                "rvmond_slo_error_budget_remaining{{tenant=\"{name}\",objective=\"latency\"}} {:.4}\n",
-                slo.latency.budget_remaining
-            ));
-            out.push_str(&format!(
-                "rvmond_slo_error_budget_remaining{{tenant=\"{name}\",objective=\"availability\"}} {:.4}\n",
-                slo.availability.budget_remaining
-            ));
+        let slo_gauges: [(&str, &str, usize, fn(&ObjectiveSnapshot) -> f64); 2] = [
+            ("rvmond_slo_error_budget_remaining", "Fraction of the error budget left", 4, |o| {
+                o.budget_remaining
+            }),
+            ("rvmond_slo_burn_rate", "Error budget burn rate (1 = exactly at goal)", 2, |o| {
+                o.burn_rate
+            }),
+        ];
+        for (family, help, precision, get) in slo_gauges {
+            let mut f = expo.family(family, help, Kind::Gauge);
+            for (name, _, slo, _) in &obs {
+                for (objective, o) in [("latency", slo.latency), ("availability", slo.availability)]
+                {
+                    f.sample(
+                        &[("tenant", name), ("objective", objective)],
+                        format_args!("{:.*}", precision, get(&o)),
+                    );
+                }
+            }
         }
-        out.push_str("# HELP rvmond_slo_burn_rate Error budget burn rate (1 = exactly at goal)\n");
-        out.push_str("# TYPE rvmond_slo_burn_rate gauge\n");
+        let mut f =
+            expo.family("rvmond_slo_requests_total", "Requests by SLO outcome", Kind::Counter);
         for (name, _, slo, _) in &obs {
-            out.push_str(&format!(
-                "rvmond_slo_burn_rate{{tenant=\"{name}\",objective=\"latency\"}} {:.2}\n",
-                slo.latency.burn_rate
-            ));
-            out.push_str(&format!(
-                "rvmond_slo_burn_rate{{tenant=\"{name}\",objective=\"availability\"}} {:.2}\n",
-                slo.availability.burn_rate
-            ));
+            let a = &slo.availability;
+            for (outcome, n) in [("good", a.good_total), ("bad", a.bad_total)] {
+                f.sample(&[("tenant", name), ("outcome", outcome)], n);
+            }
         }
-        out.push_str("# HELP rvmond_slo_requests_total Requests by SLO outcome\n");
-        out.push_str("# TYPE rvmond_slo_requests_total counter\n");
-        for (name, _, slo, _) in &obs {
-            out.push_str(&format!(
-                "rvmond_slo_requests_total{{tenant=\"{name}\",outcome=\"good\"}} {}\n",
-                slo.availability.good_total
-            ));
-            out.push_str(&format!(
-                "rvmond_slo_requests_total{{tenant=\"{name}\",outcome=\"bad\"}} {}\n",
-                slo.availability.bad_total
-            ));
-        }
-        out
+        expo.finish()
     }
 
     /// Graceful drain: stop admitting, checkpoint every running tenant,
@@ -2383,7 +2322,7 @@ fn supervisor_loop(
 /// Lives entirely on the worker thread; nothing here is `Send`.
 struct Worker {
     name: String,
-    monitor: PropertyMonitor<MetricsRegistry>,
+    monitor: PropertyMonitor,
     heap: Heap,
     class: rv_heap::ClassId,
     objects: HashMap<String, ObjId>,
@@ -2492,8 +2431,7 @@ impl Worker {
                 ));
             }
         }
-        let rec =
-            recover::replay(plan, &engine_cfg, |_| MetricsRegistry::new()).map_err(rejected)?;
+        let rec = recover::replay(plan, &engine_cfg, |_| NoopObserver).map_err(rejected)?;
         let mut journal =
             JournalWriter::resume(dir, &rec.plan.scan).map_err(|e| internal(e.to_string()))?;
         // Reports that fired past the durable HWM during replay were
@@ -2749,8 +2687,7 @@ impl Worker {
         };
         self.append(&Record::Aux { tag: AUX_RELOAD, bytes: base.encode_reload(token, source) })?;
         self.sync_timed()?;
-        self.monitor =
-            PropertyMonitor::with_observers(spec, &self.engine_cfg, |_| MetricsRegistry::new());
+        self.monitor = PropertyMonitor::new(spec, &self.engine_cfg);
         self.install_flags();
         self.alphabet = self.monitor.spec().alphabet.clone();
         self.event_params = self.monitor.spec().event_params.clone();
@@ -3358,6 +3295,29 @@ UnsafeIter(Collection c, Iterator i) {
             expo.contains("rvmond_stage_events_total{tenant=\"alpha\",stage=\"engine\"} 3"),
             "{expo}"
         );
+        crate::expo::lint::lint_exposition(&expo);
+        let _ = svc.drain();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The build commit comes from the build environment, so its label
+    /// value is escaped like any other: a quote or newline in it must not
+    /// break the exposition.
+    #[test]
+    fn build_info_label_values_are_escaped() {
+        let root = temp_root("build-info");
+        let svc = Service::new(ServiceConfig {
+            version: "0.1.0".to_owned(),
+            commit: "a\"b\nc".to_owned(),
+            ..config(&root)
+        })
+        .unwrap();
+        let expo = svc.prometheus();
+        assert!(
+            expo.contains("rvmond_build_info{version=\"0.1.0\",commit=\"a\\\"b\\nc\"} 1\n"),
+            "{expo}"
+        );
+        crate::expo::lint::lint_exposition(&expo);
         let _ = svc.drain();
         std::fs::remove_dir_all(&root).unwrap();
     }

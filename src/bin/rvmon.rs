@@ -705,23 +705,21 @@ fn explain(path: &str, source: &str, rest: &[String]) -> ExitCode {
 /// (`std::net::TcpListener`; any path answers `text/plain; version=0.0.4`,
 /// except `/healthz`, which answers a plain-text liveness summary).
 fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
-    use std::io::{Read as _, Write as _};
+    use std::io::Write as _;
 
+    use rv_monitor::core::expo::{respond, Endpoint};
     use rv_monitor::core::{
         prometheus_text, EngineConfig, MetricsRegistry, PhaseProfiler, PropertyMonitor,
     };
     use rv_monitor::heap::{Heap, HeapConfig};
 
     let usage = || {
-        eprintln!(
-            "usage: rvmon serve <spec-file> <events-file> [--port N] [--once] [--timeout-ms N]"
-        );
+        eprintln!("usage: rvmon serve <spec-file> <events-file> [--port N] [--once]");
         ExitCode::from(2)
     };
     let mut events_path: Option<&str> = None;
     let mut port: u16 = 0;
     let mut once = false;
-    let mut timeout_ms: u64 = 2_000;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -730,10 +728,6 @@ fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
                 None => return usage(),
             },
             "--once" => once = true,
-            "--timeout-ms" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => timeout_ms = n,
-                _ => return usage(),
-            },
             other if events_path.is_none() && !other.starts_with("--") => {
                 events_path = Some(other);
             }
@@ -791,17 +785,12 @@ fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
         stats.monitors_created - stats.monitors_collected
     );
 
-    let listener = match std::net::TcpListener::bind(("127.0.0.1", port)) {
-        Ok(l) => l,
+    let bound = std::net::TcpListener::bind(("127.0.0.1", port))
+        .and_then(|listener| Ok((listener.local_addr()?, listener)));
+    let (addr, listener) = match bound {
+        Ok(bound) => bound,
         Err(e) => {
             eprintln!("rvmon: cannot bind 127.0.0.1:{port}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("rvmon: cannot resolve listener address: {e}");
             return ExitCode::from(2);
         }
     };
@@ -812,61 +801,14 @@ fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
         if once { " (one request)" } else { "" }
     );
     let _ = std::io::stdout().flush();
-    let peer_timeout = Some(std::time::Duration::from_millis(timeout_ms));
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
-        // The accept loop is serial, so a peer that connects and then
-        // stalls must not wedge `/healthz` for everyone behind it: bound
-        // both directions and drop the connection on any timeout.
-        if stream.set_read_timeout(peer_timeout).is_err()
-            || stream.set_write_timeout(peer_timeout).is_err()
-        {
-            continue;
-        }
-        // Drain the request head and pull the path out of the request
-        // line; the same exposition answers any path except `/healthz`.
-        // Requests may arrive in several segments, so keep reading until
-        // the blank line ends the head (or the buffer fills / EOF).
-        let mut buf = [0u8; 4096];
-        let mut n = 0;
-        let mut reaped = false;
-        while n < buf.len() {
-            match stream.read(&mut buf[n..]) {
-                Ok(0) => break,
-                Err(_) => {
-                    // Timeout or reset: reap the peer without answering
-                    // (a `--once` serve keeps waiting for a real client).
-                    reaped = true;
-                    break;
-                }
-                Ok(read) => {
-                    n += read;
-                    if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                        break;
-                    }
-                }
-            }
-        }
-        if reaped || n == 0 {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            continue;
-        }
-        let head = String::from_utf8_lossy(&buf[..n]);
-        let req_path =
-            head.lines().next().and_then(|line| line.split_whitespace().nth(1)).unwrap_or("/");
-        let (content_type, payload) = if req_path == "/healthz" {
-            ("text/plain; charset=utf-8", health.as_str())
-        } else {
-            ("text/plain; version=0.0.4; charset=utf-8", body.as_str())
-        };
-        let response = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-            payload.len()
-        );
-        let _ = stream.write_all(response.as_bytes());
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        if once {
+        // A peer reaped without an answer does not spend `--once`.
+        let answered = respond(&mut stream, |endpoint| match endpoint {
+            Endpoint::Healthz => health.as_str(),
+            Endpoint::Metrics => body.as_str(),
+        });
+        if answered && once {
             break;
         }
     }

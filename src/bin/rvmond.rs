@@ -32,13 +32,14 @@
 //! ```
 
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use rv_monitor::core::expo::{respond, Endpoint};
 use rv_monitor::core::{serve_connection, Backpressure, Service, ServiceConfig, SloConfig};
 
 /// Set by the signal handler; the accept loops poll it.
@@ -279,7 +280,12 @@ fn main() -> ExitCode {
     let http_service = Arc::clone(&service);
     let http_thread = std::thread::spawn(move || loop {
         match http.accept() {
-            Ok((stream, _)) => serve_http(&http_service, stream),
+            Ok((mut stream, _)) => {
+                respond(&mut stream, |endpoint| match endpoint {
+                    Endpoint::Healthz => http_service.healthz(),
+                    Endpoint::Metrics => http_service.prometheus(),
+                });
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if SHUTDOWN.load(Ordering::SeqCst) {
                     return;
@@ -337,47 +343,4 @@ fn main() -> ExitCode {
     let _ = http_thread.join();
     eprintln!("rvmond: drained {drained} tenant(s), exiting");
     ExitCode::SUCCESS
-}
-
-/// One serial HTTP exchange: `/healthz` answers the liveness summary,
-/// anything else the Prometheus exposition. Timeouts bound both
-/// directions so a stalling scraper cannot wedge the health endpoint.
-fn serve_http(service: &Service, mut stream: TcpStream) {
-    use std::io::Read as _;
-
-    let timeout = Some(Duration::from_millis(2_000));
-    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
-        return;
-    }
-    let mut buf = [0u8; 4096];
-    let mut n = 0;
-    while n < buf.len() {
-        match stream.read(&mut buf[n..]) {
-            Ok(0) | Err(_) => break,
-            Ok(read) => {
-                n += read;
-                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-        }
-    }
-    if n == 0 {
-        return;
-    }
-    let head = String::from_utf8_lossy(&buf[..n]);
-    let req_path =
-        head.lines().next().and_then(|line| line.split_whitespace().nth(1)).unwrap_or("/");
-    let (content_type, payload) = if req_path == "/healthz" {
-        ("text/plain; charset=utf-8", service.healthz())
-    } else {
-        ("text/plain; version=0.0.4; charset=utf-8", service.prometheus())
-    };
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }

@@ -9,6 +9,8 @@ use std::net::TcpStream;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
+mod common;
+
 fn repo_path(rel: &str) -> String {
     format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
 }
@@ -84,37 +86,9 @@ fn serve_once_answers_a_prometheus_scrape() {
     assert!(body.contains("phase=\"sweep\""), "no sweep spans: {body}");
     assert!(body.contains("rvmon_profiler_self_overhead_ns "), "no self-overhead gauge: {body}");
 
-    // Exposition well-formedness: every metric line is `name{labels} value`
-    // or `name value`, every metric family has HELP and TYPE, histogram
-    // bucket counts are cumulative and end at +Inf == _count.
-    let mut last_bucket: Option<(String, u64)> = None;
-    for line in body.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            assert!(
-                rest.starts_with("HELP ") || rest.starts_with("TYPE "),
-                "bad comment line: {line}"
-            );
-            continue;
-        }
-        let (name_and_labels, value) = line.rsplit_once(' ').expect("sample line");
-        assert!(value.parse::<f64>().is_ok(), "non-numeric sample: {line}");
-        if let Some(le_at) = name_and_labels.find("le=\"") {
-            let count: u64 = value.parse().expect("bucket counts are integers");
-            let series = &name_and_labels[..le_at];
-            if let Some((prev_series, prev_count)) = &last_bucket {
-                if prev_series == series {
-                    assert!(count >= *prev_count, "non-cumulative buckets: {line}");
-                }
-            }
-            last_bucket = Some((series.to_string(), count));
-            if name_and_labels.contains("le=\"+Inf\"") {
-                last_bucket = None;
-            }
-        }
-    }
+    // Exposition well-formedness, the same lint `Service::prometheus`
+    // passes.
+    common::lint_exposition(body);
     for family in ["rvmon_events_total", "rvmon_phase_duration_ns", "rvmon_profile_phase_ns"] {
         assert!(body.contains(&format!("# HELP {family} ")), "no HELP for {family}");
         assert!(body.contains(&format!("# TYPE {family} ")), "no TYPE for {family}");
@@ -157,7 +131,7 @@ fn serve_healthz_reports_engine_liveness() {
 /// Regression test for the accept-loop wedge: a client that connects
 /// and then sends nothing used to block the (serial) accept loop
 /// forever, since the stream had no read timeout. The server must reap
-/// the stalled peer after `--timeout-ms`, close it without a response,
+/// the stalled peer after its read timeout, close it without a response,
 /// and — crucially for `--once` — still answer the next real client and
 /// exit cleanly.
 #[test]
@@ -170,8 +144,6 @@ fn serve_reaps_a_stalling_client_instead_of_wedging() {
             "--port",
             "0",
             "--once",
-            "--timeout-ms",
-            "250",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

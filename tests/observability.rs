@@ -13,6 +13,8 @@ use rv_monitor::core::{
     SloConfig, SupervisorConfig, TenantOptions, TenantState, STAGE_COUNT,
 };
 
+mod common;
+
 const SPEC: &str = r#"
 UnsafeIter(Collection c, Iterator i) {
     event create(c, i);
@@ -212,27 +214,6 @@ fn flight_dump_written_on_worker_failure() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Parses a Prometheus text exposition into (series-with-labels) keys
-/// and asserts structural lints: no duplicate series, and exactly one
-/// `# TYPE` per metric family.
-fn lint_exposition(expo: &str) {
-    let mut series = std::collections::HashSet::new();
-    let mut types = std::collections::HashSet::new();
-    for line in expo.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let name = rest.split_whitespace().next().unwrap();
-            assert!(types.insert(name.to_owned()), "duplicate # TYPE for `{name}`");
-            continue;
-        }
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let key = line.rsplit_once(' ').map_or(line, |(k, _)| k);
-        assert!(series.insert(key.to_owned()), "duplicate series `{key}`");
-    }
-    assert!(!series.is_empty());
-}
-
 #[test]
 fn exposition_has_no_duplicate_series() {
     let root = scratch("lint");
@@ -241,7 +222,7 @@ fn exposition_has_no_duplicate_series() {
     svc.admit("beta", SPEC, TenantOptions::default()).unwrap();
     drive_traced(&svc, "alpha", "i", 4);
     drive_traced(&svc, "beta", "j", 2);
-    lint_exposition(&svc.prometheus());
+    common::lint_exposition(&svc.prometheus());
     let _ = svc.drain();
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -299,7 +280,7 @@ fn failed_tenant_label_set_freezes_after_circuit_break() {
     drive_traced(&svc, "live", "k", 6);
     let after = tenant_series(&svc.prometheus());
     assert_eq!(frozen, after, "label set must freeze at circuit-break");
-    lint_exposition(&svc.prometheus());
+    common::lint_exposition(&svc.prometheus());
 
     // And the circuit-break itself black-boxed a dump.
     let dumps: Vec<_> = std::fs::read_dir(&root)
