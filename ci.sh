@@ -359,6 +359,25 @@ rm -rf "$NCH_CLEAN" "$NCH_CHAOS" "$NCH_SPECS" "$NCH_OUT1" "$NCH_OUT2" \
 cargo test -q --release --test netchaos_differential --test self_healing \
     --test wire_reject_matrix >/dev/null
 
+# Lossy-daemon smoke: the daemon-lossy benchmark workload streams one
+# tenant through a frame-dropping chaos proxy into rvmond, SIGKILLs and
+# recovers it, and gates the run on an in-process replay's trigger
+# digests. A frame lost inside the connection is repaired at the next
+# barrier without a reconnect, so three seconds carry thousands of
+# barriers. `--inject-mismatch` corrupts the reference digests: the
+# gate must then fail the run with exit 1.
+echo "== lossy-daemon smoke (daemon-lossy workload + correctness gate, release)"
+LOSSY_JSON=$(bash rvbench/run.sh --workload daemon-lossy --seconds 3 --trace 0 | tail -1)
+echo "$LOSSY_JSON" | grep -q '"correct":true' \
+    || { echo "daemon-lossy failed its correctness gate: $LOSSY_JSON"; exit 1; }
+echo "$LOSSY_JSON" | grep -q '"failed":0[,}]' \
+    || { echo "daemon-lossy failed operations: $LOSSY_JSON"; exit 1; }
+LOSSY_RC=0
+bash rvbench/run.sh --workload daemon-lossy --seconds 3 --trace 0 --inject-mismatch \
+    >/dev/null 2>&1 || LOSSY_RC=$?
+test "$LOSSY_RC" = 1 \
+    || { echo "daemon-lossy --inject-mismatch exited $LOSSY_RC, not 1"; exit 1; }
+
 # Tracing smoke: rvmond runs with SLO objectives under loadgen traffic
 # that injects a mid-run worker fatal. The scrape must expose the
 # rvmond_slo_* / rvmond_stage_* / rvmond_build_info series, the worker

@@ -6,7 +6,15 @@
 //! client can blindly resend its entire unacknowledged window after any
 //! disturbance — TCP faults, supervisor restarts of the tenant worker,
 //! hot spec reloads, wire-level chaos — and the tenant's journal (hence
-//! its trigger stream) stays byte-identical to an undisturbed run. On
+//! its trigger stream) stays byte-identical to an undisturbed run.
+//!
+//! A frame lost *inside* a live connection needs no reconnect. The
+//! server accepts a session's lines only contiguously, and every
+//! `SYNCED` echoes the session's durable HWM; an echo short of the
+//! barrier token tells the client exactly where the hole is, so it
+//! resends the window suffix past the HWM on the same stream and asks
+//! again. Reconnect plus whole-window resend is kept for real transport
+//! failures: EOF, read timeout, a CRC 400, retryable rejects. On
 //! the read side, goal reports are pulled with [`FRAME_POLL`] and
 //! filtered through a client-side `(event_seq, ordinal)` high-water
 //! mark, so duplicated or delayed reply frames can never deliver a
@@ -67,9 +75,14 @@ pub struct ClientStats {
     pub connects: u64,
     /// Reconnections after a fault (`connects - 1`).
     pub reconnects: u64,
-    /// Window lines blindly resent across reconnects (the server
-    /// dedups them by `(session, cseq)`).
+    /// Window lines resent: the whole window after a reconnect, or the
+    /// suffix past a barrier's HWM echo (the server dedups both by
+    /// `(session, cseq)`).
     pub resent_lines: u64,
+    /// Barrier shortfalls repaired on the live connection: each one
+    /// resent the window suffix past the echoed HWM and re-sent the
+    /// `SYNC`, with no reconnect.
+    pub gap_repairs: u64,
     /// Retryable rejects and transport faults absorbed by retry loops.
     pub rejects_retried: u64,
     /// Goal reports accepted past the client-side HWM.
@@ -83,11 +96,12 @@ impl ClientStats {
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"connects\":{},\"reconnects\":{},\"resent_lines\":{},\"rejects_retried\":{},\
-             \"triggers_observed\":{},\"deduped_triggers\":{}}}",
+            "{{\"connects\":{},\"reconnects\":{},\"resent_lines\":{},\"gap_repairs\":{},\
+             \"rejects_retried\":{},\"triggers_observed\":{},\"deduped_triggers\":{}}}",
             self.connects,
             self.reconnects,
             self.resent_lines,
+            self.gap_repairs,
             self.rejects_retried,
             self.triggers_observed,
             self.deduped_triggers,
@@ -117,6 +131,14 @@ fn decode_reject(p: &[u8]) -> (u16, String) {
     (code, String::from_utf8_lossy(p.get(2..).unwrap_or(&[])).into_owned())
 }
 
+fn write_line(s: &mut TcpStream, session: u64, cseq: u64, line: &str) -> io::Result<()> {
+    let mut payload = Vec::with_capacity(16 + line.len());
+    payload.extend_from_slice(&session.to_le_bytes());
+    payload.extend_from_slice(&cseq.to_le_bytes());
+    payload.extend_from_slice(line.as_bytes());
+    write_frame(s, FRAME_EVENT_SEQ, &payload)
+}
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -135,8 +157,8 @@ pub struct ResilientClient {
     policy: ReconnectPolicy,
     session: u64,
     next_cseq: u64,
-    /// Lines sent but not yet covered by an acknowledged barrier, in
-    /// cseq order — the blind-resend window.
+    /// Lines sent but not yet known durable, in cseq order — the resend
+    /// window. A barrier's HWM echo pops the covered prefix.
     window: VecDeque<(u64, String)>,
     /// Client-side trigger high-water mark.
     hwm: (u64, u32),
@@ -266,24 +288,20 @@ impl ResilientClient {
         if self.stats.connects > 1 {
             self.stats.reconnects += 1;
         }
-        let window: Vec<(u64, String)> = self.window.iter().cloned().collect();
-        for (cseq, line) in &window {
-            self.write_line(*cseq, line)?;
-            self.stats.resent_lines += 1;
-        }
-        Ok(())
+        self.resend_window()
     }
 
-    fn write_line(&mut self, cseq: u64, line: &str) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(16 + line.len());
-        payload.extend_from_slice(&self.session.to_le_bytes());
-        payload.extend_from_slice(&cseq.to_le_bytes());
-        payload.extend_from_slice(line.as_bytes());
+    /// Rewrites every line still in the window on the current stream.
+    fn resend_window(&mut self) -> io::Result<()> {
         let s = self
             .stream
             .as_mut()
             .ok_or_else(|| io::Error::new(ErrorKind::NotConnected, "not connected"))?;
-        write_frame(s, FRAME_EVENT_SEQ, &payload)
+        for (cseq, line) in &self.window {
+            write_line(s, self.session, *cseq, line)?;
+            self.stats.resent_lines += 1;
+        }
+        Ok(())
     }
 
     /// Queues and sends one trace-grammar line. A transport error here
@@ -298,8 +316,8 @@ impl ResilientClient {
         let cseq = self.next_cseq;
         self.next_cseq += 1;
         self.window.push_back((cseq, line.to_owned()));
-        if self.stream.is_some() {
-            if let Err(e) = self.write_line(cseq, line) {
+        if let Some(s) = self.stream.as_mut() {
+            if let Err(e) = write_line(s, self.session, cseq, line) {
                 if is_fatal(&e) {
                     return Err(e);
                 }
@@ -311,9 +329,13 @@ impl ResilientClient {
 
     /// Durability barrier: returns once every line sent so far is
     /// processed and fsynced server-side, then clears the resend
-    /// window. Any disturbance — reconnect, retryable reject, timeout —
-    /// makes the next attempt blind-resend the whole window first; the
-    /// server's dedup keeps the journal identical regardless.
+    /// window. A frame lost inside the live connection shows up as a
+    /// short HWM echo and costs one more round trip: the suffix past
+    /// the HWM is resent on the same stream and the barrier re-sent
+    /// (at most `policy.max_attempts` times per connection). Any other
+    /// disturbance — EOF, read timeout, retryable reject — reconnects
+    /// and resends the whole window first; the server's dedup keeps the
+    /// journal identical regardless.
     ///
     /// # Errors
     ///
@@ -350,6 +372,7 @@ impl ResilientClient {
         }
         let s = self.stream.as_mut().expect("reconnected");
         write_frame(s, FRAME_SYNC, &token.to_le_bytes())?;
+        let mut repairs = 0u32;
         loop {
             let s = self.stream.as_mut().expect("reconnected");
             match read_frame(s)? {
@@ -362,25 +385,36 @@ impl ResilientClient {
                 Some((FRAME_SYNCED, p)) => {
                     let got =
                         p.get(..8).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes);
-                    if got == token {
-                        // The barrier echoes the server's contiguous
-                        // cseq HWM for our session. A shortfall means a
-                        // frame was lost *inside* the connection (the
-                        // server gap-discards everything past the hole)
-                        // — retry: reconnect and resend the window.
-                        let hwm =
-                            p.get(8..16).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
-                        if let Some(h) = hwm {
-                            if h < token {
+                    if got != token {
+                        // A stale barrier echo (duplicated or delayed
+                        // frame) from before a disturbance — ignore it.
+                        continue;
+                    }
+                    // The barrier echoes the server's contiguous cseq
+                    // HWM for our session, durable by the time it is
+                    // sent. A shortfall means a frame was lost *inside*
+                    // the connection (the server gap-discards everything
+                    // past the hole): repair it right here by resending
+                    // the suffix past the HWM and asking again.
+                    let hwm = p.get(8..16).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
+                    match hwm {
+                        Some(h) if h < token => {
+                            if repairs >= self.policy.max_attempts {
                                 return Err(io::Error::other(format!(
                                     "barrier shortfall: server at cseq {h} of {token}"
                                 )));
                             }
+                            repairs += 1;
+                            self.stats.gap_repairs += 1;
+                            while self.window.front().is_some_and(|(cseq, _)| *cseq <= h) {
+                                self.window.pop_front();
+                            }
+                            self.resend_window()?;
+                            let s = self.stream.as_mut().expect("connected");
+                            write_frame(s, FRAME_SYNC, &token.to_le_bytes())?;
                         }
-                        return Ok(got);
+                        _ => return Ok(got),
                     }
-                    // A stale barrier echo (duplicated or delayed frame)
-                    // from before a disturbance — ignore it.
                 }
                 Some((FRAME_REJECT, p)) => {
                     let (code, msg) = decode_reject(&p);

@@ -21,6 +21,10 @@
 //! mismatch: servers answer a typed 400 and close, clients reconnect
 //! and resend. This is deliberately the only fault that forges bytes —
 //! everything else reorders, elides, or delays intact frames.
+//!
+//! Both legs of every proxied connection run with `TCP_NODELAY`, so the
+//! proxy adds no latency of its own: the only faults on the wire are the
+//! ones the profile names.
 
 use std::io::{self, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -399,6 +403,12 @@ impl ChaosProxy {
                             continue;
                         }
                     };
+                    // The pumps write frame by frame; with Nagle on,
+                    // every small frame behind an unacked one waits out
+                    // the peer's delayed ACK — a stall no profile asked
+                    // for.
+                    let _ = client.set_nodelay(true);
+                    let _ = server.set_nodelay(true);
                     // One deterministic rng stream per direction,
                     // derived from the profile seed and accept ordinal.
                     let mut seed_rng = profile.seed ^ conn_ix.wrapping_mul(0x9E37);

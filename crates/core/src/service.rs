@@ -598,6 +598,10 @@ pub struct TenantSnapshot {
     /// `(session, cseq)` high-water mark — the server half of
     /// exactly-once ingestion.
     pub deduped_events: u64,
+    /// Session lines discarded because they arrived past a `cseq` gap —
+    /// a frame lost inside a live connection. The client resends them
+    /// once a barrier's HWM echo reveals the hole.
+    pub gap_dropped_events: u64,
     /// FNV-1a hash of the tenant's current spec source; HELLO attaches
     /// carrying a non-empty spec are checked against it (409).
     pub spec_hash: u64,
@@ -620,7 +624,7 @@ impl TenantSnapshot {
              \"degradations\":{},\"shed_monitors\":{},\"monitors_live\":{},\
              \"checkpoints\":{},\"journal_records\":{},\"journal_retries\":{},\
              \"recovered_events\":{},\"suppressed_triggers\":{},\"restarts\":{},\
-             \"spec_version\":{},\"deduped_events\":{}}}",
+             \"spec_version\":{},\"deduped_events\":{},\"gap_dropped_events\":{}}}",
             self.name,
             self.events,
             self.triggers,
@@ -639,6 +643,7 @@ impl TenantSnapshot {
             self.restarts,
             self.spec_version,
             self.deduped_events,
+            self.gap_dropped_events,
         )
     }
 }
@@ -1657,7 +1662,7 @@ impl Service {
             out.push_str(&format!(
                 "tenant {} state={} events={} triggers={} shed_events={} bad_lines={} \
                  quarantined={} budget_trips={} shed_monitors={} monitors_live={} checkpoints={} \
-                 restarts={} spec_version={} deduped_events={}\n",
+                 restarts={} spec_version={} deduped_events={} gap_dropped_events={}\n",
                 s.name,
                 s.state.label(),
                 s.events,
@@ -1672,6 +1677,7 @@ impl Service {
                 s.restarts,
                 s.spec_version,
                 s.deduped_events,
+                s.gap_dropped_events,
             ));
         }
         for (name, _, slo, recorded) in self.obs_snapshots() {
@@ -1742,6 +1748,11 @@ impl Service {
             ("rvmond_tenant_deduped_events_total", "Duplicate session lines suppressed", |s| {
                 s.deduped_events
             }),
+            (
+                "rvmond_tenant_gap_dropped_events_total",
+                "Session lines discarded past a cseq gap",
+                |s| s.gap_dropped_events,
+            ),
             ("rvmond_tenant_monitors_live", "Live monitor instances", |s| s.monitors_live),
             ("rvmond_tenant_spec_version", "Spec version (1 + reloads)", |s| s.spec_version),
         ];
@@ -2351,6 +2362,8 @@ struct Worker {
     /// snapshot — supervised restarts keep the snapshot Arc, so the
     /// public counter stays monotonic.
     deduped_base: u64,
+    /// `gap_dropped_events` carried over the same way.
+    gap_dropped_base: u64,
     /// Counter base folded in from pre-reload engines.
     base: BaseCounters,
     spec_version: u64,
@@ -2480,6 +2493,7 @@ impl Worker {
             deduped: 0,
             gap_dropped: 0,
             deduped_base: 0,
+            gap_dropped_base: 0,
             base: rec.base,
             spec_version: rec.spec_version,
             reload_token: rec.reload_token,
@@ -2499,9 +2513,10 @@ impl Worker {
             // stay monotonic across a clean drain/restart cycle.
             snap.checkpoints = list_checkpoints(&w.dir).len() as u64;
             snap.spec_hash = spec_hash(&rec.spec_source);
-            // A supervised restart reuses the snapshot: dedup totals
-            // already on it become this incarnation's base.
+            // A supervised restart reuses the snapshot: dedup and gap
+            // totals already on it become this incarnation's base.
             w.deduped_base = snap.deduped_events;
+            w.gap_dropped_base = snap.gap_dropped_events;
         }
         w.publish();
         Ok(w)
@@ -2536,6 +2551,7 @@ impl Worker {
         snap.journal_retries = jstats.retries;
         snap.spec_version = self.spec_version;
         snap.deduped_events = self.deduped_base + self.deduped;
+        snap.gap_dropped_events = self.gap_dropped_base + self.gap_dropped;
     }
 
     fn set_state(&self, state: TenantState) {
@@ -2763,8 +2779,11 @@ impl Worker {
     /// past `hwm + 1` means something in between was lost in transit
     /// (a dropped frame inside a live connection), and accepting it
     /// would poison the mark — the later resend of the missing line
-    /// would be wrongly deduped. Such lines are discarded; the client
-    /// learns the shortfall from the barrier's HWM echo and resends.
+    /// would be wrongly deduped. Such lines are discarded and counted
+    /// (`gap_dropped_events`). No frame announces the gap: the client
+    /// reads only at barriers, and the barrier's HWM echo already says
+    /// where the hole is, so the client resends the suffix past it on
+    /// the same connection.
     /// Session `0` is the legacy no-dedup path.
     #[allow(clippy::too_many_lines)]
     fn process_line(

@@ -6,16 +6,22 @@
 //!
 //! Both sides of every differential run the identical workload and
 //! daemon configuration; only the wire between them differs.
+//!
+//! The last two tests pin what loss costs: a session line lost inside a
+//! live connection is repaired at the barrier without a reconnect, and
+//! a clean proxy adds no Nagle stall to a barrier.
 
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::Write;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use rv_monitor::core::service::TENANT_FLAG_ALLOW_FATAL;
+use rv_monitor::core::service::{FRAME_EVENT_SEQ, TENANT_FLAG_ALLOW_FATAL};
 use rv_monitor::core::{
-    serve_connection, Backpressure, ChaosProfile, ChaosProxy, ClientStats, ReconnectPolicy,
-    ResilientClient, Service, ServiceConfig, SupervisorConfig, TenantOptions,
+    encode_frame, read_frame, serve_connection, Backpressure, ChaosProfile, ChaosProxy,
+    ClientStats, ReconnectPolicy, ResilientClient, Service, ServiceConfig, SupervisorConfig,
+    TenantOptions,
 };
 
 const SPEC: &str = r#"
@@ -267,4 +273,143 @@ fn mixed_fault_profile_is_exactly_once() {
     .unwrap();
     let (chaos, stats) = run_once("mixed", Some(profile));
     assert_identical(&clean, &chaos, "mixed faults", &stats);
+}
+
+/// Forwards whole frames from `src` to `dst` until either side closes;
+/// with `drop_kth`, the k-th `FRAME_EVENT_SEQ` frame through the relay
+/// (counted across connections) is silently discarded.
+fn relay(mut src: TcpStream, mut dst: TcpStream, drop_kth: Option<(usize, Arc<AtomicUsize>)>) {
+    while let Ok(Some((kind, payload))) = read_frame(&mut src) {
+        if let Some((k, seen)) = &drop_kth {
+            if kind == FRAME_EVENT_SEQ && seen.fetch_add(1, Ordering::Relaxed) + 1 == *k {
+                continue;
+            }
+        }
+        if dst.write_all(&encode_frame(kind, &payload)).is_err() {
+            break;
+        }
+    }
+    let _ = src.shutdown(Shutdown::Both);
+    let _ = dst.shutdown(Shutdown::Both);
+}
+
+/// A test-local proxy that drops exactly the k-th session line
+/// upstream and nothing else. Returns its listen address.
+fn dropping_relay(upstream: String, k: usize) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let seen = Arc::new(AtomicUsize::new(0));
+    std::thread::spawn(move || {
+        for client in listener.incoming() {
+            let Ok(client) = client else { break };
+            let server = TcpStream::connect(&upstream).unwrap();
+            for s in [&client, &server] {
+                s.set_nodelay(true).unwrap();
+            }
+            let (c2, s2) = (client.try_clone().unwrap(), server.try_clone().unwrap());
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || relay(client, server, Some((k, seen))));
+            std::thread::spawn(move || relay(s2, c2, None));
+        }
+    });
+    addr
+}
+
+fn json_u64(json: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let at = json.find(&needle).unwrap_or_else(|| panic!("no {key} in {json}")) + needle.len();
+    let digits: String = json[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+/// Sends `lines`, one barrier, then drains the trigger stream. Returns
+/// the rendered triggers, the client counters and the server's tenant
+/// stats JSON.
+fn send_sync_poll(addr: &str, lines: &[String]) -> (Vec<String>, ClientStats, String) {
+    let opts = TenantOptions::default();
+    let policy = ReconnectPolicy::default();
+    let mut client = ResilientClient::connect(addr, "t", SPEC, opts, SESSION, policy).unwrap();
+    for line in lines {
+        client.send(line).unwrap();
+    }
+    client.sync().unwrap();
+    let mut rendered = Vec::new();
+    loop {
+        let batch = client.poll_triggers(256).unwrap();
+        if batch.is_empty() {
+            break;
+        }
+        rendered.extend(batch.iter().map(|t| t.render()));
+    }
+    let server = client.server_stats_json().unwrap();
+    (rendered, client.bye(), server)
+}
+
+#[test]
+fn lost_session_line_is_repaired_on_the_live_connection() {
+    const LINES: usize = 64;
+    let lines: Vec<String> = workload().into_iter().take(LINES).collect();
+    let root = scratch("direct");
+    let server = Server::start(&root);
+    let (direct, _, _) = send_sync_poll(&server.addr, &lines);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(!direct.is_empty(), "the first {LINES} lines fire no trigger");
+
+    // k = 64 drops the last line before SYNC: nothing past it can be
+    // gap-dropped, so only the barrier's HWM echo reveals the loss.
+    for k in [1, 17, LINES] {
+        let root = scratch(&format!("drop{k}"));
+        let server = Server::start(&root);
+        let addr = dropping_relay(server.addr.clone(), k);
+        let (relayed, stats, tenant) = send_sync_poll(&addr, &lines);
+        let ctx = format!("k={k}; client: {}; server: {tenant}", stats.to_json());
+        assert_eq!(stats.reconnects, 0, "{ctx}");
+        assert_eq!(stats.gap_repairs, 1, "{ctx}");
+        assert_eq!(stats.resent_lines, (LINES - k + 1) as u64, "{ctx}");
+        assert_eq!(json_u64(&tenant, "gap_dropped_events"), (LINES - k) as u64, "{ctx}");
+        assert_eq!(relayed, direct, "{ctx}");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn clean_proxy_adds_no_nagle_stall_to_barriers() {
+    const BARRIERS: usize = 32;
+    const BATCH: usize = 64;
+    let root = scratch("nagle");
+    let server = Server::start(&root);
+    let proxy = ChaosProxy::start(&server.addr, ChaosProfile::default()).unwrap();
+    let opts = TenantOptions::default();
+    let policy = ReconnectPolicy::default();
+    let mut client =
+        ResilientClient::connect(&proxy.addr(), "t", SPEC, opts, SESSION, policy).unwrap();
+    let mut rtts = Vec::with_capacity(BARRIERS);
+    for b in 0..BARRIERS {
+        for i in b * BATCH..(b + 1) * BATCH {
+            let line = if i % 2 == 0 {
+                format!("create c{} i{i}", i % 7)
+            } else {
+                format!("next i{}", i - 1)
+            };
+            client.send(&line).unwrap();
+        }
+        let t0 = Instant::now();
+        client.sync().unwrap();
+        rtts.push(t0.elapsed());
+    }
+    let stats = client.bye();
+    rtts.sort();
+    let median = rtts[BARRIERS / 2];
+    // A Nagle stall behind the peer's delayed ACK costs >= 40 ms per
+    // barrier; an undelayed one is a loopback round trip plus fsync.
+    assert!(
+        median < Duration::from_millis(20),
+        "median sync round trip {median:?} through a clean proxy; client: {}",
+        stats.to_json()
+    );
+    drop(proxy);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
 }
