@@ -63,6 +63,33 @@ rm -rf "$RVJ_DIR"
 cargo test -q --release --test recovery_corrupt >/dev/null
 cargo run -q --release -p rv-bench --bin recovery -- --scale 0.02 >/dev/null
 
+# Reused journal directory: journal the example into a directory that
+# already holds a longer, densely checkpointed run; `recover` must print
+# the `stats:` line a fresh directory gives. A double free is a rejected
+# trace line (exit 1), never a panic (exit 101).
+echo "== reused journal directory + double free (release)"
+RVR_DIR="${TMPDIR:-/tmp}/rv-ci-reuse-$$"
+rm -rf "$RVR_DIR" && mkdir -p "$RVR_DIR"
+for k in $(seq 1 40); do
+    printf 'create c%s i%s\nupdate c%s\nnext i%s\n' "$k" "$k" "$k" "$k"
+done >"$RVR_DIR/long.events"
+./target/release/rvmon run specs/unsafe_iter.rv "$RVR_DIR/long.events" \
+    --journal "$RVR_DIR/reused" --checkpoint-every 2 >/dev/null
+for dir in reused fresh; do
+    ./target/release/rvmon run specs/unsafe_iter.rv examples/unsafe_iter.events \
+        --journal "$RVR_DIR/$dir" >/dev/null
+done
+REUSED=$(./target/release/rvmon recover "$RVR_DIR/reused" | grep '^stats:')
+FRESH=$(./target/release/rvmon recover "$RVR_DIR/fresh" | grep '^stats:')
+[ "$REUSED" = "$FRESH" ] \
+    || { echo "reused directory recovered '$REUSED', fresh '$FRESH'"; exit 1; }
+printf 'create c i\nnext i\n!free i\n!free i\n' >"$RVR_DIR/double_free.events"
+CODE=0
+./target/release/rvmon trace specs/unsafe_iter.rv "$RVR_DIR/double_free.events" \
+    >/dev/null 2>&1 || CODE=$?
+[ "$CODE" -eq 1 ] || { echo "rvmon trace on a double free exited $CODE, want 1"; exit 1; }
+rm -rf "$RVR_DIR"
+
 # Sharded smoke: the parallel engine must agree with the sequential
 # engine and the Figure 5 oracle under fault injection, and a sharded
 # journaled run must survive the same kill + recover + replay cycle

@@ -15,10 +15,9 @@ use std::time::{Duration, Instant};
 
 use rv_core::journal::{AUX_FREE, AUX_GC};
 use rv_core::recover::alloc_pinned;
-use rv_core::snapshot::write_checkpoint;
 use rv_core::{
     recover, Binding, EngineConfig, GcPolicy, JournalStats, JournalWriter, NoopObserver,
-    PropertyMonitor, Record, ReplayFrom,
+    PropertyMonitor, Record, ReplayFrom, RetryPolicy,
 };
 use rv_heap::{ClassId, Heap, HeapConfig, ObjId, SplitMix64};
 use rv_logic::EventId;
@@ -133,13 +132,11 @@ fn run_journaled(
     steps: &[Step],
     dir: &Path,
 ) -> (Duration, JournalStats, u64, u64, Duration, u64, u64) {
-    let _ = std::fs::remove_dir_all(dir);
     let config = EngineConfig { policy: GcPolicy::CoenableLazy, ..EngineConfig::default() };
     let mut monitor = PropertyMonitor::new(spec.clone(), &config);
     let mut world = World::new();
     let mut journal = JournalWriter::create(dir).expect("create journal");
     let mut since_checkpoint = 0usize;
-    let mut generation = 0u64;
     let mut checkpoint_bytes = 0u64;
     let start = Instant::now();
     journal
@@ -153,15 +150,9 @@ fn run_journaled(
             since_checkpoint += 1;
             if since_checkpoint >= CHECKPOINT_EVERY {
                 since_checkpoint = 0;
-                journal.sync().expect("sync journal");
                 let payload = monitor.snapshot_bytes().expect("serializable state");
                 checkpoint_bytes += payload.len() as u64;
-                let covered = journal.next_seq();
-                write_checkpoint(dir, generation, covered, &payload).expect("write checkpoint");
-                journal
-                    .append(&Record::CheckpointMark { generation, seq: covered })
-                    .expect("journal mark");
-                generation += 1;
+                journal.checkpoint(&payload, &RetryPolicy::none()).expect("checkpoint");
             }
         }
     }
@@ -169,6 +160,7 @@ fn run_journaled(
     journal.sync().expect("final sync");
     let journaled = start.elapsed();
     let jstats = journal.stats();
+    let checkpoints = journal.next_generation();
     let triggers = monitor.triggers();
     drop(journal);
 
@@ -185,7 +177,7 @@ fn run_journaled(
     recovered.monitor.finish(&recovered.heap);
     let recover_time = start.elapsed();
     assert_eq!(recovered.monitor.triggers(), triggers, "recovery must reproduce the verdicts");
-    (journaled, jstats, generation, checkpoint_bytes, recover_time, recovered.events, triggers)
+    (journaled, jstats, checkpoints, checkpoint_bytes, recover_time, recovered.events, triggers)
 }
 
 fn ms(d: Duration) -> f64 {

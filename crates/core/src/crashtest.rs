@@ -36,14 +36,15 @@ use crate::binding::Binding;
 use crate::chaos::dedup;
 use crate::engine::{EngineConfig, GcPolicy};
 use crate::journal::{
-    read_journal, JournalWriter, Record, AUX_FREE, AUX_GC, AUX_SPEC, AUX_SWEEP, SEGMENT_HEADER_LEN,
+    read_journal, JournalWriter, Record, RetryPolicy, AUX_FREE, AUX_GC, AUX_SPEC, AUX_SWEEP,
+    SEGMENT_HEADER_LEN,
 };
 use crate::multi::PropertyMonitor;
 use crate::obs::NoopObserver;
 use crate::recover::{alloc_pinned, recover, ReplayFrom};
 use crate::reference::{monitor_trace, Trigger};
 use crate::service::TriggerRecord;
-use crate::snapshot::{checkpoint_path, list_checkpoints, write_checkpoint};
+use crate::snapshot::{checkpoint_path, list_checkpoints};
 use crate::stats::EngineStats;
 
 /// Live parameter objects available to the schedule generator.
@@ -270,12 +271,13 @@ fn is_op(record: &Record) -> bool {
 }
 
 /// Applies a journaled op's engine side, returning the reports it fired
-/// with their property block, in block order.
+/// keyed by `seq`, the op record's journal sequence.
 fn step(
     monitor: &mut PropertyMonitor,
     heap: &Heap,
     record: &Record,
-) -> Result<Vec<(usize, Trigger)>, String> {
+    seq: u64,
+) -> Result<Vec<TriggerRecord>, String> {
     match record {
         Record::Aux { tag: AUX_SWEEP, .. } => {
             for engine in monitor.engines_mut() {
@@ -284,14 +286,7 @@ fn step(
             Ok(Vec::new())
         }
         Record::Event { event, binding } => {
-            let before: Vec<usize> = monitor.engines().iter().map(|e| e.triggers().len()).collect();
-            monitor.try_process(heap, *event, *binding).map_err(|e| e.to_string())?;
-            Ok(monitor
-                .engines()
-                .iter()
-                .enumerate()
-                .flat_map(|(b, e)| e.triggers()[before[b]..].iter().map(move |t| (b, *t)))
-                .collect())
+            monitor.process_keyed(heap, *event, *binding, seq).map_err(|e| e.to_string())
         }
         _ => Ok(Vec::new()),
     }
@@ -323,7 +318,7 @@ fn oracle_run(
         if let Record::Event { event, binding } = record {
             trace.push((event, binding));
         }
-        step(&mut monitor, &world.heap, &record)?;
+        step(&mut monitor, &world.heap, &record, 0)?;
     }
     let verdicts = finish(&mut monitor, &world.heap)?;
     Ok((monitor.stats(), verdicts, trace))
@@ -335,16 +330,14 @@ fn io(e: std::io::Error) -> String {
 
 /// A journaled run: the program, its monitor, and the write-ahead
 /// journal, checkpointed every few ops.
-struct Run<'a> {
-    dir: &'a Path,
+struct Run {
     world: World,
     monitor: PropertyMonitor,
     journal: JournalWriter,
-    generation: u64,
     checkpoint_every: usize,
 }
 
-impl Run<'_> {
+impl Run {
     /// Executes `ops` (whose global schedule indices start at
     /// `first_op_index`), appending op and trigger records and writing a
     /// checkpoint every `checkpoint_every` ops. `on_trigger` sees each
@@ -358,34 +351,13 @@ impl Run<'_> {
         for (i, op) in ops.iter().enumerate() {
             let record = self.world.record(op);
             let seq = self.journal.append(&record).map_err(io)?;
-            for (ordinal, (block, t)) in
-                step(&mut self.monitor, &self.world.heap, &record)?.into_iter().enumerate()
-            {
-                let ordinal = ordinal as u32;
-                self.journal
-                    .append(&Record::Trigger {
-                        event_seq: seq,
-                        ordinal,
-                        block: block as u16,
-                        step: t.step as u64,
-                        verdict: t.verdict,
-                        binding: t.binding,
-                    })
-                    .map_err(io)?;
-                on_trigger((seq, ordinal));
+            for t in step(&mut self.monitor, &self.world.heap, &record, seq)? {
+                self.journal.append(&t.to_record()).map_err(io)?;
+                on_trigger(t.key());
             }
             if (first_op_index + i + 1).is_multiple_of(self.checkpoint_every) {
-                self.journal.sync().map_err(io)?;
                 if let Some(payload) = self.monitor.snapshot_bytes() {
-                    let covered = self.journal.next_seq();
-                    write_checkpoint(self.dir, self.generation, covered, &payload).map_err(io)?;
-                    self.journal
-                        .append(&Record::CheckpointMark {
-                            generation: self.generation,
-                            seq: covered,
-                        })
-                        .map_err(io)?;
-                    self.generation += 1;
+                    self.journal.checkpoint(&payload, &RetryPolicy::none()).map_err(io)?;
                 }
             }
         }
@@ -520,21 +492,19 @@ pub fn crash_and_recover(
     let crash_op = ops.len() / 4 + crash_rng.gen_range(span);
 
     // --- Pre-crash journaled run -----------------------------------------
-    let begin = |generation: u64| -> Result<Run<'_>, String> {
+    let begin = || -> Result<Run, String> {
         let mut journal = JournalWriter::create_with(dir, SEGMENT_BYTES).map_err(io)?;
         journal
             .append(&Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() })
             .map_err(io)?;
         Ok(Run {
-            dir,
             world: World::new(),
             monitor: PropertyMonitor::new(spec.clone(), &config),
             journal,
-            generation,
             checkpoint_every: checkpoint_every.max(1),
         })
     };
-    let mut run = begin(0)?;
+    let mut run = begin()?;
     run.run(&ops[..crash_op], 0, |_| {})?;
     // Model the bytes that reached the OS before the kill; the mutilation
     // below decides which of them survive.
@@ -546,11 +516,10 @@ pub fn crash_and_recover(
     // --- Recovery ---------------------------------------------------------
     let durable = read_journal(dir).map_err(|e| e.to_string())?;
     let lost_bytes = durable.truncation.as_ref().map_or(0, |t| t.lost_bytes);
-    let next_generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
     let mut deliveries = Deliveries::default();
     let (mut run, resumed_at_op, checkpoint_seq) = if durable.records.is_empty() {
         // Not even the spec header survived: the run starts over.
-        (begin(next_generation)?, 0, None)
+        (begin()?, 0, None)
     } else {
         let rec = recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| NoopObserver)
             .map_err(|e| e.to_string())?;
@@ -582,11 +551,9 @@ pub fn crash_and_recover(
         }
         world.heap = rec.heap;
         let run = Run {
-            dir,
             world,
             monitor: rec.monitor,
             journal: JournalWriter::resume(dir, scan).map_err(io)?,
-            generation: next_generation,
             checkpoint_every: checkpoint_every.max(1),
         };
         (run, resumed_at_op, rec.plan.checkpoint.map(|c| c.seq))

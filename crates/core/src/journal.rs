@@ -32,6 +32,7 @@ use rv_logic::{EventId, ParamId, Verdict};
 
 use crate::binding::Binding;
 use crate::error::EngineError;
+use crate::snapshot::{list_checkpoints, write_checkpoint};
 
 /// Segment file magic: the first four header bytes.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"RVJL";
@@ -520,6 +521,10 @@ pub struct JournalWriter {
     stats: JournalStats,
     fault: Option<FailingWriter>,
     poisoned: bool,
+    /// Whether records were appended since the last [`sync`](Self::sync).
+    unsynced: bool,
+    /// The generation the next [`checkpoint`](Self::checkpoint) writes.
+    generation: u64,
 }
 
 impl fmt::Debug for JournalWriter {
@@ -534,11 +539,14 @@ impl fmt::Debug for JournalWriter {
 
 impl JournalWriter {
     /// Creates a fresh journal in `dir` (creating the directory if
-    /// needed) with the default segment size.
+    /// needed) with the default segment size. Journal segments and
+    /// checkpoints an earlier run left in `dir` are deleted, so recovery
+    /// can never mistake them for this run's.
     ///
     /// # Errors
     ///
-    /// Any IO error creating the directory or the first segment.
+    /// Any IO error clearing or creating the directory or the first
+    /// segment.
     pub fn create(dir: &Path) -> std::io::Result<JournalWriter> {
         JournalWriter::create_with(dir, DEFAULT_SEGMENT_BYTES)
     }
@@ -548,9 +556,17 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// Any IO error creating the directory or the first segment.
+    /// Any IO error clearing or creating the directory or the first
+    /// segment.
     pub fn create_with(dir: &Path, segment_limit: u64) -> std::io::Result<JournalWriter> {
         std::fs::create_dir_all(dir)?;
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("journal-") || name.starts_with("checkpoint-") {
+                std::fs::remove_file(&path)?;
+            }
+        }
         let mut w = JournalWriter {
             dir: dir.to_path_buf(),
             file: BufWriter::new(File::create(segment_path(dir, 0))?),
@@ -561,6 +577,8 @@ impl JournalWriter {
             stats: JournalStats::default(),
             fault: None,
             poisoned: false,
+            unsynced: false,
+            generation: 0,
         };
         w.write_header()?;
         Ok(w)
@@ -568,7 +586,8 @@ impl JournalWriter {
 
     /// Reopens a scanned journal for appending: physically truncates the
     /// torn tail the scan identified, deletes any segments past it, and
-    /// positions the writer at the scan's `next_seq`.
+    /// positions the writer at the scan's `next_seq`. Checkpoints continue
+    /// from the newest generation in `dir`.
     ///
     /// # Errors
     ///
@@ -576,15 +595,7 @@ impl JournalWriter {
     pub fn resume(dir: &Path, scan: &JournalScan) -> std::io::Result<JournalWriter> {
         let Some(last) = scan.last_segment else {
             // Nothing durable at all (empty dir, or a 0-byte first
-            // segment): clear leftovers and start from scratch.
-            for index in 0.. {
-                let p = segment_path(dir, index);
-                if p.exists() {
-                    std::fs::remove_file(p)?;
-                } else {
-                    break;
-                }
-            }
+            // segment): start from scratch.
             return JournalWriter::create(dir);
         };
         for index in last.index + 1.. {
@@ -610,6 +621,8 @@ impl JournalWriter {
             stats: JournalStats::default(),
             fault: None,
             poisoned: false,
+            unsynced: false,
+            generation: list_checkpoints(dir).last().map_or(0, |g| g + 1),
         })
     }
 
@@ -682,6 +695,7 @@ impl JournalWriter {
         self.stats.records += 1;
         self.stats.bytes += framed;
         self.next_seq = seq + 1;
+        self.unsynced = true;
         Ok(seq)
     }
 
@@ -769,7 +783,37 @@ impl JournalWriter {
         self.file.flush()?;
         self.file.get_ref().sync_all()?;
         self.stats.syncs += 1;
+        self.unsynced = false;
         Ok(())
+    }
+
+    /// Commits a checkpoint of the engine state `payload`, which must
+    /// reflect every record appended so far: syncs the journal if records
+    /// were appended since the last sync, durably writes the next
+    /// generation's checkpoint covering them, and appends its
+    /// `CheckpointMark` (under `retry`). The mark itself is not synced.
+    ///
+    /// # Errors
+    ///
+    /// Any IO error syncing, writing the checkpoint, or appending the mark.
+    pub fn checkpoint(&mut self, payload: &[u8], retry: &RetryPolicy) -> std::io::Result<()> {
+        if self.unsynced {
+            self.sync()?;
+        }
+        let (generation, seq) = (self.generation, self.next_seq);
+        write_checkpoint(&self.dir, generation, seq, payload)?;
+        self.append_retry(&Record::CheckpointMark { generation, seq }, retry)
+            .map_err(std::io::Error::other)?;
+        self.generation += 1;
+        Ok(())
+    }
+
+    /// The generation the next [`checkpoint`](Self::checkpoint) writes:
+    /// the number of checkpoints a [`create`](Self::create)d writer has
+    /// committed.
+    #[must_use]
+    pub fn next_generation(&self) -> u64 {
+        self.generation
     }
 
     /// Hands buffered records to the OS without fsyncing them, so a
@@ -1273,6 +1317,45 @@ mod tests {
             other => panic!("expected EngineError::Journal, got {other:?}"),
         }
         assert_eq!(w.stats().retries, 3, "three of the four attempts were retries");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn create_clears_an_earlier_run_and_checkpoints_count_from_zero() {
+        let dir = temp_dir("reuse");
+        let mut w = JournalWriter::create_with(&dir, 96).unwrap();
+        for r in sample_records() {
+            w.append(&r).unwrap();
+            w.checkpoint(b"state", &RetryPolicy::none()).unwrap();
+        }
+        drop(w);
+        assert!(segment_path(&dir, 1).exists() && list_checkpoints(&dir).len() > 1);
+        std::fs::write(dir.join("options"), b"kept").unwrap();
+
+        let mut w = JournalWriter::create(&dir).unwrap();
+        let entries = |dir: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(entries(&dir), ["journal-00000000", "options"]);
+        assert_eq!(w.next_generation(), 0);
+        w.append(&Record::Aux { tag: AUX_GC, bytes: vec![] }).unwrap();
+        w.checkpoint(b"state", &RetryPolicy::none()).unwrap();
+        assert_eq!(list_checkpoints(&dir), [0]);
+        assert_eq!(w.stats().syncs, 1, "the appended record is synced before the checkpoint");
+        drop(w);
+
+        let scan = read_journal(&dir).unwrap();
+        assert_eq!(scan.last_checkpoint_mark(), Some((0, 1)));
+        let mut w = JournalWriter::resume(&dir, &scan).unwrap();
+        assert_eq!(w.next_generation(), 1, "resume continues after the newest checkpoint");
+        w.checkpoint(b"state", &RetryPolicy::none()).unwrap();
+        assert_eq!(w.stats().syncs, 0, "nothing appended since the resume, nothing to sync");
+        assert_eq!(list_checkpoints(&dir), [0, 1]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

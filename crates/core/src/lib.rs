@@ -61,6 +61,7 @@ pub mod error;
 pub mod expo;
 pub mod flight;
 pub mod journal;
+pub mod line;
 pub mod multi;
 pub mod netchaos;
 pub mod obs;
@@ -89,6 +90,7 @@ pub use crate::journal::{
     is_transient, read_journal, FailingWriter, JournalScan, JournalStats, JournalWriter, Record,
     RetryPolicy, SeqRecord, Truncation,
 };
+pub use crate::line::{Line, LineError, ObjectTable};
 pub use crate::multi::PropertyMonitor;
 pub use crate::netchaos::{ChaosProfile, ChaosProxy, ChaosStats};
 pub use crate::obs::{

@@ -15,6 +15,7 @@ use crate::binding::Binding;
 use crate::engine::{Engine, EngineConfig};
 use crate::error::EngineError;
 use crate::obs::{EngineObserver, NoopObserver};
+use crate::service::TriggerRecord;
 use crate::stats::EngineStats;
 
 /// Monitors every property block of one compiled spec.
@@ -120,6 +121,40 @@ impl<O: EngineObserver> PropertyMonitor<O> {
             engine.try_process(heap, event, binding)?;
         }
         Ok(())
+    }
+
+    /// Dispatches one event like [`PropertyMonitor::try_process`] and
+    /// returns the goal reports it fired, keyed for exactly-once delivery:
+    /// `event_seq` is the journal sequence of the firing record, and the
+    /// ordinal counts this event's reports across blocks, in block order.
+    /// Reports are recorded only with `EngineConfig::record_triggers` on.
+    ///
+    /// # Errors
+    ///
+    /// The first [`EngineError`] any block reports.
+    pub fn process_keyed(
+        &mut self,
+        heap: &Heap,
+        event: EventId,
+        binding: Binding,
+        event_seq: u64,
+    ) -> Result<Vec<TriggerRecord>, EngineError> {
+        let mut fired = Vec::new();
+        for (block, engine) in self.engines.iter_mut().enumerate() {
+            let before = engine.triggers().len();
+            engine.try_process(heap, event, binding)?;
+            for t in &engine.triggers()[before..] {
+                fired.push(TriggerRecord {
+                    event_seq,
+                    ordinal: fired.len() as u32,
+                    block: block as u16,
+                    step: t.step as u64,
+                    verdict: t.verdict,
+                    binding: t.binding,
+                });
+            }
+        }
+        Ok(fired)
     }
 
     /// Convenience: dispatches by event name.

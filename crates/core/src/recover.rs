@@ -37,7 +37,7 @@
 //!
 //! [`plan_recovery`]: crate::snapshot::plan_recovery
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
@@ -51,6 +51,7 @@ use crate::journal::{
     read_journal, JournalScan, Record, SeqRecord, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ, AUX_RELOAD,
     AUX_SLINE, AUX_SPEC, AUX_SWEEP,
 };
+use crate::line::{parse, Line, LineError, ObjectTable};
 use crate::multi::PropertyMonitor;
 use crate::obs::EngineObserver;
 use crate::service::TriggerRecord;
@@ -164,10 +165,9 @@ pub struct Recovered<O: EngineObserver> {
     pub monitor: PropertyMonitor<O>,
     /// The rebuilt heap.
     pub heap: Heap,
-    /// The class every journaled object was allocated with.
-    pub class: ClassId,
-    /// The client-visible object names from `AUX_OBJ` records.
-    pub objects: HashMap<String, ObjId>,
+    /// Every journaled object, with the client-visible names from
+    /// `AUX_OBJ` records and which objects were freed.
+    pub objects: ObjectTable,
     /// Per-session `cseq` high-water marks.
     pub sessions: HashMap<u64, u64>,
     /// The spec source in force at the journal tail.
@@ -208,8 +208,8 @@ impl<O: EngineObserver> Recovered<O> {
 /// rebuilt `ObjId` that diverges from the journaled one, an unknown
 /// object, a truncated `AUX_OBJ`/`AUX_SLINE`/`AUX_FATAL`, a malformed
 /// `AUX_RELOAD`, an unknown event, an arity mismatch, or a free of a
-/// never-allocated object; also when the checkpoint fails to restore or
-/// the recovered state fails `check_invariants`.
+/// never-allocated or already freed object; also when the checkpoint
+/// fails to restore or the recovered state fails `check_invariants`.
 pub fn recover<O: EngineObserver>(
     dir: &Path,
     from: ReplayFrom,
@@ -275,7 +275,7 @@ pub(crate) fn replay<O: EngineObserver>(
     let spec = compile(plan.scan.records[0].seq, &source)?;
     let config = EngineConfig { record_triggers: true, ..config.clone() };
     let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
+    let objects = ObjectTable::new(&mut heap);
     // Replay walks the records and restores the checkpoint while it
     // builds the result that owns them; both go back in at the end.
     let (hwm, replay_from) = (plan.scan.trigger_high_water_mark(), plan.replay_from());
@@ -286,14 +286,12 @@ pub(crate) fn replay<O: EngineObserver>(
         current: checkpoint.is_none(),
         checkpoint: checkpoint.as_ref(),
         hwm,
-        known: HashSet::new(),
         named: false,
         rec: Recovered {
             monitor: PropertyMonitor::with_observers(spec.clone(), &config, &mut observers),
             plan,
             heap,
-            class,
-            objects: HashMap::new(),
+            objects,
             sessions: HashMap::new(),
             spec_source: source,
             spec_version: 1,
@@ -342,8 +340,6 @@ struct Replay<'a, O: EngineObserver, F> {
     /// record: false until the checkpoint is restored, or a cutover at
     /// or past it starts a fresh engine.
     current: bool,
-    /// Bits of every object allocated so far.
-    known: HashSet<u64>,
     /// Whether an `AUX_OBJ` or `AUX_SLINE` has been seen: a daemon
     /// journal, whose every object has an `AUX_OBJ` record.
     named: bool,
@@ -360,16 +356,12 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
             }
             Record::Aux { tag: AUX_SWEEP, .. } => self.sweep(seq),
             Record::Aux { tag: AUX_FREE, bytes } => {
-                for chunk in bytes.chunks_exact(8) {
-                    let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    if !self.known.contains(&bits) {
-                        return reject(format!(
-                            "journal record {seq} frees object {bits:#x} never allocated"
-                        ));
-                    }
-                    self.rec.heap.unpin(ObjId::from_bits(bits));
-                }
-                Ok(())
+                let objs: Vec<ObjId> = bytes
+                    .chunks_exact(8)
+                    .map(|b| ObjId::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+                    .collect();
+                let rec = &mut self.rec;
+                rec.objects.free_objects(&mut rec.heap, &objs).map_err(|e| line_error(seq, &e))
             }
             Record::Aux { tag: AUX_OBJ, bytes } => {
                 let Some(bits) =
@@ -379,8 +371,8 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
                 };
                 self.named = true;
                 let obj = ObjId::from_bits(bits);
-                if !self.known.contains(&bits) {
-                    let fresh = self.alloc();
+                if !self.rec.objects.contains(obj) {
+                    let fresh = self.rec.objects.alloc(&mut self.rec.heap);
                     if fresh != obj {
                         return reject(format!(
                             "heap replay diverged at record {seq}: journal names object \
@@ -389,7 +381,7 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
                         ));
                     }
                 }
-                self.rec.objects.insert(String::from_utf8_lossy(&bytes[8..]).into_owned(), obj);
+                self.rec.objects.name(&String::from_utf8_lossy(&bytes[8..]), obj);
                 Ok(())
             }
             Record::Aux { tag: AUX_SLINE, bytes } => {
@@ -447,8 +439,8 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
                     event.as_usize()
                 ));
             };
-            if !self.known.contains(&obj.to_bits()) {
-                let fresh = if self.named { None } else { Some(self.alloc()) };
+            if !self.rec.objects.contains(obj) {
+                let fresh = (!self.named).then(|| self.rec.objects.alloc(&mut self.rec.heap));
                 if fresh != Some(obj) {
                     return reject(format!(
                         "journal record {seq} references object {:#x} with no AUX_OBJ record",
@@ -461,55 +453,30 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
     }
 
     /// One session-stamped trace line, resolved against the object names.
-    fn line(&mut self, seq: u64, line: &str) -> Result<(), RecoverError> {
-        let mut words = line.split_whitespace();
-        match words.next() {
+    fn line(&mut self, seq: u64, raw: &str) -> Result<(), RecoverError> {
+        let rec = &mut self.rec;
+        match parse(raw, &self.spec).map_err(|e| line_error(seq, &e))? {
             None => Ok(()),
-            Some("!gc") => {
-                self.rec.heap.collect();
+            Some(Line::Gc) => {
+                rec.heap.collect();
                 Ok(())
             }
-            Some("!sweep") => self.sweep(seq),
-            Some("!free") => {
-                for name in words {
-                    let Some(&obj) = self.rec.objects.get(name) else {
-                        return reject(format!(
-                            "journal record {seq} frees unknown object `{name}`"
-                        ));
-                    };
-                    self.rec.heap.unpin(obj);
-                }
+            Some(Line::Sweep) => self.sweep(seq),
+            Some(Line::Free(names)) => {
+                rec.objects.free(&mut rec.heap, &names).map_err(|e| line_error(seq, &e))?;
                 Ok(())
             }
-            Some(event_name) => {
-                let Some(event) = self.spec.alphabet.lookup(event_name) else {
-                    return reject(format!("journal record {seq}: unknown event `{event_name}`"));
-                };
-                let params = &self.spec.event_params[event.as_usize()];
-                let names: Vec<&str> = words.collect();
-                if names.len() != params.len() {
+            Some(Line::Event(event, names)) => {
+                if let Some(name) = names.iter().find(|n| rec.objects.get(n).is_none()) {
                     return reject(format!(
-                        "journal record {seq}: event arity mismatch in `{line}`"
+                        "journal record {seq} references `{name}` with no AUX_OBJ record"
                     ));
                 }
-                let mut pairs = Vec::with_capacity(params.len());
-                for (&p, name) in params.iter().zip(names) {
-                    let Some(&obj) = self.rec.objects.get(name) else {
-                        return reject(format!(
-                            "journal record {seq} references `{name}` with no AUX_OBJ record"
-                        ));
-                    };
-                    pairs.push((p, obj));
-                }
-                self.dispatch(seq, event, Binding::from_pairs(&pairs))
+                let params = &self.spec.event_params[event.as_usize()];
+                let binding = rec.objects.bind(&mut rec.heap, params, &names, |_, _| {});
+                self.dispatch(seq, event, binding)
             }
         }
-    }
-
-    fn alloc(&mut self) -> ObjId {
-        let obj = alloc_pinned(&mut self.rec.heap, self.rec.class);
-        self.known.insert(obj.to_bits());
-        obj
     }
 
     fn note_session(&mut self, session: u64, cseq: u64) {
@@ -549,31 +516,21 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
             return Ok(());
         }
         self.make_current()?;
-        let monitor = &mut self.rec.monitor;
-        let before: Vec<usize> = monitor.engines().iter().map(|e| e.triggers().len()).collect();
-        monitor
-            .try_process(&self.rec.heap, event, binding)
+        let fired = self
+            .rec
+            .monitor
+            .process_keyed(&self.rec.heap, event, binding, seq)
             .map_err(|e| RecoverError::Journal(format!("engine error at record {seq}: {e}")))?;
-        let mut ordinal = 0u32;
-        for (block, engine) in monitor.engines().iter().enumerate() {
-            for t in &engine.triggers()[before[block]..] {
-                if self.hwm.is_some_and(|h| (seq, ordinal) <= h) {
-                    self.rec.suppressed += 1;
-                }
-                self.rec.fired.push(TriggerRecord {
-                    event_seq: seq,
-                    ordinal,
-                    block: block as u16,
-                    step: t.step as u64,
-                    verdict: t.verdict,
-                    binding: t.binding,
-                });
-                ordinal += 1;
-            }
-        }
+        self.rec.suppressed +=
+            fired.iter().filter(|t| self.hwm.is_some_and(|h| t.key() <= h)).count();
+        self.rec.fired.extend(fired);
         self.rec.events += 1;
         Ok(())
     }
+}
+
+fn line_error(seq: u64, e: &LineError) -> RecoverError {
+    RecoverError::Journal(format!("journal record {seq}: {e}"))
 }
 
 /// Decodes the `(session, cseq)` prefix of an `AUX_SLINE`/`AUX_FATAL`.

@@ -65,7 +65,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rv_heap::{Heap, ObjId};
+use rv_heap::Heap;
 use rv_logic::Verdict;
 use rv_spec::CompiledSpec;
 
@@ -80,11 +80,12 @@ use crate::journal::{
     crc32, JournalWriter, Record, RetryPolicy, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ, AUX_RELOAD,
     AUX_SLINE, AUX_SPEC, AUX_SWEEP,
 };
+use crate::line::{parse, Line, ObjectTable};
 use crate::multi::PropertyMonitor;
 use crate::obs::NoopObserver;
-use crate::recover::{self, alloc_pinned, BaseCounters, RecoverError, ReplayFrom};
+use crate::recover::{self, BaseCounters, RecoverError, ReplayFrom};
 use crate::slo::{ObjectiveSnapshot, SloConfig, SloSnapshot, SloTracker};
-use crate::snapshot::{list_checkpoints, write_checkpoint};
+use crate::snapshot::list_checkpoints;
 
 // --- Wire protocol -------------------------------------------------------
 
@@ -692,7 +693,9 @@ impl TriggerRecord {
         )
     }
 
-    pub(crate) fn to_record(self) -> Record {
+    /// The journal record of this report.
+    #[must_use]
+    pub fn to_record(self) -> Record {
         Record::Trigger {
             event_seq: self.event_seq,
             ordinal: self.ordinal,
@@ -2335,16 +2338,12 @@ struct Worker {
     name: String,
     monitor: PropertyMonitor,
     heap: Heap,
-    class: rv_heap::ClassId,
-    objects: HashMap<String, ObjId>,
+    objects: ObjectTable,
     journal: JournalWriter,
     dir: PathBuf,
     retry: RetryPolicy,
     checkpoint_every: u64,
     events_since_checkpoint: u64,
-    generation: u64,
-    alphabet: rv_logic::Alphabet,
-    event_params: Vec<Vec<rv_logic::ParamId>>,
     shared: Arc<Mutex<TenantSnapshot>>,
     bad_lines: u64,
     /// Per-session `cseq` high-water marks — the server half of
@@ -2457,7 +2456,6 @@ impl Worker {
         if !rec.refired().is_empty() {
             journal.sync().map_err(|e| internal(e.to_string()))?;
         }
-        let generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
         // Rebuild the poll window: every journaled report in key
         // order, then the refired tail (their keys all sit past the
         // journaled HWM).
@@ -2475,18 +2473,14 @@ impl Worker {
         }
         let mut w = Worker {
             name: name.to_owned(),
-            alphabet: rec.monitor.spec().alphabet.clone(),
-            event_params: rec.monitor.spec().event_params.clone(),
             monitor: rec.monitor,
             heap: rec.heap,
-            class: rec.class,
             objects: rec.objects,
             journal,
             dir: dir.to_path_buf(),
             retry,
             checkpoint_every: config.checkpoint_every.max(1),
             events_since_checkpoint: 0,
-            generation,
             shared: Arc::clone(shared),
             bad_lines: 0,
             sessions: rec.sessions,
@@ -2705,8 +2699,6 @@ impl Worker {
         self.sync_timed()?;
         self.monitor = PropertyMonitor::new(spec, &self.engine_cfg);
         self.install_flags();
-        self.alphabet = self.monitor.spec().alphabet.clone();
-        self.event_params = self.monitor.spec().event_params.clone();
         self.base = base;
         self.spec_version += 1;
         self.reload_token = token;
@@ -2729,15 +2721,15 @@ impl Worker {
         self.journal.append_retry(record, &self.retry).map_err(|e| Fatal(e.to_string()))
     }
 
+    /// Syncs the journal, then commits a checkpoint and syncs its mark:
+    /// both fsyncs land in the `JournalFsync` stage.
     fn checkpoint_now(&mut self) -> Result<(), Fatal> {
         self.sync_timed()?;
         if let Some(payload) = self.monitor.snapshot_bytes() {
-            let covered = self.journal.next_seq();
-            write_checkpoint(&self.dir, self.generation, covered, &payload)
-                .map_err(|e| Fatal(format!("checkpoint write failed: {e}")))?;
-            self.append(&Record::CheckpointMark { generation: self.generation, seq: covered })?;
+            self.journal
+                .checkpoint(&payload, &self.retry)
+                .map_err(|e| Fatal(format!("checkpoint failed: {e}")))?;
             self.sync_timed()?;
-            self.generation += 1;
             self.shared.lock().expect("snapshot poisoned").checkpoints += 1;
         }
         Ok(())
@@ -2757,12 +2749,29 @@ impl Worker {
     /// record — the line and its dedup `(session, cseq)` commit
     /// together, so a crash can never tear the dedup mark from its
     /// effects.
-    fn append_sline(&mut self, session: u64, cseq: u64, line: &str) -> Result<u64, Fatal> {
+    /// Session 0 journals `record` itself, the pre-resolved form.
+    fn append_line(
+        &mut self,
+        session: u64,
+        cseq: u64,
+        line: &str,
+        record: Record,
+    ) -> Result<u64, Fatal> {
+        if session == 0 {
+            return self.append(&record);
+        }
         let mut bytes = Vec::with_capacity(16 + line.len());
         bytes.extend_from_slice(&session.to_le_bytes());
         bytes.extend_from_slice(&cseq.to_le_bytes());
         bytes.extend_from_slice(line.as_bytes());
         self.append(&Record::Aux { tag: AUX_SLINE, bytes })
+    }
+
+    /// Counts a malformed client line and skips it.
+    fn bad_line(&mut self, session: u64, cseq: u64) {
+        self.bad_lines += 1;
+        self.obs.note_error();
+        self.note_session(session, cseq);
     }
 
     /// One line of the trace grammar. Malformed client input is counted
@@ -2808,14 +2817,32 @@ impl Worker {
             }
         }
         let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            self.note_session(session, cseq);
-            return Ok(());
+        if line.split_whitespace().next() == Some("!fatal") {
+            if self.opts.flags & TENANT_FLAG_ALLOW_FATAL == 0 {
+                self.bad_line(session, cseq);
+                return Ok(());
+            }
+            // Journal + fsync the kill marker BEFORE dying: the
+            // restarted worker rebuilds the session HWM past this
+            // cseq, so the client's resend of `!fatal` dedups
+            // instead of re-killing the tenant in a loop.
+            let mut bytes = Vec::with_capacity(16);
+            bytes.extend_from_slice(&session.to_le_bytes());
+            bytes.extend_from_slice(&cseq.to_le_bytes());
+            self.append(&Record::Aux { tag: AUX_FATAL, bytes })?;
+            self.sync_timed()?;
+            return Err(Fatal("injected worker-fatal fault (!fatal)".into()));
         }
-        let mut words = line.split_whitespace();
-        let Some(head) = words.next() else {
-            self.note_session(session, cseq);
-            return Ok(());
+        let parsed = match parse(line, self.monitor.spec()) {
+            Ok(Some(parsed)) => parsed,
+            Ok(None) => {
+                self.note_session(session, cseq);
+                return Ok(());
+            }
+            Err(_) => {
+                self.bad_line(session, cseq);
+                return Ok(());
+            }
         };
         // The wire-to-trigger trace for this line: the connection-side
         // spans arrive in `ctx`, the worker fills in the rest as the
@@ -2831,37 +2858,23 @@ impl Worker {
         trace.stages[Stage::Admission.idx()] = ctx.admission_ns;
         trace.stages[Stage::QueueWait.idx()] = ctx.queue_ns;
         let span_ns = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match head {
-            "!gc" => {
-                let t0 = Instant::now();
-                if session == 0 {
-                    self.append(&Record::Aux { tag: AUX_GC, bytes: Vec::new() })?;
+        match parsed {
+            directive @ (Line::Gc | Line::Sweep) => {
+                let (tag, note) = if directive == Line::Gc {
+                    (AUX_GC, "heap collect (!gc)")
                 } else {
-                    self.append_sline(session, cseq, line)?;
-                }
+                    (AUX_SWEEP, "full sweep (!sweep)")
+                };
+                let t0 = Instant::now();
+                self.append_line(session, cseq, line, Record::Aux { tag, bytes: Vec::new() })?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 let t0 = Instant::now();
-                self.heap.collect();
-                let dur = span_ns(t0);
-                trace.stages[Stage::Engine.idx()] = dur;
-                self.flight.lock().expect("flight recorder poisoned").note(
-                    &self.name,
-                    FlightKind::GcCycle,
-                    dur,
-                    "heap collect (!gc)",
-                );
-            }
-            "!sweep" => {
-                let t0 = Instant::now();
-                if session == 0 {
-                    self.append(&Record::Aux { tag: AUX_SWEEP, bytes: Vec::new() })?;
+                if tag == AUX_GC {
+                    self.heap.collect();
                 } else {
-                    self.append_sline(session, cseq, line)?;
-                }
-                trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
-                let t0 = Instant::now();
-                for engine in self.monitor.engines_mut() {
-                    engine.full_sweep(&self.heap);
+                    for engine in self.monitor.engines_mut() {
+                        engine.full_sweep(&self.heap);
+                    }
                 }
                 let dur = span_ns(t0);
                 trace.stages[Stage::Engine.idx()] = dur;
@@ -2869,138 +2882,56 @@ impl Worker {
                     &self.name,
                     FlightKind::GcCycle,
                     dur,
-                    "full sweep (!sweep)",
+                    note,
                 );
             }
-            "!fatal" => {
-                if self.opts.flags & TENANT_FLAG_ALLOW_FATAL == 0 {
-                    self.bad_lines += 1;
-                    self.obs.note_error();
-                    self.note_session(session, cseq);
-                    return Ok(());
-                }
-                // Journal + fsync the kill marker BEFORE dying: the
-                // restarted worker rebuilds the session HWM past this
-                // cseq, so the client's resend of `!fatal` dedups
-                // instead of re-killing the tenant in a loop.
-                let mut bytes = Vec::with_capacity(16);
-                bytes.extend_from_slice(&session.to_le_bytes());
-                bytes.extend_from_slice(&cseq.to_le_bytes());
-                self.append(&Record::Aux { tag: AUX_FATAL, bytes })?;
-                self.sync_timed()?;
-                return Err(Fatal("injected worker-fatal fault (!fatal)".into()));
-            }
-            "!free" => {
-                let mut freed = Vec::new();
-                let mut payload = Vec::new();
-                for name in words {
-                    let Some(&obj) = self.objects.get(name) else {
-                        self.bad_lines += 1;
-                        self.obs.note_error();
-                        self.note_session(session, cseq);
-                        return Ok(());
-                    };
-                    payload.extend_from_slice(&obj.to_bits().to_le_bytes());
-                    freed.push(obj);
-                }
+            Line::Free(names) => {
+                // A free the table rejects (unknown or already freed
+                // object) is a bad line: nothing is journaled or unpinned.
                 let t0 = Instant::now();
-                if session == 0 {
-                    self.append(&Record::Aux { tag: AUX_FREE, bytes: payload })?;
-                } else {
-                    self.append_sline(session, cseq, line)?;
-                }
-                trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
-                let t0 = Instant::now();
-                for obj in freed {
-                    self.heap.unpin(obj);
-                }
-                trace.stages[Stage::Engine.idx()] = span_ns(t0);
-            }
-            event_name => {
-                let Some(event) = self.alphabet.lookup(event_name) else {
-                    self.bad_lines += 1;
-                    self.obs.note_error();
-                    self.note_session(session, cseq);
+                let Ok(freed) = self.objects.free(&mut self.heap, &names) else {
+                    self.bad_line(session, cseq);
                     return Ok(());
                 };
-                let params = self.event_params[event.as_usize()].clone();
-                let names: Vec<&str> = words.collect();
-                if names.len() != params.len() {
-                    self.bad_lines += 1;
-                    self.obs.note_error();
-                    self.note_session(session, cseq);
-                    return Ok(());
-                }
+                trace.stages[Stage::Engine.idx()] = span_ns(t0);
+                let bytes = freed.iter().flat_map(|o| o.to_bits().to_le_bytes()).collect();
+                let t0 = Instant::now();
+                self.append_line(session, cseq, line, Record::Aux { tag: AUX_FREE, bytes })?;
+                trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
+            }
+            Line::Event(event, names) => {
                 // First-mention allocations are journaled as AUX_OBJ
                 // (object bits + client name) ahead of the event, so
                 // recovery rebuilds the same name → ObjId map.
-                let mut pairs = Vec::with_capacity(params.len());
                 let mut fresh: Vec<Record> = Vec::new();
-                for (&p, &name) in params.iter().zip(&names) {
-                    let obj = match self.objects.get(name) {
-                        Some(&o) => o,
-                        None => {
-                            let o = alloc_pinned(&mut self.heap, self.class);
-                            self.objects.insert(name.to_owned(), o);
-                            let mut bytes = o.to_bits().to_le_bytes().to_vec();
-                            bytes.extend_from_slice(name.as_bytes());
-                            fresh.push(Record::Aux { tag: AUX_OBJ, bytes });
-                            o
-                        }
-                    };
-                    pairs.push((p, obj));
-                }
+                let params = &self.monitor.spec().event_params[event.as_usize()];
+                let binding = self.objects.bind(&mut self.heap, params, &names, |obj, name| {
+                    let mut bytes = obj.to_bits().to_le_bytes().to_vec();
+                    bytes.extend_from_slice(name.as_bytes());
+                    fresh.push(Record::Aux { tag: AUX_OBJ, bytes });
+                });
                 let t0 = Instant::now();
                 for r in &fresh {
                     self.append(r)?;
                 }
-                let binding = Binding::from_pairs(&pairs);
-                let seq = if session == 0 {
-                    self.append(&Record::Event { event, binding })?
-                } else {
-                    self.append_sline(session, cseq, line)?
-                };
+                let seq =
+                    self.append_line(session, cseq, line, Record::Event { event, binding })?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 trace.seq = seq;
-                let before: Vec<usize> =
-                    self.monitor.engines().iter().map(|e| e.triggers().len()).collect();
                 let t0 = Instant::now();
-                self.monitor
-                    .try_process(&self.heap, event, binding)
+                let fired = self
+                    .monitor
+                    .process_keyed(&self.heap, event, binding, seq)
                     .map_err(|e| Fatal(format!("engine error: {e}")))?;
                 trace.stages[Stage::Engine.idx()] = span_ns(t0);
-                let mut ordinal = 0u32;
-                let fired: Vec<Record> = self
-                    .monitor
-                    .engines()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(bi, engine)| {
-                        engine.triggers()[before[bi]..].iter().map(move |t| (bi, *t))
-                    })
-                    .map(|(bi, t)| {
-                        let r = Record::Trigger {
-                            event_seq: seq,
-                            ordinal,
-                            block: bi as u16,
-                            step: t.step as u64,
-                            verdict: t.verdict,
-                            binding: t.binding,
-                        };
-                        ordinal += 1;
-                        r
-                    })
-                    .collect();
-                let t0 = Instant::now();
-                for r in &fired {
-                    self.append(r)?;
-                }
                 if !fired.is_empty() {
+                    let t0 = Instant::now();
+                    for t in &fired {
+                        self.append(&t.to_record())?;
+                    }
                     let mut log = self.triggers.lock().expect("trigger log poisoned");
-                    for r in &fired {
-                        if let Some(t) = TriggerRecord::from_record(r) {
-                            log.push(t);
-                        }
+                    for t in fired {
+                        log.push(t);
                     }
                     trace.stages[Stage::TriggerDelivery.idx()] = span_ns(t0);
                 }

@@ -104,7 +104,9 @@
 
 use std::process::ExitCode;
 
-use rv_monitor::core::{EngineStats, MetricsRegistry, PhaseProfiler, RecoverError, Recovered};
+use rv_monitor::core::{
+    EngineStats, MetricsRegistry, PhaseProfiler, RecoverError, Recovered, RetryPolicy,
+};
 use rv_monitor::logic::{AnyFormalism, Formalism as _};
 use rv_monitor::spec::{compile, parse, print, CompiledSpec};
 
@@ -363,10 +365,8 @@ fn chaos(path: &str, source: &str, rest: &[String]) -> ExitCode {
 }
 
 /// Drives a textual event trace through `monitor` — the shared core of
-/// `trace`, `explain`, and `serve`. Grammar: `event obj…` dispatches an
-/// event (objects are named and allocated pinned, in a throwaway frame,
-/// on first mention), `!free obj…` unpins, `!gc` collects the heap,
-/// `!sweep` runs a monitor-GC sweep on every block; `#` starts a comment.
+/// `trace`, `explain`, `serve` and `timeline`, in the grammar of
+/// [`rv_monitor::core::line`].
 ///
 /// Errors carry the `file:line: error: message` rendering ready to print.
 fn drive_trace<O: rv_monitor::core::EngineObserver>(
@@ -375,78 +375,31 @@ fn drive_trace<O: rv_monitor::core::EngineObserver>(
     events_path: &str,
     events: &str,
 ) -> Result<(), String> {
-    use rv_monitor::core::Binding;
+    use rv_monitor::core::{line, Line, ObjectTable};
 
-    let alphabet = monitor.spec().alphabet.clone();
-    let event_params = monitor.spec().event_params.clone();
-    let class = heap.register_class("Obj");
-    let mut objects: std::collections::HashMap<String, rv_monitor::heap::ObjId> =
-        std::collections::HashMap::new();
+    let mut objects = ObjectTable::new(heap);
     for (lineno, raw) in events.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        // invariant: `line` is non-empty after trimming, so there is at
-        // least one word — but degrade to skipping the line regardless.
-        let Some(head) = words.next() else {
-            continue;
-        };
-        let report_err = |msg: String| format!("{events_path}:{}: error: {msg}", lineno + 1);
-        match head {
-            "!gc" => {
+        let report_err =
+            |msg: &dyn std::fmt::Display| format!("{events_path}:{}: error: {msg}", lineno + 1);
+        match line::parse(raw, monitor.spec()).map_err(|e| report_err(&e))? {
+            None => {}
+            Some(Line::Gc) => {
                 heap.collect();
             }
-            "!sweep" => {
+            Some(Line::Sweep) => {
                 for engine in monitor.engines_mut() {
                     engine.full_sweep(heap);
                 }
             }
-            "!free" => {
-                for name in words {
-                    match objects.get(name) {
-                        Some(&obj) => heap.unpin(obj),
-                        None => return Err(report_err(format!("unknown object `{name}`"))),
-                    }
-                }
+            Some(Line::Free(names)) => {
+                objects.free(heap, &names).map_err(|e| report_err(&e))?;
             }
-            event_name => {
-                let Some(event) = alphabet.lookup(event_name) else {
-                    return Err(report_err(format!(
-                        "`{event_name}` is not an event of this spec \
-                         (directives are !free, !gc, !sweep)"
-                    )));
-                };
-                let params = &event_params[event.as_usize()];
-                let names: Vec<&str> = words.collect();
-                if names.len() != params.len() {
-                    return Err(report_err(format!(
-                        "event `{event_name}` takes {} object(s), got {}",
-                        params.len(),
-                        names.len()
-                    )));
-                }
-                let pairs: Vec<_> = params
-                    .iter()
-                    .zip(&names)
-                    .map(|(&p, &name)| {
-                        let obj = *objects.entry(name.to_owned()).or_insert_with(|| {
-                            // Allocate in a throwaway frame so the pin is
-                            // the object's only root: `!free` then `!gc`
-                            // really reclaims it.
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                        (p, obj)
-                    })
-                    .collect();
-                if let Err(e) = monitor.try_process(heap, event, Binding::from_pairs(&pairs)) {
-                    return Err(report_err(format!("engine error: {e}")));
-                }
+            Some(Line::Event(event, names)) => {
+                let params = &monitor.spec().event_params[event.as_usize()];
+                let binding = objects.bind(heap, params, &names, |_, _| {});
+                monitor
+                    .try_process(heap, event, binding)
+                    .map_err(|e| report_err(&format!("engine error: {e}")))?;
             }
         }
     }
@@ -1198,12 +1151,6 @@ fn run(path: &str, source: &str, rest: &[String]) -> ExitCode {
     }
 }
 
-/// The journal-append retry policy for this run, set once from
-/// `--journal-retries`/`--journal-backoff-ms` before the journal opens;
-/// the defaults apply when the flags are absent.
-static JOURNAL_RETRY: std::sync::OnceLock<rv_monitor::core::RetryPolicy> =
-    std::sync::OnceLock::new();
-
 /// Appends `r` under a [`Phase::JournalAppend`] profiler span, so the
 /// journaled paths report where their write-ahead time goes.
 fn append_timed(
@@ -1214,19 +1161,76 @@ fn append_timed(
     let span = prof.enter(rv_monitor::core::Phase::JournalAppend);
     // Transient faults (EINTR and friends) are retried with backoff;
     // only a persistent failure (typed `EngineError::Journal`) surfaces.
-    let retry = JOURNAL_RETRY.get().copied().unwrap_or_default();
-    let res = journal.append_retry(r, &retry).map_err(std::io::Error::other);
+    let res = journal.append_retry(r, &RetryPolicy::default()).map_err(std::io::Error::other);
     prof.exit(span);
     res
 }
 
+/// Opens a fresh journal in `dir` whose sequence 0 carries the spec
+/// source, so `recover` and `replay` are self-contained: the journal
+/// directory alone reconstitutes the run.
+fn begin_journal(
+    dir: &std::path::Path,
+    source: &str,
+) -> std::io::Result<(rv_monitor::core::JournalWriter, PhaseProfiler)> {
+    use rv_monitor::core::journal::AUX_SPEC;
+    use rv_monitor::core::{JournalWriter, Record};
+
+    let mut journal = JournalWriter::create(dir)?;
+    // Journal appends are timed as `journal_append` spans; the profile is
+    // part of the final stats line.
+    let mut jprof = PhaseProfiler::new().with_label("journal");
+    let spec = Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() };
+    append_timed(&mut journal, &mut jprof, &spec)?;
+    Ok((journal, jprof))
+}
+
+/// Journals and runs one `!gc`; the collection's cycle telemetry follows
+/// as `AUX_GC_CYCLE` records and is returned.
+fn journaled_gc(
+    journal: &mut rv_monitor::core::JournalWriter,
+    jprof: &mut PhaseProfiler,
+    heap: &mut rv_monitor::heap::Heap,
+) -> std::io::Result<Vec<rv_monitor::core::GcCycleRecord>> {
+    use rv_monitor::core::journal::{AUX_GC, AUX_GC_CYCLE};
+    use rv_monitor::core::{GcCycleRecord, Record};
+
+    append_timed(journal, jprof, &Record::Aux { tag: AUX_GC, bytes: Vec::new() })?;
+    heap.collect();
+    heap.drain_cycles()
+        .iter()
+        .map(|c| {
+            let rec = GcCycleRecord::from_heap_cycle(c);
+            let bytes = rec.to_bytes();
+            append_timed(journal, jprof, &Record::Aux { tag: AUX_GC_CYCLE, bytes })?;
+            Ok(rec)
+        })
+        .collect()
+}
+
+/// Journals the objects a `!free` unpinned as one `AUX_FREE` record.
+fn append_free(
+    journal: &mut rv_monitor::core::JournalWriter,
+    jprof: &mut PhaseProfiler,
+    freed: &[rv_monitor::heap::ObjId],
+) -> std::io::Result<u64> {
+    use rv_monitor::core::journal::AUX_FREE;
+
+    let bytes = freed.iter().flat_map(|o| o.to_bits().to_le_bytes()).collect();
+    append_timed(journal, jprof, &rv_monitor::core::Record::Aux { tag: AUX_FREE, bytes })
+}
+
+/// The `rvmon run` exit for a rejected trace line.
+fn line_error(events_path: &str, lineno: usize, e: impl std::fmt::Display) -> (u8, String) {
+    (1, format!("{events_path}:{}: {e}", lineno + 1))
+}
+
 #[allow(clippy::too_many_lines)]
 fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8, String)> {
-    use rv_monitor::core::journal::{AUX_FREE, AUX_GC, AUX_GC_CYCLE, AUX_SPEC, AUX_SWEEP};
-    use rv_monitor::core::snapshot::write_checkpoint;
+    use rv_monitor::core::journal::{AUX_GC_CYCLE, AUX_SWEEP};
     use rv_monitor::core::{
-        Binding, EngineConfig, EngineObserver as _, GcCycleRecord, GcReason, JournalWriter,
-        MetricsRegistry, PropertyMonitor, Record,
+        line, EngineConfig, EngineObserver as _, GcReason, Line, MetricsRegistry, ObjectTable,
+        PropertyMonitor, Record,
     };
     use rv_monitor::heap::{Heap, HeapConfig};
 
@@ -1234,13 +1238,11 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
     let mut journal_dir: Option<&str> = None;
     let mut checkpoint_every: Option<usize> = None;
     let mut shards: usize = 1;
-    let mut journal_retries: Option<u32> = None;
-    let mut journal_backoff_ms: Option<u64> = None;
     let usage = || {
         (
             2u8,
             "usage: rvmon run <spec-file> <events-file> --journal DIR [--checkpoint-every N] \
-             [--shards K] [--journal-retries N] [--journal-backoff-ms N]"
+             [--shards K]"
                 .to_owned(),
         )
     };
@@ -1248,18 +1250,6 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--journal" => journal_dir = Some(it.next().ok_or_else(usage)?.as_str()),
-            "--journal-retries" => {
-                journal_retries = Some(
-                    it.next()
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or_else(usage)?,
-                );
-            }
-            "--journal-backoff-ms" => {
-                journal_backoff_ms =
-                    Some(it.next().and_then(|s| s.parse::<u64>().ok()).ok_or_else(usage)?);
-            }
             "--checkpoint-every" => {
                 checkpoint_every = Some(
                     it.next()
@@ -1284,16 +1274,6 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
     let (Some(events_path), Some(journal_dir)) = (events_path, journal_dir) else {
         return Err(usage());
     };
-    if journal_retries.is_some() || journal_backoff_ms.is_some() {
-        let mut rp = rv_monitor::core::RetryPolicy::default();
-        if let Some(n) = journal_retries {
-            rp.max_attempts = n;
-        }
-        if let Some(ms) = journal_backoff_ms {
-            rp.backoff = std::time::Duration::from_millis(ms);
-        }
-        let _ = JOURNAL_RETRY.set(rp);
-    }
     let journal_dir = std::path::Path::new(journal_dir);
     let events = std::fs::read_to_string(events_path)
         .map_err(|e| (2, format!("cannot read {events_path}: {e}")))?;
@@ -1311,8 +1291,6 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
         return run_sharded(source, spec, events_path, &events, journal_dir, shards);
     }
     let checkpoint_every = checkpoint_every.unwrap_or(32);
-    let alphabet = spec.alphabet.clone();
-    let event_params = spec.event_params.clone();
     let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
     // A metrics observer on every block turns the GC telemetry on: with
     // it enabled, sweeps hand back per-cycle records the journal keeps as
@@ -1320,61 +1298,34 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
     let mut monitor = PropertyMonitor::with_observers(spec, &config, |_| MetricsRegistry::new());
 
     let io = |e: std::io::Error| (2u8, format!("journal write failed: {e}"));
-    let mut journal = JournalWriter::create(journal_dir).map_err(io)?;
-    // Journal appends are timed as `journal_append` spans; the profile is
-    // part of the final stats line.
-    let mut jprof = rv_monitor::core::PhaseProfiler::new().with_label("journal");
-    // Sequence 0 carries the spec source, so `recover` and `replay` are
-    // self-contained: the journal directory alone reconstitutes the run.
-    append_timed(
-        &mut journal,
-        &mut jprof,
-        &Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() },
-    )
-    .map_err(io)?;
+    let (mut journal, mut jprof) = begin_journal(journal_dir, source).map_err(io)?;
+    let checkpoint = |journal: &mut rv_monitor::core::JournalWriter,
+                      monitor: &PropertyMonitor<MetricsRegistry>| {
+        match monitor.snapshot_bytes() {
+            Some(payload) => journal
+                .checkpoint(&payload, &RetryPolicy::default())
+                .map_err(|e| (2u8, format!("checkpoint failed: {e}"))),
+            None => Ok(()),
+        }
+    };
 
     let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut objects: std::collections::HashMap<String, rv_monitor::heap::ObjId> =
-        std::collections::HashMap::new();
+    let mut objects = ObjectTable::new(&mut heap);
     let mut events_since_checkpoint = 0usize;
-    let mut generation = 0u64;
     for (lineno, raw) in events.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        let Some(head) = words.next() else {
-            continue;
-        };
-        let report_err = |msg: String| (1u8, format!("{events_path}:{}: {msg}", lineno + 1));
-        match head {
-            "!gc" => {
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_GC, bytes: Vec::new() },
-                )
-                .map_err(io)?;
-                heap.collect();
-                // The collection just finished is in the heap's cycle
-                // log: journal it as telemetry and deliver it to the
-                // first block's observer (one consumer per shared heap).
-                for c in heap.drain_cycles() {
-                    let rec = GcCycleRecord::from_heap_cycle(&c);
-                    append_timed(
-                        &mut journal,
-                        &mut jprof,
-                        &Record::Aux { tag: AUX_GC_CYCLE, bytes: rec.to_bytes() },
-                    )
-                    .map_err(io)?;
+        let parsed = line::parse(raw, monitor.spec());
+        match parsed.map_err(|e| line_error(events_path, lineno, e))? {
+            None => {}
+            Some(Line::Gc) => {
+                // Deliver the collection's telemetry to the first block's
+                // observer (one consumer per shared heap).
+                for rec in journaled_gc(&mut journal, &mut jprof, &mut heap).map_err(io)? {
                     if let Some(first) = monitor.engines_mut().first_mut() {
                         first.observer_mut().gc_cycle(&rec);
                     }
                 }
             }
-            "!sweep" => {
+            Some(Line::Sweep) => {
                 append_timed(
                     &mut journal,
                     &mut jprof,
@@ -1392,133 +1343,42 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
                     }
                 }
             }
-            "!free" => {
-                let mut freed = Vec::new();
-                let mut payload = Vec::new();
-                for name in words {
-                    let Some(&obj) = objects.get(name) else {
-                        return Err(report_err(format!("unknown object `{name}`")));
-                    };
-                    payload.extend_from_slice(&obj.to_bits().to_le_bytes());
-                    freed.push(obj);
-                }
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_FREE, bytes: payload },
-                )
-                .map_err(io)?;
-                for obj in freed {
-                    heap.unpin(obj);
-                }
+            Some(Line::Free(names)) => {
+                let freed = objects
+                    .free(&mut heap, &names)
+                    .map_err(|e| line_error(events_path, lineno, e))?;
+                append_free(&mut journal, &mut jprof, &freed).map_err(io)?;
             }
-            event_name => {
-                let Some(event) = alphabet.lookup(event_name) else {
-                    return Err(report_err(format!(
-                        "`{event_name}` is not an event of this spec \
-                         (directives are !free, !gc, !sweep)"
-                    )));
-                };
-                let params = &event_params[event.as_usize()];
-                let names: Vec<&str> = words.collect();
-                if names.len() != params.len() {
-                    return Err(report_err(format!(
-                        "event `{event_name}` takes {} object(s), got {}",
-                        params.len(),
-                        names.len()
-                    )));
-                }
-                let pairs: Vec<_> = params
-                    .iter()
-                    .zip(&names)
-                    .map(|(&p, &name)| {
-                        let obj = *objects.entry(name.to_owned()).or_insert_with(|| {
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                        (p, obj)
-                    })
-                    .collect();
-                let binding = Binding::from_pairs(&pairs);
+            Some(Line::Event(event, names)) => {
+                let params = &monitor.spec().event_params[event.as_usize()];
+                let binding = objects.bind(&mut heap, params, &names, |_, _| {});
                 let seq = append_timed(&mut journal, &mut jprof, &Record::Event { event, binding })
                     .map_err(io)?;
-                let before: Vec<usize> =
-                    monitor.engines().iter().map(|e| e.triggers().len()).collect();
-                monitor
-                    .try_process(&heap, event, binding)
-                    .map_err(|e| report_err(format!("engine error: {e}")))?;
-                // Goal reports are journaled with a global per-event
-                // ordinal across blocks, in engine order — the duplicate
-                // suppression key recovery uses.
-                let mut ordinal = 0u32;
-                let fired: Vec<Record> = monitor
-                    .engines()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(bi, engine)| {
-                        engine.triggers()[before[bi]..].iter().map(move |t| (bi, *t))
-                    })
-                    .map(|(bi, t)| {
-                        let r = Record::Trigger {
-                            event_seq: seq,
-                            ordinal,
-                            block: bi as u16,
-                            step: t.step as u64,
-                            verdict: t.verdict,
-                            binding: t.binding,
-                        };
-                        ordinal += 1;
-                        r
-                    })
-                    .collect();
-                for r in &fired {
-                    append_timed(&mut journal, &mut jprof, r).map_err(io)?;
+                let fired = monitor
+                    .process_keyed(&heap, event, binding, seq)
+                    .map_err(|e| line_error(events_path, lineno, format!("engine error: {e}")))?;
+                for t in fired {
+                    append_timed(&mut journal, &mut jprof, &t.to_record()).map_err(io)?;
                 }
                 events_since_checkpoint += 1;
                 if events_since_checkpoint >= checkpoint_every {
                     events_since_checkpoint = 0;
-                    journal.sync().map_err(io)?;
-                    if let Some(payload) = monitor.snapshot_bytes() {
-                        let covered = journal.next_seq();
-                        write_checkpoint(journal_dir, generation, covered, &payload)
-                            .map_err(|e| (2, format!("checkpoint write failed: {e}")))?;
-                        append_timed(
-                            &mut journal,
-                            &mut jprof,
-                            &Record::CheckpointMark { generation, seq: covered },
-                        )
-                        .map_err(io)?;
-                        generation += 1;
-                    }
+                    checkpoint(&mut journal, &monitor)?;
                 }
             }
         }
     }
     monitor.finish(&heap);
-    journal.sync().map_err(io)?;
     // A final checkpoint makes `recover` on a cleanly finished run a
     // near-instant restore.
-    if let Some(payload) = monitor.snapshot_bytes() {
-        let covered = journal.next_seq();
-        write_checkpoint(journal_dir, generation, covered, &payload)
-            .map_err(|e| (2, format!("checkpoint write failed: {e}")))?;
-        append_timed(
-            &mut journal,
-            &mut jprof,
-            &Record::CheckpointMark { generation, seq: covered },
-        )
-        .map_err(io)?;
-        journal.sync().map_err(io)?;
-    }
+    checkpoint(&mut journal, &monitor)?;
+    journal.sync().map_err(io)?;
     let jstats = journal.stats();
     println!(
         "journaled run: {} record(s), {} byte(s), {} checkpoint(s) in {}",
         jstats.records,
         jstats.bytes,
-        generation + 1,
+        journal.next_generation(),
         journal_dir.display()
     );
     println!(
@@ -1538,12 +1398,11 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
 /// or end of trace) with their deterministic `(event_seq, ordinal)` keys,
 /// where `event_seq` is the journal sequence of the event record. Heap
 /// mutation — collection, unpinning, and first-mention allocation — only
-/// happens while every worker is quiescent; allocations are hoisted to
-/// the start of each directive-free run of events, which hands out the
-/// same `ObjId`s as allocating at first mention because the free list
-/// only changes at a collection. Checkpoints are not written: recovery
-/// replays the journal from sequence 0 on the sequential engine, which is
-/// verdict-equivalent.
+/// happens while every worker is quiescent: each directive-free run of
+/// events is bound up front, which hands out the same `ObjId`s as binding
+/// at each event because the free list only changes at a collection.
+/// Checkpoints are not written: recovery replays the journal from
+/// sequence 0 on the sequential engine, which is verdict-equivalent.
 #[allow(clippy::too_many_lines)]
 fn run_sharded(
     source: &str,
@@ -1553,76 +1412,32 @@ fn run_sharded(
     journal_dir: &std::path::Path,
     shards: usize,
 ) -> Result<ExitCode, (u8, String)> {
-    use rv_monitor::core::journal::{AUX_FREE, AUX_GC, AUX_GC_CYCLE, AUX_SPEC, AUX_SWEEP};
+    use rv_monitor::core::journal::AUX_SWEEP;
     use rv_monitor::core::{
-        Binding, EngineConfig, GcCycleRecord, JournalWriter, Record, ShardConfig, ShardTrigger,
+        line, EngineConfig, JournalWriter, Line, ObjectTable, Record, ShardConfig, ShardTrigger,
         ShardedMonitor,
     };
-    use rv_monitor::heap::{Heap, HeapConfig, ObjId};
-    use rv_monitor::logic::EventId;
+    use rv_monitor::heap::{Heap, HeapConfig};
 
-    enum Step<'a> {
-        Gc,
-        Sweep,
-        Free { names: Vec<&'a str>, lineno: usize },
-        Event { event: EventId, names: Vec<&'a str> },
-    }
-
-    let alphabet = spec.alphabet.clone();
-    let event_params = spec.event_params.clone();
-
-    // Tokenize the whole trace up front (no heap effects yet) so runs of
+    // Parse the whole trace up front (no heap effects yet) so runs of
     // event lines between directives are known before a session opens.
-    let mut steps = Vec::new();
+    let mut lines = Vec::new();
     for (lineno, raw) in events.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        let Some(head) = words.next() else {
-            continue;
-        };
-        let report_err = |msg: String| (1u8, format!("{events_path}:{}: {msg}", lineno + 1));
-        match head {
-            "!gc" => steps.push(Step::Gc),
-            "!sweep" => steps.push(Step::Sweep),
-            "!free" => steps.push(Step::Free { names: words.collect(), lineno }),
-            event_name => {
-                let Some(event) = alphabet.lookup(event_name) else {
-                    return Err(report_err(format!(
-                        "`{event_name}` is not an event of this spec \
-                         (directives are !free, !gc, !sweep)"
-                    )));
-                };
-                let names: Vec<&str> = words.collect();
-                let arity = event_params[event.as_usize()].len();
-                if names.len() != arity {
-                    return Err(report_err(format!(
-                        "event `{event_name}` takes {arity} object(s), got {}",
-                        names.len()
-                    )));
-                }
-                steps.push(Step::Event { event, names });
-            }
+        if let Some(line) =
+            line::parse(raw, &spec).map_err(|e| line_error(events_path, lineno, e))?
+        {
+            lines.push((lineno, line));
         }
     }
 
     let io = |e: std::io::Error| (2u8, format!("journal write failed: {e}"));
-    let mut journal = JournalWriter::create(journal_dir).map_err(io)?;
-    let mut jprof = rv_monitor::core::PhaseProfiler::new().with_label("journal");
-    append_timed(
-        &mut journal,
-        &mut jprof,
-        &Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() },
-    )
-    .map_err(io)?;
+    let (mut journal, mut jprof) = begin_journal(journal_dir, source).map_err(io)?;
 
+    let event_params = spec.event_params.clone();
     let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
     let mut sharded = ShardedMonitor::new(spec, &config, ShardConfig::with_shards(shards));
     let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut objects: std::collections::HashMap<String, ObjId> = std::collections::HashMap::new();
+    let mut objects = ObjectTable::new(&mut heap);
     // Maps the sharded engine's 0-based event index to the journal
     // sequence of that event's record — the key trigger records carry.
     let mut seq_of_event: Vec<u64> = Vec::new();
@@ -1630,7 +1445,7 @@ fn run_sharded(
 
     fn append_triggers(
         journal: &mut JournalWriter,
-        jprof: &mut rv_monitor::core::PhaseProfiler,
+        jprof: &mut PhaseProfiler,
         triggers: Vec<ShardTrigger>,
         seq_of_event: &[u64],
     ) -> std::io::Result<u64> {
@@ -1655,32 +1470,17 @@ fn run_sharded(
 
     let engine_failed = |e: &rv_monitor::core::EngineError| (1u8, format!("engine error: {e}"));
     let mut i = 0usize;
-    while i < steps.len() {
-        match &steps[i] {
-            Step::Gc => {
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_GC, bytes: Vec::new() },
-                )
-                .map_err(io)?;
-                heap.collect();
+    while let Some((lineno, line)) = lines.get(i) {
+        i += 1;
+        match line {
+            Line::Gc => {
                 // Heap-collection telemetry is journaled at the quiesce
                 // point, same as the sequential path. (Worker-private
                 // monitor sweeps stay off the journal: their clocks live
                 // on the shard threads.)
-                for c in heap.drain_cycles() {
-                    let rec = GcCycleRecord::from_heap_cycle(&c);
-                    append_timed(
-                        &mut journal,
-                        &mut jprof,
-                        &Record::Aux { tag: AUX_GC_CYCLE, bytes: rec.to_bytes() },
-                    )
-                    .map_err(io)?;
-                }
-                i += 1;
+                journaled_gc(&mut journal, &mut jprof, &mut heap).map_err(io)?;
             }
-            Step::Sweep => {
+            Line::Sweep => {
                 append_timed(
                     &mut journal,
                     &mut jprof,
@@ -1688,69 +1488,38 @@ fn run_sharded(
                 )
                 .map_err(io)?;
                 sharded.sweep(&heap);
-                i += 1;
             }
-            Step::Free { names, lineno } => {
-                let mut freed = Vec::new();
-                let mut payload = Vec::new();
-                for name in names {
-                    let Some(&obj) = objects.get(*name) else {
-                        return Err((
-                            1,
-                            format!("{events_path}:{}: unknown object `{name}`", lineno + 1),
-                        ));
-                    };
-                    payload.extend_from_slice(&obj.to_bits().to_le_bytes());
-                    freed.push(obj);
-                }
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_FREE, bytes: payload },
-                )
-                .map_err(io)?;
-                for obj in freed {
-                    heap.unpin(obj);
-                }
-                i += 1;
+            Line::Free(names) => {
+                let freed = objects
+                    .free(&mut heap, names)
+                    .map_err(|e| line_error(events_path, *lineno, e))?;
+                append_free(&mut journal, &mut jprof, &freed).map_err(io)?;
             }
-            Step::Event { .. } => {
-                let mut j = i;
-                while j < steps.len() && matches!(steps[j], Step::Event { .. }) {
-                    j += 1;
-                }
-                // Allocate this run's first-mention objects while the
+            Line::Event(..) => {
+                // Bind this directive-free run of events while the
                 // workers are still quiescent.
-                for step in &steps[i..j] {
-                    let Step::Event { names, .. } = step else { unreachable!() };
-                    for name in names {
-                        objects.entry((*name).to_owned()).or_insert_with(|| {
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                    }
-                }
+                let run: Vec<_> = lines[i - 1..]
+                    .iter()
+                    .map_while(|(_, line)| match line {
+                        Line::Event(event, names) => {
+                            let params = &event_params[event.as_usize()];
+                            Some((*event, objects.bind(&mut heap, params, names, |_, _| {})))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                i += run.len() - 1;
                 {
                     let mut session = sharded.session(&heap);
-                    for step in &steps[i..j] {
-                        let Step::Event { event, names } = step else { unreachable!() };
-                        let pairs: Vec<_> = event_params[event.as_usize()]
-                            .iter()
-                            .zip(names)
-                            .map(|(&p, &name)| (p, objects[name]))
-                            .collect();
-                        let binding = Binding::from_pairs(&pairs);
+                    for (event, binding) in run {
                         let seq = append_timed(
                             &mut journal,
                             &mut jprof,
-                            &Record::Event { event: *event, binding },
+                            &Record::Event { event, binding },
                         )
                         .map_err(io)?;
                         seq_of_event.push(seq);
-                        session.process(*event, binding);
+                        session.process(event, binding);
                     }
                 } // drop quiesces: every trigger of this run has arrived
                 if let Some(e) = sharded.last_error() {
@@ -1763,7 +1532,6 @@ fn run_sharded(
                     &seq_of_event,
                 )
                 .map_err(io)?;
-                i = j;
             }
         }
     }
@@ -1814,8 +1582,7 @@ fn run_sharded(
 /// replayer `rvmond` runs per tenant, then a fresh checkpoint at the
 /// repaired journal tail.
 fn recover(dir: &std::path::Path) -> ExitCode {
-    use rv_monitor::core::snapshot::{list_checkpoints, write_checkpoint};
-    use rv_monitor::core::{EngineConfig, JournalWriter, Record, ReplayFrom};
+    use rv_monitor::core::{EngineConfig, JournalWriter, ReplayFrom};
 
     let config = EngineConfig::default();
     let rec = match rv_monitor::core::recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| {
@@ -1832,17 +1599,11 @@ fn recover(dir: &std::path::Path) -> ExitCode {
         Ok(j) => j,
         Err(e) => return fail(format!("cannot resume journal: {e}")),
     };
-    let generation = list_checkpoints(dir).last().map_or(0, |g| g + 1);
     if let Some(payload) = rec.monitor.snapshot_bytes() {
-        let covered = journal.next_seq();
-        if let Err(e) = write_checkpoint(dir, generation, covered, &payload) {
-            return fail(format!("checkpoint write failed: {e}"));
-        }
-        if let Err(e) = journal
-            .append(&Record::CheckpointMark { generation, seq: covered })
-            .and_then(|_| journal.sync())
-        {
-            return fail(format!("journal write failed: {e}"));
+        let committed =
+            journal.checkpoint(&payload, &RetryPolicy::default()).and_then(|()| journal.sync());
+        if let Err(e) = committed {
+            return fail(format!("checkpoint failed: {e}"));
         }
     }
 

@@ -92,6 +92,67 @@ fn trace_rejects_unknown_events_and_objects_cleanly() {
     let (code, _out, err) = run(&["trace", spec.as_str(), bad_obj.to_str().expect("utf-8")]);
     assert_eq!(code, 1, "stderr: {err}");
     assert!(err.contains("unknown object"), "stderr: {err}");
+
+    // A second free of a still-live object is a rejected line in every
+    // command that drives a trace, and `run` journals nothing for it.
+    let double_free = dir.join("rvmon_cli_errors_double_free.events");
+    std::fs::write(&double_free, "create c i\nnext i\n!free i\n!free i\n").expect("write");
+    let events = double_free.to_str().expect("utf-8");
+    let journal = dir.join(format!("rvmon_cli_errors_double_free_{}", std::process::id()));
+    let journal = journal.to_str().expect("utf-8");
+    for args in [
+        vec!["trace", spec.as_str(), events],
+        vec!["explain", spec.as_str(), events],
+        vec!["serve", spec.as_str(), events, "--once"],
+        vec!["timeline", spec.as_str(), events],
+        vec!["run", spec.as_str(), events, "--journal", journal],
+    ] {
+        let (code, _out, err) = run(&args);
+        assert_eq!(code, 1, "rvmon {args:?}: stderr: {err}");
+        assert!(err.contains(&format!("{events}:4: ")), "rvmon {args:?}: stderr: {err}");
+        assert!(err.contains("double free of object `i`"), "rvmon {args:?}: stderr: {err}");
+    }
+    let (code, out, err) = run(&["recover", journal]);
+    assert_eq!(code, 0, "the journal of the rejected run recovers: {err}");
+    assert!(out.contains("stats: E=2 "), "{out}");
+    std::fs::remove_dir_all(journal).expect("remove journal");
+}
+
+/// `stats:` line of `rvmon recover` after journaling `events` into `dir`
+/// with the extra `run` flags.
+fn journal_and_recover(dir: &str, events: &str, flags: &[&str]) -> String {
+    let spec = repo_path("specs/unsafe_iter.rv");
+    let mut args = vec!["run", spec.as_str(), events, "--journal", dir];
+    args.extend_from_slice(flags);
+    let (code, _out, err) = run(&args);
+    assert_eq!(code, 0, "rvmon {args:?}: {err}");
+    let (code, out, err) = run(&["recover", dir]);
+    assert_eq!(code, 0, "rvmon recover {dir}: {err}");
+    out.lines().find(|l| l.starts_with("stats: ")).expect("stats line").to_owned()
+}
+
+/// A run journaled into a directory that holds an earlier, checkpointed
+/// run must recover exactly as from a fresh directory: none of the earlier
+/// run's checkpoints or segments may survive into the new journal.
+#[test]
+fn a_reused_journal_directory_recovers_like_a_fresh_one() {
+    let tmp = std::env::temp_dir().join(format!("rvmon_cli_errors_reuse_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("scratch dir");
+    let path = |name: &str| tmp.join(name).to_str().expect("utf-8").to_owned();
+    // Every `create`/`update`/`next` triple is one UnsafeIter match.
+    let trace = |n: usize| -> String {
+        (0..n).map(|k| format!("create c{k} i{k}\nupdate c{k}\nnext i{k}\n")).collect()
+    };
+    std::fs::write(path("a.events"), trace(40)).expect("write");
+    std::fs::write(path("b.events"), trace(60)).expect("write");
+    for flags in [&[][..], &["--shards", "4"][..]] {
+        let fresh = journal_and_recover(&path("fresh"), &path("b.events"), flags);
+        assert!(fresh.contains("E=180 ") && fresh.contains("triggers=60"), "{fresh}");
+        journal_and_recover(&path("reused"), &path("a.events"), &["--checkpoint-every", "2"]);
+        let reused = journal_and_recover(&path("reused"), &path("b.events"), flags);
+        assert_eq!(reused, fresh, "rvmon run {flags:?} into a reused directory");
+    }
+    std::fs::remove_dir_all(&tmp).expect("remove scratch dir");
 }
 
 /// The chaos subcommand is seed-reproducible: identical invocations give

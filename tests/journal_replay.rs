@@ -93,6 +93,8 @@ fn every_inconsistent_journal_is_rejected() {
         event: EventId(0),
         binding: Binding::from_pairs(&[(ParamId(0), c), (ParamId(1), i)]),
     };
+    let free = |id: ObjId| aux(AUX_FREE, id.to_bits().to_le_bytes());
+    let freed_twice = format!("journal record 3: double free of object `{:#x}`", id[1].to_bits());
     let cases: Vec<(Vec<Record>, &str)> = vec![
         (vec![obj(id[1], "c")], "heap replay diverged"),
         (vec![create(id[1], id[0])], "with no AUX_OBJ record"),
@@ -119,6 +121,11 @@ fn every_inconsistent_journal_is_rejected() {
         ),
         (vec![aux(AUX_FREE, id[0].to_bits().to_le_bytes())], "never allocated"),
         (vec![sline(1, 1, "!free ghost")], "frees unknown object `ghost`"),
+        (
+            vec![obj(id[0], "c"), sline(1, 1, "!free c"), sline(1, 2, "!free c")],
+            "journal record 3: double free of object `c`",
+        ),
+        (vec![create(id[0], id[1]), free(id[1]), free(id[1])], &freed_twice),
     ];
     for (records, expected) in cases {
         let err = rejection(&records);

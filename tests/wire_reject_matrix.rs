@@ -14,8 +14,8 @@ use rv_monitor::core::service::{
     encode_frame, encode_hello, TENANT_FLAG_ALLOW_FATAL, TENANT_FLAG_SLOW_WORKER,
 };
 use rv_monitor::core::{
-    read_frame, serve_connection, write_frame, Backpressure, Service, ServiceConfig, TenantOptions,
-    TenantState,
+    read_frame, serve_connection, write_frame, Backpressure, Service, ServiceConfig,
+    SupervisorConfig, TenantOptions, TenantState,
 };
 
 const FRAME_HELLO: u8 = 0x01;
@@ -321,6 +321,37 @@ fn reject_504_timeout() {
     write_frame(&mut s, FRAME_SYNC, &7u64.to_le_bytes()).unwrap();
     let (code, msg) = expect_reject(&mut s);
     assert_eq!(code, 504, "{msg}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A second `!free` of an object that is still live is a bad line, not a
+/// worker failure: the supervised tenant keeps running without a restart
+/// and serves the next events and barrier.
+#[test]
+fn double_free_is_a_bad_line_not_a_tenant_failure() {
+    let root = scratch("double-free");
+    let server = Server::start(ServiceConfig {
+        root: root.clone(),
+        supervisor: SupervisorConfig { max_restarts: 3, ..SupervisorConfig::default() },
+        ..ServiceConfig::default()
+    });
+    let mut s = server.hello("t", SPEC, &TenantOptions::default());
+    let barrier = |s: &mut TcpStream, lines: &[&str], token: u64| {
+        for line in lines {
+            write_frame(s, FRAME_EVENT, line.as_bytes()).unwrap();
+        }
+        write_frame(s, FRAME_SYNC, &token.to_le_bytes()).unwrap();
+        let (kind, payload) = read_frame(s).unwrap().expect("SYNCED");
+        assert_eq!((kind, payload.as_slice()), (0x81, &token.to_le_bytes()[..]));
+        server.svc.snapshots().into_iter().find(|t| t.name == "t").unwrap()
+    };
+    let snap = barrier(&mut s, &["create c i", "next i", "!free i", "!free i"], 1);
+    assert_eq!(snap.bad_lines, 1, "{}", snap.to_json());
+    let snap = barrier(&mut s, &["create c j", "update c", "next j"], 2);
+    assert_eq!(snap.state, TenantState::Running, "{}", snap.to_json());
+    assert_eq!(snap.restarts, 0, "{}", snap.to_json());
+    assert_eq!((snap.bad_lines, snap.events, snap.triggers), (1, 5, 1), "{}", snap.to_json());
     drop(server);
     let _ = std::fs::remove_dir_all(&root);
 }
