@@ -45,6 +45,18 @@ for seed in 7 41; do
 done
 cargo run -q --release -p rv-bench --bin fig10 -- --scale 0.05 --chaos-seed 7 >/dev/null
 
+# Fig. 10 oracle: the scale-1 engine counts (E, M, FM, CM, peak live,
+# triggers, skipped creations, dead keys, cache hits) are deterministic and
+# must match the committed file byte for byte. A dispatch optimisation may
+# not move them; only a change that sets out to alter the lazy-GC schedule
+# may regenerate the file, and it must say so.
+echo "== fig10 oracle (scale 1 stats vs tests/data/fig10_scale1.json, release)"
+FIG10_JSON="${TMPDIR:-/tmp}/rv-ci-fig10-$$.json"
+cargo run -q --release -p rv-bench --bin fig10 -- --scale 1 --stats-json "$FIG10_JSON" >/dev/null
+cmp "$FIG10_JSON" tests/data/fig10_scale1.json \
+    || { echo "fig10 --scale 1 counts differ from tests/data/fig10_scale1.json"; exit 1; }
+rm -f "$FIG10_JSON"
+
 # Recovery smoke: journal a run, crash it by chopping the journal tail,
 # recover, and audit the repaired journal. `recover`/`replay` exit
 # nonzero if the state fails the invariant check, and the corrupt-corpus

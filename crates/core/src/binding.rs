@@ -2,6 +2,7 @@
 //! Definition 3) and their lattice operations (Definition 5).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use rv_heap::ObjId;
 use rv_logic::{ParamId, ParamSet};
@@ -17,7 +18,7 @@ pub const MAX_PARAMS: usize = 8;
 /// Bindings hold objects *weakly* — storing a binding never keeps its
 /// objects alive (they are packed handles, not roots), which is the
 /// property the paper's indexing trees rely on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Binding {
     domain: ParamSet,
     /// Packed [`ObjId`] bits per parameter slot; zero when unbound.
@@ -120,6 +121,19 @@ impl Binding {
     }
 }
 
+/// Hashes the domain and the bound slots only. Unbound slots are always
+/// zero, so equal bindings still hash equal; real properties bind one to
+/// three of the eight slots, so every probe of a binding-keyed table
+/// hashes a third of the bytes the whole struct holds.
+impl Hash for Binding {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.domain.0);
+        for p in self.domain.iter() {
+            state.write_u64(self.vals[p.as_usize()]);
+        }
+    }
+}
+
 impl fmt::Debug for Binding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨")?;
@@ -212,6 +226,33 @@ mod tests {
         h.exit_frame(outer);
         h.collect();
         assert_eq!(b.dead_params(&h).len(), 2);
+    }
+
+    #[test]
+    fn hash_agrees_with_eq_and_separates_domains() {
+        use std::collections::hash_map::RandomState;
+        use std::hash::BuildHasher;
+        let (_h, o) = objs(3);
+        let hasher = RandomState::new();
+        let ci = Binding::from_pairs(&[(ParamId(0), o[0]), (ParamId(2), o[2])]);
+        let wide =
+            Binding::from_pairs(&[(ParamId(0), o[0]), (ParamId(1), o[1]), (ParamId(2), o[2])]);
+        let c = Binding::from_pairs(&[(ParamId(0), o[0])]);
+        let i = Binding::from_pairs(&[(ParamId(2), o[2])]);
+        // One instance three ways: built directly, restricted from a wider
+        // binding (whose dropped slot is zeroed), and joined from parts.
+        let restricted = wide.restrict(ci.domain());
+        let joined = c.lub(i).unwrap();
+        for other in [restricted, joined] {
+            assert_eq!(other, ci);
+            assert_eq!(hasher.hash_one(other), hasher.hash_one(ci));
+        }
+        // Same object, different parameter: equal slot values, different
+        // domains, different hashes.
+        let as_x0 = Binding::from_pairs(&[(ParamId(0), o[1])]);
+        let as_x1 = Binding::from_pairs(&[(ParamId(1), o[1])]);
+        assert_ne!(as_x0, as_x1);
+        assert_ne!(hasher.hash_one(as_x0), hasher.hash_one(as_x1));
     }
 
     #[test]

@@ -197,21 +197,25 @@ pub struct Engine<F: Formalism, O: EngineObserver = NoopObserver> {
     goal: GoalSet,
     aliveness: Option<Aliveness>,
     config: EngineConfig,
-    /// Per event: enable parameter sets (creation sources), and whether the
-    /// event may start a goal slice (`∅ ∈ ENABLEˣ(e)`).
-    enable_sources: Vec<Vec<ParamSet>>,
-    enable_bottom: Vec<bool>,
+    /// Per event: which tree and which creation sources dispatch touches.
+    plans: Vec<EventPlan>,
     /// All parameter subsets that ever serve as creation sources.
     source_domains: Vec<ParamSet>,
     store: MonitorStore<F::State>,
-    /// Exact-instance table: `dom(θ)`-keyed family of maps `θ → monitor`.
-    exact: HashMap<ParamSet, RvMap<MonitorId>>,
-    /// Indexing trees (Figure 6): for each tracked subset `P`, a map from
-    /// `θ|P` to the set of instances with binding ⊒ `θ|P`.
-    trees: HashMap<ParamSet, RvMap<RvSet>>,
-    /// Which subsets have trees: every `D(e)` plus every `Y ∩ D(e)` needed
-    /// to locate join sources.
+    /// Exact-instance tables, sorted by domain: for each `dom(θ)` that has
+    /// had an instance, a map `θ → monitor`.
+    exact: Vec<(ParamSet, RvMap<MonitorId>)>,
+    /// Indexing trees (Figure 6), parallel to `tracked`: for each tracked
+    /// subset `P`, a map from `θ|P` to the set of instances with binding
+    /// ⊒ `θ|P`.
+    trees: Vec<RvMap<RvSet>>,
+    /// Which subsets have trees, sorted: every `D(e)` plus every `Y ∩ D(e)`
+    /// needed to locate join sources.
     tracked: Vec<ParamSet>,
+    /// Calls to `sweep_once` so far: a sweep can drop exact-table entries
+    /// without flagging or collecting anything, so the lookup-cache
+    /// signature counts sweeps too.
+    sweeps: u64,
     /// The *disable* table: event instances seen so far, used to refuse
     /// creating a monitor whose slice would be incomplete.
     disable: DisableTable,
@@ -258,17 +262,50 @@ impl std::fmt::Debug for HandlerSlot {
     }
 }
 
+/// What dispatching one event touches, fixed at construction: `D(e)` is
+/// fixed per event, so its tree and its join sources are too.
+#[derive(Clone, Debug)]
+struct EventPlan {
+    /// Index of the `⟨D(e)⟩`-tree in `trees`.
+    tree: usize,
+    /// Whether the event's own instance is ever wanted: the event may start
+    /// a goal slice (`∅ ∈ ENABLEˣ(e)`), or `D(e)` is a creation source.
+    create_own: bool,
+    /// The enable sets `Y` of `e` with `Y ⊄ D(e)`, in enable order.
+    joins: Vec<JoinSource>,
+}
+
+/// Where a join finds the instances of domain `y` compatible with the
+/// event's binding.
+#[derive(Clone, Copy, Debug)]
+struct JoinSource {
+    y: ParamSet,
+    /// The `⟨Y ∩ D(e)⟩`-tree, or `None` when `Y ∩ D(e) = ∅`: then every
+    /// instance of domain `y` is compatible, and the exact table is scanned.
+    tree: Option<usize>,
+}
+
 /// The monomorphic lookup cache: remembers the member list of the last
 /// `⟨D(e)⟩`-tree lookup. Valid while the *mutation signature* — monitors
-/// created + flagged + collected — is unchanged: any set-membership change
-/// or monitor-slot reuse moves one of those counters, so a matching
-/// signature guarantees the cached ids are still exactly the live members
-/// under the key (retired members are skipped by dispatch anyway).
+/// created + flagged + collected, and sweeps run — is unchanged: any
+/// set-membership change or monitor-slot reuse moves one of those counters,
+/// so a matching signature guarantees the cached ids are still exactly the
+/// live members under the key (retired members are skipped by dispatch
+/// anyway).
+///
+/// A hit also skips two probes whose answers cannot have changed: the
+/// exact-table probe for the key's own instance (`own_exists`), and the
+/// disable-table insert of the key, which the miss that filled the cache
+/// made (`DisableTable::prune` forgets the key if it removes that entry).
 #[derive(Debug, Default)]
 struct LookupCache {
     key: Option<Binding>,
     signature: u64,
     members: Vec<MonitorId>,
+    /// Whether the key's own exact instance existed at the end of the last
+    /// event on it; `None` after a miss until that event ends, and after
+    /// an event that created a monitor.
+    own_exists: Option<bool>,
     hits: u64,
 }
 
@@ -293,8 +330,10 @@ impl DisableTable {
 
     /// Drops a few entries whose objects died: such instances can never
     /// recur, and creation checks against them are settled by the weak
-    /// keys of the exact table anyway.
-    fn prune(&mut self, heap: &Heap, n: usize) {
+    /// keys of the exact table anyway. Removing the lookup cache's key
+    /// forgets it, so the next event on that binding misses and inserts it
+    /// again.
+    fn prune(&mut self, heap: &Heap, n: usize, cache_key: &mut Option<Binding>) {
         for _ in 0..n.min(self.ring.len()) {
             if self.cursor >= self.ring.len() {
                 self.cursor = 0;
@@ -303,6 +342,9 @@ impl DisableTable {
             if b.iter().any(|(_, o)| !heap.is_alive(o)) {
                 self.seen.remove(&b);
                 self.ring.swap_remove(self.cursor);
+                if *cache_key == Some(b) {
+                    *cache_key = None;
+                }
             } else {
                 self.cursor += 1;
             }
@@ -404,12 +446,36 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         }
         tracked.sort_unstable();
         tracked.dedup();
-        let mut trees = HashMap::new();
-        for &p in &tracked {
-            let mut m = RvMap::new();
-            m.set_window(config.expunge_window);
-            trees.insert(p, m);
-        }
+        let tree_of = |p: ParamSet| {
+            tracked.binary_search(&p).expect("every D(e) and non-empty Y ∩ D(e) is tracked")
+        };
+        let plans = alphabet
+            .iter()
+            .map(|e| {
+                let d = event_def.params_of(e);
+                let joins = enable_sources[e.as_usize()]
+                    .iter()
+                    .filter(|y| !y.is_subset(d))
+                    .map(|&y| {
+                        let p = y.intersection(d);
+                        JoinSource { y, tree: (!p.is_empty()).then(|| tree_of(p)) }
+                    })
+                    .collect();
+                EventPlan {
+                    tree: tree_of(d),
+                    create_own: enable_bottom[e.as_usize()] || source_domains.contains(&d),
+                    joins,
+                }
+            })
+            .collect();
+        let trees = tracked
+            .iter()
+            .map(|_| {
+                let mut m = RvMap::new();
+                m.set_window(config.expunge_window);
+                m
+            })
+            .collect();
         let mut store = MonitorStore::new();
         // Collected-id logging is what lets the engine deliver
         // `monitor_collected`; it is skipped entirely for the no-op.
@@ -420,13 +486,13 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             goal,
             aliveness,
             config,
-            enable_sources,
-            enable_bottom,
+            plans,
             source_domains,
             store,
-            exact: HashMap::new(),
+            exact: Vec::new(),
             trees,
             tracked,
+            sweeps: 0,
             disable: DisableTable::default(),
             stats: EngineStats::default(),
             triggers: Vec::new(),
@@ -499,10 +565,10 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
     #[must_use]
     pub fn estimated_bytes(&self) -> usize {
         let mut bytes = self.store.estimated_bytes() + self.disable.bytes();
-        for m in self.exact.values() {
+        for (_, m) in &self.exact {
             bytes += m.estimated_bytes();
         }
-        for t in self.trees.values() {
+        for t in &self.trees {
             bytes += t.estimated_bytes();
             for (_, set) in t.iter() {
                 bytes += set.estimated_bytes();
@@ -554,47 +620,63 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         event: EventId,
         binding: Binding,
     ) -> Result<(), EngineError> {
-        if event.as_usize() >= self.enable_sources.len() {
+        if event.as_usize() >= self.plans.len() {
             return Err(EngineError::EventOutOfAlphabet(event));
         }
         let expected = self.event_def.params_of(event);
         if binding.domain() != expected {
             return Err(EngineError::InconsistentEvent { event, expected, got: binding.domain() });
         }
+        let dispatched = self.dispatch(heap, event, binding);
+        if dispatched.is_err() {
+            // The abandoned event skipped its disable-table insert, which
+            // a cache hit on its binding would take for granted.
+            self.cache.key = None;
+        }
+        dispatched
+    }
+
+    /// The lookup-cache signature: moves whenever a monitor is created,
+    /// flagged or collected, or a sweep runs.
+    fn cache_signature(&self) -> u64 {
+        let ss = self.store.stats();
+        ss.created
+            .wrapping_mul(3)
+            .wrapping_add(ss.flagged.wrapping_mul(5))
+            .wrapping_add(ss.collected.wrapping_mul(7))
+            .wrapping_add(self.sweeps.wrapping_mul(11))
+    }
+
+    /// Dispatches one validated event (the body of [`Engine::try_process`]).
+    fn dispatch(
+        &mut self,
+        heap: &Heap,
+        event: EventId,
+        binding: Binding,
+    ) -> Result<(), EngineError> {
         let step = self.stats.events as usize;
         self.stats.events += 1;
         self.event_work = 0;
         // End-to-end dispatch latency: from here (post-validation) through
         // governance, trigger delivery, and the collected-id flush.
         let t_event = if O::ENABLED { Some(Instant::now()) } else { None };
-        let domain = binding.domain();
+        let own_tree = self.plans[event.as_usize()].tree;
 
         // --- update existing instances ⊒ θ (Figure 6 lookup) ------------
-        let signature = {
-            let ss = self.store.stats();
-            ss.created
-                .wrapping_mul(3)
-                .wrapping_add(ss.flagged.wrapping_mul(5))
-                .wrapping_add(ss.collected.wrapping_mul(7))
-        };
+        let signature = self.cache_signature();
         let t_lookup = if O::ENABLED { Some(Instant::now()) } else { None };
-        if self.config.lookup_cache
+        let hit = self.config.lookup_cache
             && self.cache.key == Some(binding)
-            && self.cache.signature == signature
-        {
+            && self.cache.signature == signature;
+        if hit {
             // Monomorphic hit: same instance, no monitor lifecycle change.
             self.stats.cache_hits += 1;
             self.cache.hits += 1;
             self.observer.cache_hit();
             self.scratch_ids.clear();
-            let members = std::mem::take(&mut self.cache.members);
-            self.scratch_ids.extend_from_slice(&members);
-            self.cache.members = members;
+            self.scratch_ids.extend_from_slice(&self.cache.members);
             // Keep a trickle of lazy GC flowing even on hot loops.
             if self.cache.hits % 16 == 0 {
-                let Some(mut tree) = self.trees.remove(&domain) else {
-                    return Err(EngineError::MissingTree(domain));
-                };
                 let t_expunge = if O::ENABLED { Some(Instant::now()) } else { None };
                 let mut sink = NotifySink::new(
                     &mut self.store,
@@ -604,18 +686,13 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                     &mut self.stats,
                     &mut self.observer,
                 );
-                tree.expunge(heap, 1, &mut sink);
-                self.trees.insert(domain, tree);
+                self.trees[own_tree].expunge(heap, 1, &mut sink);
                 if let Some(t) = t_expunge {
                     self.observer.phase_timed(Phase::DeadKeyExpunge, elapsed_nanos(t));
                 }
             }
         } else {
             self.observer.cache_miss();
-            // Take the tree out to appease the borrow checker; cheap move.
-            let Some(mut tree) = self.trees.remove(&domain) else {
-                return Err(EngineError::MissingTree(domain));
-            };
             let mut sink = NotifySink::new(
                 &mut self.store,
                 &self.aliveness,
@@ -625,21 +702,16 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                 &mut self.observer,
             );
             self.scratch_ids.clear();
-            if let Some(set) = tree.get_mut(heap, binding, &mut sink) {
+            if let Some(set) = self.trees[own_tree].get_mut(heap, binding, &mut sink) {
                 // Figure 8: compact while touching the set.
                 set.compact(sink.store);
                 self.scratch_ids.extend_from_slice(set.members());
             }
-            self.trees.insert(domain, tree);
             if self.config.lookup_cache {
                 // The expunge above may itself have changed the signature.
-                let ss = self.store.stats();
                 self.cache.key = Some(binding);
-                self.cache.signature = ss
-                    .created
-                    .wrapping_mul(3)
-                    .wrapping_add(ss.flagged.wrapping_mul(5))
-                    .wrapping_add(ss.collected.wrapping_mul(7));
+                self.cache.signature = self.cache_signature();
+                self.cache.own_exists = None;
                 self.cache.members.clear();
                 self.cache.members.extend_from_slice(&self.scratch_ids);
             }
@@ -671,17 +743,31 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         // in the same step; later events find everything via the trees.
         // The exact table keeps even flagged/terminated instances until
         // they are swept, so this also prevents re-creating retired ones.
+        // A hit reuses the answer of the last event on its binding: the
+        // exact table gains entries only by creation and loses them only
+        // by creation-time expunges and sweeps, all of which move the
+        // signature.
         let t_disable = if O::ENABLED { Some(Instant::now()) } else { None };
-        let own_exists = self.exact.get(&domain).is_some_and(|m| m.peek(&binding).is_some());
+        let own_exists = match self.cache.own_exists {
+            Some(known) if hit => known,
+            _ => self.exact_get(&binding).is_some(),
+        };
+        let created_before = self.store.stats().created;
         if !own_exists {
             self.try_create_own(heap, event, binding, step)?;
             self.try_create_joins(heap, event, binding, step)?;
         }
 
-        // Record the event instance in the disable table, and do a little
-        // lazy maintenance elsewhere.
-        self.disable.insert(binding);
-        self.disable.prune(heap, 2);
+        // Record the event instance in the disable table (a hit's binding
+        // is already there), and do a little lazy maintenance elsewhere.
+        if !hit {
+            self.disable.insert(binding);
+        }
+        self.disable.prune(heap, 2, &mut self.cache.key);
+        if self.config.lookup_cache {
+            let created = self.store.stats().created != created_before;
+            self.cache.own_exists = if created { None } else { Some(own_exists) };
+        }
         if let Some(t) = t_disable {
             self.observer.phase_timed(Phase::DisableCheck, elapsed_nanos(t));
         }
@@ -693,6 +779,13 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             self.observer.event_latency(elapsed_nanos(t));
         }
         Ok(())
+    }
+
+    /// The exact instance for `key`, if one is registered.
+    fn exact_get(&self, key: &Binding) -> Option<MonitorId> {
+        let domain = key.domain();
+        let (_, map) = self.exact.iter().find(|(d, _)| *d == domain)?;
+        map.peek(key).copied()
     }
 
     /// Delivers `monitor_collected` for every id the store reclaimed since
@@ -766,9 +859,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         binding: Binding,
         step: usize,
     ) -> Result<(), EngineError> {
-        let needed =
-            self.enable_bottom[event.as_usize()] || self.source_domains.contains(&binding.domain());
-        if !needed {
+        if !self.plans[event.as_usize()].create_own {
             self.stats.creations_skipped += 1;
             return Ok(());
         }
@@ -784,8 +875,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                 && domain != binding.domain()
                 && best.is_none_or(|(b, _)| domain.len() > b.len())
             {
-                let key = binding.restrict(domain);
-                if let Some(&id) = self.exact.get(&domain).and_then(|m| m.peek(&key)) {
+                if let Some(id) = self.exact_get(&binding.restrict(domain)) {
                     // invariant: the exact table holds a reference on the
                     // slot, so the id is live.
                     let source = self.store.try_get(id).ok_or(EngineError::StaleMonitor(id))?;
@@ -819,42 +909,35 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         binding: Binding,
         step: usize,
     ) -> Result<(), EngineError> {
-        let domain = binding.domain();
-        let sources = self.enable_sources[event.as_usize()].clone();
-        for y in sources {
-            if y.is_subset(domain) {
-                continue; // covered by the ⊒ update / own creation
-            }
+        // Sources with `Y ⊆ D(e)` are not in the plan: the ⊒ update and
+        // the own creation cover them.
+        for k in 0..self.plans[event.as_usize()].joins.len() {
+            let JoinSource { y, tree } = self.plans[event.as_usize()].joins[k];
             // Locate instances with domain exactly `y` compatible with θ.
-            let p = y.intersection(domain);
             self.scratch_ids.clear();
-            if p.is_empty() {
-                // Disjoint domains: every instance of domain y is
-                // compatible. Scan the exact table for y.
-                if let Some(m) = self.exact.get(&y) {
-                    self.scratch_ids.extend(m.iter().map(|(_, &id)| id));
-                }
-            } else {
-                let key = binding.restrict(p);
-                let mut tree = match self.trees.remove(&p) {
-                    Some(t) => t,
-                    None => continue,
-                };
-                let mut sink = NotifySink::new(
-                    &mut self.store,
-                    &self.aliveness,
-                    self.config.policy,
-                    heap,
-                    &mut self.stats,
-                    &mut self.observer,
-                );
-                if let Some(set) = tree.get_mut(heap, key, &mut sink) {
-                    set.compact(sink.store);
-                    for &id in set.members() {
-                        self.scratch_ids.push(id);
+            match tree {
+                None => {
+                    // Disjoint domains: every instance of domain y is
+                    // compatible. Scan the exact table for y.
+                    if let Some((_, m)) = self.exact.iter().find(|(d, _)| *d == y) {
+                        self.scratch_ids.extend(m.iter().map(|(_, &id)| id));
                     }
                 }
-                self.trees.insert(p, tree);
+                Some(t) => {
+                    let key = binding.restrict(y);
+                    let mut sink = NotifySink::new(
+                        &mut self.store,
+                        &self.aliveness,
+                        self.config.policy,
+                        heap,
+                        &mut self.stats,
+                        &mut self.observer,
+                    );
+                    if let Some(set) = self.trees[t].get_mut(heap, key, &mut sink) {
+                        set.compact(sink.store);
+                        self.scratch_ids.extend_from_slice(set.members());
+                    }
+                }
             }
             let candidates = std::mem::take(&mut self.scratch_ids);
             for &id in &candidates {
@@ -873,7 +956,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                     continue;
                 }
                 // Already exists?
-                if self.exact.get(&join.domain()).is_some_and(|m| m.peek(&join).is_some()) {
+                if self.exact_get(&join).is_some() {
                     continue;
                 }
                 if !self.slice_complete(join, y) {
@@ -966,34 +1049,32 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         self.observer.monitor_created(id, &binding);
         // invariant: `id` was created two lines above; the slot is live.
         self.store.add_state_bytes(self.formalism.state_bytes(&self.store.get(id).state) as isize);
-        // Exact table.
-        {
-            let mut map = self.exact.remove(&binding.domain()).unwrap_or_else(|| {
+        // Exact table (a domain's table appears with its first instance).
+        let domain = binding.domain();
+        let slot = match self.exact.binary_search_by_key(&domain, |(d, _)| *d) {
+            Ok(slot) => slot,
+            Err(slot) => {
                 let mut m = RvMap::new();
                 m.set_window(self.config.expunge_window);
-                m
-            });
-            let mut sink = ExactMaintainer {
-                store: &mut self.store,
-                aliveness: &self.aliveness,
-                policy: self.config.policy,
-                heap,
-                observer: &mut self.observer,
-            };
-            map.insert(heap, binding, id, &mut sink);
-            self.store.retain(id);
-            self.exact.insert(binding.domain(), map);
-        }
+                self.exact.insert(slot, (domain, m));
+                slot
+            }
+        };
+        let mut sink = ExactMaintainer {
+            store: &mut self.store,
+            aliveness: &self.aliveness,
+            policy: self.config.policy,
+            heap,
+            observer: &mut self.observer,
+        };
+        self.exact[slot].1.insert(heap, binding, id, &mut sink);
+        self.store.retain(id);
         // Trees: every tracked subset of the new binding's domain.
-        for i in 0..self.tracked.len() {
-            let p = self.tracked[i];
-            if !p.is_subset(binding.domain()) {
+        for (&p, tree) in self.tracked.iter().zip(&mut self.trees) {
+            if !p.is_subset(domain) {
                 continue;
             }
             let key = binding.restrict(p);
-            let Some(mut tree) = self.trees.remove(&p) else {
-                return Err(EngineError::MissingTree(p));
-            };
             let mut sink = NotifySink::new(
                 &mut self.store,
                 &self.aliveness,
@@ -1009,7 +1090,6 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                 }
             }
             self.store.retain(id);
-            self.trees.insert(p, tree);
         }
         // Step by the creating event.
         self.step_instance(id, event, step)?;
@@ -1213,7 +1293,8 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         }
         // Count container memberships per monitor and check key shapes.
         let mut memberships: HashMap<MonitorId, u32> = HashMap::new();
-        for (&domain, map) in &self.exact {
+        for (domain, map) in &self.exact {
+            let domain = *domain;
             for (key, &id) in map.iter() {
                 if key.domain() != domain {
                     return err(format!("exact key {key:?} filed under domain {domain:?}"));
@@ -1230,7 +1311,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                 *memberships.entry(id).or_insert(0) += 1;
             }
         }
-        for (&p, tree) in &self.trees {
+        for (&p, tree) in self.tracked.iter().zip(&self.trees) {
             for (key, set) in tree.iter() {
                 if key.domain() != p {
                     return err(format!("tree ⟨{p:?}⟩ holds key {key:?}"));
@@ -1340,14 +1421,13 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
     }
 
     fn sweep_once(&mut self, heap: &Heap) {
-        // Visit structures in domain order, not hash order: sweep-driven
-        // releases determine slot reuse, and identical runs (original vs
-        // crash-recovered) must release in the same order.
+        // Visit structures in domain order (both tables are sorted by
+        // domain): sweep-driven releases determine slot reuse, and
+        // identical runs (original vs crash-recovered) must release in the
+        // same order.
+        self.sweeps += 1;
         let policy = self.config.policy;
-        let mut domains: Vec<ParamSet> = self.trees.keys().copied().collect();
-        domains.sort_unstable();
-        for d in domains {
-            let tree = self.trees.get_mut(&d).expect("domain from keys()");
+        for tree in &mut self.trees {
             let mut sink = NotifySink::new(
                 &mut self.store,
                 &self.aliveness,
@@ -1358,10 +1438,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             );
             tree.expunge_all(heap, &mut sink);
         }
-        let mut domains: Vec<ParamSet> = self.exact.keys().copied().collect();
-        domains.sort_unstable();
-        for d in domains {
-            let map = self.exact.get_mut(&d).expect("domain from keys()");
+        for (_, map) in &mut self.exact {
             let mut sink = ExactMaintainer {
                 store: &mut self.store,
                 aliveness: &self.aliveness,
@@ -1457,22 +1534,18 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         put_u64(&mut out, ss.peak_live as u64);
         put_u64(&mut out, self.store.snapshot_state_bytes() as u64);
         // Exact-instance tables, sorted by domain.
-        let mut domains: Vec<ParamSet> = self.exact.keys().copied().collect();
-        domains.sort_unstable();
-        put_u32(&mut out, domains.len() as u32);
-        for d in domains {
+        put_u32(&mut out, self.exact.len() as u32);
+        for (d, map) in &self.exact {
             put_u32(&mut out, d.0);
-            encode_rvmap(&self.exact[&d], &mut out, |&id, out| {
+            encode_rvmap(map, &mut out, |&id, out| {
                 put_u32(out, id.as_usize() as u32);
             });
         }
         // Indexing trees, sorted by tracked subset.
-        let mut domains: Vec<ParamSet> = self.trees.keys().copied().collect();
-        domains.sort_unstable();
-        put_u32(&mut out, domains.len() as u32);
-        for d in domains {
+        put_u32(&mut out, self.trees.len() as u32);
+        for (d, tree) in self.tracked.iter().zip(&self.trees) {
             put_u32(&mut out, d.0);
-            encode_rvmap(&self.trees[&d], &mut out, |set: &RvSet, out| {
+            encode_rvmap(tree, &mut out, |set: &RvSet, out| {
                 put_u64(out, set.members().len() as u64);
                 for &id in set.members() {
                     put_u32(out, id.as_usize() as u32);
@@ -1640,7 +1713,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         // Exact tables.
         let live_slot = |id: u32| (id as usize) < nslots && slots[id as usize].is_some();
         let nexact = need(c.u32(), "exact-table count")? as usize;
-        let mut exact: HashMap<ParamSet, RvMap<MonitorId>> = HashMap::new();
+        let mut exact: Vec<(ParamSet, RvMap<MonitorId>)> = Vec::new();
         for _ in 0..nexact {
             let domain = ParamSet(need(c.u32(), "exact-table domain")?);
             let (window, cursor, ring, entries) = decode_rvmap(&mut c, |c| {
@@ -1648,12 +1721,14 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                 live_slot(id).then(|| MonitorId::from_raw(id))
             })
             .ok_or("malformed exact table")?;
-            let mut m = RvMap::new();
-            m.restore_parts(window, cursor, ring, entries);
-            if exact.insert(domain, m).is_some() {
+            if exact.iter().any(|(d, _)| *d == domain) {
                 return Err(format!("duplicate exact table for domain {domain:?}"));
             }
+            let mut m = RvMap::new();
+            m.restore_parts(window, cursor, ring, entries);
+            exact.push((domain, m));
         }
+        exact.sort_unstable_by_key(|(d, _)| *d);
         // Trees.
         let ntrees = need(c.u32(), "tree count")? as usize;
         if ntrees != self.trees.len() {
@@ -1662,12 +1737,12 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                 self.trees.len()
             ));
         }
-        let mut trees: HashMap<ParamSet, RvMap<RvSet>> = HashMap::new();
+        let mut trees: Vec<Option<RvMap<RvSet>>> = self.tracked.iter().map(|_| None).collect();
         for _ in 0..ntrees {
             let domain = ParamSet(need(c.u32(), "tree domain")?);
-            if !self.trees.contains_key(&domain) {
+            let Ok(slot) = self.tracked.binary_search(&domain) else {
                 return Err(format!("snapshot tree domain {domain:?} is not tracked"));
-            }
+            };
             let (window, cursor, ring, entries) = decode_rvmap(&mut c, |c| {
                 let n = c.count()?;
                 let mut set = RvSet::new();
@@ -1683,10 +1758,13 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             .ok_or("malformed indexing tree")?;
             let mut m = RvMap::new();
             m.restore_parts(window, cursor, ring, entries);
-            if trees.insert(domain, m).is_some() {
+            if trees[slot].replace(m).is_some() {
                 return Err(format!("duplicate tree for domain {domain:?}"));
             }
         }
+        // As many trees as tracked subsets, none twice: every one is here.
+        let trees: Vec<RvMap<RvSet>> =
+            trees.into_iter().collect::<Option<_>>().ok_or("missing indexing tree")?;
         // Disable table.
         let nseen = need(c.count(), "disable-table size")?;
         let mut seen = HashSet::with_capacity(nseen);
@@ -2431,12 +2509,17 @@ mod cache_tests {
     const I: ParamId = ParamId(1);
 
     fn parts() -> (Alphabet, rv_logic::dfa::Dfa, EventDef) {
+        parts_with_next_on(ParamSet::singleton(I))
+    }
+
+    /// UnsafeIter with `next` binding `next_params`.
+    fn parts_with_next_on(next_params: ParamSet) -> (Alphabet, rv_logic::dfa::Dfa, EventDef) {
         let alphabet = Alphabet::from_names(&["create", "update", "next"]);
         let dfa = unsafe_iter_ere(&alphabet).compile(&alphabet, 1_000).unwrap();
         let def = EventDef::new(
             &alphabet,
             &["c", "i"],
-            vec![ParamSet::singleton(C).with(I), ParamSet::singleton(C), ParamSet::singleton(I)],
+            vec![ParamSet::singleton(C).with(I), ParamSet::singleton(C), next_params],
         );
         (alphabet, dfa, def)
     }
@@ -2493,6 +2576,105 @@ mod cache_tests {
         assert_eq!(stats_on.triggers, stats_off.triggers);
         assert!(stats_on.cache_hits > 0, "the next-loop should hit the cache");
         assert_eq!(stats_off.cache_hits, 0);
+    }
+
+    /// Runs `script` with the lookup cache on and off under `policy`, with
+    /// `next` binding `next_params`, and requires equal triggers and equal
+    /// statistics apart from the hit counter. Returns the hits taken with
+    /// the cache on.
+    fn assert_cache_invisible(
+        policy: GcPolicy,
+        next_params: ParamSet,
+        script: impl Fn(&mut Engine<rv_logic::dfa::Dfa>, &mut Heap, &Alphabet),
+    ) -> u64 {
+        let run = |cache: bool| {
+            let (alphabet, dfa, def) = parts_with_next_on(next_params);
+            let config = EngineConfig {
+                policy,
+                record_triggers: true,
+                lookup_cache: cache,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::new(dfa, def, GoalSet::MATCH, config);
+            let mut heap = Heap::new(HeapConfig::manual());
+            script(&mut engine, &mut heap, &alphabet);
+            (engine.triggers().to_vec(), engine.stats())
+        };
+        let (triggers_on, stats_on) = run(true);
+        let (triggers_off, stats_off) = run(false);
+        assert_eq!(triggers_on, triggers_off);
+        assert_eq!(EngineStats { cache_hits: 0, ..stats_on }, stats_off);
+        stats_on.cache_hits
+    }
+
+    /// A sweep between two events on one binding drops the binding's own
+    /// instance from the exact table, so the second event must not reuse
+    /// the first one's own-instance answer (nor its tree members). Here
+    /// `next` binds both parameters, so the instance also sits in the tree
+    /// of its live collection. Its iterator is dead and the policy never
+    /// flags, so the sweep drops it from the exact table without moving the
+    /// created, flagged or collected count. Only the sweep count in the
+    /// signature turns the second event into a miss. (A terminated own
+    /// instance cannot expose this: the sweep releases its last reference,
+    /// so the collected count moves anyway.)
+    #[test]
+    fn a_sweep_between_same_binding_events_clears_the_own_instance_answer() {
+        let both = ParamSet::singleton(C).with(I);
+        let hits = assert_cache_invisible(GcPolicy::None, both, |engine, heap, alphabet| {
+            let cls = heap.register_class("Obj");
+            let _outer = heap.enter_frame();
+            let coll = heap.alloc(cls);
+            let inner = heap.enter_frame();
+            let iter = heap.alloc(cls);
+            let ev = |n: &str| alphabet.lookup(n).unwrap();
+            let ci = Binding::from_pairs(&[(C, coll), (I, iter)]);
+            // Creates the own instance; the `next` records that it exists.
+            engine.process(heap, ev("create"), ci);
+            engine.process(heap, ev("next"), ci);
+            heap.exit_frame(inner);
+            heap.collect();
+            engine.full_sweep(heap);
+            engine.process(heap, ev("next"), ci);
+        });
+        assert_eq!(hits, 0, "the sweep must turn the event after it into a miss");
+    }
+
+    /// The hit path skips the disable-table insert of its binding because
+    /// the miss that filled the cache made it. If `prune` removes that entry
+    /// (one of its objects died), the next event on the binding must miss
+    /// and insert it again: the entry is what refuses the later `create`.
+    /// How many live entries precede the key decides whether the prune
+    /// cursor reaches it on the hit, so the script runs for several ring
+    /// lengths.
+    #[test]
+    fn pruning_the_cached_key_makes_the_next_event_insert_it_again() {
+        let mut hits = 0;
+        for live in 0..8 {
+            let i_only = ParamSet::singleton(I);
+            hits +=
+                assert_cache_invisible(GcPolicy::CoenableLazy, i_only, |engine, heap, alphabet| {
+                    let cls = heap.register_class("Obj");
+                    let _outer = heap.enter_frame();
+                    let coll = heap.alloc(cls);
+                    let next = alphabet.lookup("next").unwrap();
+                    for _ in 0..live {
+                        let other = heap.alloc(cls);
+                        engine.process(heap, next, Binding::from_pairs(&[(I, other)]));
+                    }
+                    let inner = heap.enter_frame();
+                    let iter = heap.alloc(cls);
+                    let i = Binding::from_pairs(&[(I, iter)]);
+                    engine.process(heap, next, i);
+                    heap.exit_frame(inner);
+                    heap.collect();
+                    for _ in 0..2 {
+                        engine.process(heap, next, i);
+                    }
+                    let create = alphabet.lookup("create").unwrap();
+                    engine.process(heap, create, Binding::from_pairs(&[(C, coll), (I, iter)]));
+                });
+        }
+        assert!(hits > 0, "the repeated next events should hit the cache");
     }
 }
 

@@ -31,9 +31,6 @@ pub enum EngineError {
     },
     /// The event id lies outside the property's alphabet.
     EventOutOfAlphabet(EventId),
-    /// The indexing tree for a tracked parameter subset is missing — the
-    /// engine's tree family no longer covers `D(e)`.
-    MissingTree(ParamSet),
     /// A monitor id referenced by an indexing structure was already
     /// collected.
     StaleMonitor(MonitorId),
@@ -99,9 +96,6 @@ impl fmt::Display for EngineError {
             ),
             EngineError::EventOutOfAlphabet(e) => {
                 write!(f, "event e{} is outside the property's alphabet", e.as_usize())
-            }
-            EngineError::MissingTree(p) => {
-                write!(f, "no indexing tree for parameter subset {p:?}")
             }
             EngineError::StaleMonitor(id) => {
                 write!(f, "monitor #{} was already collected", id.as_usize())
