@@ -1,10 +1,9 @@
 #!/usr/bin/env sh
 # Local CI: exactly what .github/workflows/ci.yml runs.
 #
-# The workspace is offline-first — default features pull in no external
-# crates, so every step below works without network access. Benches and
-# property tests that need `rand`/`proptest`/`criterion` are gated behind
-# the `external-deps` feature and are not part of tier-1.
+# The workspace is offline-first: it has no cargo features and no
+# external crates, so every step below works without network access, and
+# every test — the seeded property suites included — runs in tier-1.
 set -eu
 
 cd "$(dirname "$0")"
@@ -23,6 +22,14 @@ lint_exposition() {
 
 echo "== cargo fmt --check"
 cargo fmt --check
+
+# A feature-gated test or source file compiles to nothing in the default
+# build, so tier-1 would silently stop running it.
+echo "== no feature-gated tests or sources"
+if grep -rnE '#!\[cfg\(feature|cfg\(feature = "external-deps"\)' tests crates/*/tests src; then
+    echo "feature-gated code above compiles out of the default build"
+    exit 1
+fi
 
 echo "== cargo build --release"
 cargo build --release

@@ -1,6 +1,6 @@
 //! The evaluation harness: everything needed to regenerate the paper's
 //! Figure 9(A) (runtime overhead), Figure 9(B) (peak memory) and
-//! Figure 10 (monitoring statistics) tables, plus the ablation benches.
+//! Figure 10 (monitoring statistics) tables.
 //!
 //! The three systems under comparison:
 //!
@@ -116,7 +116,7 @@ impl MonitorSink {
     }
 
     /// Like [`MonitorSink::new`], but engine-backed systems inherit `base`
-    /// (budgets, degradation ceiling, expunge window, …). The GC policy is
+    /// (the live-monitor budget, the lookup cache, …). The GC policy is
     /// still forced per system — RV is coenable-lazy, MOP all-params-dead
     /// — so only the other knobs of `base` matter.
     ///
@@ -383,14 +383,12 @@ pub fn measure_cell(
 }
 
 /// One profiled run of a workload cell: per-property phase profilers
-/// (blocks merged), the merged metrics registry, and the wall-clock
-/// figures needed to report the profiler's own cost.
+/// (blocks merged) and the wall-clock figures needed to report the
+/// profiler's own cost.
 #[derive(Debug)]
 pub struct ProfiledRun {
     /// One merged profiler per property, labelled with the paper name.
     pub profilers: Vec<PhaseProfiler>,
-    /// Metrics merged across every property and block.
-    pub metrics: MetricsRegistry,
     /// Best wall-clock seconds with the zero-cost `NoopObserver` path
     /// (profiler compiled out — the disabled configuration).
     pub disabled_secs: f64,
@@ -437,9 +435,9 @@ impl ProfiledRun {
 
 /// Measures one cell twice, best-of-`reps` each way: once on the
 /// `NoopObserver` path (profiler compiled out) and once with a
-/// [`PhaseProfiler`] + [`MetricsRegistry`] attached to every engine
-/// block. The pair is the "profiler on vs off" figure EXPERIMENTS.md
-/// reports; the returned profilers carry the per-phase histograms.
+/// [`PhaseProfiler`] attached to every engine block. The pair is the
+/// "profiler on vs off" figure EXPERIMENTS.md reports; the returned
+/// profilers carry the per-phase histograms.
 ///
 /// # Panics
 ///
@@ -465,37 +463,33 @@ pub fn measure_profiled_cell(
         disabled_worst = disabled_worst.max(t);
     }
     let mut enabled = f64::INFINITY;
-    let mut best: Option<(Vec<PhaseProfiler>, MetricsRegistry)> = None;
+    let mut best: Option<Vec<PhaseProfiler>> = None;
     for _ in 0..reps {
         let mut sink = MonitorSink::with_observers(
             system,
             properties,
             EngineConfig::default(),
-            |p: Property| (MetricsRegistry::new(), PhaseProfiler::new().with_label(p.paper_name())),
+            |p: Property| PhaseProfiler::new().with_label(p.paper_name()),
         );
         let start = Instant::now();
         let _ = rv_workloads::run(profile, scale, &mut sink);
         let t = start.elapsed().as_secs_f64();
         if t < enabled || best.is_none() {
             enabled = enabled.min(t);
-            let mut metrics = MetricsRegistry::new();
             let mut profs = Vec::new();
             for (property, monitor) in sink.engine_monitors() {
                 let mut merged = PhaseProfiler::new().with_label(property.paper_name());
                 for engine in monitor.engines() {
-                    let (m, p) = engine.observer();
-                    metrics.merge_from(m);
-                    merged.merge_from(p);
+                    merged.merge_from(engine.observer());
                 }
                 profs.push(merged);
             }
-            best = Some((profs, metrics));
+            best = Some(profs);
         }
     }
-    let (profilers, metrics) = best.expect("reps >= 1 guarantees a profiled run");
+    let profilers = best.expect("reps >= 1 guarantees a profiled run");
     ProfiledRun {
         profilers,
-        metrics,
         disabled_secs: disabled,
         disabled_worst_secs: disabled_worst,
         enabled_secs: enabled,

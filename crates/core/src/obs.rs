@@ -15,9 +15,10 @@
 //! * [`TraceRecorder`] — a bounded ring buffer of timestamped lifecycle
 //!   records, dumped as JSONL (one record per line).
 //! * [`MetricsRegistry`] — counters plus fixed-bucket histograms (monitor
-//!   lifetimes, bindings touched per event, sweep batch sizes, per-phase
-//!   wall-clock) with a hand-rolled JSON snapshot serializer: the
-//!   workspace is dependency-free, so there is no serde here.
+//!   lifetimes, bindings touched per event, sweep batch sizes, GC pauses)
+//!   with a hand-rolled JSON snapshot serializer: the workspace is
+//!   dependency-free, so there is no serde here. Per-phase wall-clock
+//!   histograms live in one place, [`PhaseProfiler`](crate::PhaseProfiler).
 //!
 //! Two observers compose as a tuple: `(TraceRecorder, MetricsRegistry)`
 //! is itself an [`EngineObserver`] that forwards to both.
@@ -311,16 +312,7 @@ impl Phase {
     }
 
     pub(crate) fn index(self) -> usize {
-        match self {
-            Phase::IndexLookup => 0,
-            Phase::DisableCheck => 1,
-            Phase::Transition => 2,
-            Phase::Aliveness => 3,
-            Phase::DeadKeyExpunge => 4,
-            Phase::Sweep => 5,
-            Phase::JournalAppend => 6,
-            Phase::ShardRoute => 7,
-        }
+        self as usize
     }
 }
 
@@ -1312,8 +1304,6 @@ pub struct MetricsRegistry {
     touched_per_event: Histogram,
     /// Monitors reclaimed per safepoint sweep.
     sweep_batch: Histogram,
-    /// Per-phase wall-clock nanoseconds (index by [`Phase::index`]).
-    phase_nanos: [Histogram; Phase::COUNT],
     /// GC cycles by `[kind][reason]` ([`GcKind::index`] ×
     /// [`GcReason::index`]).
     gc_cycles: [[u64; GcReason::COUNT]; GcKind::COUNT],
@@ -1464,12 +1454,6 @@ impl MetricsRegistry {
         &self.sweep_batch
     }
 
-    /// The wall-clock histogram for `phase`.
-    #[must_use]
-    pub fn phase(&self, phase: Phase) -> &Histogram {
-        &self.phase_nanos[phase.index()]
-    }
-
     /// GC cycles observed for `kind` with `reason`.
     #[must_use]
     pub fn gc_cycles(&self, kind: GcKind, reason: GcReason) -> u64 {
@@ -1578,9 +1562,6 @@ impl MetricsRegistry {
         self.flag_latency_events.merge_from(&other.flag_latency_events);
         self.touched_per_event.merge_from(&other.touched_per_event);
         self.sweep_batch.merge_from(&other.sweep_batch);
-        for (h, o) in self.phase_nanos.iter_mut().zip(&other.phase_nanos) {
-            h.merge_from(o);
-        }
         for (row, other_row) in self.gc_cycles.iter_mut().zip(&other.gc_cycles) {
             for (c, &o) in row.iter_mut().zip(other_row) {
                 *c = c.saturating_add(o);
@@ -1664,9 +1645,6 @@ impl MetricsRegistry {
         let _ = write!(out, ",\"flag_latency_events\":{}", self.flag_latency_events.to_json());
         let _ = write!(out, ",\"bindings_touched_per_event\":{}", self.touched_per_event.to_json());
         let _ = write!(out, ",\"sweep_batch_collected\":{}", self.sweep_batch.to_json());
-        for p in Phase::ALL {
-            let _ = write!(out, ",\"phase_{}_ns\":{}", p.label(), self.phase(p).to_json());
-        }
         for kind in GcKind::ALL {
             let _ =
                 write!(out, ",\"gc_pause_{}_ns\":{}", kind.label(), self.gc_pause(kind).to_json());
@@ -1741,10 +1719,6 @@ impl EngineObserver for MetricsRegistry {
 
     fn cache_miss(&mut self) {
         self.cache_misses += 1;
-    }
-
-    fn phase_timed(&mut self, phase: Phase, nanos: u64) {
-        self.phase_nanos[phase.index()].record(nanos);
     }
 
     fn budget_tripped(&mut self, _budget: BudgetKind, _observed: u64, _limit: u64) {
@@ -1992,7 +1966,8 @@ mod tests {
         assert!(json.contains("\"monitors_flagged\":1"), "{json}");
         assert!(json.contains("\"monitors_collected\":1"), "{json}");
         assert!(json.contains("\"monitor_lifetime_events\""), "{json}");
-        assert!(json.contains("\"phase_index_lookup_ns\""), "{json}");
+        // Phase timings live in `PhaseProfiler`, not the registry.
+        assert!(!json.contains("\"phase_"), "{json}");
         // The lifetime histogram recorded 2 − 1 = 1 event of age.
         assert_eq!(m.lifetime_events().count(), 1);
         assert_eq!(m.lifetime_events().sum(), 1);
@@ -2018,7 +1993,7 @@ mod tests {
         assert!(dump.contains("\"kind\":\"quarantined\",\"monitor\":3"));
 
         let mut m = MetricsRegistry::new();
-        m.budget_tripped(BudgetKind::TrackedBytes, 2048, 1024);
+        m.budget_tripped(BudgetKind::LiveMonitors, 2048, 1024);
         m.degradation_entered(DegradationPolicy::EagerCollect);
         m.degradation_entered(DegradationPolicy::ShedNewMonitors);
         m.monitor_shed(&Binding::BOTTOM);
@@ -2220,13 +2195,15 @@ mod tests {
             assert_eq!(Phase::from_label(p.label()), Some(p));
         }
         assert_eq!(Phase::from_label("nonsense"), None);
-        let mut m = MetricsRegistry::new();
-        for p in Phase::ALL {
-            m.phase_timed(p, 10);
+        let mut prof = crate::PhaseProfiler::new();
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{p:?}: ALL order is discriminant order");
+            prof.phase_timed(p, 10);
         }
-        let json = m.snapshot_json();
+        let json = prof.to_json();
         for p in Phase::ALL {
-            assert!(json.contains(&format!("\"phase_{}_ns\"", p.label())), "{json}");
+            assert_eq!(prof.phase(p).count(), 1, "{p:?}");
+            assert!(json.contains(&format!("\"{}\":{{", p.label())), "{json}");
         }
     }
 

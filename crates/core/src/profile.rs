@@ -705,9 +705,9 @@ impl EngineObserver for ProvenanceLedger {
 // ---------------------------------------------------------------------------
 
 /// Renders a merged [`MetricsRegistry`] plus per-property
-/// [`PhaseProfiler`]s in the Prometheus text exposition format
-/// (`text/plain; version=0.0.4`). Served by `rvmon serve`; also usable as
-/// a one-shot dump.
+/// [`PhaseProfiler`]s — the one source of phase timings — in the
+/// Prometheus text exposition format (`text/plain; version=0.0.4`).
+/// Served by `rvmon serve`; also usable as a one-shot dump.
 #[must_use]
 pub fn prometheus_text(metrics: &MetricsRegistry, profilers: &[PhaseProfiler]) -> String {
     let mut expo = Exposition::default();
@@ -784,31 +784,9 @@ pub fn prometheus_text(metrics: &MetricsRegistry, profilers: &[PhaseProfiler]) -
         "Wall-clock nanoseconds per hot-path phase span",
         Kind::Histogram,
     );
-    for p in Phase::ALL {
-        f.histogram(&[("phase", p.label())], metrics.phase(p));
-    }
-    if !profilers.is_empty() {
-        let mut f = expo.family(
-            "rvmon_profile_phase_ns",
-            "Per-property profiler phase spans (ns)",
-            Kind::Histogram,
-        );
-        for prof in profilers {
-            for p in Phase::ALL {
-                f.histogram(&[("property", prof.label()), ("phase", p.label())], prof.phase(p));
-            }
-        }
-        let mut f = expo.family(
-            "rvmon_profile_spans_total",
-            "Opened profiler spans per phase",
-            Kind::Counter,
-        );
-        for prof in profilers {
-            for p in Phase::ALL {
-                if prof.enters(p) > 0 {
-                    f.sample(&[("property", prof.label()), ("phase", p.label())], prof.enters(p));
-                }
-            }
+    for prof in profilers {
+        for p in Phase::ALL {
+            f.histogram(&[("property", prof.label()), ("phase", p.label())], prof.phase(p));
         }
     }
     expo.family(
@@ -936,36 +914,34 @@ mod tests {
     fn prometheus_text_renders_counters_and_cumulative_buckets() {
         let mut m = MetricsRegistry::new();
         m.event_dispatched(EventId(0), &Binding::BOTTOM, 1);
-        m.phase_timed(Phase::IndexLookup, 3);
-        m.phase_timed(Phase::IndexLookup, 100);
         let mut prof = PhaseProfiler::new().with_label("HasNext");
+        prof.phase_timed(Phase::IndexLookup, 3);
+        prof.phase_timed(Phase::IndexLookup, 100);
         prof.phase_timed(Phase::Transition, 10);
         let text = prometheus_text(&m, &[prof]);
         assert!(text.contains("rvmon_events_total 1"), "{text}");
+        let series = |phase: &str| format!("{{property=\"HasNext\",phase=\"{phase}\"");
         assert!(
-            text.contains("rvmon_phase_duration_ns_bucket{phase=\"index_lookup\",le=\"+Inf\"} 2"),
-            "{text}"
-        );
-        assert!(text.contains("rvmon_phase_duration_ns_count{phase=\"index_lookup\"} 2"), "{text}");
-        assert!(
-            text.contains(
-                "rvmon_profile_phase_ns_bucket{property=\"HasNext\",phase=\"transition\","
-            ),
+            text.contains(&format!(
+                "rvmon_phase_duration_ns_bucket{},le=\"+Inf\"}} 2",
+                series("index_lookup")
+            )),
             "{text}"
         );
         assert!(
-            text.contains("rvmon_profile_spans_total{property=\"HasNext\",phase=\"transition\"} 1"),
+            text.contains(&format!("rvmon_phase_duration_ns_count{}}} 2", series("index_lookup"))),
             "{text}"
         );
+        assert!(
+            text.contains(&format!("rvmon_phase_duration_ns_count{}}} 1", series("transition"))),
+            "{text}"
+        );
+        assert!(!text.contains("rvmon_profile_"), "one phase family, not two: {text}");
         assert!(text.contains("rvmon_profiler_self_overhead_ns "), "{text}");
         // Buckets are cumulative: the le=4 bucket already includes the
         // le=1..4 samples, and +Inf equals the total count.
-        let bucket_4 = text
-            .lines()
-            .find(|l| {
-                l.starts_with("rvmon_phase_duration_ns_bucket{phase=\"index_lookup\",le=\"4\"}")
-            })
-            .expect("le=4 bucket present");
+        let le_4 = format!("rvmon_phase_duration_ns_bucket{},le=\"4\"}}", series("index_lookup"));
+        let bucket_4 = text.lines().find(|l| l.starts_with(&le_4)).expect("le=4 bucket present");
         assert!(bucket_4.ends_with(" 1"), "{bucket_4}");
     }
 
@@ -981,8 +957,8 @@ mod tests {
         let text = prometheus_text(&m, &[prof]);
         let label_line = text
             .lines()
-            .find(|l| l.starts_with("rvmon_profile_spans_total{"))
-            .expect("span counter rendered");
+            .find(|l| l.starts_with("rvmon_phase_duration_ns_count{"))
+            .expect("phase histogram rendered");
         assert!(label_line.contains("property=\"Evil\\\\Prop\\\"v1\\\"\\nrest\""), "{label_line}");
         assert!(!text.contains("v1\"\n"), "no raw newline survives inside a label value");
         crate::expo::lint::lint_exposition(&text);

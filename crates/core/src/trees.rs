@@ -78,8 +78,7 @@ impl<V> RvMap<V> {
         RvMap { map: HashMap::new(), ring: Vec::new(), cursor: 0, window: DEFAULT_EXPUNGE_WINDOW }
     }
 
-    /// Overrides the expunge window (0 disables lazy expunging — used by
-    /// the "no GC" baseline and the eager-vs-lazy ablation).
+    /// Overrides the expunge window (0 disables lazy expunging).
     pub fn set_window(&mut self, window: usize) {
         self.window = window;
     }
@@ -174,8 +173,7 @@ impl<V> RvMap<V> {
         }
     }
 
-    /// Runs maintenance over *every* entry (used by the eager-collection
-    /// ablation and by safepoint sweeps). Entries are visited in binding
+    /// Runs maintenance over *every* entry (used by safepoint sweeps). Entries are visited in binding
     /// order: hash order would make the release order — and therefore
     /// slot reuse and snapshot bytes — vary between identical runs, which
     /// the crash-recovery harness's differential checks cannot tolerate.

@@ -1,25 +1,26 @@
 //! Algebraic laws of the parameter-instance lattice (Definition 5): `⊔`
 //! is a partial commutative, associative, idempotent join; `⊑` is the
 //! induced partial order; restriction is monotone and interacts with `⊔`
-//! as expected.
+//! as expected. Each law is checked on a fixed battery of seeds; a
+//! failure names the seed that reproduces it.
 
-// Requires the crates.io `proptest` crate: build with
-// `--features external-deps` in a networked environment. The offline
-// default build compiles this file to nothing.
-#![cfg(feature = "external-deps")]
-
-use proptest::prelude::*;
 use rv_core::Binding;
-use rv_heap::{Heap, HeapConfig, ObjId};
+use rv_heap::{Heap, HeapConfig, ObjId, SplitMix64};
 use rv_logic::{ParamId, ParamSet};
 
 const PARAMS: u8 = 4;
 const OBJS: usize = 3;
+const CASES: u64 = 256;
+
+/// One generator per seed in `0..CASES`, paired with its seed.
+fn seeds() -> impl Iterator<Item = (u64, SplitMix64)> {
+    (0..CASES).map(|seed| (seed, SplitMix64::new(seed)))
+}
 
 /// A binding described by an assignment array: `assign[p]` = object index
 /// + 1, or 0 for unbound.
-fn binding_strategy() -> impl Strategy<Value = [u8; PARAMS as usize]> {
-    proptest::array::uniform4(0u8..=OBJS as u8)
+fn random_assign(rng: &mut SplitMix64) -> [u8; PARAMS as usize] {
+    std::array::from_fn(|_| rng.gen_range(OBJS + 1) as u8)
 }
 
 fn materialize(assign: &[u8; PARAMS as usize], pool: &[ObjId]) -> Binding {
@@ -40,113 +41,114 @@ fn pool() -> (Heap, Vec<ObjId>) {
     (heap, pool)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn lub_is_commutative(a in binding_strategy(), b in binding_strategy()) {
-        let (_heap, objs) = pool();
-        let (a, b) = (materialize(&a, &objs), materialize(&b, &objs));
-        prop_assert_eq!(a.lub(b), b.lub(a));
+#[test]
+fn lub_is_commutative() {
+    let (_heap, objs) = pool();
+    for (seed, mut rng) in seeds() {
+        let a = materialize(&random_assign(&mut rng), &objs);
+        let b = materialize(&random_assign(&mut rng), &objs);
+        assert_eq!(a.lub(b), b.lub(a), "seed {seed}");
     }
+}
 
-    #[test]
-    fn lub_is_idempotent_and_reflexive(a in binding_strategy()) {
-        let (_heap, objs) = pool();
-        let a = materialize(&a, &objs);
-        prop_assert_eq!(a.lub(a), Some(a));
-        prop_assert!(a.less_informative(a));
-        prop_assert!(a.compatible(a));
-        prop_assert!(Binding::BOTTOM.less_informative(a));
-        prop_assert_eq!(a.lub(Binding::BOTTOM), Some(a));
+#[test]
+fn lub_is_idempotent_and_reflexive() {
+    let (_heap, objs) = pool();
+    for (seed, mut rng) in seeds() {
+        let a = materialize(&random_assign(&mut rng), &objs);
+        assert_eq!(a.lub(a), Some(a), "seed {seed}");
+        assert!(a.less_informative(a), "seed {seed}");
+        assert!(a.compatible(a), "seed {seed}");
+        assert!(Binding::BOTTOM.less_informative(a), "seed {seed}");
+        assert_eq!(a.lub(Binding::BOTTOM), Some(a), "seed {seed}");
     }
+}
 
-    #[test]
-    fn lub_is_associative_when_defined(
-        a in binding_strategy(),
-        b in binding_strategy(),
-        c in binding_strategy()
-    ) {
-        let (_heap, objs) = pool();
-        let (a, b, c) =
-            (materialize(&a, &objs), materialize(&b, &objs), materialize(&c, &objs));
+#[test]
+fn lub_is_associative_when_defined() {
+    let (_heap, objs) = pool();
+    for (seed, mut rng) in seeds() {
+        let a = materialize(&random_assign(&mut rng), &objs);
+        let b = materialize(&random_assign(&mut rng), &objs);
+        let c = materialize(&random_assign(&mut rng), &objs);
         let left = a.lub(b).and_then(|ab| ab.lub(c));
         let right = b.lub(c).and_then(|bc| a.lub(bc));
         // When both sides are defined they agree; one side may be defined
         // while the other is not only if some pair is incompatible — in a
         // *pairwise compatible* triple both are defined and equal.
         if a.compatible(b) && b.compatible(c) && a.compatible(c) {
-            prop_assert!(left.is_some() && right.is_some());
-            prop_assert_eq!(left, right);
+            assert!(left.is_some() && right.is_some(), "seed {seed}");
+            assert_eq!(left, right, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn lub_is_the_least_upper_bound(a in binding_strategy(), b in binding_strategy()) {
-        let (_heap, objs) = pool();
-        let (a, b) = (materialize(&a, &objs), materialize(&b, &objs));
+#[test]
+fn lub_is_the_least_upper_bound() {
+    let (_heap, objs) = pool();
+    for (seed, mut rng) in seeds() {
+        let a = materialize(&random_assign(&mut rng), &objs);
+        let b = materialize(&random_assign(&mut rng), &objs);
         if let Some(j) = a.lub(b) {
-            prop_assert!(a.less_informative(j));
-            prop_assert!(b.less_informative(j));
-            prop_assert_eq!(j.domain(), a.domain().union(b.domain()));
+            assert!(a.less_informative(j), "seed {seed}");
+            assert!(b.less_informative(j), "seed {seed}");
+            assert_eq!(j.domain(), a.domain().union(b.domain()), "seed {seed}");
         } else {
-            prop_assert!(!a.compatible(b));
+            assert!(!a.compatible(b), "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn less_informative_is_a_partial_order(
-        a in binding_strategy(),
-        b in binding_strategy(),
-        c in binding_strategy()
-    ) {
-        let (_heap, objs) = pool();
-        let (a, b, c) =
-            (materialize(&a, &objs), materialize(&b, &objs), materialize(&c, &objs));
+#[test]
+fn less_informative_is_a_partial_order() {
+    let (_heap, objs) = pool();
+    for (seed, mut rng) in seeds() {
+        let a = materialize(&random_assign(&mut rng), &objs);
+        let b = materialize(&random_assign(&mut rng), &objs);
+        let c = materialize(&random_assign(&mut rng), &objs);
         // Antisymmetry.
         if a.less_informative(b) && b.less_informative(a) {
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b, "seed {seed}");
         }
         // Transitivity.
         if a.less_informative(b) && b.less_informative(c) {
-            prop_assert!(a.less_informative(c));
+            assert!(a.less_informative(c), "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn restriction_is_monotone_and_projective(
-        a in binding_strategy(),
-        mask in 0u32..16
-    ) {
-        let (_heap, objs) = pool();
-        let a = materialize(&a, &objs);
-        let p = ParamSet(mask);
+#[test]
+fn restriction_is_monotone_and_projective() {
+    let (_heap, objs) = pool();
+    for (seed, mut rng) in seeds() {
+        let a = materialize(&random_assign(&mut rng), &objs);
+        let p = ParamSet(rng.gen_range(16) as u32);
         let r = a.restrict(p);
-        prop_assert!(r.less_informative(a));
-        prop_assert!(r.domain().is_subset(p));
+        assert!(r.less_informative(a), "seed {seed}");
+        assert!(r.domain().is_subset(p), "seed {seed}");
         // Restriction is idempotent.
-        prop_assert_eq!(r.restrict(p), r);
+        assert_eq!(r.restrict(p), r, "seed {seed}");
         // Restricting to the full domain is the identity.
-        prop_assert_eq!(a.restrict(a.domain()), a);
+        assert_eq!(a.restrict(a.domain()), a, "seed {seed}");
     }
+}
 
-    #[test]
-    fn compatibility_is_witnessed_by_a_common_upper_bound(
-        a in binding_strategy(),
-        b in binding_strategy()
-    ) {
-        let (_heap, objs) = pool();
-        let (a, b) = (materialize(&a, &objs), materialize(&b, &objs));
-        prop_assert_eq!(a.compatible(b), a.lub(b).is_some());
+#[test]
+fn compatibility_is_witnessed_by_a_common_upper_bound() {
+    let (_heap, objs) = pool();
+    for (seed, mut rng) in seeds() {
+        let a = materialize(&random_assign(&mut rng), &objs);
+        let b = materialize(&random_assign(&mut rng), &objs);
+        assert_eq!(a.compatible(b), a.lub(b).is_some(), "seed {seed}");
     }
+}
 
-    #[test]
-    fn dead_params_is_monotone_in_the_binding(
-        a in binding_strategy(),
-        b in binding_strategy(),
-        kill in 0usize..OBJS
-    ) {
-        // If a ⊑ b then dead(a) ⊆ dead(b), whatever died.
+#[test]
+fn dead_params_is_monotone_in_the_binding() {
+    // If a ⊑ b then dead(a) ⊆ dead(b), whatever died.
+    for (seed, mut rng) in seeds() {
+        let (assign_a, assign_b) = (random_assign(&mut rng), random_assign(&mut rng));
+        let kill = rng.gen_range(OBJS);
         let mut heap = Heap::new(HeapConfig::manual());
         let cls = heap.register_class("Obj");
         let frame = heap.enter_frame();
@@ -158,11 +160,11 @@ proptest! {
             })
             .collect();
         heap.exit_frame(frame);
-        let (a, b) = (materialize(&a, &objs), materialize(&b, &objs));
+        let (a, b) = (materialize(&assign_a, &objs), materialize(&assign_b, &objs));
         heap.unpin(objs[kill]);
         heap.collect();
         if a.less_informative(b) {
-            prop_assert!(a.dead_params(&heap).is_subset(b.dead_params(&heap)));
+            assert!(a.dead_params(&heap).is_subset(b.dead_params(&heap)), "seed {seed}");
         }
     }
 }

@@ -193,16 +193,6 @@ impl ParamCoenable {
         &self.per_event[e.as_usize()]
     }
 
-    /// The ALIVENESS formula *without* the §4.2.2 minimization — the raw
-    /// Definition 11 disjunction. Semantically equivalent to
-    /// [`ParamCoenable::aliveness`] (absorption preserves the boolean
-    /// function) but with more disjuncts to scan; exists for the
-    /// minimization ablation benchmark.
-    #[must_use]
-    pub fn aliveness_unminimized(&self) -> Aliveness {
-        Aliveness { per_event: self.per_event.clone() }
-    }
-
     /// Compiles the minimized runtime ALIVENESS formula (§4.2.2).
     #[must_use]
     pub fn aliveness(&self) -> Aliveness {
@@ -259,8 +249,8 @@ impl Aliveness {
         &self.per_event[e.as_usize()]
     }
 
-    /// Total number of disjuncts across all events (a size measure for the
-    /// minimization ablation).
+    /// Total number of disjuncts across all events (a size measure that
+    /// the §4.2.2 minimization shrinks).
     #[must_use]
     pub fn total_disjuncts(&self) -> usize {
         self.per_event.iter().map(Vec::len).sum()

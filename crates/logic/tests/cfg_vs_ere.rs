@@ -1,20 +1,18 @@
 //! Cross-plugin consistency: a *right-linear* grammar denotes a regular
 //! language, so the Earley-based CFG monitor and the derivative-based ERE
 //! monitor must classify every trace identically — two completely
-//! different recognizer implementations checking each other.
+//! different recognizer implementations checking each other. Each test
+//! runs the counterexample proptest once recorded for this file, then a
+//! fixed battery of seeds; a failure names its case.
 
-// Requires the crates.io `proptest` crate: build with
-// `--features external-deps` in a networked environment. The offline
-// default build compiles this file to nothing.
-#![cfg(feature = "external-deps")]
-
-use proptest::prelude::*;
+use rv_heap::SplitMix64;
 use rv_logic::cfg::{CfgMonitor, Grammar, Production, Symbol};
 use rv_logic::ere::Ere;
 use rv_logic::event::{Alphabet, EventId};
 use rv_logic::verdict::Verdict;
 
 const EVENTS: u16 = 2;
+const CASES: u64 = 96;
 
 fn alphabet() -> Alphabet {
     Alphabet::from_names(&["a", "b"])
@@ -30,15 +28,28 @@ enum Reg {
     Star(Box<Reg>),
 }
 
-fn reg_strategy() -> impl Strategy<Value = Reg> {
-    let leaf = (0..EVENTS).prop_map(Reg::Event);
-    leaf.prop_recursive(3, 16, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Reg::Concat(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Reg::Union(Box::new(a), Box::new(b))),
-            inner.prop_map(|a| Reg::Star(Box::new(a))),
-        ]
-    })
+/// A random `Reg` of depth at most `depth`.
+fn random_reg(rng: &mut SplitMix64, depth: u32) -> Reg {
+    if depth == 0 || rng.chance(0.3) {
+        return Reg::Event(rng.gen_range(EVENTS.into()) as u16);
+    }
+    let op = rng.gen_range(3);
+    let mut sub = || Box::new(random_reg(rng, depth - 1));
+    match op {
+        0 => Reg::Concat(sub(), sub()),
+        1 => Reg::Union(sub(), sub()),
+        _ => Reg::Star(sub()),
+    }
+}
+
+/// The counterexample proptest shrank and recorded for this file, then
+/// one random `Reg` per seed in `0..CASES`; each comes with a label.
+fn regs() -> impl Iterator<Item = (String, Reg)> {
+    let event = |e| Box::new(Reg::Event(e));
+    let recorded = Reg::Union(event(0), Box::new(Reg::Star(event(1))));
+    std::iter::once(("recorded reg".to_owned(), recorded)).chain(
+        (0..CASES).map(|seed| (format!("seed {seed}"), random_reg(&mut SplitMix64::new(seed), 3))),
+    )
 }
 
 fn to_ere(r: &Reg) -> Ere {
@@ -101,10 +112,11 @@ impl GrammarBuilder {
     }
 }
 
-fn to_grammar(r: &Reg) -> Grammar {
+fn to_grammar(r: &Reg, case: &str) -> Grammar {
     let mut b = GrammarBuilder { names: vec!["S".to_owned()], productions: Vec::new() };
     b.emit(r, 0, None);
-    Grammar::new(&b.names, 0, b.productions).expect("translated grammar is well-formed")
+    Grammar::new(&b.names, 0, b.productions)
+        .unwrap_or_else(|e| panic!("{case}: translated grammar is ill-formed: {e:?}"))
 }
 
 fn traces(max_len: usize) -> Vec<Vec<EventId>> {
@@ -125,16 +137,13 @@ fn traces(max_len: usize) -> Vec<Vec<EventId>> {
     all
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn earley_and_derivatives_agree_on_regular_languages(r in reg_strategy()) {
-        let al = alphabet();
-        let ere = to_ere(&r);
-        let dfa = ere.compile(&al, 10_000).unwrap();
-        let grammar = to_grammar(&r);
-        let cfg = CfgMonitor::compile(&grammar, &al).unwrap();
+#[test]
+fn earley_and_derivatives_agree_on_regular_languages() {
+    let al = alphabet();
+    for (case, r) in regs() {
+        let dfa = to_ere(&r).compile(&al, 10_000).unwrap_or_else(|e| panic!("{case}: {e:?}"));
+        let grammar = to_grammar(&r, &case);
+        let cfg = CfgMonitor::compile(&grammar, &al).unwrap_or_else(|e| panic!("{case}: {e:?}"));
         for trace in traces(5) {
             let via_dfa = dfa.classify(&trace);
             let via_earley = cfg.classify(&trace);
@@ -143,39 +152,38 @@ proptest! {
             // while the Earley chart reports fail only when the prefix is
             // not viable — both are sound, so compare match and the
             // fail/unknown downgrade direction.
-            prop_assert_eq!(
+            assert_eq!(
                 via_dfa == Verdict::Match,
                 via_earley == Verdict::Match,
-                "membership differs on {:?} for {:?}",
-                trace,
-                r
+                "{case}: membership differs on {trace:?} for {r:?}"
             );
             if via_earley == Verdict::Fail {
-                prop_assert_eq!(
-                    via_dfa, Verdict::Fail,
-                    "Earley failed a viable prefix {:?} for {:?}", trace, r
+                assert_eq!(
+                    via_dfa,
+                    Verdict::Fail,
+                    "{case}: Earley failed a viable prefix {trace:?} for {r:?}"
                 );
             }
         }
     }
+}
 
-    #[test]
-    fn reduced_grammars_have_the_viable_prefix_property(r in reg_strategy()) {
-        // For every trace the DFA calls Fail, the Earley monitor must also
-        // fail no later than the DFA's fail point plus zero (reduction
-        // guarantees emptiness of the chart exactly at non-viability).
-        let al = alphabet();
-        let dfa = to_ere(&r).compile(&al, 10_000).unwrap();
-        let grammar = to_grammar(&r);
-        let cfg = CfgMonitor::compile(&grammar, &al).unwrap();
+#[test]
+fn reduced_grammars_have_the_viable_prefix_property() {
+    // For every trace the DFA calls Fail, the Earley monitor must also
+    // fail no later than the DFA's fail point plus zero (reduction
+    // guarantees emptiness of the chart exactly at non-viability).
+    let al = alphabet();
+    for (case, r) in regs() {
+        let dfa = to_ere(&r).compile(&al, 10_000).unwrap_or_else(|e| panic!("{case}: {e:?}"));
+        let grammar = to_grammar(&r, &case);
+        let cfg = CfgMonitor::compile(&grammar, &al).unwrap_or_else(|e| panic!("{case}: {e:?}"));
         for trace in traces(4) {
             if dfa.classify(&trace) == Verdict::Fail {
-                prop_assert_eq!(
+                assert_eq!(
                     cfg.classify(&trace),
                     Verdict::Fail,
-                    "chart stayed alive on non-viable {:?} for {:?}",
-                    trace,
-                    r
+                    "{case}: chart stayed alive on non-viable {trace:?} for {r:?}"
                 );
             }
         }

@@ -9,13 +9,12 @@
 //! *necessary*, some continuation over the allowed events reaches the
 //! goal from at least one state where `e` can occur (the analysis is
 //! event-indexed, so this is existential over states).
+//!
+//! Each test runs a fixed battery of seeds (the ALIVENESS checks first
+//! replay the counterexample proptest once recorded for this file); a
+//! failure names its case.
 
-// Requires the crates.io `proptest` crate: build with
-// `--features external-deps` in a networked environment. The offline
-// default build compiles this file to nothing.
-#![cfg(feature = "external-deps")]
-
-use proptest::prelude::*;
+use rv_heap::SplitMix64;
 use rv_logic::dfa::{Dfa, DfaBuilder, DEAD};
 use rv_logic::event::{Alphabet, EventId};
 use rv_logic::param::{EventDef, ParamId, ParamSet};
@@ -33,12 +32,34 @@ struct RandomDfa {
     matching: [bool; STATES],
 }
 
-fn dfa_strategy() -> impl Strategy<Value = RandomDfa> {
-    (
-        proptest::array::uniform4(proptest::array::uniform3(0..=STATES)),
-        proptest::array::uniform4(any::<bool>()),
-    )
-        .prop_map(|(trans, matching)| RandomDfa { trans, matching })
+fn random_dfa(rng: &mut SplitMix64) -> RandomDfa {
+    let mut d = RandomDfa { trans: [[0; EVENTS]; STATES], matching: [false; STATES] };
+    for row in &mut d.trans {
+        for t in row {
+            *t = rng.gen_range(STATES + 1);
+        }
+    }
+    for m in &mut d.matching {
+        *m = rng.chance(0.5);
+    }
+    d
+}
+
+/// The counterexample proptest shrank and recorded for this file, then
+/// one random machine and dead-parameter set per seed in `0..cases`; each
+/// comes with a label.
+fn cases(cases: u64) -> impl Iterator<Item = (String, RandomDfa, ParamSet)> {
+    let recorded = RandomDfa {
+        trans: [[0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        matching: [false, true, false, false],
+    };
+    std::iter::once(("recorded machine".to_owned(), recorded, ParamSet(1))).chain((0..cases).map(
+        |seed| {
+            let mut rng = SplitMix64::new(seed);
+            let raw = random_dfa(&mut rng);
+            (format!("seed {seed}"), raw, ParamSet(rng.gen_range(4) as u32))
+        },
+    ))
 }
 
 fn build(d: &RandomDfa) -> (Alphabet, Dfa) {
@@ -126,21 +147,15 @@ fn goal_reachable_avoiding(
     false
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn aliveness_false_implies_goal_unreachable(
-        raw in dfa_strategy(),
-        dead_bits in 0u32..4
-    ) {
-        // Theorem 1, brute-forced: for every reachable state s and event e
-        // defined at s, if ALIVENESS(e) is false under `dead`, then the
-        // goal is unreachable from σ(s, e) using events avoiding `dead`.
+#[test]
+fn aliveness_false_implies_goal_unreachable() {
+    // Theorem 1, brute-forced: for every reachable state s and event e
+    // defined at s, if ALIVENESS(e) is false under `dead`, then the goal
+    // is unreachable from σ(s, e) using events avoiding `dead`.
+    for (case, raw, dead) in cases(512) {
         let (alphabet, dfa) = build(&raw);
         let def = event_def(&alphabet);
         let goal = GoalSet::MATCH;
-        let dead = ParamSet(dead_bits);
         let aliveness = dfa.coenable(goal).lift(&def).aliveness();
         let reachable = dfa.reachable();
         for s in 0..dfa.state_count() {
@@ -153,28 +168,24 @@ proptest! {
                     continue;
                 }
                 if !aliveness.is_necessary(e, dead) && !dfa.is_terminal_state(t, goal) {
-                    prop_assert!(
+                    assert!(
                         !goal_reachable_avoiding(&dfa, &def, goal, t, dead, STATES + 1),
-                        "state {s} --{e:?}--> {t}: flagged unnecessary but goal reachable \
-                         (dead = {dead:?})"
+                        "{case}: state {s} --{e:?}--> {t}: flagged unnecessary but goal \
+                         reachable (dead = {dead:?})"
                     );
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn aliveness_true_has_a_witness_somewhere(
-        raw in dfa_strategy(),
-        dead_bits in 0u32..4
-    ) {
-        // The event-indexed analysis is existential over occurrence
-        // states: ALIVENESS(e) true (with no parameters dead beyond
-        // `dead`… using dead = ∅ for the witness check) means some
-        // reachable, non-terminal occurrence of e has a goal-reaching
-        // continuation. With dead = ∅ this is exactly "COENABLE(e) is
-        // non-empty ⇒ e occurs on some goal trace".
-        let _ = dead_bits;
+#[test]
+fn aliveness_true_has_a_witness_somewhere() {
+    // The event-indexed analysis is existential over occurrence states:
+    // ALIVENESS(e) true with no parameters dead means some reachable,
+    // non-terminal occurrence of e has a goal-reaching continuation —
+    // "COENABLE(e) is non-empty ⇒ e occurs on some goal trace".
+    for (case, raw, _) in cases(512) {
         let (alphabet, dfa) = build(&raw);
         let def = event_def(&alphabet);
         let goal = GoalSet::MATCH;
@@ -197,23 +208,21 @@ proptest! {
                     break;
                 }
             }
-            prop_assert!(witness, "ALIVENESS({e:?}) true but no goal-reaching occurrence");
+            assert!(witness, "{case}: ALIVENESS({e:?}) true but no goal-reaching occurrence");
         }
     }
+}
 
-    #[test]
-    fn state_aliveness_is_at_least_as_precise_as_event_aliveness(
-        raw in dfa_strategy(),
-        dead_bits in 0u32..4
-    ) {
-        // The Tracematches-style state-indexed analysis refines the
-        // event-indexed one (§3 Discussion: "theirs is more precise"):
-        // whenever the state analysis keeps a binding in the state reached
-        // *after* e, the event analysis must have kept it too.
+#[test]
+fn state_aliveness_is_at_least_as_precise_as_event_aliveness() {
+    // The Tracematches-style state-indexed analysis refines the
+    // event-indexed one (§3 Discussion: "theirs is more precise"):
+    // whenever the state analysis keeps a binding in the state reached
+    // *after* e, the event analysis must have kept it too.
+    for (case, raw, dead) in cases(512) {
         let (alphabet, dfa) = build(&raw);
         let def = event_def(&alphabet);
         let goal = GoalSet::MATCH;
-        let dead = ParamSet(dead_bits);
         let event_al = dfa.coenable(goal).lift(&def).aliveness();
         let state_al = dfa.state_aliveness(goal, &def);
         let reachable = dfa.reachable();
@@ -227,10 +236,10 @@ proptest! {
                     continue;
                 }
                 if state_al.is_necessary(t, dead) {
-                    prop_assert!(
+                    assert!(
                         event_al.is_necessary(e, dead),
-                        "state analysis keeps {t} after {e:?} but event analysis collects \
-                         (dead = {dead:?})"
+                        "{case}: state analysis keeps {t} after {e:?} but event analysis \
+                         collects (dead = {dead:?})"
                     );
                 }
             }
@@ -238,49 +247,44 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Soundness of instrumentation pruning: filtering a trace down to the
-    /// required events never changes the final verdict (dropped events are
-    /// invisible self-loops), and `can_trigger == false` means no
-    /// emittable trace reaches the goal at any point.
-    #[test]
-    fn instrumentation_pruning_is_sound(
-        raw in dfa_strategy(),
-        emitted_bits in 1u64..8,
-        trace in proptest::collection::vec(0u16..EVENTS as u16, 0..10)
-    ) {
-        use rv_logic::event::EventSet;
-        use rv_logic::instrument::plan;
+/// Soundness of instrumentation pruning: filtering a trace down to the
+/// required events never changes the final verdict (dropped events are
+/// invisible self-loops), and `can_trigger == false` means no emittable
+/// trace reaches the goal at any point.
+#[test]
+fn instrumentation_pruning_is_sound() {
+    use rv_logic::event::EventSet;
+    use rv_logic::instrument::plan;
+    for seed in 0..256 {
+        let mut rng = SplitMix64::new(seed);
+        let raw = random_dfa(&mut rng);
+        let emitted = EventSet(1 + rng.gen_range(7) as u64);
+        let len = rng.gen_range(10);
+        let trace: Vec<u16> = (0..len).map(|_| rng.gen_range(EVENTS) as u16).collect();
         let (_alphabet, dfa) = build(&raw);
         let goal = GoalSet::MATCH;
-        let emitted = EventSet(emitted_bits);
         let p = plan(&dfa, goal, emitted);
         // Restrict to an emittable trace.
-        let full: Vec<EventId> = trace
-            .into_iter()
-            .map(EventId)
-            .filter(|e| emitted.contains(*e))
-            .collect();
+        let full: Vec<EventId> =
+            trace.into_iter().map(EventId).filter(|e| emitted.contains(*e)).collect();
         if !p.can_trigger {
             // No prefix of any emittable trace may carry a goal verdict.
             let mut s = dfa.initial();
-            prop_assert!(!goal.contains(dfa.verdict(s)));
+            assert!(!goal.contains(dfa.verdict(s)), "seed {seed}");
             for &e in &full {
                 s = dfa.step(s, e);
-                prop_assert!(
+                assert!(
                     !goal.contains(dfa.verdict(s)),
-                    "goal reached though can_trigger is false"
+                    "seed {seed}: goal reached though can_trigger is false"
                 );
             }
         } else {
             let filtered: Vec<EventId> =
                 full.iter().copied().filter(|e| p.required.contains(*e)).collect();
-            prop_assert_eq!(
+            assert_eq!(
                 dfa.classify(&full),
                 dfa.classify(&filtered),
-                "pruned instrumentation changed the verdict"
+                "seed {seed}: pruned instrumentation changed the verdict"
             );
         }
     }

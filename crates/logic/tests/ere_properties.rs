@@ -1,13 +1,10 @@
-//! Property-based tests for the ERE plugin: the compiled DFA must agree
+//! Seeded property tests for the ERE plugin: the compiled DFA must agree
 //! with the algebraic semantics of extended regular expressions on random
-//! expressions and random traces.
+//! expressions and random traces. Each test runs a fixed battery of
+//! seeds; a failure names the seed that reproduces it.
 
-// Requires the crates.io `proptest` crate: build with
-// `--features external-deps` in a networked environment. The offline
-// default build compiles this file to nothing.
-#![cfg(feature = "external-deps")]
-
-use proptest::prelude::*;
+use rv_heap::SplitMix64;
+use rv_logic::dfa::Dfa;
 use rv_logic::ere::Ere;
 use rv_logic::event::{Alphabet, EventId};
 use rv_logic::verdict::Verdict;
@@ -18,27 +15,43 @@ fn alphabet() -> Alphabet {
     Alphabet::from_names(&["a", "b", "c"])
 }
 
-/// A random ERE of bounded depth.
-fn ere_strategy() -> impl Strategy<Value = Ere> {
-    let leaf = prop_oneof![
-        (0..EVENTS).prop_map(|e| Ere::event(EventId(e))),
-        Just(Ere::epsilon()),
-        Just(Ere::empty()),
-    ];
-    leaf.prop_recursive(4, 48, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.concat(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Ere::union([a, b])),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Ere::inter([a, b])),
-            inner.clone().prop_map(Ere::star),
-            inner.clone().prop_map(Ere::plus),
-            inner.prop_map(Ere::not),
-        ]
-    })
+/// One generator per seed in `0..cases`, paired with its seed.
+fn seeds(cases: u64) -> impl Iterator<Item = (u64, SplitMix64)> {
+    (0..cases).map(|seed| (seed, SplitMix64::new(seed)))
 }
 
-fn trace_strategy() -> impl Strategy<Value = Vec<EventId>> {
-    proptest::collection::vec((0..EVENTS).prop_map(EventId), 0..8)
+/// A random ERE of depth at most `depth`.
+fn random_ere(rng: &mut SplitMix64, depth: u32) -> Ere {
+    if depth == 0 || rng.chance(0.3) {
+        return match rng.gen_range(3) {
+            0 => Ere::event(EventId(rng.gen_range(EVENTS.into()) as u16)),
+            1 => Ere::epsilon(),
+            _ => Ere::empty(),
+        };
+    }
+    let op = rng.gen_range(6);
+    let mut sub = || random_ere(rng, depth - 1);
+    match op {
+        0 => sub().concat(sub()),
+        1 => Ere::union([sub(), sub()]),
+        2 => Ere::inter([sub(), sub()]),
+        3 => sub().star(),
+        4 => sub().plus(),
+        _ => sub().not(),
+    }
+}
+
+fn ere(rng: &mut SplitMix64) -> Ere {
+    random_ere(rng, 4)
+}
+
+fn trace(rng: &mut SplitMix64) -> Vec<EventId> {
+    let len = rng.gen_range(8);
+    (0..len).map(|_| EventId(rng.gen_range(EVENTS.into()) as u16)).collect()
+}
+
+fn compile(ere: &Ere, seed: u64) -> Dfa {
+    ere.compile(&alphabet(), 10_000).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"))
 }
 
 /// Membership via iterated derivatives — the definitional semantics.
@@ -50,88 +63,78 @@ fn member(ere: &Ere, trace: &[EventId]) -> bool {
     cur.nullable()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn dfa_match_agrees_with_derivative_semantics(
-        ere in ere_strategy(),
-        trace in trace_strategy()
-    ) {
-        let al = alphabet();
-        let dfa = ere.compile(&al, 10_000).unwrap();
+#[test]
+fn dfa_match_agrees_with_derivative_semantics() {
+    for (seed, mut rng) in seeds(256) {
+        let (ere, trace) = (ere(&mut rng), trace(&mut rng));
+        let dfa = compile(&ere, seed);
         let dfa_match = dfa.classify(&trace) == Verdict::Match;
-        prop_assert_eq!(dfa_match, member(&ere, &trace));
+        assert_eq!(dfa_match, member(&ere, &trace), "seed {seed}");
     }
+}
 
-    #[test]
-    fn union_is_disjunction(
-        a in ere_strategy(),
-        b in ere_strategy(),
-        trace in trace_strategy()
-    ) {
+#[test]
+fn union_is_disjunction() {
+    for (seed, mut rng) in seeds(256) {
+        let (a, b, trace) = (ere(&mut rng), ere(&mut rng), trace(&mut rng));
         let u = Ere::union([a.clone(), b.clone()]);
-        prop_assert_eq!(
-            member(&u, &trace),
-            member(&a, &trace) || member(&b, &trace)
-        );
+        assert_eq!(member(&u, &trace), member(&a, &trace) || member(&b, &trace), "seed {seed}");
     }
+}
 
-    #[test]
-    fn intersection_is_conjunction(
-        a in ere_strategy(),
-        b in ere_strategy(),
-        trace in trace_strategy()
-    ) {
+#[test]
+fn intersection_is_conjunction() {
+    for (seed, mut rng) in seeds(256) {
+        let (a, b, trace) = (ere(&mut rng), ere(&mut rng), trace(&mut rng));
         let i = Ere::inter([a.clone(), b.clone()]);
-        prop_assert_eq!(
-            member(&i, &trace),
-            member(&a, &trace) && member(&b, &trace)
-        );
+        assert_eq!(member(&i, &trace), member(&a, &trace) && member(&b, &trace), "seed {seed}");
     }
+}
 
-    #[test]
-    fn complement_is_negation(a in ere_strategy(), trace in trace_strategy()) {
-        prop_assert_eq!(member(&a.clone().not(), &trace), !member(&a, &trace));
+#[test]
+fn complement_is_negation() {
+    for (seed, mut rng) in seeds(256) {
+        let (a, trace) = (ere(&mut rng), trace(&mut rng));
+        assert_eq!(member(&a.clone().not(), &trace), !member(&a, &trace), "seed {seed}");
     }
+}
 
-    #[test]
-    fn plus_is_concat_star(a in ere_strategy(), trace in trace_strategy()) {
+#[test]
+fn plus_is_concat_star() {
+    for (seed, mut rng) in seeds(256) {
+        let (a, trace) = (ere(&mut rng), trace(&mut rng));
         let plus = a.clone().plus();
         let via_star = a.clone().concat(a.star());
-        prop_assert_eq!(member(&plus, &trace), member(&via_star, &trace));
+        assert_eq!(member(&plus, &trace), member(&via_star, &trace), "seed {seed}");
     }
+}
 
-    #[test]
-    fn fail_verdict_is_permanent(
-        ere in ere_strategy(),
-        trace in trace_strategy(),
-        suffix in trace_strategy()
-    ) {
-        let al = alphabet();
-        let dfa = ere.compile(&al, 10_000).unwrap();
+#[test]
+fn fail_verdict_is_permanent() {
+    for (seed, mut rng) in seeds(256) {
+        let (ere, trace, suffix) = (ere(&mut rng), trace(&mut rng), trace(&mut rng));
+        let dfa = compile(&ere, seed);
         if dfa.classify(&trace) == Verdict::Fail {
             let mut extended = trace.clone();
             extended.extend(suffix);
-            prop_assert_eq!(dfa.classify(&extended), Verdict::Fail);
+            assert_eq!(dfa.classify(&extended), Verdict::Fail, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn fail_verdict_is_semantically_justified(
-        ere in ere_strategy(),
-        trace in trace_strategy()
-    ) {
-        // Fail ⇒ no extension up to length 4 matches (a bounded check of
-        // "may never match again").
-        let al = alphabet();
-        let dfa = ere.compile(&al, 10_000).unwrap();
+#[test]
+fn fail_verdict_is_semantically_justified() {
+    // Fail ⇒ no extension up to length 4 matches (a bounded check of
+    // "may never match again").
+    for (seed, mut rng) in seeds(256) {
+        let (ere, trace) = (ere(&mut rng), trace(&mut rng));
+        let dfa = compile(&ere, seed);
         if dfa.classify(&trace) == Verdict::Fail {
             let mut stack: Vec<Vec<EventId>> = vec![trace.clone()];
             for _ in 0..4 {
                 let mut next = Vec::new();
                 for t in &stack {
-                    prop_assert_ne!(dfa.classify(t), Verdict::Match, "trace {:?}", t);
+                    assert_ne!(dfa.classify(t), Verdict::Match, "seed {seed}: trace {t:?}");
                     for e in 0..EVENTS {
                         let mut t2 = t.clone();
                         t2.push(EventId(e));
@@ -142,17 +145,16 @@ proptest! {
             }
         }
     }
+}
 
-    #[test]
-    fn unknown_verdict_has_a_bounded_witness_or_deep_future(
-        ere in ere_strategy(),
-        trace in trace_strategy()
-    ) {
-        // ? ⇒ some extension can still match: check that the DFA's
-        // can-reach analysis agrees with a bounded search of depth equal
-        // to the state count (pumping bound).
-        let al = alphabet();
-        let dfa = ere.compile(&al, 10_000).unwrap();
+#[test]
+fn unknown_verdict_has_a_bounded_witness_or_deep_future() {
+    // ? ⇒ some extension can still match: check that the DFA's
+    // can-reach analysis agrees with a bounded search of depth equal
+    // to the state count (pumping bound).
+    for (seed, mut rng) in seeds(256) {
+        let (ere, trace) = (ere(&mut rng), trace(&mut rng));
+        let dfa = compile(&ere, seed);
         if dfa.classify(&trace) == Verdict::Unknown {
             let bound = dfa.state_count() as usize + 1;
             let mut found = false;
@@ -171,9 +173,8 @@ proptest! {
                     }
                 }
                 frontier = next;
-                // Cap the frontier to keep the test fast; the DFA states
-                // reachable from here are few, so sampling suffices only
-                // if exhaustive — instead dedup by DFA state.
+                // Keep the search exhaustive but small: dedup the
+                // frontier by DFA state.
                 let mut seen = std::collections::HashSet::new();
                 frontier.retain(|t| {
                     let mut s = dfa.initial();
@@ -183,32 +184,28 @@ proptest! {
                     seen.insert(s)
                 });
             }
-            prop_assert!(found, "? verdict but no match within the pumping bound");
+            assert!(found, "seed {seed}: ? verdict but no match within the pumping bound");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn minimization_preserves_verdicts_on_random_eres(
-        ere in ere_strategy(),
-        trace in trace_strategy()
-    ) {
-        let al = alphabet();
-        let dfa = ere.compile(&al, 10_000).unwrap();
+#[test]
+fn minimization_preserves_verdicts_on_random_eres() {
+    for (seed, mut rng) in seeds(128) {
+        let (ere, trace) = (ere(&mut rng), trace(&mut rng));
+        let dfa = compile(&ere, seed);
         let min = rv_logic::minimize::minimize(&dfa);
-        prop_assert!(min.state_count() <= dfa.state_count());
-        prop_assert_eq!(dfa.classify(&trace), min.classify(&trace));
+        assert!(min.state_count() <= dfa.state_count(), "seed {seed}");
+        assert_eq!(dfa.classify(&trace), min.classify(&trace), "seed {seed}");
     }
+}
 
-    #[test]
-    fn minimization_preserves_coenable_sets_on_random_eres(ere in ere_strategy()) {
-        use rv_logic::verdict::GoalSet;
-        let al = alphabet();
-        let dfa = ere.compile(&al, 10_000).unwrap();
+#[test]
+fn minimization_preserves_coenable_sets_on_random_eres() {
+    use rv_logic::verdict::GoalSet;
+    for (seed, mut rng) in seeds(128) {
+        let dfa = compile(&ere(&mut rng), seed);
         let min = rv_logic::minimize::minimize(&dfa);
-        prop_assert_eq!(dfa.coenable(GoalSet::MATCH), min.coenable(GoalSet::MATCH));
+        assert_eq!(dfa.coenable(GoalSet::MATCH), min.coenable(GoalSet::MATCH), "seed {seed}");
     }
 }

@@ -78,7 +78,7 @@ fn serve_once_answers_a_prometheus_scrape() {
     // profiler's own measured overhead as a gauge.
     assert!(
         body.contains(
-            "rvmon_profile_spans_total{property=\"UnsafeIter/block1\",phase=\"index_lookup\"} 7"
+            "rvmon_phase_duration_ns_count{property=\"UnsafeIter/block1\",phase=\"index_lookup\"} 7"
         ),
         "one index-lookup span per event: {body}"
     );
@@ -89,7 +89,7 @@ fn serve_once_answers_a_prometheus_scrape() {
     // Exposition well-formedness, the same lint `Service::prometheus`
     // passes.
     common::lint_exposition(body);
-    for family in ["rvmon_events_total", "rvmon_phase_duration_ns", "rvmon_profile_phase_ns"] {
+    for family in ["rvmon_events_total", "rvmon_phase_duration_ns"] {
         assert!(body.contains(&format!("# HELP {family} ")), "no HELP for {family}");
         assert!(body.contains(&format!("# TYPE {family} ")), "no TYPE for {family}");
     }

@@ -111,16 +111,21 @@ fn round_trip_one(spec: &CompiledSpec, policy: GcPolicy, seed: u64, events: usiz
     for step in &steps[..split] {
         apply(step, &mut heap, class, &mut pool, &mut [&mut original]);
     }
-    let snap = original.snapshot_bytes().expect("serializable state");
+    let ctx = format!("{}/{policy:?}/seed {seed}", spec.name);
+    let snap = original.snapshot_bytes().unwrap_or_else(|| panic!("{ctx}: unserializable state"));
     let mut restored = PropertyMonitor::new(spec.clone(), &config);
-    restored.restore_snapshot(&snap, "<memory>").expect("restore own snapshot");
+    restored
+        .restore_snapshot(&snap, "<memory>")
+        .unwrap_or_else(|e| panic!("{ctx}: restore own snapshot: {e}"));
     assert_eq!(
-        restored.snapshot_bytes().expect("re-serialize"),
+        restored.snapshot_bytes().unwrap_or_else(|| panic!("{ctx}: re-serialize")),
         snap,
         "{}/{policy:?}/seed {seed}: restore → snapshot must be byte-identical",
         spec.name
     );
-    restored.check_invariants(&heap).expect("restored state is structurally sound");
+    restored
+        .check_invariants(&heap)
+        .unwrap_or_else(|e| panic!("{ctx}: restored state is unsound: {e}"));
 
     for step in &steps[split..] {
         apply(step, &mut heap, class, &mut pool, &mut [&mut original, &mut restored]);
@@ -220,32 +225,18 @@ fn seed_sweep_crashes_at_many_offsets_without_duplicates() {
     }
 }
 
-/// Property-based round-trip: proptest chooses the property, policy,
-/// seed, and split point. Gated behind `external-deps` with the rest of
-/// the proptest suites.
-#[cfg(feature = "external-deps")]
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        #[test]
-        fn any_split_point_round_trips(
-            pi in 0usize..10,
-            policy in prop_oneof![
-                Just(GcPolicy::None),
-                Just(GcPolicy::AllParamsDead),
-                Just(GcPolicy::CoenableLazy),
-            ],
-            seed in 0u64..1_000,
-            events in 8usize..64,
-            split_frac in 0.0f64..1.0,
-        ) {
-            let spec = compiled(Property::ALL[pi]).expect("catalog property compiles");
-            let steps = schedule(&spec, seed, events).len();
-            let split = ((steps as f64) * split_frac) as usize;
-            round_trip_one(&spec, policy, seed, events, split.min(steps));
-        }
+/// Seeded round-trip: each seed chooses the property, policy, trace
+/// length and split point, and seeds the trace itself.
+#[test]
+fn any_split_point_round_trips() {
+    for seed in 0..48 {
+        let mut rng = SplitMix64::new(seed);
+        let property = Property::ALL[rng.gen_range(Property::ALL.len())];
+        let policy = POLICIES[rng.gen_range(POLICIES.len())];
+        let events = 8 + rng.gen_range(56);
+        let spec = compiled(property).expect("catalog property compiles");
+        let steps = schedule(&spec, seed, events).len();
+        let split = ((steps as f64) * rng.next_f64()) as usize;
+        round_trip_one(&spec, policy, seed, events, split.min(steps));
     }
 }

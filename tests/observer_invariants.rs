@@ -341,50 +341,35 @@ where
         .collect()
 }
 
-/// Under each `DegradationPolicy` ceiling, the budget/degradation/shed
-/// callbacks agree with [`EngineStats`], and the creation ledger balances:
-/// every creation decision is either shed at the admission gate, still
-/// live, or collected — `shed + created − collected == shed + live`.
+/// Under the degradation ladder, the budget/degradation/shed callbacks
+/// agree with [`EngineStats`], the budget is a hard cap, and the creation
+/// ledger balances: every creation decision is either shed at the
+/// admission gate, still live, or collected — `shed + created − collected
+/// == shed + live`.
 #[test]
-fn degradation_observer_parity_and_ledger_under_each_ceiling() {
-    for ceiling in [
-        DegradationPolicy::ForcedSweep,
-        DegradationPolicy::EagerCollect,
-        DegradationPolicy::ShedNewMonitors,
-    ] {
-        let config = EngineConfig {
-            max_live_monitors: Some(4),
-            degradation: ceiling,
-            ..EngineConfig::default()
-        };
-        for (block, (obs, stats)) in
-            drive_bloat(&config, |_| Counting::default()).into_iter().enumerate()
-        {
-            let ctx = format!("ceiling {ceiling:?} block {block}");
-            assert_eq!(obs.budget_trips, stats.budget_trips, "{ctx}: budget trips");
-            assert_eq!(obs.deg_entered, stats.degradations, "{ctx}: degradations entered");
-            assert_eq!(obs.shed, stats.shed, "{ctx}: shed");
-            assert_eq!(obs.quarantined, stats.quarantined, "{ctx}: quarantined");
-            assert!(obs.deg_exited <= obs.deg_entered, "{ctx}: exits ≤ entries");
-            assert!(stats.budget_trips > 0, "{ctx}: the workload must trip the budget");
-            assert!(stats.degradations > 0, "{ctx}: the ladder must engage");
-            assert_eq!(
-                stats.shed + stats.monitors_created - stats.monitors_collected,
-                stats.shed + stats.live_monitors as u64,
-                "{ctx}: shed/created/collected/live ledger must balance"
-            );
-            if ceiling == DegradationPolicy::ShedNewMonitors {
-                assert!(
-                    stats.peak_live_monitors <= 4,
-                    "{ctx}: the full ladder enforces the budget as a hard cap ({stats})"
-                );
-                assert!(stats.shed > 0, "{ctx}: pressure without death must shed");
-            } else {
-                // Shedding is above this ceiling: the population may
-                // exceed the budget, but nothing is ever refused.
-                assert_eq!(stats.shed, 0, "{ctx}: shedding is not permitted at this ceiling");
-            }
-        }
+fn degradation_observer_parity_and_ledger_under_the_full_ladder() {
+    let config = EngineConfig { max_live_monitors: Some(4), ..EngineConfig::default() };
+    for (block, (obs, stats)) in
+        drive_bloat(&config, |_| Counting::default()).into_iter().enumerate()
+    {
+        let ctx = format!("block {block}");
+        assert_eq!(obs.budget_trips, stats.budget_trips, "{ctx}: budget trips");
+        assert_eq!(obs.deg_entered, stats.degradations, "{ctx}: degradations entered");
+        assert_eq!(obs.shed, stats.shed, "{ctx}: shed");
+        assert_eq!(obs.quarantined, stats.quarantined, "{ctx}: quarantined");
+        assert!(obs.deg_exited <= obs.deg_entered, "{ctx}: exits ≤ entries");
+        assert!(stats.budget_trips > 0, "{ctx}: the workload must trip the budget");
+        assert!(stats.degradations > 0, "{ctx}: the ladder must engage");
+        assert_eq!(
+            stats.shed + stats.monitors_created - stats.monitors_collected,
+            stats.shed + stats.live_monitors as u64,
+            "{ctx}: shed/created/collected/live ledger must balance"
+        );
+        assert!(
+            stats.peak_live_monitors <= 4,
+            "{ctx}: the ladder enforces the budget as a hard cap ({stats})"
+        );
+        assert!(stats.shed > 0, "{ctx}: pressure without death must shed");
     }
 }
 

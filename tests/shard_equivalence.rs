@@ -18,9 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rv_monitor::core::{
-    differential_run, differential_run_with, Binding, DegradationPolicy, EngineConfig, GcPolicy,
-    HandlerFactory, NoopObserver, PropertyMonitor, ShardConfig, ShardDifferential, ShardedMonitor,
-    Trigger,
+    differential_run, differential_run_with, Binding, EngineConfig, GcPolicy, HandlerFactory,
+    NoopObserver, PropertyMonitor, ShardConfig, ShardDifferential, ShardedMonitor, Trigger,
 };
 use rv_monitor::heap::{Heap, HeapConfig, ObjId};
 use rv_monitor::props::Property;
@@ -217,42 +216,35 @@ fn sequential_single_owner(
     (monitor.engines()[0].triggers().to_vec(), monitor.stats())
 }
 
-/// ForcedSweep and EagerCollect under budget pressure are
-/// verdict-preserving: the random differential workload must agree
-/// sharded-vs-sequential at every shard count (the Figure 5 oracle is
-/// not consulted — it models no budgets).
+/// The degradation ladder's rungs (ForcedSweep, EagerCollect, then
+/// shedding) under budget pressure: the random differential workload must
+/// agree sharded-vs-sequential at every shard count (the Figure 5 oracle
+/// is not consulted — it models no budgets).
 #[test]
 fn sweep_rungs_under_budget_pressure_match_sequential_at_all_shard_counts() {
     let spec = rv_monitor::props::compiled(Property::UnsafeIter).unwrap();
-    for degradation in [DegradationPolicy::ForcedSweep, DegradationPolicy::EagerCollect] {
-        let config = EngineConfig {
-            max_live_monitors: Some(6),
-            degradation,
-            record_triggers: true,
-            ..EngineConfig::default()
-        };
-        let mut streams = Vec::new();
-        let mut trips = 0;
-        for shards in [1usize, 2, 4] {
-            let cfg = ShardConfig { shards, batch: 8, seed: 0x5EED };
-            let out = differential_run_with(&spec, &config, cfg, 13, EVENTS)
-                .unwrap_or_else(|e| panic!("{degradation:?} shards {shards}: {e}"));
-            assert!(
-                out.matches(),
-                "{degradation:?} shards {shards}:\n{}",
-                out.mismatches.join("\n")
-            );
-            trips += out.report.stats.budget_trips;
-            streams.push((shards, out.report.triggers));
-        }
-        assert!(trips > 0, "{degradation:?}: the budget never tripped — workload too tame");
-        for pair in streams.windows(2) {
-            assert_eq!(
-                pair[0].1, pair[1].1,
-                "{degradation:?}: shards {} and {} disagree on the trigger stream",
-                pair[0].0, pair[1].0
-            );
-        }
+    let config = EngineConfig {
+        max_live_monitors: Some(6),
+        record_triggers: true,
+        ..EngineConfig::default()
+    };
+    let mut streams = Vec::new();
+    let mut trips = 0;
+    for shards in [1usize, 2, 4] {
+        let cfg = ShardConfig { shards, batch: 8, seed: 0x5EED };
+        let out = differential_run_with(&spec, &config, cfg, 13, EVENTS)
+            .unwrap_or_else(|e| panic!("shards {shards}: {e}"));
+        assert!(out.matches(), "shards {shards}:\n{}", out.mismatches.join("\n"));
+        trips += out.report.stats.budget_trips;
+        streams.push((shards, out.report.triggers));
+    }
+    assert!(trips > 0, "the budget never tripped — workload too tame");
+    for pair in streams.windows(2) {
+        assert_eq!(
+            pair[0].1, pair[1].1,
+            "shards {} and {} disagree on the trigger stream",
+            pair[0].0, pair[1].0
+        );
     }
 }
 
@@ -265,7 +257,6 @@ fn shed_rung_is_deterministic_across_shard_counts() {
     let spec = rv_monitor::props::compiled(Property::UnsafeIter).unwrap();
     let config = EngineConfig {
         max_live_monitors: Some(4),
-        degradation: DegradationPolicy::ShedNewMonitors,
         record_triggers: true,
         ..EngineConfig::default()
     };
