@@ -31,6 +31,22 @@ if grep -rnE '#!\[cfg\(feature|cfg\(feature = "external-deps"\)' tests crates/*/
     exit 1
 fi
 
+# An observer callback that the engine never calls is interface every
+# observer must carry for nothing: each `fn` of `pub trait EngineObserver`
+# must appear as a `.name(` call in the non-test part of engine.rs (the
+# file up to its first `#[cfg(test)]`).
+echo "== every EngineObserver callback has a producer in engine.rs"
+ENGINE_SRC=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/engine.rs)
+CALLBACKS=$(awk '/^pub trait EngineObserver/ { t = 1; next }
+                 t && /^}/ { exit }
+                 t && match($0, /^    fn [a-z_0-9]+/) { print substr($0, 8, RLENGTH - 7) }' \
+    crates/core/src/obs.rs)
+test -n "$CALLBACKS" || { echo "no EngineObserver callbacks found in obs.rs"; exit 1; }
+for cb in $CALLBACKS; do
+    printf '%s\n' "$ENGINE_SRC" | grep -qF ".$cb(" \
+        || { echo "EngineObserver::$cb is never called in crates/core/src/engine.rs"; exit 1; }
+done
+
 echo "== cargo build --release"
 cargo build --release
 

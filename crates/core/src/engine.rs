@@ -618,7 +618,6 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             // Monomorphic hit: same instance, no monitor lifecycle change.
             self.stats.cache_hits += 1;
             self.cache.hits += 1;
-            self.observer.cache_hit();
             self.scratch_ids.clear();
             self.scratch_ids.extend_from_slice(&self.cache.members);
             // Keep a trickle of lazy GC flowing even on hot loops.
@@ -638,7 +637,6 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
                 }
             }
         } else {
-            self.observer.cache_miss();
             let mut sink = NotifySink::new(
                 &mut self.store,
                 &self.aliveness,

@@ -14,10 +14,12 @@
 //!   [`EngineObserver::ENABLED`] constant.
 //! * [`TraceRecorder`] — a bounded ring buffer of timestamped lifecycle
 //!   records, dumped as JSONL (one record per line).
-//! * [`MetricsRegistry`] — counters plus fixed-bucket histograms (monitor
-//!   lifetimes, bindings touched per event, sweep batch sizes, GC pauses)
-//!   with a hand-rolled JSON snapshot serializer: the workspace is
-//!   dependency-free, so there is no serde here. Per-phase wall-clock
+//! * [`MetricsRegistry`] — the counts the engine does not keep (sweeps,
+//!   GC cycles) plus fixed-bucket histograms (monitor lifetimes, bindings
+//!   touched per event, sweep batch sizes, GC pauses); E/M/FM/CM stay in
+//!   [`EngineStats`], the one counter. The JSON snapshot serializer is
+//!   hand-rolled: the workspace is dependency-free, so there is no serde
+//!   here. Per-phase wall-clock
 //!   histograms live in one place, [`PhaseProfiler`](crate::PhaseProfiler).
 //!
 //! Two observers compose as a tuple: `(TraceRecorder, MetricsRegistry)`
@@ -368,12 +370,6 @@ pub trait EngineObserver {
     /// A goal verdict was reported (a handler execution).
     fn trigger_fired(&mut self, step: usize, binding: &Binding, verdict: Verdict) {}
 
-    /// The monomorphic lookup cache served a dispatch.
-    fn cache_hit(&mut self) {}
-
-    /// The dispatch went through the indexing trees.
-    fn cache_miss(&mut self) {}
-
     /// A dispatch phase took `nanos` wall-clock nanoseconds. Only emitted
     /// when `Self::ENABLED` (timing a no-op observer would itself cost).
     fn phase_timed(&mut self, phase: Phase, nanos: u64) {}
@@ -395,19 +391,6 @@ pub trait EngineObserver {
     /// A handler panic quarantined monitor `id`; the engine keeps
     /// processing every other instance.
     fn monitor_quarantined(&mut self, id: MonitorId, binding: &Binding) {}
-
-    /// A checkpoint covering everything up to journal sequence `seq` was
-    /// durably written (`bytes` bytes of payload).
-    fn checkpoint_written(&mut self, seq: u64, bytes: u64) {}
-
-    /// Crash recovery began. `checkpoint_seq` is the journal sequence
-    /// covered by the checkpoint being restored, or `None` when recovery
-    /// falls back to a full journal replay.
-    fn recovery_started(&mut self, checkpoint_seq: Option<u64>) {}
-
-    /// The journal reader truncated `lost_bytes` bytes of torn or corrupt
-    /// tail during recovery.
-    fn records_truncated(&mut self, lost_bytes: u64) {}
 
     /// A garbage-collection cycle (heap mark-sweep or monitor sweep)
     /// finished. Only emitted when `Self::ENABLED` — assembling the
@@ -482,16 +465,6 @@ impl<A: EngineObserver, B: EngineObserver> EngineObserver for (A, B) {
         self.1.trigger_fired(step, binding, verdict);
     }
 
-    fn cache_hit(&mut self) {
-        self.0.cache_hit();
-        self.1.cache_hit();
-    }
-
-    fn cache_miss(&mut self) {
-        self.0.cache_miss();
-        self.1.cache_miss();
-    }
-
     fn phase_timed(&mut self, phase: Phase, nanos: u64) {
         self.0.phase_timed(phase, nanos);
         self.1.phase_timed(phase, nanos);
@@ -520,21 +493,6 @@ impl<A: EngineObserver, B: EngineObserver> EngineObserver for (A, B) {
     fn monitor_quarantined(&mut self, id: MonitorId, binding: &Binding) {
         self.0.monitor_quarantined(id, binding);
         self.1.monitor_quarantined(id, binding);
-    }
-
-    fn checkpoint_written(&mut self, seq: u64, bytes: u64) {
-        self.0.checkpoint_written(seq, bytes);
-        self.1.checkpoint_written(seq, bytes);
-    }
-
-    fn recovery_started(&mut self, checkpoint_seq: Option<u64>) {
-        self.0.recovery_started(checkpoint_seq);
-        self.1.recovery_started(checkpoint_seq);
-    }
-
-    fn records_truncated(&mut self, lost_bytes: u64) {
-        self.0.records_truncated(lost_bytes);
-        self.1.records_truncated(lost_bytes);
     }
 
     fn gc_cycle(&mut self, record: &GcCycleRecord) {
@@ -582,7 +540,7 @@ pub fn json_f64(x: f64) -> String {
     }
 }
 
-fn render_binding(b: &Binding, names: Option<&EventDef>) -> String {
+pub(crate) fn render_binding(b: &Binding, names: Option<&EventDef>) -> String {
     let mut out = String::new();
     for (i, (p, obj)) in b.iter().enumerate() {
         if i > 0 {
@@ -600,14 +558,14 @@ fn render_binding(b: &Binding, names: Option<&EventDef>) -> String {
     out
 }
 
-fn render_event(e: EventId, alphabet: Option<&Alphabet>) -> String {
+pub(crate) fn render_event(e: EventId, alphabet: Option<&Alphabet>) -> String {
     match alphabet {
         Some(a) => a.name(e).to_owned(),
         None => format!("e{}", e.as_usize()),
     }
 }
 
-fn render_params(ps: ParamSet, names: Option<&EventDef>) -> String {
+pub(crate) fn render_params(ps: ParamSet, names: Option<&EventDef>) -> String {
     let mut out = String::new();
     for (i, p) in ps.iter().enumerate() {
         if i > 0 {
@@ -716,23 +674,6 @@ pub enum TraceKind {
         /// Its binding.
         binding: Binding,
     },
-    /// A checkpoint was durably written.
-    CheckpointWritten {
-        /// The journal sequence the checkpoint covers.
-        seq: u64,
-        /// Payload size in bytes.
-        bytes: u64,
-    },
-    /// Crash recovery began.
-    RecoveryStarted {
-        /// The restored checkpoint's covered sequence, if one was usable.
-        checkpoint_seq: Option<u64>,
-    },
-    /// The journal reader truncated a torn or corrupt tail.
-    RecordsTruncated {
-        /// Bytes discarded from the journal.
-        lost_bytes: u64,
-    },
     /// A garbage-collection cycle finished.
     GcCycle {
         /// The full per-cycle accounting.
@@ -767,8 +708,6 @@ pub struct TraceRecorder {
     head: usize,
     next_seq: u64,
     events_seen: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     /// Optional naming context for human-readable dumps.
     names: Option<(Alphabet, EventDef)>,
 }
@@ -795,8 +734,6 @@ impl TraceRecorder {
             head: 0,
             next_seq: 0,
             events_seen: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             names: None,
         }
     }
@@ -840,25 +777,10 @@ impl TraceRecorder {
         self.next_seq - self.ring.len() as u64
     }
 
-    /// Lookup-cache hits observed.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Lookup-cache misses observed.
-    #[must_use]
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
-    }
-
     /// Renders one record as a JSON object (no trailing newline).
     #[must_use]
     pub fn record_json(&self, r: &TraceRecord) -> String {
-        let (alphabet, def) = match &self.names {
-            Some((a, d)) => (Some(a), Some(d)),
-            None => (None, None),
-        };
+        let (alphabet, def) = self.names.as_ref().map(|(a, d)| (a, d)).unzip();
         let mut out =
             format!("{{\"seq\":{},\"t_ns\":{},\"event_index\":{}", r.seq, r.t_nanos, r.event_index);
         match r.kind {
@@ -952,24 +874,6 @@ impl TraceRecorder {
                     json_escape(&render_binding(&binding, def))
                 );
             }
-            TraceKind::CheckpointWritten { seq, bytes } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"checkpoint_written\",\"covered_seq\":{seq},\"bytes\":{bytes}"
-                );
-            }
-            TraceKind::RecoveryStarted { checkpoint_seq } => {
-                out.push_str(",\"kind\":\"recovery_started\",\"checkpoint_seq\":");
-                match checkpoint_seq {
-                    Some(seq) => {
-                        let _ = write!(out, "{seq}");
-                    }
-                    None => out.push_str("null"),
-                }
-            }
-            TraceKind::RecordsTruncated { lost_bytes } => {
-                let _ = write!(out, ",\"kind\":\"records_truncated\",\"lost_bytes\":{lost_bytes}");
-            }
             TraceKind::GcCycle { record } => {
                 let _ = write!(
                     out,
@@ -1046,14 +950,6 @@ impl EngineObserver for TraceRecorder {
         self.push(TraceKind::Trigger { binding: *binding, verdict });
     }
 
-    fn cache_hit(&mut self) {
-        self.cache_hits += 1;
-    }
-
-    fn cache_miss(&mut self) {
-        self.cache_misses += 1;
-    }
-
     fn budget_tripped(&mut self, budget: BudgetKind, observed: u64, limit: u64) {
         self.push(TraceKind::BudgetTripped { budget, observed, limit });
     }
@@ -1076,18 +972,6 @@ impl EngineObserver for TraceRecorder {
 
     fn monitor_quarantined(&mut self, id: MonitorId, binding: &Binding) {
         self.push(TraceKind::Quarantined { id, binding: *binding });
-    }
-
-    fn checkpoint_written(&mut self, seq: u64, bytes: u64) {
-        self.push(TraceKind::CheckpointWritten { seq, bytes });
-    }
-
-    fn recovery_started(&mut self, checkpoint_seq: Option<u64>) {
-        self.push(TraceKind::RecoveryStarted { checkpoint_seq });
-    }
-
-    fn records_truncated(&mut self, lost_bytes: u64) {
-        self.push(TraceKind::RecordsTruncated { lost_bytes });
     }
 }
 
@@ -1273,29 +1157,15 @@ impl Histogram {
 /// Counters and histograms over the monitor-GC pipeline, with a JSON
 /// snapshot serializer.
 ///
-/// Counter semantics mirror [`EngineStats`]: after a run the registry's
-/// `events`/`created`/`flagged`/`collected` equal the engine's E/M/FM/CM
-/// (this is asserted by the `observer_invariants` test suite).
+/// It keeps only what the engine does not count: E/M/FM/CM and the other
+/// engine counters live in [`EngineStats`], which
+/// [`snapshot_json`](MetricsRegistry::snapshot_json) embeds.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
+    /// Events observed: the clock the age histograms are measured in.
     events: u64,
-    created: u64,
-    flagged: u64,
-    collected: u64,
-    dead_keys: u64,
-    triggers: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     sweeps: u64,
-    budget_trips: u64,
-    degradations_entered: u64,
     degradations_exited: u64,
-    shed: u64,
-    quarantined: u64,
-    checkpoints_written: u64,
-    checkpoint_bytes: u64,
-    recoveries: u64,
-    journal_bytes_truncated: u64,
     /// Creation→collection age in events.
     lifetime_events: Histogram,
     /// Creation→flag age in events.
@@ -1325,8 +1195,6 @@ pub struct MetricsRegistry {
     /// Birth event-index per live monitor id (removed on collection, so
     /// slot reuse cannot corrupt ages).
     birth: HashMap<MonitorId, u64>,
-    /// Flag event-index per flagged-but-uncollected monitor id.
-    flagged_at: HashMap<MonitorId, u64>,
 }
 
 /// Cap on the raw `(end_ns, pause_ns)` records a [`MetricsRegistry`]
@@ -1340,100 +1208,16 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Events observed (the E column).
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Monitors created (M).
-    #[must_use]
-    pub fn created(&self) -> u64 {
-        self.created
-    }
-
-    /// Monitors flagged (FM).
-    #[must_use]
-    pub fn flagged(&self) -> u64 {
-        self.flagged
-    }
-
-    /// Monitors collected (CM).
-    #[must_use]
-    pub fn collected(&self) -> u64 {
-        self.collected
-    }
-
-    /// Dead keys discovered by indexing structures.
-    #[must_use]
-    pub fn dead_keys(&self) -> u64 {
-        self.dead_keys
-    }
-
-    /// Goal reports observed.
-    #[must_use]
-    pub fn triggers(&self) -> u64 {
-        self.triggers
-    }
-
     /// Safepoint sweeps observed.
     #[must_use]
     pub fn sweeps(&self) -> u64 {
         self.sweeps
     }
 
-    /// Resource-budget violations observed.
-    #[must_use]
-    pub fn budget_trips(&self) -> u64 {
-        self.budget_trips
-    }
-
-    /// Degradation-ladder escalations observed.
-    #[must_use]
-    pub fn degradations_entered(&self) -> u64 {
-        self.degradations_entered
-    }
-
     /// Degradation recoveries observed.
     #[must_use]
     pub fn degradations_exited(&self) -> u64 {
         self.degradations_exited
-    }
-
-    /// Monitor creations refused under pressure.
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Monitors quarantined after handler panics.
-    #[must_use]
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined
-    }
-
-    /// Checkpoints durably written.
-    #[must_use]
-    pub fn checkpoints_written(&self) -> u64 {
-        self.checkpoints_written
-    }
-
-    /// Total checkpoint payload bytes written.
-    #[must_use]
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.checkpoint_bytes
-    }
-
-    /// Crash recoveries started.
-    #[must_use]
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
-    }
-
-    /// Journal bytes discarded as torn or corrupt during recovery.
-    #[must_use]
-    pub fn journal_bytes_truncated(&self) -> u64 {
-        self.journal_bytes_truncated
     }
 
     /// The creation→collection age histogram (in events).
@@ -1504,60 +1288,20 @@ impl MetricsRegistry {
         &self.event_latency_ns
     }
 
-    /// Mean monitor allocations per dispatched event — the windowless
-    /// allocation rate (a per-event rate, since the registry has no
-    /// clock of its own).
-    #[must_use]
-    pub fn alloc_rate_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.created as f64 / self.events as f64
-        }
-    }
-
-    /// Mean monitor flaggings per dispatched event.
-    #[must_use]
-    pub fn flag_rate_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.flagged as f64 / self.events as f64
-        }
-    }
-
     /// Accumulates another registry into this one — the per-shard metrics
     /// aggregation path: every counter sums (saturating) and every
     /// histogram merges via [`Histogram::merge_from`].
     ///
-    /// The per-monitor age tables (`birth`/`flagged_at`) are deliberately
-    /// *not* merged: [`MonitorId`]s are engine-local and collide across
-    /// shards, and the tables exist only to feed the lifetime/latency
-    /// histograms at flag/collect time — which each shard already did
-    /// before its snapshot was shipped.
+    /// The per-monitor birth table is deliberately *not* merged:
+    /// [`MonitorId`]s are engine-local and collide across shards, and the
+    /// table exists only to feed the lifetime/latency histograms at
+    /// flag/collect time — which each shard already did before its
+    /// snapshot was shipped.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         self.events = self.events.saturating_add(other.events);
-        self.created = self.created.saturating_add(other.created);
-        self.flagged = self.flagged.saturating_add(other.flagged);
-        self.collected = self.collected.saturating_add(other.collected);
-        self.dead_keys = self.dead_keys.saturating_add(other.dead_keys);
-        self.triggers = self.triggers.saturating_add(other.triggers);
-        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(other.cache_misses);
         self.sweeps = self.sweeps.saturating_add(other.sweeps);
-        self.budget_trips = self.budget_trips.saturating_add(other.budget_trips);
-        self.degradations_entered =
-            self.degradations_entered.saturating_add(other.degradations_entered);
         self.degradations_exited =
             self.degradations_exited.saturating_add(other.degradations_exited);
-        self.shed = self.shed.saturating_add(other.shed);
-        self.quarantined = self.quarantined.saturating_add(other.quarantined);
-        self.checkpoints_written =
-            self.checkpoints_written.saturating_add(other.checkpoints_written);
-        self.checkpoint_bytes = self.checkpoint_bytes.saturating_add(other.checkpoint_bytes);
-        self.recoveries = self.recoveries.saturating_add(other.recoveries);
-        self.journal_bytes_truncated =
-            self.journal_bytes_truncated.saturating_add(other.journal_bytes_truncated);
         self.lifetime_events.merge_from(&other.lifetime_events);
         self.flag_latency_events.merge_from(&other.flag_latency_events);
         self.touched_per_event.merge_from(&other.touched_per_event);
@@ -1582,51 +1326,18 @@ impl MetricsRegistry {
         self.event_latency_ns.merge_from(&other.event_latency_ns);
     }
 
-    /// Serializes every counter and histogram as one JSON object.
+    /// Serializes the registry's own counters and histograms together with
+    /// the engine's [`EngineStats`] (the `"engine"` object, E/M/FM/CM and
+    /// the rest) and, optionally, the simulated heap's [`HeapStats`], so one
+    /// document carries the full pipeline state and each count appears once.
     #[must_use]
-    pub fn snapshot_json(&self) -> String {
-        self.snapshot_json_with(None, None)
-    }
-
-    /// Serializes the registry plus (optionally) the engine's own
-    /// [`EngineStats`] and the simulated heap's [`HeapStats`], so one
-    /// document carries the full pipeline state.
-    #[must_use]
-    pub fn snapshot_json_with(
-        &self,
-        engine: Option<&EngineStats>,
-        heap: Option<&HeapStats>,
-    ) -> String {
+    pub fn snapshot_json(&self, engine: &EngineStats, heap: Option<&HeapStats>) -> String {
         let mut out = String::from("{\"counters\":{");
         let _ = write!(
             out,
-            "\"events\":{},\"monitors_created\":{},\"monitors_flagged\":{},\
-             \"monitors_collected\":{},\"dead_keys\":{},\"triggers\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"sweeps\":{},\
-             \"budget_trips\":{},\"degradations_entered\":{},\"degradations_exited\":{},\
-             \"shed\":{},\"quarantined\":{},\
-             \"checkpoints_written\":{},\"checkpoint_bytes\":{},\
-             \"recoveries\":{},\"journal_bytes_truncated\":{}",
-            self.events,
-            self.created,
-            self.flagged,
-            self.collected,
-            self.dead_keys,
-            self.triggers,
-            self.cache_hits,
-            self.cache_misses,
-            self.sweeps,
-            self.budget_trips,
-            self.degradations_entered,
-            self.degradations_exited,
-            self.shed,
-            self.quarantined,
-            self.checkpoints_written,
-            self.checkpoint_bytes,
-            self.recoveries,
-            self.journal_bytes_truncated
+            "\"sweeps\":{},\"degradations_exited\":{},\"gc_debt\":{}",
+            self.sweeps, self.degradations_exited, self.gc_debt
         );
-        let _ = write!(out, ",\"gc_debt\":{}", self.gc_debt);
         for kind in GcKind::ALL {
             for reason in GcReason::ALL {
                 let _ = write!(
@@ -1650,10 +1361,7 @@ impl MetricsRegistry {
                 write!(out, ",\"gc_pause_{}_ns\":{}", kind.label(), self.gc_pause(kind).to_json());
         }
         let _ = write!(out, ",\"event_latency_ns\":{}", self.event_latency_ns.to_json());
-        out.push('}');
-        if let Some(s) = engine {
-            let _ = write!(out, ",\"engine\":{}", s.to_json());
-        }
+        let _ = write!(out, "}},\"engine\":{}", engine.to_json());
         if let Some(h) = heap {
             let _ = write!(out, ",\"heap\":{}", h.to_json());
         }
@@ -1669,7 +1377,6 @@ impl EngineObserver for MetricsRegistry {
     }
 
     fn monitor_created(&mut self, id: MonitorId, _binding: &Binding) {
-        self.created += 1;
         self.gc_debt = self.gc_debt.saturating_add(1);
         self.birth.insert(id, self.events);
     }
@@ -1682,23 +1389,15 @@ impl EngineObserver for MetricsRegistry {
         _dead: ParamSet,
         _cause: FlagCause,
     ) {
-        self.flagged += 1;
         if let Some(&born) = self.birth.get(&id) {
             self.flag_latency_events.record(self.events - born);
         }
-        self.flagged_at.insert(id, self.events);
     }
 
     fn monitor_collected(&mut self, id: MonitorId) {
-        self.collected += 1;
         if let Some(born) = self.birth.remove(&id) {
             self.lifetime_events.record(self.events - born);
         }
-        self.flagged_at.remove(&id);
-    }
-
-    fn dead_key_discovered(&mut self, _key: &Binding) {
-        self.dead_keys += 1;
     }
 
     fn sweep_started(&mut self) {
@@ -1709,49 +1408,8 @@ impl EngineObserver for MetricsRegistry {
         self.sweep_batch.record(collected);
     }
 
-    fn trigger_fired(&mut self, _step: usize, _binding: &Binding, _verdict: Verdict) {
-        self.triggers += 1;
-    }
-
-    fn cache_hit(&mut self) {
-        self.cache_hits += 1;
-    }
-
-    fn cache_miss(&mut self) {
-        self.cache_misses += 1;
-    }
-
-    fn budget_tripped(&mut self, _budget: BudgetKind, _observed: u64, _limit: u64) {
-        self.budget_trips += 1;
-    }
-
-    fn degradation_entered(&mut self, _level: DegradationPolicy) {
-        self.degradations_entered += 1;
-    }
-
     fn degradation_exited(&mut self, _level: DegradationPolicy) {
         self.degradations_exited += 1;
-    }
-
-    fn monitor_shed(&mut self, _binding: &Binding) {
-        self.shed += 1;
-    }
-
-    fn monitor_quarantined(&mut self, _id: MonitorId, _binding: &Binding) {
-        self.quarantined += 1;
-    }
-
-    fn checkpoint_written(&mut self, _seq: u64, bytes: u64) {
-        self.checkpoints_written += 1;
-        self.checkpoint_bytes += bytes;
-    }
-
-    fn recovery_started(&mut self, _checkpoint_seq: Option<u64>) {
-        self.recoveries += 1;
-    }
-
-    fn records_truncated(&mut self, lost_bytes: u64) {
-        self.journal_bytes_truncated += lost_bytes;
     }
 
     fn gc_cycle(&mut self, record: &GcCycleRecord) {
@@ -1894,31 +1552,25 @@ mod tests {
         let mut a = MetricsRegistry::new();
         a.event_dispatched(EventId(0), &Binding::BOTTOM, 2);
         a.monitor_created(MonitorId::from_raw(0), &Binding::BOTTOM);
-        a.trigger_fired(0, &Binding::BOTTOM, Verdict::Match);
-        a.cache_hit();
         let mut b = MetricsRegistry::new();
         b.event_dispatched(EventId(1), &Binding::BOTTOM, 5);
         b.event_dispatched(EventId(1), &Binding::BOTTOM, 7);
         b.monitor_created(MonitorId::from_raw(0), &Binding::BOTTOM);
         b.monitor_collected(MonitorId::from_raw(0));
-        b.cache_miss();
         b.sweep_started();
         b.sweep_finished(1, 4);
+        b.degradation_exited(DegradationPolicy::ForcedSweep);
         a.merge_from(&b);
-        assert_eq!(a.events(), 3);
-        assert_eq!(a.created(), 2);
-        assert_eq!(a.collected(), 1);
-        assert_eq!(a.triggers(), 1);
         assert_eq!(a.sweeps(), 1);
+        assert_eq!(a.degradations_exited(), 1);
         assert_eq!(a.touched_per_event().count(), 3, "histograms merge bucket-wise");
         assert_eq!(a.touched_per_event().max(), 7);
         assert_eq!(a.sweep_batch().count(), 1);
         assert_eq!(a.lifetime_events().count(), 1, "b collected one monitor at age 1");
-        let json = a.snapshot_json();
-        assert!(json.contains("\"events\":3"), "{json}");
-        assert!(json.contains("\"monitors_created\":2"), "{json}");
-        assert!(json.contains("\"cache_hits\":1"), "{json}");
-        assert!(json.contains("\"cache_misses\":1"), "{json}");
+        assert_eq!(a.gc_debt(), 2, "debt sums: two creations, no monitor-sweep cycle");
+        let json = a.snapshot_json(&EngineStats::default(), None);
+        assert!(json.contains("{\"counters\":{\"sweeps\":1,\"degradations_exited\":1"), "{json}");
+        assert!(json.contains("\"gc_debt\":2"), "{json}");
     }
 
     #[test]
@@ -1960,11 +1612,17 @@ mod tests {
         m.event_dispatched(EventId(1), &Binding::BOTTOM, 1);
         m.monitor_flagged(id, &Binding::BOTTOM, EventId(1), ParamSet::EMPTY, FlagCause::Aliveness);
         m.monitor_collected(id);
-        let json = m.snapshot_json();
-        assert!(json.contains("\"events\":2"), "{json}");
-        assert!(json.contains("\"monitors_created\":1"), "{json}");
-        assert!(json.contains("\"monitors_flagged\":1"), "{json}");
-        assert!(json.contains("\"monitors_collected\":1"), "{json}");
+        let stats = EngineStats {
+            events: 2,
+            monitors_created: 1,
+            monitors_flagged: 1,
+            monitors_collected: 1,
+            ..EngineStats::default()
+        };
+        let json = m.snapshot_json(&stats, None);
+        // E/M/FM/CM are read from the engine, once.
+        assert!(json.contains(&format!("\"engine\":{}", stats.to_json())), "{json}");
+        assert_eq!(json.matches("\"events\":").count(), 1, "{json}");
         assert!(json.contains("\"monitor_lifetime_events\""), "{json}");
         // Phase timings live in `PhaseProfiler`, not the registry.
         assert!(!json.contains("\"phase_"), "{json}");
@@ -1992,61 +1650,14 @@ mod tests {
         assert!(dump.contains("\"kind\":\"shed\""));
         assert!(dump.contains("\"kind\":\"quarantined\",\"monitor\":3"));
 
+        // Entries, trips, sheds and quarantines are `EngineStats` counters;
+        // only the exit is the registry's own.
         let mut m = MetricsRegistry::new();
-        m.budget_tripped(BudgetKind::LiveMonitors, 2048, 1024);
-        m.degradation_entered(DegradationPolicy::EagerCollect);
         m.degradation_entered(DegradationPolicy::ShedNewMonitors);
-        m.monitor_shed(&Binding::BOTTOM);
-        m.monitor_quarantined(MonitorId::from_raw(0), &Binding::BOTTOM);
         m.degradation_exited(DegradationPolicy::ShedNewMonitors);
-        assert_eq!(m.budget_trips(), 1);
-        assert_eq!(m.degradations_entered(), 2);
         assert_eq!(m.degradations_exited(), 1);
-        assert_eq!(m.shed(), 1);
-        assert_eq!(m.quarantined(), 1);
-        let json = m.snapshot_json();
-        for key in [
-            "\"budget_trips\":1",
-            "\"degradations_entered\":2",
-            "\"degradations_exited\":1",
-            "\"shed\":1",
-            "\"quarantined\":1",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-    }
-
-    #[test]
-    fn durability_callbacks_reach_traces_and_metrics() {
-        let mut rec = TraceRecorder::new(16);
-        rec.checkpoint_written(42, 1024);
-        rec.recovery_started(Some(42));
-        rec.recovery_started(None);
-        rec.records_truncated(17);
-        let dump = rec.dump_jsonl();
-        assert!(dump.contains("\"kind\":\"checkpoint_written\",\"covered_seq\":42,\"bytes\":1024"));
-        assert!(dump.contains("\"kind\":\"recovery_started\",\"checkpoint_seq\":42"), "{dump}");
-        assert!(dump.contains("\"kind\":\"recovery_started\",\"checkpoint_seq\":null"), "{dump}");
-        assert!(dump.contains("\"kind\":\"records_truncated\",\"lost_bytes\":17"), "{dump}");
-
-        let mut m = MetricsRegistry::new();
-        m.checkpoint_written(42, 1024);
-        m.checkpoint_written(99, 512);
-        m.recovery_started(None);
-        m.records_truncated(17);
-        assert_eq!(m.checkpoints_written(), 2);
-        assert_eq!(m.checkpoint_bytes(), 1536);
-        assert_eq!(m.recoveries(), 1);
-        assert_eq!(m.journal_bytes_truncated(), 17);
-        let json = m.snapshot_json();
-        for key in [
-            "\"checkpoints_written\":2",
-            "\"checkpoint_bytes\":1536",
-            "\"recoveries\":1",
-            "\"journal_bytes_truncated\":17",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let json = m.snapshot_json(&EngineStats::default(), None);
+        assert!(json.contains("\"degradations_exited\":1"), "{json}");
     }
 
     #[test]
@@ -2343,7 +1954,7 @@ mod tests {
         assert_eq!(m.gc_pauses().len(), 3);
         assert_eq!(m.gc_pause(GcKind::MonitorSweep).count(), 2);
 
-        let json = m.snapshot_json();
+        let json = m.snapshot_json(&EngineStats::default(), None);
         assert!(json.contains("\"gc_debt\":1"), "{json}");
         assert!(json.contains("\"gc_monitor_sweep_forced_cycles\":1"), "{json}");
         assert!(json.contains("\"gc_heap_periodic_cycles\":1"), "{json}");

@@ -22,11 +22,12 @@
 //!   ALIVENESS evaluated false) and the sweep it happened under, and the
 //!   collection point. [`ProvenanceLedger::summary`] re-derives Figure
 //!   10's E/M/FM/CM from the per-instance records — an accounting
-//!   identity against [`EngineStats`](crate::EngineStats) that the test
-//!   suite checks for the whole catalog.
-//! * [`prometheus_text`] — renders a merged registry + profilers as the
-//!   `rvmon_*` families of the Prometheus text exposition, through the
-//!   [`expo`](crate::expo) writer (served by `rvmon serve`).
+//!   identity against [`EngineStats`] that the test suite checks for the
+//!   whole catalog.
+//! * [`prometheus_text`] — renders engine stats, a merged registry and
+//!   profilers as the `rvmon_*` families of the Prometheus text
+//!   exposition, through the [`expo`](crate::expo) writer (served by
+//!   `rvmon serve`).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -37,9 +38,10 @@ use rv_logic::{Alphabet, EventDef, EventId, ParamSet, Verdict};
 use crate::binding::Binding;
 use crate::expo::{Exposition, Kind};
 use crate::obs::{
-    json_escape, json_f64, EngineObserver, FlagCause, GcCycleRecord, GcKind, GcReason, Histogram,
-    MetricsRegistry, Phase,
+    json_escape, json_f64, render_binding, render_event, render_params, EngineObserver, FlagCause,
+    GcCycleRecord, GcKind, GcReason, Histogram, MetricsRegistry, Phase,
 };
+use crate::stats::EngineStats;
 use crate::store::MonitorId;
 
 // ---------------------------------------------------------------------------
@@ -527,8 +529,8 @@ impl ProvenanceLedger {
     }
 
     /// Re-derives E/M/FM/CM from the per-instance records. Matching
-    /// [`EngineStats`](crate::EngineStats) field-for-field is the
-    /// accounting identity the `explain` tests assert.
+    /// [`EngineStats`] field-for-field is the accounting identity the
+    /// `explain` tests assert.
     #[must_use]
     pub fn summary(&self) -> ProvenanceSummary {
         ProvenanceSummary {
@@ -553,60 +555,21 @@ impl ProvenanceLedger {
         self.live.clear(); // ids collide across engines; stop tracking
     }
 
-    fn render_binding(&self, b: &Binding) -> String {
-        let mut out = String::new();
-        for (i, (p, obj)) in b.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match &self.names {
-                Some((_, def)) => {
-                    let _ = write!(out, "{}={}", def.param_name(p), obj);
-                }
-                None => {
-                    let _ = write!(out, "x{}={}", p.as_usize(), obj);
-                }
-            }
-        }
-        out
-    }
-
-    fn render_event(&self, e: EventId) -> String {
-        match &self.names {
-            Some((a, _)) => a.name(e).to_owned(),
-            None => format!("e{}", e.as_usize()),
-        }
-    }
-
-    fn render_params(&self, ps: ParamSet) -> String {
-        let mut out = String::new();
-        for (i, p) in ps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match &self.names {
-                Some((_, def)) => out.push_str(def.param_name(p)),
-                None => {
-                    let _ = write!(out, "x{}", p.as_usize());
-                }
-            }
-        }
-        out
-    }
-
     /// Records whose rendered binding contains `needle` (creation order).
     #[must_use]
     pub fn find(&self, needle: &str) -> Vec<&InstanceRecord> {
-        self.instances.iter().filter(|r| self.render_binding(&r.binding).contains(needle)).collect()
+        let def = self.names.as_ref().map(|(_, d)| d);
+        self.instances.iter().filter(|r| render_binding(&r.binding, def).contains(needle)).collect()
     }
 
     /// The full life story of one instance, one line per lifecycle step.
     #[must_use]
     pub fn story(&self, r: &InstanceRecord) -> String {
+        let (alphabet, def) = self.names.as_ref().map(|(a, d)| (a, d)).unzip();
         let mut out = format!(
             "monitor #{} ⟨{}⟩\n  created   at event {}\n",
             r.id.as_usize(),
-            self.render_binding(&r.binding),
+            render_binding(&r.binding, def),
             r.created_at_event
         );
         for f in &r.flags {
@@ -615,8 +578,8 @@ impl ProvenanceLedger {
                 "  flagged   at event {} (cause: {}, dead: {{{}}}, after `{}`",
                 f.at_event,
                 f.cause.label(),
-                self.render_params(f.dead),
-                self.render_event(f.last_event)
+                render_params(f.dead, def),
+                render_event(f.last_event, alphabet)
             );
             match f.sweep {
                 Some(s) => {
@@ -704,34 +667,32 @@ impl EngineObserver for ProvenanceLedger {
 // Prometheus text exposition
 // ---------------------------------------------------------------------------
 
-/// Renders a merged [`MetricsRegistry`] plus per-property
-/// [`PhaseProfiler`]s — the one source of phase timings — in the
-/// Prometheus text exposition format (`text/plain; version=0.0.4`).
+/// Renders the engine's [`EngineStats`], a merged [`MetricsRegistry`] and
+/// per-property [`PhaseProfiler`]s — the one source of phase timings — in
+/// the Prometheus text exposition format (`text/plain; version=0.0.4`).
 /// Served by `rvmon serve`; also usable as a one-shot dump.
 #[must_use]
-pub fn prometheus_text(metrics: &MetricsRegistry, profilers: &[PhaseProfiler]) -> String {
+pub fn prometheus_text(
+    stats: &EngineStats,
+    metrics: &MetricsRegistry,
+    profilers: &[PhaseProfiler],
+) -> String {
     let mut expo = Exposition::default();
-    let counters: [(&str, &str, u64); 12] = [
-        ("rvmon_events_total", "Events dispatched (Fig. 10 E)", metrics.events()),
-        ("rvmon_monitors_created_total", "Monitor instances created (M)", metrics.created()),
-        ("rvmon_monitors_flagged_total", "Monitors flagged unnecessary (FM)", metrics.flagged()),
-        ("rvmon_monitors_collected_total", "Monitors reclaimed (CM)", metrics.collected()),
-        ("rvmon_dead_keys_total", "Dead index keys discovered", metrics.dead_keys()),
-        ("rvmon_triggers_total", "Goal verdicts reported", metrics.triggers()),
+    let counters: [(&str, &str, u64); 10] = [
+        ("rvmon_events_total", "Events dispatched (Fig. 10 E)", stats.events),
+        ("rvmon_monitors_created_total", "Monitor instances created (M)", stats.monitors_created),
+        (
+            "rvmon_monitors_flagged_total",
+            "Monitors flagged unnecessary (FM)",
+            stats.monitors_flagged,
+        ),
+        ("rvmon_monitors_collected_total", "Monitors reclaimed (CM)", stats.monitors_collected),
+        ("rvmon_dead_keys_total", "Dead index keys discovered", stats.dead_keys),
+        ("rvmon_triggers_total", "Goal verdicts reported", stats.triggers),
         ("rvmon_sweeps_total", "Safepoint sweeps", metrics.sweeps()),
-        ("rvmon_budget_trips_total", "Resource budget violations", metrics.budget_trips()),
-        ("rvmon_shed_total", "Monitor creations refused under pressure", metrics.shed()),
-        (
-            "rvmon_quarantined_total",
-            "Monitors quarantined by handler panics",
-            metrics.quarantined(),
-        ),
-        ("rvmon_checkpoints_total", "Checkpoints durably written", metrics.checkpoints_written()),
-        (
-            "rvmon_journal_truncated_bytes_total",
-            "Journal bytes discarded during recovery",
-            metrics.journal_bytes_truncated(),
-        ),
+        ("rvmon_budget_trips_total", "Resource budget violations", stats.budget_trips),
+        ("rvmon_shed_total", "Monitor creations refused under pressure", stats.shed),
+        ("rvmon_quarantined_total", "Monitors quarantined by handler panics", stats.quarantined),
     ];
     for (name, help, value) in counters {
         expo.family(name, help, Kind::Counter).sample(&[], value);
@@ -912,13 +873,13 @@ mod tests {
 
     #[test]
     fn prometheus_text_renders_counters_and_cumulative_buckets() {
-        let mut m = MetricsRegistry::new();
-        m.event_dispatched(EventId(0), &Binding::BOTTOM, 1);
+        let m = MetricsRegistry::new();
+        let stats = EngineStats { events: 1, ..EngineStats::default() };
         let mut prof = PhaseProfiler::new().with_label("HasNext");
         prof.phase_timed(Phase::IndexLookup, 3);
         prof.phase_timed(Phase::IndexLookup, 100);
         prof.phase_timed(Phase::Transition, 10);
-        let text = prometheus_text(&m, &[prof]);
+        let text = prometheus_text(&stats, &m, &[prof]);
         assert!(text.contains("rvmon_events_total 1"), "{text}");
         let series = |phase: &str| format!("{{property=\"HasNext\",phase=\"{phase}\"");
         assert!(
@@ -954,7 +915,7 @@ mod tests {
         let m = MetricsRegistry::new();
         let mut prof = PhaseProfiler::new().with_label("Evil\\Prop\"v1\"\nrest");
         prof.phase_timed(Phase::Sweep, 10);
-        let text = prometheus_text(&m, &[prof]);
+        let text = prometheus_text(&EngineStats::default(), &m, &[prof]);
         let label_line = text
             .lines()
             .find(|l| l.starts_with("rvmon_phase_duration_ns_count{"))
@@ -979,7 +940,7 @@ mod tests {
             occupancy_after: 9,
         });
         m.event_latency(1234);
-        let text = prometheus_text(&m, &[]);
+        let text = prometheus_text(&EngineStats::default(), &m, &[]);
         assert!(
             text.contains("rvmon_gc_cycles_total{kind=\"monitor_sweep\",reason=\"forced\"} 1"),
             "{text}"

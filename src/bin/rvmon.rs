@@ -12,11 +12,14 @@
 //!               [--binding-contains S]
 //!                           replay a textual event trace through the
 //!                           monitoring engine, dumping JSONL lifecycle
-//!                           records and a JSON metrics snapshot; the
-//!                           filter flags keep only records of kind K
-//!                           (event, created, flagged, …), records that
-//!                           reference event E, or records whose binding
-//!                           rendering contains S
+//!                           records and a JSON metrics snapshot (the
+//!                           registry's own counters and histograms, with
+//!                           E/M/FM/CM read once from the embedded
+//!                           `"engine"` stats); the filter flags keep
+//!                           only records of kind K (event, created,
+//!                           flagged, …), records that reference event
+//!                           E, or records whose binding rendering
+//!                           contains S
 //! rvmon explain <spec.rv> <events-file> [--binding SUBSTR] [--summary]
 //!                           monitor provenance: replay the trace with a
 //!                           provenance ledger on every block, printing
@@ -104,9 +107,7 @@
 
 use std::process::ExitCode;
 
-use rv_monitor::core::{
-    EngineStats, MetricsRegistry, PhaseProfiler, RecoverError, Recovered, RetryPolicy,
-};
+use rv_monitor::core::{EngineStats, PhaseProfiler, RecoverError, Recovered, RetryPolicy};
 use rv_monitor::logic::{AnyFormalism, Formalism as _};
 use rv_monitor::spec::{compile, parse, print, CompiledSpec};
 
@@ -408,7 +409,8 @@ fn drive_trace<O: rv_monitor::core::EngineObserver>(
 
 /// Replays a textual event trace against the compiled spec with a
 /// `TraceRecorder` and a `MetricsRegistry` attached to every property
-/// block, then dumps what they observed — optionally keeping only the
+/// block, then dumps what they observed, with each block's `EngineStats`
+/// embedded in its snapshot — optionally keeping only the
 /// records that pass the `--kind` / `--event` / `--binding-contains`
 /// filters (conjunctive when combined).
 fn trace(path: &str, source: &str, rest: &[String]) -> ExitCode {
@@ -538,7 +540,7 @@ fn trace(path: &str, source: &str, rest: &[String]) -> ExitCode {
             println!("{line}");
         }
         println!("# block {} metrics", i + 1);
-        println!("{}", metrics.snapshot_json_with(Some(&stats), Some(&heap_stats)));
+        println!("{}", metrics.snapshot_json(&stats, Some(&heap_stats)));
     }
     ExitCode::SUCCESS
 }
@@ -725,11 +727,11 @@ fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
         merged.merge_from(metrics);
         profilers.push(profiler.clone());
     }
-    let body = prometheus_text(&merged, &profilers);
+    let stats = monitor.stats();
+    let body = prometheus_text(&stats, &merged, &profilers);
     // `/healthz` liveness: the engine finished the trace, so report what
     // it processed — a scraper that sees this body knows the monitor is
     // alive and did real work, without parsing the full exposition.
-    let stats = monitor.stats();
     let health = format!(
         "ok\nblocks {}\nevents {}\ntriggers {}\nmonitors_live {}\n",
         monitor.engines().len(),
@@ -948,7 +950,7 @@ fn timeline_daemon(rest: &[String]) -> ExitCode {
 }
 
 /// `rvmon top` — one-shot cost table for a journaled run: re-executes
-/// the journal from sequence 0 with metrics + profiler observers and
+/// the journal from sequence 0 with a phase profiler per block and
 /// prints per-phase span counts, p50/p95/p99 and totals, plus the
 /// E/M/FM/CM counters.
 fn top(dir: &std::path::Path) -> ExitCode {
@@ -1028,19 +1030,16 @@ fn profiled_replay(
     dir: &std::path::Path,
     block_label: &str,
     label: &str,
-) -> Result<(Recovered<(MetricsRegistry, PhaseProfiler)>, PhaseProfiler), RecoverError> {
+) -> Result<(Recovered<PhaseProfiler>, PhaseProfiler), RecoverError> {
     use rv_monitor::core::{recover, EngineConfig, ReplayFrom};
 
     let mut rec = recover(dir, ReplayFrom::Start, &EngineConfig::default(), |i| {
-        (
-            MetricsRegistry::new(),
-            PhaseProfiler::new().with_label(&format!("{block_label}{}", i + 1)),
-        )
+        PhaseProfiler::new().with_label(&format!("{block_label}{}", i + 1))
     })?;
     rec.monitor.finish(&rec.heap);
     let mut merged = PhaseProfiler::new().with_label(label);
     for engine in rec.monitor.engines() {
-        merged.merge_from(&engine.observer().1);
+        merged.merge_from(engine.observer());
     }
     Ok((rec, merged))
 }

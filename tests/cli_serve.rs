@@ -73,6 +73,10 @@ fn serve_once_answers_a_prometheus_scrape() {
     assert!(body.contains("rvmon_monitors_created_total 3"), "M: {body}");
     assert!(body.contains("rvmon_monitors_flagged_total 1"), "FM: {body}");
     assert!(body.contains("rvmon_monitors_collected_total 2"), "CM: {body}");
+    // No family for a count nothing produces.
+    for family in ["rvmon_checkpoints_total", "rvmon_journal_truncated_bytes_total"] {
+        assert!(!body.contains(family), "{family} has no producer: {body}");
+    }
 
     // Per-property phase histograms with non-zero span counts, plus the
     // profiler's own measured overhead as a gauge.

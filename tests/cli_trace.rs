@@ -1,7 +1,7 @@
 //! End-to-end test of `rvmon trace`: feed the shipped UNSAFEITER demo
 //! through the real binary and check the emitted JSONL trace and metrics
-//! snapshot — including that the snapshot's observer counters agree with
-//! the engine's own E/M/FM/CM (the ISSUE acceptance criterion).
+//! snapshot — including that the snapshot carries the engine's own
+//! E/M/FM/CM once, under `"engine"`, and no count twice.
 //!
 //! The workspace is serde-free, so the assertions use small string-level
 //! extractors over the known (hand-rolled, stable) JSON shapes.
@@ -26,6 +26,15 @@ fn field_u64(json: &str, section: &str, key: &str) -> u64 {
     let digits: String =
         after[at + needle.len()..].chars().take_while(char::is_ascii_digit).collect();
     digits.parse().unwrap_or_else(|_| panic!("`{key}` is not a u64 in: {json}"))
+}
+
+/// The keys of the flat object that starts at the first occurrence of
+/// `section` in `json`.
+fn object_keys<'a>(json: &'a str, section: &str) -> Vec<&'a str> {
+    let start = json.find(section).unwrap_or_else(|| panic!("no `{section}` in: {json}"));
+    let after = &json[start + section.len()..];
+    let body = &after[1..after.find('}').expect("flat object")];
+    body.split(',').map(|kv| kv.split('"').nth(1).expect("quoted key")).collect()
 }
 
 #[test]
@@ -83,21 +92,19 @@ fn trace_subcommand_emits_jsonl_and_matching_metrics() {
         "expected an aliveness-flag record:\n{stdout}"
     );
 
-    // Observer counters == engine stats (E / M / FM / CM parity).
+    // E / M / FM / CM come from the engine, and the demo produces real
+    // activity, not a vacuous all-zero snapshot.
     let metrics = metrics_line.expect("metrics snapshot line");
-    for key in ["events", "monitors_created", "monitors_flagged", "monitors_collected"] {
-        assert_eq!(
-            field_u64(&metrics, "\"counters\":", key),
-            field_u64(&metrics, "\"engine\":", key),
-            "counter `{key}` disagrees with engine stats: {metrics}"
-        );
+    for key in ["events", "monitors_created", "monitors_flagged", "monitors_collected", "triggers"]
+    {
+        assert!(field_u64(&metrics, "\"engine\":", key) > 0, "`{key}` is 0: {metrics}");
     }
-    // The demo produces real activity, not a vacuous all-zero snapshot.
-    assert!(field_u64(&metrics, "\"counters\":", "events") > 0);
-    assert!(field_u64(&metrics, "\"counters\":", "monitors_created") > 0);
-    assert!(field_u64(&metrics, "\"counters\":", "monitors_flagged") > 0);
-    assert!(field_u64(&metrics, "\"counters\":", "monitors_collected") > 0);
-    assert!(field_u64(&metrics, "\"counters\":", "triggers") > 0);
+    // Each count is kept once: the registry's own `"counters"` share no key
+    // with the engine's.
+    let engine = object_keys(&metrics, "\"engine\":");
+    for key in object_keys(&metrics, "\"counters\":") {
+        assert!(!engine.contains(&key), "`{key}` is counted twice: {metrics}");
+    }
     // The snapshot also embeds the simulated-heap stats.
     assert!(field_u64(&metrics, "\"heap\":", "allocations") > 0);
 }
