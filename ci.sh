@@ -47,6 +47,22 @@ for cb in $CALLBACKS; do
         || { echo "EngineObserver::$cb is never called in crates/core/src/engine.rs"; exit 1; }
 done
 
+# A client frame kind that no shipped client sends is protocol the
+# server keeps for tests alone: each client → server `pub const FRAME_*:
+# u8 = 0x0…` in service.rs must appear as a `write_frame(…, FRAME_X`
+# call in the non-test part (up to the first `#[cfg(test)]`) of
+# crates/core/src/client.rs or src/bin/rvmonctl.rs.
+echo "== every client frame kind has a shipped sender"
+SENDERS=$(for f in crates/core/src/client.rs src/bin/rvmonctl.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
+done)
+KINDS=$(sed -n 's/^pub const \(FRAME_[A-Z_]*\): u8 = 0x0.*/\1/p' crates/core/src/service.rs)
+test -n "$KINDS" || { echo "no client frame kinds found in service.rs"; exit 1; }
+for kind in $KINDS; do
+    printf '%s\n' "$SENDERS" | grep -qE "write_frame\([^,]*, $kind[,)]" \
+        || { echo "$kind has no write_frame sender in client.rs or rvmonctl.rs"; exit 1; }
+done
+
 echo "== cargo build --release"
 cargo build --release
 

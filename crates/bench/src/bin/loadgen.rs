@@ -28,8 +28,10 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rv_core::obs::{json_number_field, json_object_field};
 use rv_core::service::{TenantOptions, TENANT_FLAG_ALLOW_FATAL, TENANT_FLAG_PANIC_HANDLER};
 use rv_core::{ClientStats, Histogram, ReconnectPolicy, ResilientClient};
+use rv_heap::SplitMix64;
 use rv_workloads::Profile;
 
 /// The spec every generated tenant monitors (UnsafeIter, the paper's
@@ -95,45 +97,6 @@ impl TenantOutcome {
     }
 }
 
-/// Extracts the balanced `{...}` object value of `"key":` from a flat
-/// hand-rolled JSON document (no strings containing braces, which holds
-/// for every producer in this workspace).
-fn json_object_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":{{");
-    let start = json.find(&needle)? + needle.len() - 1;
-    let mut depth = 0usize;
-    for (i, b) in json[start..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[start..=start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extracts a bare numeric field `"key":<number>`.
-fn json_number_field(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
     for &b in bytes {
@@ -147,7 +110,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// `nexts_per_iter` `next`s per create, and an `update` rate that keeps
 /// roughly `map_fraction` of collections mutated mid-iteration.
 struct Generator {
-    rng: u64,
+    rng: SplitMix64,
     colls: u64,
     iters: Vec<(u64, u64)>,
     p_create: f64,
@@ -164,7 +127,7 @@ impl Generator {
         let p_create = 1.0 / (1.0 + nexts);
         let p_update = (p.map_fraction.clamp(0.01, 0.9)) * p_create;
         Generator {
-            rng: p.seed,
+            rng: SplitMix64::new(p.seed),
             colls: 0,
             iters: Vec::new(),
             p_create,
@@ -175,7 +138,7 @@ impl Generator {
     }
 
     fn unit(&mut self) -> f64 {
-        (splitmix64(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64
+        self.rng.next_f64()
     }
 
     /// The next trace line (events plus the occasional `!free`/`!gc`).
@@ -199,16 +162,16 @@ impl Generator {
                 self.colls += 1;
                 self.colls
             } else {
-                1 + splitmix64(&mut self.rng) % self.colls
+                1 + self.rng.next_u64() % self.colls
             };
             let i = self.emitted as u64;
             self.iters.push((c, i));
             format!("create c{c} i{i}")
         } else if roll < self.p_create + self.p_update {
-            let (c, _) = self.iters[(splitmix64(&mut self.rng) as usize) % self.iters.len()];
+            let (c, _) = self.iters[(self.rng.next_u64() as usize) % self.iters.len()];
             format!("update c{c}")
         } else {
-            let (_, i) = self.iters[(splitmix64(&mut self.rng) as usize) % self.iters.len()];
+            let (_, i) = self.iters[(self.rng.next_u64() as usize) % self.iters.len()];
             format!("next i{i}")
         }
     }

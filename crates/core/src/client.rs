@@ -33,6 +33,8 @@ use std::io::{self, ErrorKind};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use rv_heap::SplitMix64;
+
 use crate::service::{
     decode_triggers, encode_hello, read_frame, write_frame, TenantOptions, TriggerRecord,
     FRAME_BYE, FRAME_EVENT_SEQ, FRAME_HELLO, FRAME_OK, FRAME_POLL, FRAME_REJECT, FRAME_RELOAD,
@@ -139,12 +141,12 @@ fn write_line(s: &mut TcpStream, session: u64, cseq: u64, line: &str) -> io::Res
     write_frame(s, FRAME_EVENT_SEQ, &payload)
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Writes the session's `[token][session]` barrier.
+fn write_sync(s: &mut TcpStream, token: u64, session: u64) -> io::Result<()> {
+    let mut payload = [0u8; 16];
+    payload[..8].copy_from_slice(&token.to_le_bytes());
+    payload[8..].copy_from_slice(&session.to_le_bytes());
+    write_frame(s, FRAME_SYNC, &payload)
 }
 
 /// A reconnecting, exactly-once client for one tenant of an rvmond
@@ -163,7 +165,7 @@ pub struct ResilientClient {
     /// Client-side trigger high-water mark.
     hwm: (u64, u32),
     stream: Option<TcpStream>,
-    rng: u64,
+    rng: SplitMix64,
     stats: ClientStats,
     spec_sent: bool,
 }
@@ -171,9 +173,9 @@ pub struct ResilientClient {
 impl ResilientClient {
     /// Connects and attaches to (or creates) `tenant` at `addr`.
     /// `session` identifies this logical client to the server's dedup
-    /// machinery and must be non-zero (0 is coerced to 1); reuse of a
-    /// session id across client *restarts* is the caller's contract —
-    /// this struct resumes its own session across reconnects.
+    /// machinery; reuse of a session id across client *restarts* is the
+    /// caller's contract — this struct resumes its own session across
+    /// reconnects.
     ///
     /// # Errors
     ///
@@ -193,12 +195,12 @@ impl ResilientClient {
             spec: spec.to_owned(),
             opts,
             policy,
-            session: if session == 0 { 1 } else { session },
+            session,
             next_cseq: 1,
             window: VecDeque::new(),
             hwm: (0, 0),
             stream: None,
-            rng: policy.seed | 1,
+            rng: SplitMix64::new(policy.seed | 1),
             stats: ClientStats::default(),
             spec_sent: false,
         };
@@ -227,7 +229,7 @@ impl ResilientClient {
     fn backoff_sleep(&mut self, attempt: u32) {
         let base = self.policy.backoff.saturating_mul(1u32 << attempt.min(10));
         let capped = base.min(self.policy.backoff_cap);
-        let jitter = capped.mul_f64((splitmix64(&mut self.rng) % 256) as f64 / 1024.0);
+        let jitter = capped.mul_f64((self.rng.next_u64() % 256) as f64 / 1024.0);
         std::thread::sleep(capped + jitter);
     }
 
@@ -370,8 +372,7 @@ impl ResilientClient {
         if self.stream.is_none() {
             self.reconnect()?;
         }
-        let s = self.stream.as_mut().expect("reconnected");
-        write_frame(s, FRAME_SYNC, &token.to_le_bytes())?;
+        write_sync(self.stream.as_mut().expect("reconnected"), token, self.session)?;
         let mut repairs = 0u32;
         loop {
             let s = self.stream.as_mut().expect("reconnected");
@@ -382,13 +383,16 @@ impl ResilientClient {
                         "server closed mid-barrier",
                     ))
                 }
-                Some((FRAME_SYNCED, p)) => {
-                    let got =
-                        p.get(..8).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes);
+                Some((FRAME_SYNCED, p)) if p.len() == 16 => {
+                    let u = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().expect("8"));
+                    let (got, hwm) = (u(0), u(8));
                     if got != token {
                         // A stale barrier echo (duplicated or delayed
                         // frame) from before a disturbance — ignore it.
                         continue;
+                    }
+                    if hwm >= token {
+                        return Ok(got);
                     }
                     // The barrier echoes the server's contiguous cseq
                     // HWM for our session, durable by the time it is
@@ -396,25 +400,18 @@ impl ResilientClient {
                     // the connection (the server gap-discards everything
                     // past the hole): repair it right here by resending
                     // the suffix past the HWM and asking again.
-                    let hwm = p.get(8..16).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
-                    match hwm {
-                        Some(h) if h < token => {
-                            if repairs >= self.policy.max_attempts {
-                                return Err(io::Error::other(format!(
-                                    "barrier shortfall: server at cseq {h} of {token}"
-                                )));
-                            }
-                            repairs += 1;
-                            self.stats.gap_repairs += 1;
-                            while self.window.front().is_some_and(|(cseq, _)| *cseq <= h) {
-                                self.window.pop_front();
-                            }
-                            self.resend_window()?;
-                            let s = self.stream.as_mut().expect("connected");
-                            write_frame(s, FRAME_SYNC, &token.to_le_bytes())?;
-                        }
-                        _ => return Ok(got),
+                    if repairs >= self.policy.max_attempts {
+                        return Err(io::Error::other(format!(
+                            "barrier shortfall: server at cseq {hwm} of {token}"
+                        )));
                     }
+                    repairs += 1;
+                    self.stats.gap_repairs += 1;
+                    while self.window.front().is_some_and(|(cseq, _)| *cseq <= hwm) {
+                        self.window.pop_front();
+                    }
+                    self.resend_window()?;
+                    write_sync(self.stream.as_mut().expect("connected"), token, self.session)?;
                 }
                 Some((FRAME_REJECT, p)) => {
                     let (code, msg) = decode_reject(&p);

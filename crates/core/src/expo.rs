@@ -158,7 +158,7 @@ fn read_head(stream: &mut TcpStream) -> Option<Endpoint> {
 }
 
 #[cfg(test)]
-#[path = "../../../tests/common/mod.rs"]
+#[path = "../../../tests/common/lint.rs"]
 pub(crate) mod lint;
 
 #[cfg(test)]

@@ -107,9 +107,9 @@ impl Stage {
 /// One request's full per-stage breakdown.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestTrace {
-    /// Client session id (0 for legacy un-sequenced EVENT frames).
+    /// Client session id of the `EVENT_SEQ` line.
     pub session: u64,
-    /// Client sequence within the session (0 for legacy frames).
+    /// Client sequence of the line within its session.
     pub cseq: u64,
     /// Daemon-assigned tenant event sequence.
     pub seq: u64,

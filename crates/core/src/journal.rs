@@ -27,7 +27,7 @@ use std::io::{BufWriter, ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use rv_heap::ObjId;
+use rv_heap::{ObjId, SplitMix64};
 use rv_logic::{EventId, ParamId, Verdict};
 
 use crate::binding::Binding;
@@ -377,14 +377,6 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
 
 // --- Fault injection (chaos harness) -------------------------------------
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic, seeded append-fault injector — the journal's chaos
 /// harness. Installed with [`JournalWriter::set_fault`], it makes a
 /// configurable fraction of append attempts fail with transient IO error
@@ -394,7 +386,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// a persistently dead disk.
 #[derive(Clone, Debug)]
 pub struct FailingWriter {
-    state: u64,
+    rng: SplitMix64,
     fail_permille: u32,
     partial_max: usize,
     hard_fail_after: Option<u64>,
@@ -408,7 +400,7 @@ impl FailingWriter {
     #[must_use]
     pub fn new(seed: u64, fail_permille: u32) -> FailingWriter {
         FailingWriter {
-            state: seed ^ 0xD6E8_FEB8_6659_FD93,
+            rng: SplitMix64::new(seed ^ 0xD6E8_FEB8_6659_FD93),
             fail_permille: fail_permille.min(1000),
             partial_max: 0,
             hard_fail_after: None,
@@ -452,7 +444,7 @@ impl FailingWriter {
                 self.partial_max.min(1),
             ));
         }
-        let roll = splitmix64(&mut self.state);
+        let roll = self.rng.next_u64();
         if self.fail_permille > 0 && roll % 1000 < u64::from(self.fail_permille) {
             self.injected += 1;
             let kind = match roll >> 32 & 3 {

@@ -33,15 +33,9 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::service::{encode_frame, read_frame};
+use rv_heap::SplitMix64;
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::service::{encode_frame, read_frame};
 
 /// Per-frame fault rates in permille (0–1000), plus the seed that makes
 /// the schedule deterministic. Rates are sampled cumulatively per
@@ -220,8 +214,8 @@ enum Fault {
     Delay,
 }
 
-fn pick_fault(profile: &ChaosProfile, rng: &mut u64) -> Fault {
-    let roll = (splitmix64(rng) % 1000) as u32;
+fn pick_fault(profile: &ChaosProfile, rng: &mut SplitMix64) -> Fault {
+    let roll = (rng.next_u64() % 1000) as u32;
     let mut edge = u32::from(profile.drop_permille);
     if roll < edge {
         return Fault::Drop;
@@ -260,7 +254,7 @@ fn pump(
     mut src: TcpStream,
     mut dst: TcpStream,
     profile: ChaosProfile,
-    mut rng: u64,
+    mut rng: SplitMix64,
     stats: Arc<ChaosStats>,
     stop: Arc<AtomicBool>,
 ) {
@@ -308,8 +302,8 @@ fn pump(
                 let mut mangled = frame;
                 // Flip one bit past the length prefix so the receiver
                 // still frames correctly but the CRC trailer fails.
-                let pos = 4 + (splitmix64(&mut rng) as usize) % (mangled.len() - 4);
-                mangled[pos] ^= 1 << (splitmix64(&mut rng) % 8) as u8;
+                let pos = 4 + (rng.next_u64() as usize) % (mangled.len() - 4);
+                mangled[pos] ^= 1 << (rng.next_u64() % 8) as u8;
                 if dst.write_all(&mangled).is_err() {
                     teardown(&src, &dst);
                     return;
@@ -317,7 +311,7 @@ fn pump(
             }
             Fault::Truncate => {
                 stats.truncated.fetch_add(1, Ordering::Relaxed);
-                let keep = 1 + (splitmix64(&mut rng) as usize) % (frame.len().max(2) - 1);
+                let keep = 1 + (rng.next_u64() as usize) % (frame.len().max(2) - 1);
                 let _ = dst.write_all(&frame[..keep]);
                 teardown(&src, &dst);
                 return;
@@ -411,10 +405,10 @@ impl ChaosProxy {
                     let _ = server.set_nodelay(true);
                     // One deterministic rng stream per direction,
                     // derived from the profile seed and accept ordinal.
-                    let mut seed_rng = profile.seed ^ conn_ix.wrapping_mul(0x9E37);
+                    let mut seed_rng = SplitMix64::new(profile.seed ^ conn_ix.wrapping_mul(0x9E37));
                     conn_ix += 1;
-                    let up_rng = splitmix64(&mut seed_rng);
-                    let down_rng = splitmix64(&mut seed_rng);
+                    let up_rng = SplitMix64::new(seed_rng.next_u64());
+                    let down_rng = SplitMix64::new(seed_rng.next_u64());
                     let (c2, s2) = match (client.try_clone(), server.try_clone()) {
                         (Ok(c), Ok(s)) => (c, s),
                         _ => {

@@ -510,6 +510,39 @@ impl<A: EngineObserver, B: EngineObserver> EngineObserver for (A, B) {
 // JSON helpers (hand-rolled: the workspace is offline and serde-free).
 // ---------------------------------------------------------------------------
 
+/// Extracts the balanced `{...}` object value of `"key":` from a flat
+/// hand-rolled JSON document (no strings containing braces, which holds
+/// for every producer in this workspace).
+#[must_use]
+pub fn json_object_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":{{");
+    let start = json.find(&needle)? + needle.len() - 1;
+    let mut depth = 0usize;
+    for (i, b) in json[start..].bytes().enumerate() {
+        match b {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&json[start..=start + i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Extracts a bare numeric field `"key":<number>`.
+#[must_use]
+pub fn json_number_field(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let start = json.find(&needle)? + needle.len();
+    let rest = &json[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
 /// Escapes `s` for inclusion in a JSON string literal.
 #[must_use]
 pub fn json_escape(s: &str) -> String {

@@ -480,10 +480,8 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
     }
 
     fn note_session(&mut self, session: u64, cseq: u64) {
-        if session != 0 {
-            let hwm = self.rec.sessions.entry(session).or_insert(0);
-            *hwm = (*hwm).max(cseq);
-        }
+        let hwm = self.rec.sessions.entry(session).or_insert(0);
+        *hwm = (*hwm).max(cseq);
     }
 
     /// Restores the checkpoint into the (still fresh) monitor of the spec

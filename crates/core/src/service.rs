@@ -29,10 +29,12 @@
 //! Length-prefixed frames over any ordered byte stream (TCP in
 //! `rvmond`): `[len: u32 LE][kind: u8][payload: len-1 bytes]`. Clients
 //! send [`FRAME_HELLO`] (attach to a tenant, creating it with a spec on
-//! first contact), [`FRAME_EVENT`] (one line of the `rvmon trace`
-//! grammar), [`FRAME_SYNC`] (durability barrier: the reply arrives after
-//! everything enqueued before it is processed *and* fsynced),
-//! [`FRAME_STATS`] and [`FRAME_BYE`]. The server answers with
+//! first contact), [`FRAME_EVENT_SEQ`] (one line of the `rvmon trace`
+//! grammar, stamped with the client's `(session, cseq)`), [`FRAME_SYNC`]
+//! (durability barrier for one session: the reply arrives after
+//! everything enqueued before it is processed *and* fsynced, and carries
+//! that session's contiguous `cseq` high-water mark), [`FRAME_RELOAD`],
+//! [`FRAME_POLL`], [`FRAME_STATS`] and [`FRAME_BYE`]. The server answers with
 //! [`FRAME_OK`], [`FRAME_SYNCED`], [`FRAME_STATS_REPLY`] or a typed
 //! [`FRAME_REJECT`] carrying a `429`-style code ([`REJECT_QUEUE_FULL`],
 //! [`REJECT_TOO_MANY_TENANTS`], …).
@@ -65,7 +67,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rv_heap::Heap;
+use rv_heap::{Heap, SplitMix64};
 use rv_logic::Verdict;
 use rv_spec::CompiledSpec;
 
@@ -77,8 +79,7 @@ use crate::flight::{
     StageStats, FLIGHT_CAP,
 };
 use crate::journal::{
-    crc32, JournalWriter, Record, RetryPolicy, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ, AUX_RELOAD,
-    AUX_SLINE, AUX_SPEC, AUX_SWEEP,
+    crc32, JournalWriter, Record, RetryPolicy, AUX_FATAL, AUX_OBJ, AUX_RELOAD, AUX_SLINE, AUX_SPEC,
 };
 use crate::line::{parse, Line, ObjectTable};
 use crate::multi::PropertyMonitor;
@@ -97,12 +98,10 @@ pub const FRAME_MAX: u32 = 1 << 20;
 /// `[flags: u8][max_live_monitors: u32 LE, 0 = unbounded][name]\n[spec]`
 /// — the spec may be empty when attaching to an existing tenant.
 pub const FRAME_HELLO: u8 = 0x01;
-/// Client → server: one line of the `rvmon trace` grammar (`event obj…`,
-/// `!free obj…`, `!gc`, `!sweep`) for the connection's tenant.
-pub const FRAME_EVENT: u8 = 0x02;
-/// Client → server: durability barrier. Payload: an opaque `u64 LE`
-/// token; the matching [`FRAME_SYNCED`] is sent only after every event
-/// enqueued before it has been processed and the journal fsynced.
+/// Client → server: durability barrier for one session. Payload:
+/// `[token: u64 LE][session: u64 LE]`; the matching [`FRAME_SYNCED`] is
+/// sent only after every line enqueued before it has been processed and
+/// the journal fsynced. Any other payload length is a [`REJECT_BAD_FRAME`].
 pub const FRAME_SYNC: u8 = 0x03;
 /// Client → server: request the tenant's stats JSON.
 pub const FRAME_STATS: u8 = 0x04;
@@ -117,15 +116,18 @@ pub const FRAME_RELOAD: u8 = 0x06;
 /// `(event_seq, ordinal)` high-water mark. Payload:
 /// `[event_seq: u64 LE][ordinal: u32 LE][max: u32 LE]`.
 pub const FRAME_POLL: u8 = 0x07;
-/// Client → server: one session-stamped trace line. Payload:
-/// `[session: u64 LE][cseq: u64 LE][line UTF-8]`. The server applies a
-/// given `(session, cseq)` at most once, so a reconnecting client can
-/// blindly resend its unacknowledged window.
+/// Client → server: one line of the `rvmon trace` grammar (`event obj…`,
+/// `!free obj…`, `!gc`, `!sweep`) for the connection's tenant, stamped
+/// with its session. Payload: `[session: u64 LE][cseq: u64 LE][line
+/// UTF-8]`. The server applies a given `(session, cseq)` at most once,
+/// so a reconnecting client can blindly resend its unacknowledged window.
 pub const FRAME_EVENT_SEQ: u8 = 0x08;
 
 /// Server → client: HELLO accepted. Payload: the tenant name.
 pub const FRAME_OK: u8 = 0x80;
-/// Server → client: barrier reached. Payload: the echoed `u64` token.
+/// Server → client: barrier reached. Payload: `[token: u64 LE][hwm: u64
+/// LE]` — the echoed token and the session's durable contiguous `cseq`
+/// high-water mark.
 pub const FRAME_SYNCED: u8 = 0x81;
 /// Server → client: stats JSON payload.
 pub const FRAME_STATS_REPLY: u8 = 0x82;
@@ -851,13 +853,10 @@ enum TenantMsg {
         /// [`Backpressure::Block`] land in queue wait instead.
         admission_ns: u64,
     },
-    Sync {
-        token: u64,
-        reply: SyncSender<u64>,
-    },
-    /// Barrier that also echoes the session's contiguous cseq HWM, so a
-    /// resilient client can detect gap-dropped lines and resend.
-    SyncSession {
+    /// Durability barrier that also echoes the session's contiguous
+    /// cseq HWM, so a resilient client can detect gap-dropped lines and
+    /// resend.
+    Barrier {
         token: u64,
         session: u64,
         reply: SyncSender<(u64, u64)>,
@@ -984,6 +983,24 @@ fn sanitize_reason(reason: &str) -> String {
         .collect()
 }
 
+/// Renders a post-mortem flight dump: the daemon black box plus each
+/// listed tenant's retained traces (recent ring, then slowest exemplars).
+fn gather_flight_dump<'a>(
+    reason: &str,
+    meta: &[(String, String)],
+    flight: &Mutex<FlightRecorder>,
+    tenants: impl IntoIterator<Item = (&'a str, &'a TenantObs)>,
+) -> String {
+    let events: Vec<FlightEvent> =
+        flight.lock().expect("flight recorder poisoned").events().cloned().collect();
+    let mut traces: Vec<(String, RequestTrace)> = Vec::new();
+    for (name, obs) in tenants {
+        let ring = obs.ring.lock().expect("trace ring poisoned");
+        traces.extend(ring.recent().chain(ring.slowest()).map(|t| (name.to_owned(), *t)));
+    }
+    render_dump(reason, meta, &events, &traces)
+}
+
 /// Writes a tenant-scoped post-mortem flight dump beside the service
 /// root: the daemon black box plus this tenant's retained traces.
 /// Dump failures are swallowed — the black box must never turn a
@@ -996,20 +1013,8 @@ fn write_tenant_flight_dump(
     flight: &Arc<Mutex<FlightRecorder>>,
     obs: &Arc<TenantObs>,
 ) -> Option<PathBuf> {
-    let events: Vec<FlightEvent> =
-        flight.lock().expect("flight recorder poisoned").events().cloned().collect();
-    let mut traces: Vec<(String, RequestTrace)> = Vec::new();
-    {
-        let ring = obs.ring.lock().expect("trace ring poisoned");
-        for t in ring.recent() {
-            traces.push((tenant.to_owned(), *t));
-        }
-        for t in ring.slowest() {
-            traces.push((tenant.to_owned(), *t));
-        }
-    }
     let meta = [("tenant".to_owned(), tenant.to_owned()), ("error".to_owned(), err.to_owned())];
-    let body = render_dump(reason, &meta, &events, &traces);
+    let body = gather_flight_dump(reason, &meta, flight, [(tenant, &**obs)]);
     let root = dir.parent().unwrap_or(dir);
     for k in 0..10_000u32 {
         let path = root.join(format!(
@@ -1033,14 +1038,6 @@ fn spec_hash(source: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Service {
@@ -1160,29 +1157,18 @@ impl Service {
     ///
     /// Any IO error writing the dump file.
     pub fn dump_flight(&self, reason: &str) -> std::io::Result<PathBuf> {
-        let events: Vec<FlightEvent> =
-            self.flight.lock().expect("flight recorder poisoned").events().cloned().collect();
-        let mut traces: Vec<(String, RequestTrace)> = Vec::new();
-        {
-            let tenants = self.tenants.lock().expect("tenant registry poisoned");
-            let mut names: Vec<&String> = tenants.keys().collect();
-            names.sort();
-            for name in names {
-                let ring = tenants[name].obs.ring.lock().expect("trace ring poisoned");
-                for t in ring.recent() {
-                    traces.push((name.clone(), *t));
-                }
-                for t in ring.slowest() {
-                    traces.push((name.clone(), *t));
-                }
-            }
-        }
         let meta = [
             ("version".to_owned(), self.config.version.clone()),
             ("commit".to_owned(), self.config.commit.clone()),
             ("uptime_s".to_owned(), self.uptime_seconds().to_string()),
         ];
-        let body = render_dump(reason, &meta, &events, &traces);
+        let body = {
+            let tenants = self.tenants.lock().expect("tenant registry poisoned");
+            let mut named: Vec<(&str, &TenantObs)> =
+                tenants.iter().map(|(name, t)| (name.as_str(), &*t.obs)).collect();
+            named.sort_by_key(|&(name, _)| name);
+            gather_flight_dump(reason, &meta, &self.flight, named)
+        };
         let n = self.flight_dumps.fetch_add(1, Ordering::Relaxed);
         let path = self.config.root.join(format!("flight-{}-{n}.rvfr", sanitize_reason(reason)));
         std::fs::write(&path, body)?;
@@ -1332,18 +1318,11 @@ impl Service {
         Ok(ConnPermit { conns: Arc::clone(&t.conns) })
     }
 
-    #[allow(clippy::type_complexity)]
-    fn ingest_of(
-        &self,
-        name: &str,
-    ) -> Result<(SyncSender<TenantMsg>, Arc<Mutex<TenantSnapshot>>, Arc<TenantObs>), Reject> {
-        let tenants = self.tenants.lock().expect("tenant registry poisoned");
-        let Some(t) = tenants.get(name) else {
-            return Err((REJECT_BAD_FRAME, format!("unknown tenant `{name}`")));
-        };
-        if t.reloading.load(Ordering::Acquire) {
-            return Err((REJECT_DRAINING, format!("tenant `{name}` is reloading its spec")));
-        }
+    /// The one state gate for work sent to a live tenant: lines,
+    /// barriers, stats requests and reloads. A failure is a retryable
+    /// `503` while a supervisor will restart the tenant and a `500` once
+    /// nothing will.
+    fn gate(&self, name: &str, t: &Tenant) -> Result<(), Reject> {
         let state = t.shared.lock().expect("snapshot poisoned").state.clone();
         match state {
             TenantState::Failed(e) if self.config.supervisor.max_restarts == 0 => {
@@ -1358,53 +1337,65 @@ impl Service {
                 Err((REJECT_TENANT_FAILED, format!("tenant circuit-broken: {e}")))
             }
             TenantState::Drained => Err((REJECT_DRAINING, "tenant is drained".into())),
-            TenantState::Running => {
-                Ok((t.ingest.clone(), Arc::clone(&t.shared), Arc::clone(&t.obs)))
-            }
+            TenantState::Running => Ok(()),
         }
     }
 
-    /// Submits one trace-grammar line to tenant `name`, applying the
-    /// configured backpressure policy at a full queue.
+    #[allow(clippy::type_complexity)]
+    fn ingest_of(
+        &self,
+        name: &str,
+    ) -> Result<(SyncSender<TenantMsg>, Arc<Mutex<TenantSnapshot>>, Arc<TenantObs>), Reject> {
+        let tenants = self.tenants.lock().expect("tenant registry poisoned");
+        let Some(t) = tenants.get(name) else {
+            return Err((REJECT_BAD_FRAME, format!("unknown tenant `{name}`")));
+        };
+        if t.reloading.load(Ordering::Acquire) {
+            return Err((REJECT_DRAINING, format!("tenant `{name}` is reloading its spec")));
+        }
+        self.gate(name, t)?;
+        Ok((t.ingest.clone(), Arc::clone(&t.shared), Arc::clone(&t.obs)))
+    }
+
+    /// One worker round trip: sends the message `msg` builds around a
+    /// fresh reply channel and waits up to
+    /// [`ServiceConfig::reply_timeout`] for the answer. The send blocks
+    /// at a full queue regardless of the backpressure policy — control
+    /// messages are never shed.
+    fn round_trip<T>(
+        &self,
+        name: &str,
+        ingest: &SyncSender<TenantMsg>,
+        what: &str,
+        msg: impl FnOnce(SyncSender<T>) -> TenantMsg,
+    ) -> Result<T, Reject> {
+        let (reply_tx, reply_rx) = sync_channel(1);
+        ingest
+            .send(msg(reply_tx))
+            .map_err(|_| (REJECT_TENANT_FAILED, format!("tenant `{name}` worker is gone")))?;
+        reply_rx
+            .recv_timeout(self.config.reply_timeout)
+            .map_err(|_| (REJECT_TIMEOUT, format!("{what} timed out for tenant `{name}`")))
+    }
+
+    /// Submits one session-stamped trace-grammar line to tenant `name`,
+    /// applying the configured backpressure policy at a full queue. The
+    /// tenant applies a given `(session, cseq)` at most once and only
+    /// contiguously, so resends after a reconnect are deduplicated
+    /// *before* journaling. `wire_ns` is the time the connection loop
+    /// spent reading the frame off the wire; the admission span
+    /// (registry lookup + state checks) is measured here. Both ride the
+    /// ingest message so the worker can assemble the full
+    /// wire-to-trigger breakdown.
     ///
     /// # Errors
     ///
     /// [`REJECT_QUEUE_FULL`] under [`Backpressure::Shed`],
     /// [`REJECT_TENANT_FAILED`] / [`REJECT_DRAINING`] for dead tenants,
-    /// [`REJECT_DRAINING`] while the service drains.
-    pub fn submit(&self, name: &str, line: &str) -> Result<(), Reject> {
-        self.submit_seq(name, 0, 0, line)
-    }
-
-    /// Submits one session-stamped line: the tenant applies a given
-    /// `(session, cseq)` at most once, so resends after a reconnect are
-    /// deduplicated *before* journaling. Session `0` is the legacy
-    /// no-dedup path ([`FRAME_EVENT`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::submit`].
-    pub fn submit_seq(
-        &self,
-        name: &str,
-        session: u64,
-        cseq: u64,
-        line: &str,
-    ) -> Result<(), Reject> {
-        self.submit_traced(name, session, cseq, line, 0)
-    }
-
-    /// [`Service::submit_seq`] with a trace context: `wire_ns` is the
-    /// time the connection loop spent reading the frame off the wire,
-    /// and the admission span (registry lookup + state checks) is
-    /// measured here. Both ride the ingest message so the worker can
-    /// assemble the full wire-to-trigger breakdown.
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::submit`]. Sheds and dead-tenant rejects are also
-    /// charged against the tenant's availability objective.
-    pub fn submit_traced(
+    /// [`REJECT_DRAINING`] while the service drains. Sheds and
+    /// dead-tenant rejects are also charged against the tenant's
+    /// availability objective.
+    pub fn submit(
         &self,
         name: &str,
         session: u64,
@@ -1461,55 +1452,25 @@ impl Service {
         Ok(())
     }
 
-    /// Durability barrier: returns once everything submitted to `name`
-    /// before this call is processed and fsynced. Echoes `token`.
-    ///
-    /// # Errors
-    ///
-    /// [`REJECT_TIMEOUT`] past
-    /// [`ServiceConfig::reply_timeout`], or the dead-tenant rejects.
-    pub fn sync(&self, name: &str, token: u64) -> Result<u64, Reject> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.sync_with(name, token, reply_tx)?;
-        reply_rx
-            .recv_timeout(self.config.reply_timeout)
-            .map_err(|_| (REJECT_TIMEOUT, format!("barrier timed out for tenant `{name}`")))
-    }
-
-    /// Lower-level barrier: the reply lands on the caller's channel.
-    /// Tests use a rendezvous channel here to stall a worker
-    /// deterministically.
-    ///
-    /// # Errors
-    ///
-    /// The dead-tenant rejects; the send itself blocks at a full queue
-    /// regardless of the backpressure policy (barriers are never shed).
-    pub fn sync_with(&self, name: &str, token: u64, reply: SyncSender<u64>) -> Result<(), Reject> {
-        let (ingest, _, _) = self.ingest_of(name)?;
-        ingest
-            .send(TenantMsg::Sync { token, reply })
-            .map_err(|_| (REJECT_TENANT_FAILED, format!("tenant `{name}` worker is gone")))
-    }
-
-    /// Session-aware barrier: like [`Service::sync`], but the reply also
-    /// carries the contiguous cseq high-water mark of `session`, so a
-    /// resilient client can compare it against the highest cseq it sent
-    /// and detect lines lost to an in-connection frame drop (which the
-    /// worker gap-discards rather than letting them poison the mark).
+    /// Durability barrier for `session`: returns once everything
+    /// submitted to `name` before this call is processed and fsynced,
+    /// echoing `token` with the session's contiguous cseq high-water
+    /// mark. A resilient client compares the mark against the highest
+    /// cseq it sent to detect lines lost to an in-connection frame drop
+    /// (which the worker gap-discards rather than letting them poison
+    /// the mark).
     ///
     /// # Errors
     ///
     /// [`REJECT_TIMEOUT`] past [`ServiceConfig::reply_timeout`], or the
     /// dead-tenant rejects.
-    pub fn sync_session(&self, name: &str, token: u64, session: u64) -> Result<(u64, u64), Reject> {
+    pub fn sync(&self, name: &str, token: u64, session: u64) -> Result<(u64, u64), Reject> {
         let (ingest, _, _) = self.ingest_of(name)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        ingest
-            .send(TenantMsg::SyncSession { token, session, reply: reply_tx })
-            .map_err(|_| (REJECT_TENANT_FAILED, format!("tenant `{name}` worker is gone")))?;
-        reply_rx
-            .recv_timeout(self.config.reply_timeout)
-            .map_err(|_| (REJECT_TIMEOUT, format!("barrier timed out for tenant `{name}`")))
+        self.round_trip(name, &ingest, "barrier", |reply| TenantMsg::Barrier {
+            token,
+            session,
+            reply,
+        })
     }
 
     /// The tenant's stats JSON (engine + journal + snapshot counters),
@@ -1520,13 +1481,7 @@ impl Service {
     /// [`REJECT_TIMEOUT`] or the dead-tenant rejects.
     pub fn tenant_stats_json(&self, name: &str) -> Result<String, Reject> {
         let (ingest, _, _) = self.ingest_of(name)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        ingest
-            .send(TenantMsg::Stats { reply: reply_tx })
-            .map_err(|_| (REJECT_TENANT_FAILED, format!("tenant `{name}` worker is gone")))?;
-        reply_rx
-            .recv_timeout(self.config.reply_timeout)
-            .map_err(|_| (REJECT_TIMEOUT, format!("stats timed out for tenant `{name}`")))
+        self.round_trip(name, &ingest, "stats", |reply| TenantMsg::Stats { reply })
     }
 
     /// Hot spec reload: compiles `source`, drains the tenant's old
@@ -1561,34 +1516,17 @@ impl Service {
             let Some(t) = tenants.get(name) else {
                 return Err((REJECT_BAD_FRAME, format!("unknown tenant `{name}`")));
             };
-            let state = t.shared.lock().expect("snapshot poisoned").state.clone();
-            match state {
-                TenantState::Running => {}
-                TenantState::Failed(_) | TenantState::Restarting => {
-                    return Err((REJECT_DRAINING, format!("tenant `{name}` is restarting")));
-                }
-                TenantState::FailedPermanent(e) => {
-                    return Err((REJECT_TENANT_FAILED, format!("tenant circuit-broken: {e}")));
-                }
-                TenantState::Drained => {
-                    return Err((REJECT_DRAINING, "tenant is drained".into()));
-                }
-            }
+            self.gate(name, t)?;
             (t.ingest.clone(), Arc::clone(&t.reloading))
         };
         reloading.store(true, Ordering::Release);
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let outcome = if ingest
-            .send(TenantMsg::Reload { token, source: source.to_owned(), reply: reply_tx })
-            .is_err()
-        {
-            Err((REJECT_TENANT_FAILED, format!("tenant `{name}` worker is gone")))
-        } else {
-            reply_rx
-                .recv_timeout(self.config.reply_timeout)
-                .map_err(|_| (REJECT_TIMEOUT, format!("reload timed out for tenant `{name}`")))
-                .and_then(|r| r)
-        };
+        let outcome = self
+            .round_trip(name, &ingest, "reload", |reply| TenantMsg::Reload {
+                token,
+                source: source.to_owned(),
+                reply,
+            })
+            .and_then(|r| r);
         reloading.store(false, Ordering::Release);
         if outcome.is_ok() {
             self.stats.spec_reloads.fetch_add(1, Ordering::Relaxed);
@@ -1884,8 +1822,9 @@ fn write_reject(w: &mut impl Write, code: u16, msg: &str) -> std::io::Result<()>
 }
 
 /// Serves one framed client connection against the service: HELLO →
-/// admission + connection permit, EVENT → submit with backpressure,
-/// SYNC → durability barrier, STATS → tenant JSON, BYE/EOF → close.
+/// admission + connection permit, EVENT_SEQ → submit with backpressure,
+/// SYNC → durability barrier, RELOAD → hot spec reload, POLL → goal
+/// reports, STATS → tenant JSON, BYE/EOF → close.
 /// Read timeouts (surfaced as `WouldBlock`/`TimedOut` from the stream)
 /// reap the connection and are counted in
 /// [`ServiceStats::idle_reaped`].
@@ -1895,9 +1834,6 @@ fn write_reject(w: &mut impl Write, code: u16, msg: &str) -> std::io::Result<()>
 /// The IO error that ended the connection, if it was not a clean close.
 pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> std::io::Result<()> {
     let mut session: Option<(String, ConnPermit)> = None;
-    // The dedup session id of the last EVENT_SEQ frame: barriers on this
-    // connection echo that session's cseq HWM (0 = legacy clients).
-    let mut last_session: u64 = 0;
     loop {
         let frame = match read_frame_timed(stream) {
             Ok(Some(f)) => f,
@@ -1944,31 +1880,6 @@ pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> s
                     }
                 }
             }
-            (FRAME_EVENT, payload, wire_ns) => {
-                let Some((name, _)) = &session else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "EVENT before HELLO")?;
-                    return Ok(());
-                };
-                let Ok(line) = String::from_utf8(payload) else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "EVENT payload is not UTF-8")?;
-                    continue;
-                };
-                match service.submit_traced(name, 0, 0, &line, wire_ns) {
-                    Ok(()) => {}
-                    // Shed (431) and reload/restart pauses (503) are
-                    // per-event, retryable outcomes, not connection
-                    // failures: report and keep serving.
-                    Err((code @ (REJECT_QUEUE_FULL | REJECT_DRAINING), msg)) => {
-                        write_reject(stream, code, &msg)?;
-                    }
-                    Err((code, msg)) => {
-                        write_reject(stream, code, &msg)?;
-                        return Ok(());
-                    }
-                }
-            }
             (FRAME_EVENT_SEQ, payload, wire_ns) => {
                 let Some((name, _)) = &session else {
                     service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
@@ -1986,9 +1897,11 @@ pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> s
                     write_reject(stream, REJECT_BAD_FRAME, "malformed EVENT_SEQ payload")?;
                     continue;
                 };
-                last_session = sess;
-                match service.submit_traced(name, sess, cseq, &line, wire_ns) {
+                match service.submit(name, sess, cseq, &line, wire_ns) {
                     Ok(()) => {}
+                    // Shed (431) and reload/restart pauses (503) are
+                    // per-line, retryable outcomes, not connection
+                    // failures: report and keep serving.
                     Err((code @ (REJECT_QUEUE_FULL | REJECT_DRAINING), msg)) => {
                         write_reject(stream, code, &msg)?;
                     }
@@ -2049,30 +1962,25 @@ pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> s
                     write_reject(stream, REJECT_BAD_FRAME, "SYNC before HELLO")?;
                     return Ok(());
                 };
-                let token =
-                    payload.get(..8).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes);
-                // Session traffic gets the HWM-echoing barrier; the
-                // 8-byte legacy echo is kept for session-0 clients.
-                if last_session != 0 {
-                    match service.sync_session(name, token, last_session) {
-                        Ok((echoed, hwm)) => {
-                            let mut p = Vec::with_capacity(16);
-                            p.extend_from_slice(&echoed.to_le_bytes());
-                            p.extend_from_slice(&hwm.to_le_bytes());
-                            write_frame(stream, FRAME_SYNCED, &p)?;
-                        }
-                        Err((code, msg)) => {
-                            write_reject(stream, code, &msg)?;
-                            return Ok(());
-                        }
+                let parsed = (payload.len() == 16).then(|| {
+                    let u = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().expect("8"));
+                    (u(0), u(8))
+                });
+                let Some((token, sess)) = parsed else {
+                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+                    write_reject(stream, REJECT_BAD_FRAME, "malformed SYNC payload")?;
+                    continue;
+                };
+                match service.sync(name, token, sess) {
+                    Ok((echoed, hwm)) => {
+                        let mut p = Vec::with_capacity(16);
+                        p.extend_from_slice(&echoed.to_le_bytes());
+                        p.extend_from_slice(&hwm.to_le_bytes());
+                        write_frame(stream, FRAME_SYNCED, &p)?;
                     }
-                } else {
-                    match service.sync(name, token) {
-                        Ok(echoed) => write_frame(stream, FRAME_SYNCED, &echoed.to_le_bytes())?,
-                        Err((code, msg)) => {
-                            write_reject(stream, code, &msg)?;
-                            return Ok(());
-                        }
+                    Err((code, msg)) => {
+                        write_reject(stream, code, &msg)?;
+                        return Ok(());
                     }
                 }
             }
@@ -2210,7 +2118,7 @@ fn supervisor_loop(
     flight: &Arc<Mutex<FlightRecorder>>,
 ) {
     let sup = config.supervisor;
-    let mut rng = sup.seed | 1;
+    let mut rng = SplitMix64::new(sup.seed | 1);
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(sup.poll);
         // Pass 1 (under the lock): prune windows, circuit-break over
@@ -2261,7 +2169,7 @@ fn supervisor_loop(
                     let capped = base.min(sup.backoff_cap);
                     // Up to 25% deterministic jitter so a herd of
                     // failing tenants doesn't restart in lockstep.
-                    let jitter = capped.mul_f64((splitmix64(&mut rng) % 256) as f64 / 1024.0);
+                    let jitter = capped.mul_f64((rng.next_u64() % 256) as f64 / 1024.0);
                     now + capped + jitter
                 });
                 if now >= due_at {
@@ -2613,12 +2521,7 @@ impl Worker {
                 };
                 self.process_line(session, cseq, &line, ctx)
             }
-            TenantMsg::Sync { token, reply } => {
-                self.sync_timed()?;
-                let _ = reply.send(token);
-                Ok(())
-            }
-            TenantMsg::SyncSession { token, session, reply } => {
+            TenantMsg::Barrier { token, session, reply } => {
                 self.sync_timed()?;
                 let hwm = self.sessions.get(&session).copied().unwrap_or(0);
                 let _ = reply.send((token, hwm));
@@ -2735,31 +2638,17 @@ impl Worker {
         Ok(())
     }
 
-    /// Records `cseq` as seen for `session` (0 = the no-dedup path).
+    /// Records `cseq` as seen for `session`.
     fn note_session(&mut self, session: u64, cseq: u64) {
-        if session != 0 {
-            let hwm = self.sessions.entry(session).or_insert(0);
-            if cseq > *hwm {
-                *hwm = cseq;
-            }
-        }
+        let hwm = self.sessions.entry(session).or_insert(0);
+        *hwm = (*hwm).max(cseq);
     }
 
     /// Journals one session-stamped line as a single atomic `AUX_SLINE`
     /// record — the line and its dedup `(session, cseq)` commit
     /// together, so a crash can never tear the dedup mark from its
     /// effects.
-    /// Session 0 journals `record` itself, the pre-resolved form.
-    fn append_line(
-        &mut self,
-        session: u64,
-        cseq: u64,
-        line: &str,
-        record: Record,
-    ) -> Result<u64, Fatal> {
-        if session == 0 {
-            return self.append(&record);
-        }
+    fn append_line(&mut self, session: u64, cseq: u64, line: &str) -> Result<u64, Fatal> {
         let mut bytes = Vec::with_capacity(16 + line.len());
         bytes.extend_from_slice(&session.to_le_bytes());
         bytes.extend_from_slice(&cseq.to_le_bytes());
@@ -2793,7 +2682,6 @@ impl Worker {
     /// reads only at barriers, and the barrier's HWM echo already says
     /// where the hole is, so the client resends the suffix past it on
     /// the same connection.
-    /// Session `0` is the legacy no-dedup path.
     #[allow(clippy::too_many_lines)]
     fn process_line(
         &mut self,
@@ -2805,16 +2693,14 @@ impl Worker {
         if self.opts.flags & TENANT_FLAG_SLOW_WORKER != 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        if session != 0 {
-            let hwm = self.sessions.get(&session).copied().unwrap_or(0);
-            if cseq <= hwm {
-                self.deduped += 1;
-                return Ok(());
-            }
-            if cseq > hwm + 1 {
-                self.gap_dropped += 1;
-                return Ok(());
-            }
+        let hwm = self.sessions.get(&session).copied().unwrap_or(0);
+        if cseq <= hwm {
+            self.deduped += 1;
+            return Ok(());
+        }
+        if cseq > hwm + 1 {
+            self.gap_dropped += 1;
+            return Ok(());
         }
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.split_whitespace().next() == Some("!fatal") {
@@ -2860,16 +2746,16 @@ impl Worker {
         let span_ns = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         match parsed {
             directive @ (Line::Gc | Line::Sweep) => {
-                let (tag, note) = if directive == Line::Gc {
-                    (AUX_GC, "heap collect (!gc)")
+                let note = if directive == Line::Gc {
+                    "heap collect (!gc)"
                 } else {
-                    (AUX_SWEEP, "full sweep (!sweep)")
+                    "full sweep (!sweep)"
                 };
                 let t0 = Instant::now();
-                self.append_line(session, cseq, line, Record::Aux { tag, bytes: Vec::new() })?;
+                self.append_line(session, cseq, line)?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 let t0 = Instant::now();
-                if tag == AUX_GC {
+                if directive == Line::Gc {
                     self.heap.collect();
                 } else {
                     for engine in self.monitor.engines_mut() {
@@ -2889,14 +2775,13 @@ impl Worker {
                 // A free the table rejects (unknown or already freed
                 // object) is a bad line: nothing is journaled or unpinned.
                 let t0 = Instant::now();
-                let Ok(freed) = self.objects.free(&mut self.heap, &names) else {
+                if self.objects.free(&mut self.heap, &names).is_err() {
                     self.bad_line(session, cseq);
                     return Ok(());
-                };
+                }
                 trace.stages[Stage::Engine.idx()] = span_ns(t0);
-                let bytes = freed.iter().flat_map(|o| o.to_bits().to_le_bytes()).collect();
                 let t0 = Instant::now();
-                self.append_line(session, cseq, line, Record::Aux { tag: AUX_FREE, bytes })?;
+                self.append_line(session, cseq, line)?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
             }
             Line::Event(event, names) => {
@@ -2914,8 +2799,7 @@ impl Worker {
                 for r in &fresh {
                     self.append(r)?;
                 }
-                let seq =
-                    self.append_line(session, cseq, line, Record::Event { event, binding })?;
+                let seq = self.append_line(session, cseq, line)?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 trace.seq = seq;
                 let t0 = Instant::now();
@@ -2986,14 +2870,23 @@ UnsafeIter(Collection c, Iterator i) {
         ServiceConfig { root: root.to_path_buf(), ..ServiceConfig::default() }
     }
 
+    /// Concatenates `u64 LE` fields and a trailing byte string — the
+    /// `EVENT_SEQ` and `SYNC` payload layouts.
+    fn fields(words: &[u64], tail: &[u8]) -> Vec<u8> {
+        let mut p: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        p.extend_from_slice(tail);
+        p
+    }
+
     #[test]
     fn frames_round_trip_through_the_codec() {
+        let line = fields(&[1, 1], b"create c1 i1");
         let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_EVENT, b"create c1 i1").unwrap();
-        write_frame(&mut buf, FRAME_SYNC, &7u64.to_le_bytes()).unwrap();
+        write_frame(&mut buf, FRAME_EVENT_SEQ, &line).unwrap();
+        write_frame(&mut buf, FRAME_SYNC, &fields(&[7, 1], b"")).unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), Some((FRAME_EVENT, b"create c1 i1".to_vec())));
-        assert_eq!(read_frame(&mut r).unwrap(), Some((FRAME_SYNC, 7u64.to_le_bytes().to_vec())));
+        assert_eq!(read_frame(&mut r).unwrap(), Some((FRAME_EVENT_SEQ, line)));
+        assert_eq!(read_frame(&mut r).unwrap(), Some((FRAME_SYNC, fields(&[7, 1], b""))));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
 
         // Torn length prefix is an error, not a hang or a bad parse.
@@ -3097,18 +2990,16 @@ UnsafeIter(Collection c, Iterator i) {
             ..config(&root)
         })
         .unwrap();
-        svc.admit("t", SPEC, TenantOptions::default()).unwrap();
-        // Stall the worker deterministically: a rendezvous reply channel
-        // blocks it inside the barrier until we receive. While it is
-        // parked (or still holds the Sync message in the queue) the
-        // ingest queue can only drain by at most one slot, so submitting
-        // queue_depth + 2 events must shed at least one.
-        let (reply_tx, reply_rx) = sync_channel(0);
-        svc.sync_with("t", 1, reply_tx).unwrap();
+        // A worker that sleeps ~2ms per line drains the depth-2 queue far
+        // slower than a tight loop fills it, so the burst must shed.
+        let opts = TenantOptions { flags: TENANT_FLAG_SLOW_WORKER, ..TenantOptions::default() };
+        svc.admit("t", SPEC, opts).unwrap();
+        // The cseq advances only on acceptance, as a client's resend
+        // window does, so the accepted lines stay contiguous.
         let mut accepted = 0u64;
         let mut shed = 0u64;
-        for line in ["create c1 i1", "update c1", "next i1", "update c1"] {
-            match svc.submit("t", line) {
+        for _ in 0..16 {
+            match svc.submit("t", 1, accepted + 1, "update c1", 0) {
                 Ok(()) => accepted += 1,
                 Err((code, msg)) => {
                     assert_eq!(code, REJECT_QUEUE_FULL, "{msg}");
@@ -3119,9 +3010,8 @@ UnsafeIter(Collection c, Iterator i) {
         assert!(shed >= 1, "a full queue under Shed must reject");
         assert!(accepted >= 1, "the queue has capacity before it fills");
         assert_eq!(svc.stats.events_shed.load(Ordering::Relaxed), shed);
-        // Unpark; the queued events flow and a barrier drains them.
-        assert_eq!(reply_rx.recv().unwrap(), 1);
-        svc.sync("t", 2).unwrap();
+        // The queued lines flow and a barrier drains them.
+        assert_eq!(svc.sync("t", 2, 1).unwrap(), (2, accepted));
         let snap = &svc.snapshots()[0];
         assert_eq!(snap.events, accepted, "every accepted event processed");
         assert_eq!(snap.shed_events, shed, "shed events are on the tenant's ledger");
@@ -3134,12 +3024,12 @@ UnsafeIter(Collection c, Iterator i) {
         let root = temp_root("drainrej");
         let svc = Service::new(config(&root)).unwrap();
         svc.admit("t", SPEC, TenantOptions::default()).unwrap();
-        svc.submit("t", "create c1 i1").unwrap();
+        svc.submit("t", 1, 1, "create c1 i1", 0).unwrap();
         let drained = svc.drain();
         assert_eq!(drained, 1);
         let (code, _) = svc.admit("u", SPEC, TenantOptions::default()).unwrap_err();
         assert_eq!(code, REJECT_DRAINING);
-        let (code, _) = svc.submit("t", "update c1").unwrap_err();
+        let (code, _) = svc.submit("t", 1, 2, "update c1", 0).unwrap_err();
         assert_eq!(code, REJECT_DRAINING);
         assert!(svc.healthz().starts_with("draining\n"));
         std::fs::remove_dir_all(&root).unwrap();
@@ -3157,10 +3047,11 @@ UnsafeIter(Collection c, Iterator i) {
             &encode_hello("t", SPEC, &TenantOptions::default()),
         )
         .unwrap();
-        for line in ["create c1 i1", "update c1", "next i1"] {
-            write_frame(&mut requests, FRAME_EVENT, line.as_bytes()).unwrap();
+        for (cseq, line) in (1..).zip(["create c1 i1", "update c1", "next i1"]) {
+            write_frame(&mut requests, FRAME_EVENT_SEQ, &fields(&[5, cseq], line.as_bytes()))
+                .unwrap();
         }
-        write_frame(&mut requests, FRAME_SYNC, &9u64.to_le_bytes()).unwrap();
+        write_frame(&mut requests, FRAME_SYNC, &fields(&[9, 5], b"")).unwrap();
         write_frame(&mut requests, FRAME_STATS, &[]).unwrap();
         write_frame(&mut requests, FRAME_BYE, &[]).unwrap();
 
@@ -3189,7 +3080,7 @@ UnsafeIter(Collection c, Iterator i) {
         assert_eq!((kind, payload.as_slice()), (FRAME_OK, b"t".as_slice()));
         let (kind, payload) = read_frame(&mut out).unwrap().unwrap();
         assert_eq!(kind, FRAME_SYNCED);
-        assert_eq!(payload, 9u64.to_le_bytes());
+        assert_eq!(payload, fields(&[9, 3], b""), "token, then session 5's HWM");
         let (kind, payload) = read_frame(&mut out).unwrap().unwrap();
         assert_eq!(kind, FRAME_STATS_REPLY);
         let json = String::from_utf8(payload).unwrap();
@@ -3199,7 +3090,7 @@ UnsafeIter(Collection c, Iterator i) {
 
         // A frame before HELLO is a typed reject on a fresh connection.
         let mut bad = Vec::new();
-        write_frame(&mut bad, FRAME_EVENT, b"create c1 i1").unwrap();
+        write_frame(&mut bad, FRAME_EVENT_SEQ, &fields(&[5, 1], b"create c1 i1")).unwrap();
         let mut stream = Duplex { input: &bad, output: Vec::new() };
         serve_connection(&svc, &mut stream).unwrap();
         let mut out = &stream.output[..];
@@ -3217,10 +3108,10 @@ UnsafeIter(Collection c, Iterator i) {
         let svc = Service::new(config(&root)).unwrap();
         svc.admit("alpha", SPEC, TenantOptions::default()).unwrap();
         svc.admit("beta", SPEC, TenantOptions::default()).unwrap();
-        for line in ["create c1 i1", "update c1", "next i1"] {
-            svc.submit("alpha", line).unwrap();
+        for (cseq, line) in (1..).zip(["create c1 i1", "update c1", "next i1"]) {
+            svc.submit("alpha", 1, cseq, line, 0).unwrap();
         }
-        svc.sync("alpha", 0).unwrap();
+        svc.sync("alpha", 0, 1).unwrap();
         let health = svc.healthz();
         assert!(health.starts_with("ok\nversion "), "{health}");
         assert!(health.contains("\ntenants 2\n"), "{health}");

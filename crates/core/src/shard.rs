@@ -95,17 +95,10 @@ impl ShardConfig {
 pub type HandlerFactory =
     Arc<dyn Fn(usize, usize) -> Option<Box<dyn FnMut(usize, &Binding, Verdict)>> + Send + Sync>;
 
-/// One splitmix64 mixing round — the stable routing hash.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The shard an owner object is routed to.
+/// The shard an owner object is routed to: one splitmix64 mixing round
+/// is the stable routing hash.
 fn shard_of(owner: ObjId, seed: u64, shards: usize) -> usize {
-    (splitmix64(owner.to_bits() ^ seed) % shards as u64) as usize
+    (SplitMix64::new(owner.to_bits() ^ seed).next_u64() % shards as u64) as usize
 }
 
 /// The designated owner parameter of a spec: the parameter bound by the

@@ -14,6 +14,7 @@
 use std::net::TcpStream;
 use std::process::ExitCode;
 
+use rv_monitor::core::obs::{json_number_field, json_object_field};
 use rv_monitor::core::service::{
     FRAME_BYE, FRAME_HELLO, FRAME_OK, FRAME_REJECT, FRAME_STATS, FRAME_STATS_REPLY,
 };
@@ -146,35 +147,6 @@ fn cmd_status(args: &Args) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Extracts the balanced `{...}` object value of `"key":` from the flat
-/// hand-rolled STATS JSON (no strings containing braces).
-fn json_object_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":{{");
-    let start = json.find(&needle)? + needle.len() - 1;
-    let mut depth = 0usize;
-    for (i, b) in json[start..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[start..=start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn json_number_field(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// `rvmonctl slo` — renders the tenant's SLO budget and per-stage

@@ -10,8 +10,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use rv_monitor::core::service::{
-    encode_hello, FRAME_BYE, FRAME_EVENT, FRAME_HELLO, FRAME_OK, FRAME_STATS, FRAME_STATS_REPLY,
-    FRAME_SYNC, FRAME_SYNCED,
+    encode_hello, FRAME_BYE, FRAME_EVENT_SEQ, FRAME_HELLO, FRAME_OK, FRAME_STATS,
+    FRAME_STATS_REPLY, FRAME_SYNC, FRAME_SYNCED,
 };
 use rv_monitor::core::{read_frame, write_frame, TenantOptions};
 
@@ -83,17 +83,28 @@ fn scratch() -> std::path::PathBuf {
     dir
 }
 
-/// A framed-protocol client for one tenant connection.
+/// A framed-protocol client for one tenant connection: one session
+/// whose lines carry a contiguous `cseq` from 1.
 struct Client {
     stream: TcpStream,
+    session: u64,
+    last_cseq: u64,
+}
+
+/// Concatenates `u64 LE` fields and a trailing byte string — the
+/// `EVENT_SEQ`, `SYNC` and `SYNCED` payload layouts.
+fn fields(words: &[u64], tail: &[u8]) -> Vec<u8> {
+    let mut p: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    p.extend_from_slice(tail);
+    p
 }
 
 impl Client {
-    fn hello(addr: &str, tenant: &str, spec: &str) -> Client {
+    fn hello(addr: &str, tenant: &str, spec: &str, session: u64) -> Client {
         let stream = TcpStream::connect(addr).expect("connect ingest");
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         stream.set_nodelay(true).unwrap();
-        let mut c = Client { stream };
+        let mut c = Client { stream, session, last_cseq: 0 };
         let hello = encode_hello(tenant, spec, &TenantOptions::default());
         write_frame(&mut c.stream, FRAME_HELLO, &hello).unwrap();
         let (kind, payload) = c.next_frame();
@@ -111,14 +122,18 @@ impl Client {
     }
 
     fn event(&mut self, line: &str) {
-        write_frame(&mut self.stream, FRAME_EVENT, line.as_bytes()).unwrap();
+        self.last_cseq += 1;
+        let payload = fields(&[self.session, self.last_cseq], line.as_bytes());
+        write_frame(&mut self.stream, FRAME_EVENT_SEQ, &payload).unwrap();
     }
 
+    /// A barrier: the echo carries the token and the session's HWM,
+    /// which must cover every line sent.
     fn sync(&mut self, token: u64) {
-        write_frame(&mut self.stream, FRAME_SYNC, &token.to_le_bytes()).unwrap();
+        write_frame(&mut self.stream, FRAME_SYNC, &fields(&[token, self.session], b"")).unwrap();
         let (kind, payload) = self.next_frame();
         assert_eq!(kind, FRAME_SYNCED, "sync: {}", String::from_utf8_lossy(&payload));
-        assert_eq!(payload, token.to_le_bytes());
+        assert_eq!(payload, fields(&[token, self.last_cseq], b""));
     }
 
     fn stats(&mut self) -> String {
@@ -182,8 +197,8 @@ fn rvmond_survives_sigkill_and_drains_on_sigterm() {
 
     // Phase 1: two tenants over the wire, then SIGKILL mid-flight.
     let daemon = Daemon::spawn(&root);
-    let mut alpha = Client::hello(&daemon.ingest, "alpha", SPEC);
-    let mut beta = Client::hello(&daemon.ingest, "beta", SPEC);
+    let mut alpha = Client::hello(&daemon.ingest, "alpha", SPEC, 1);
+    let mut beta = Client::hello(&daemon.ingest, "beta", SPEC, 1);
     drive(&mut alpha, "i", 8);
     drive(&mut beta, "i", 5);
     let alpha_stats = alpha.stats();
@@ -206,7 +221,8 @@ fn rvmond_survives_sigkill_and_drains_on_sigterm() {
     let daemon = Daemon::spawn(&root);
     let body = daemon.healthz();
     assert!(body.contains("tenants 2"), "recovery missed a tenant: {body}");
-    let mut alpha = Client::hello(&daemon.ingest, "alpha", "");
+    // A new logical client: a fresh session starts its own cseq at 1.
+    let mut alpha = Client::hello(&daemon.ingest, "alpha", "", 2);
     let stats = alpha.stats();
     assert_eq!(json_u64(&stats, "events"), 17, "alpha lost events: {stats}");
     assert_eq!(json_u64(&stats, "triggers"), 8, "alpha lost triggers: {stats}");
@@ -233,7 +249,7 @@ fn rvmond_survives_sigkill_and_drains_on_sigterm() {
 
     // Phase 4: a drained root restarts with zero replay.
     let daemon = Daemon::spawn(&root);
-    let mut alpha = Client::hello(&daemon.ingest, "alpha", "");
+    let mut alpha = Client::hello(&daemon.ingest, "alpha", "", 3);
     let stats = alpha.stats();
     assert_eq!(json_u64(&stats, "events"), 26);
     assert_eq!(json_u64(&stats, "triggers"), 12);

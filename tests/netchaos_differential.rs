@@ -23,6 +23,7 @@ use rv_monitor::core::{
     ClientStats, ReconnectPolicy, ResilientClient, Service, ServiceConfig, SupervisorConfig,
     TenantOptions,
 };
+use rv_monitor::heap::SplitMix64;
 
 const SPEC: &str = r#"
 UnsafeIter(Collection c, Iterator i) {
@@ -58,35 +59,27 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The deterministic trace both sides replay: a seeded create/update/
 /// next mix over a rolling window of iterators, with periodic `!free`s
 /// so the GC machinery stays exercised under chaos too.
 fn workload() -> Vec<String> {
-    let mut rng: u64 = 0x10AD_0001;
+    let mut rng = SplitMix64::new(0x10AD_0001);
     let mut iters: Vec<u64> = Vec::new();
     let mut next_iter = 0u64;
     let mut lines = Vec::with_capacity(EVENTS);
     while lines.len() < EVENTS {
-        let roll = splitmix64(&mut rng) % 100;
+        let roll = rng.next_u64() % 100;
         if iters.is_empty() || roll < 25 {
             next_iter += 1;
             iters.push(next_iter);
             lines.push(format!("create c{} i{next_iter}", next_iter % 7));
         } else if roll < 40 {
-            lines.push(format!("update c{}", splitmix64(&mut rng) % 7));
+            lines.push(format!("update c{}", rng.next_u64() % 7));
         } else if roll < 90 {
-            let pick = iters[(splitmix64(&mut rng) as usize) % iters.len()];
+            let pick = iters[(rng.next_u64() as usize) % iters.len()];
             lines.push(format!("next i{pick}"));
         } else {
-            let victim = iters.remove((splitmix64(&mut rng) as usize) % iters.len());
+            let victim = iters.remove((rng.next_u64() as usize) % iters.len());
             lines.push(format!("!free i{victim}"));
         }
     }

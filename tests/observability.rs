@@ -14,6 +14,7 @@ use rv_monitor::core::{
 };
 
 mod common;
+use common::Feeder;
 
 const SPEC: &str = r#"
 UnsafeIter(Collection c, Iterator i) {
@@ -42,22 +43,25 @@ fn config(root: &std::path::Path) -> ServiceConfig {
     }
 }
 
+/// Session 7 of `tenant`, reporting a 1µs wire-read span per line as if
+/// each arrived on a session-stamped frame.
+fn traced(tenant: &str) -> Feeder {
+    let mut feed = Feeder::new(tenant, 7);
+    feed.wire_ns = 1_000;
+    feed
+}
+
 /// Drives `n` UnsafeIter matches (`2n + 1` events) through the traced
-/// ingest path, as if each line arrived on a session-stamped frame.
-fn drive_traced(svc: &Service, tenant: &str, prefix: &str, n: usize) {
-    let mut cseq = 0u64;
-    let mut send = |line: &str| {
-        cseq += 1;
-        svc.submit_traced(tenant, 7, cseq, line, 1_000).unwrap();
-    };
+/// ingest path, then a barrier.
+fn drive_traced(svc: &Service, feed: &mut Feeder, prefix: &str, n: usize) {
     for i in 0..n {
-        send(&format!("create c {prefix}{i}"));
+        feed.send(svc, &format!("create c {prefix}{i}"));
     }
-    send("update c");
+    feed.send(svc, "update c");
     for i in 0..n {
-        send(&format!("next {prefix}{i}"));
+        feed.send(svc, &format!("next {prefix}{i}"));
     }
-    svc.sync(tenant, 1).unwrap();
+    feed.barrier(svc);
 }
 
 #[test]
@@ -65,7 +69,7 @@ fn trace_ring_captures_stage_breakdown_exemplars() {
     let root = scratch("ring");
     let svc = Service::new(config(&root)).unwrap();
     svc.admit("t", SPEC, TenantOptions::default()).unwrap();
-    drive_traced(&svc, "t", "i", 8);
+    drive_traced(&svc, &mut traced("t"), "i", 8);
 
     let path = svc.dump_flight("exemplars").unwrap();
     let dump = FlightDump::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
@@ -99,7 +103,7 @@ fn stage_sums_stay_consistent_with_sync_rtt() {
     svc.admit("t", SPEC, TenantOptions::default()).unwrap();
 
     let t0 = Instant::now();
-    drive_traced(&svc, "t", "i", 32);
+    drive_traced(&svc, &mut traced("t"), "i", 32);
     let wall_us = t0.elapsed().as_micros() as f64;
 
     let json = svc.tenant_stats_json("t").unwrap();
@@ -137,7 +141,7 @@ fn slo_error_budget_burns_under_injected_errors() {
     cfg.slo = SloConfig::parse("availability=0.99,window=100").unwrap();
     let svc = Service::new(cfg).unwrap();
     svc.admit("t", SPEC, TenantOptions::default()).unwrap();
-    drive_traced(&svc, "t", "i", 8);
+    drive_traced(&svc, &mut traced("t"), "i", 8);
 
     let before = svc.prometheus();
     assert!(
@@ -178,8 +182,9 @@ fn flight_dump_written_on_worker_failure() {
     let svc = Service::new(config(&root)).unwrap();
     let opts = TenantOptions { flags: TENANT_FLAG_ALLOW_FATAL, ..TenantOptions::default() };
     svc.admit("t", SPEC, opts).unwrap();
-    drive_traced(&svc, "t", "i", 4);
-    svc.submit("t", "!fatal").unwrap();
+    let mut feed = traced("t");
+    drive_traced(&svc, &mut feed, "i", 4);
+    feed.send(&svc, "!fatal");
 
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
@@ -220,8 +225,8 @@ fn exposition_has_no_duplicate_series() {
     let svc = Service::new(config(&root)).unwrap();
     svc.admit("alpha", SPEC, TenantOptions::default()).unwrap();
     svc.admit("beta", SPEC, TenantOptions::default()).unwrap();
-    drive_traced(&svc, "alpha", "i", 4);
-    drive_traced(&svc, "beta", "j", 2);
+    drive_traced(&svc, &mut traced("alpha"), "i", 4);
+    drive_traced(&svc, &mut traced("beta"), "j", 2);
     common::lint_exposition(&svc.prometheus());
     let _ = svc.drain();
     std::fs::remove_dir_all(&root).unwrap();
@@ -243,7 +248,8 @@ fn failed_tenant_label_set_freezes_after_circuit_break() {
     let opts = TenantOptions { flags: TENANT_FLAG_ALLOW_FATAL, ..TenantOptions::default() };
     svc.admit("t", SPEC, opts).unwrap();
     svc.admit("live", SPEC, TenantOptions::default()).unwrap();
-    drive_traced(&svc, "t", "i", 4);
+    let mut feed = traced("t");
+    drive_traced(&svc, &mut feed, "i", 4);
 
     // Burn the restart budget: fatal → restart, fatal again → break.
     let wait_state = |pred: &dyn Fn(&rv_monitor::core::TenantSnapshot) -> bool, what: &str| {
@@ -257,12 +263,12 @@ fn failed_tenant_label_set_freezes_after_circuit_break() {
             std::thread::sleep(Duration::from_millis(10));
         }
     };
-    svc.submit("t", "!fatal").unwrap();
+    feed.send(&svc, "!fatal");
     wait_state(
         &|s| matches!(s.state, TenantState::Running) && s.restarts == 1,
         "supervised restart",
     );
-    svc.submit("t", "!fatal").unwrap();
+    feed.send(&svc, "!fatal");
     wait_state(&|s| matches!(s.state, TenantState::FailedPermanent(_)), "circuit break");
 
     let tenant_series = |expo: &str| -> std::collections::BTreeSet<String> {
@@ -277,7 +283,7 @@ fn failed_tenant_label_set_freezes_after_circuit_break() {
     // More traffic elsewhere must not grow or shrink the broken
     // tenant's label set — dashboards keep their history, alerts their
     // identity.
-    drive_traced(&svc, "live", "k", 6);
+    drive_traced(&svc, &mut traced("live"), "k", 6);
     let after = tenant_series(&svc.prometheus());
     assert_eq!(frozen, after, "label set must freeze at circuit-break");
     common::lint_exposition(&svc.prometheus());

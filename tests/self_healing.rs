@@ -12,6 +12,9 @@ use rv_monitor::core::{
     Backpressure, Service, ServiceConfig, SupervisorConfig, TenantOptions, TenantState,
 };
 
+mod common;
+use common::Feeder;
+
 const SPEC: &str = r#"
 UnsafeIter(Collection c, Iterator i) {
     event create(c, i);
@@ -87,16 +90,17 @@ fn wait_for(
     }
 }
 
-/// Drives `n` UnsafeIter matches (`2n + 1` events) through `submit`.
-fn drive(svc: &Service, tenant: &str, prefix: &str, n: usize) {
+/// Drives `n` UnsafeIter matches (`2n + 1` events) through one
+/// session, then a barrier.
+fn drive(svc: &Service, feed: &mut Feeder, prefix: &str, n: usize) {
     for i in 0..n {
-        svc.submit(tenant, &format!("create c {prefix}{i}")).unwrap();
+        feed.send(svc, &format!("create c {prefix}{i}"));
     }
-    svc.submit(tenant, "update c").unwrap();
+    feed.send(svc, "update c");
     for i in 0..n {
-        svc.submit(tenant, &format!("next {prefix}{i}")).unwrap();
+        feed.send(svc, &format!("next {prefix}{i}"));
     }
-    svc.sync(tenant, 1).unwrap();
+    feed.barrier(svc);
 }
 
 #[test]
@@ -104,14 +108,15 @@ fn supervisor_restarts_fatal_tenant_unattended() {
     let root = scratch("restart");
     let svc = Service::new(supervised_config(&root, 3)).unwrap();
     svc.admit("t", SPEC, fatal_opts()).unwrap();
+    let mut feed = Feeder::new("t", 1);
 
-    drive(&svc, "t", "i", 6);
+    drive(&svc, &mut feed, "i", 6);
     let before = snapshot(&svc, "t");
     assert_eq!(before.triggers, 6, "{}", before.to_json());
 
     // The worker dies; nobody intervenes. The supervisor must bring the
     // tenant back to Running through the recovery path.
-    svc.submit("t", "!fatal").unwrap();
+    feed.send(&svc, "!fatal");
     let healed = wait_for(&svc, "t", "supervised restart", |s| {
         s.state == TenantState::Running && s.restarts == 1
     });
@@ -125,7 +130,7 @@ fn supervisor_restarts_fatal_tenant_unattended() {
     assert!(healed.recovered_events > 0, "{}", healed.to_json());
 
     // And the healed tenant keeps working.
-    drive(&svc, "t", "j", 3);
+    drive(&svc, &mut feed, "j", 3);
     let after = snapshot(&svc, "t");
     assert_eq!(after.triggers, 9, "{}", after.to_json());
 
@@ -145,16 +150,17 @@ fn restart_budget_circuit_breaks_deterministically() {
     let root = scratch("circuit");
     let svc = Service::new(supervised_config(&root, 2)).unwrap();
     svc.admit("t", SPEC, fatal_opts()).unwrap();
+    let mut feed = Feeder::new("t", 1);
 
     // Burn the budget: each fatal consumes one restart. The third crash
     // exceeds max_restarts=2 inside the window and must circuit-break.
     for round in 1..=2u64 {
-        svc.submit("t", "!fatal").unwrap();
+        feed.send(&svc, "!fatal");
         wait_for(&svc, "t", "restart after fatal", |s| {
             s.state == TenantState::Running && s.restarts == round
         });
     }
-    svc.submit("t", "!fatal").unwrap();
+    feed.send(&svc, "!fatal");
     let broken = wait_for(&svc, "t", "circuit break", |s| {
         matches!(s.state, TenantState::FailedPermanent(_))
     });
@@ -162,7 +168,7 @@ fn restart_budget_circuit_breaks_deterministically() {
 
     // Deterministic terminal state: submissions answer 500, the state
     // never flaps back, and the break is visible on every surface.
-    let (code, _) = svc.submit("t", "update c").unwrap_err();
+    let (code, _) = feed.submit(&svc, "update c").unwrap_err();
     assert_eq!(code, 500);
     std::thread::sleep(Duration::from_millis(50));
     assert!(
@@ -184,7 +190,7 @@ fn unsupervised_fatal_stays_failed() {
     let root = scratch("unsup");
     let svc = Service::new(supervised_config(&root, 0)).unwrap();
     svc.admit("t", SPEC, fatal_opts()).unwrap();
-    svc.submit("t", "!fatal").unwrap();
+    Feeder::new("t", 1).send(&svc, "!fatal");
     let failed = wait_for(&svc, "t", "worker death", |s| matches!(s.state, TenantState::Failed(_)));
     // No supervisor thread: the tenant must still be Failed well past
     // any plausible restart backoff.
@@ -200,7 +206,8 @@ fn reload_is_idempotent_versioned_and_durable() {
     let root = scratch("reload");
     let svc = Service::new(supervised_config(&root, 1)).unwrap();
     svc.admit("t", SPEC, TenantOptions::default()).unwrap();
-    drive(&svc, "t", "i", 2);
+    let mut feed = Feeder::new("t", 1);
+    drive(&svc, &mut feed, "i", 2);
 
     // v1 → v2, exactly once for a given token.
     assert_eq!(svc.reload("t", 7, SPEC_V2).unwrap(), 2);
@@ -217,7 +224,7 @@ fn reload_is_idempotent_versioned_and_durable() {
     // The reload works after the cutover: pre-reload state was
     // checkpointed at the exact journal tail, so new events monitor
     // under the new spec with nothing lost.
-    drive(&svc, "t", "k", 2);
+    drive(&svc, &mut feed, "k", 2);
     let snap = snapshot(&svc, "t");
     assert_eq!(snap.triggers, 4, "{}", snap.to_json());
 
@@ -271,14 +278,15 @@ fn rvmon_audits_a_tenant_reloaded_to_different_events() {
     let root = scratch("reload-audit");
     let svc = Service::new(supervised_config(&root, 1)).unwrap();
     svc.admit("t", SPEC, TenantOptions::default()).unwrap();
-    drive(&svc, "t", "i", 2);
+    let mut feed = Feeder::new("t", 1);
+    drive(&svc, &mut feed, "i", 2);
     assert_eq!(svc.reload("t", 5, HAS_NEXT).unwrap(), 2);
     for k in 0..3 {
-        svc.submit("t", &format!("hasnexttrue h{k}")).unwrap();
-        svc.submit("t", &format!("next h{k}")).unwrap();
-        svc.submit("t", &format!("next h{k}")).unwrap();
+        feed.send(&svc, &format!("hasnexttrue h{k}"));
+        feed.send(&svc, &format!("next h{k}"));
+        feed.send(&svc, &format!("next h{k}"));
     }
-    svc.sync("t", 2).unwrap();
+    feed.barrier(&svc);
     let triggers = snapshot(&svc, "t").triggers;
     assert_eq!(triggers, 5, "2 UnsafeIter matches, then 3 HasNext errors");
     assert!(svc.drain() >= 1);

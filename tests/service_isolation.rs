@@ -16,6 +16,9 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use rv_monitor::core::service::TENANT_FLAG_PANIC_HANDLER;
 use rv_monitor::core::{read_journal, Record, Service, ServiceConfig, TenantOptions, TenantState};
 
+mod common;
+use common::Feeder;
+
 const SPEC: &str = r#"
 UnsafeIter(Collection c, Iterator i) {
     event create(c, i);
@@ -56,11 +59,11 @@ fn workload(prefix: &str) -> Vec<String> {
     lines
 }
 
-fn drive(service: &Service, tenant: &str, lines: &[String]) {
+fn drive(service: &Service, feed: &mut Feeder, lines: &[String]) {
     for line in lines {
-        service.submit(tenant, line).unwrap_or_else(|e| panic!("submit to `{tenant}`: {e:?}"));
+        feed.send(service, line);
     }
-    service.sync(tenant, 1).unwrap_or_else(|e| panic!("sync `{tenant}`: {e:?}"));
+    feed.barrier(service);
 }
 
 fn snapshot_of(service: &Service, tenant: &str) -> rv_monitor::core::TenantSnapshot {
@@ -123,19 +126,22 @@ fn faulty_tenants_do_not_perturb_a_healthy_neighbor() {
         .unwrap();
     multi.admit("c", SPEC, TenantOptions::default()).unwrap();
     // Interleave the tenants line by line — isolation must hold under
-    // concurrent progress, not just sequential per-tenant batches.
+    // concurrent progress, not just sequential per-tenant batches. Each
+    // tenant's client is session 1: the session is journaled with every
+    // line, so c's solo run must use the same one.
+    let mut feeds = ["a", "b", "c"].map(|tenant| Feeder::new(tenant, 1));
     for line in &lines {
-        for tenant in ["a", "b", "c"] {
-            multi.submit(tenant, line).unwrap();
+        for feed in &mut feeds {
+            feed.send(&multi, line);
         }
     }
-    for tenant in ["a", "b", "c"] {
-        multi.sync(tenant, 7).unwrap();
+    for feed in &feeds {
+        feed.barrier(&multi);
     }
 
     let solo = Service::new(config(&solo_root)).unwrap();
     solo.admit("c", SPEC, TenantOptions::default()).unwrap();
-    drive(&solo, "c", &lines);
+    drive(&solo, &mut Feeder::new("c", 1), &lines);
 
     let a = snapshot_of(&multi, "a");
     assert_eq!(a.state, TenantState::Running, "a handler panic must stay engine-contained");
@@ -184,6 +190,7 @@ fn faulty_tenants_do_not_perturb_a_healthy_neighbor() {
 fn drain_and_restart_preserve_every_tenant() {
     let root = scratch("drain");
     let lines = workload("i");
+    let mut x = Feeder::new("x", 1);
 
     let before = {
         let service = Service::new(config(&root)).unwrap();
@@ -195,8 +202,8 @@ fn drain_and_restart_preserve_every_tenant() {
                 TenantOptions { max_live_monitors: Some(4), ..TenantOptions::default() },
             )
             .unwrap();
-        drive(&service, "x", &lines);
-        drive(&service, "y", &lines);
+        drive(&service, &mut x, &lines);
+        drive(&service, &mut Feeder::new("y", 1), &lines);
         let snaps = service.snapshots();
         assert_eq!(service.drain(), 2);
         snaps
@@ -216,8 +223,9 @@ fn drain_and_restart_preserve_every_tenant() {
         assert_eq!(post.suppressed_triggers, 0);
     }
 
-    // Recovered tenants accept new work with monotonically growing seqs.
-    drive(&service, "x", &workload("j"));
+    // Recovered tenants accept new work with monotonically growing seqs,
+    // and x's session resumes past its recovered high-water mark.
+    drive(&service, &mut x, &workload("j"));
     let post = snapshot_of(&service, "x");
     assert_eq!(post.events, before[0].events + workload("j").len() as u64);
     assert_eq!(post.triggers, 2 * ITERS as u64);
@@ -243,11 +251,12 @@ fn crash_recovery_delivers_triggers_exactly_once() {
     let lines = workload("i");
     // No periodic checkpoints: recovery must replay the whole journal.
     let cfg = ServiceConfig { checkpoint_every: 1_000_000, ..config(&root) };
+    let mut feed = Feeder::new("t", 1);
 
     {
         let service = Service::new(cfg.clone()).unwrap();
         service.admit("t", SPEC, TenantOptions::default()).unwrap();
-        drive(&service, "t", &lines);
+        drive(&service, &mut feed, &lines);
         // Dropped without drain(): the crash path.
     }
     let dir = root.join("t");
@@ -275,7 +284,7 @@ fn crash_recovery_delivers_triggers_exactly_once() {
         "full-journal replay must re-fire and suppress every delivered trigger"
     );
 
-    drive(&service, "t", &workload("j"));
+    drive(&service, &mut feed, &workload("j"));
     let _ = service.drain();
 
     let keys = trigger_keys(&dir);

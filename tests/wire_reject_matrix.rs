@@ -17,13 +17,19 @@ use rv_monitor::core::{
     read_frame, serve_connection, write_frame, Backpressure, Service, ServiceConfig,
     SupervisorConfig, TenantOptions, TenantState,
 };
+use rv_monitor::heap::SplitMix64;
 
 const FRAME_HELLO: u8 = 0x01;
-const FRAME_EVENT: u8 = 0x02;
 const FRAME_SYNC: u8 = 0x03;
+const FRAME_RELOAD: u8 = 0x06;
 const FRAME_POLL: u8 = 0x07;
+const FRAME_EVENT_SEQ: u8 = 0x08;
 const FRAME_OK: u8 = 0x80;
+const FRAME_SYNCED: u8 = 0x81;
 const FRAME_REJECT: u8 = 0x83;
+
+/// The one client session every connection in this battery speaks for.
+const SESSION: u64 = 1;
 
 const SPEC: &str = r#"
 UnsafeIter(Collection c, Iterator i) {
@@ -117,6 +123,30 @@ impl Drop for Server {
     }
 }
 
+/// Concatenates `u64 LE` fields and a trailing byte string — the
+/// `EVENT_SEQ`, `SYNC` and `SYNCED` payload layouts.
+fn fields(words: &[u64], tail: &[u8]) -> Vec<u8> {
+    let mut p: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    p.extend_from_slice(tail);
+    p
+}
+
+/// Writes line `cseq` of [`SESSION`] as an `EVENT_SEQ` frame.
+fn send_line(s: &mut TcpStream, cseq: u64, line: &str) {
+    write_frame(s, FRAME_EVENT_SEQ, &fields(&[SESSION, cseq], line.as_bytes())).unwrap();
+}
+
+/// Writes a barrier for [`SESSION`].
+fn send_sync(s: &mut TcpStream, token: u64) {
+    write_frame(s, FRAME_SYNC, &fields(&[token, SESSION], b"")).unwrap();
+}
+
+/// Reads the next frame and asserts it is the `SYNCED` `[token][hwm]`.
+fn expect_synced(s: &mut TcpStream, token: u64, hwm: u64) {
+    let (kind, payload) = read_frame(s).unwrap().expect("SYNCED");
+    assert_eq!((kind, payload), (FRAME_SYNCED, fields(&[token, hwm], b"")));
+}
+
 /// Reads frames until a REJECT arrives; returns `(code, message)`.
 fn expect_reject(s: &mut TcpStream) -> (u16, String) {
     loop {
@@ -145,14 +175,35 @@ fn reject_400_bad_frame() {
     assert_eq!(code, 400, "{msg}");
     assert!(msg.contains("malformed frame"), "{msg}");
 
-    // A protocol-order violation: EVENT before HELLO.
+    // A protocol-order violation: a line before HELLO.
     let mut s = server.connect();
-    write_frame(&mut s, FRAME_EVENT, b"update c").unwrap();
+    send_line(&mut s, 1, "update c");
     let (code, msg) = expect_reject(&mut s);
     assert_eq!(code, 400, "{msg}");
     assert!(msg.contains("before HELLO"), "{msg}");
 
-    assert_eq!(server.svc.stats.bad_frames.load(Ordering::Relaxed), 2);
+    // Kind 0x02 is no frame kind: a client's unsequenced line gets a 400.
+    let mut s = server.hello("t", SPEC, &TenantOptions::default());
+    write_frame(&mut s, 0x02, b"update c").unwrap();
+    let (code, msg) = expect_reject(&mut s);
+    assert_eq!(code, 400, "{msg}");
+    assert!(msg.contains("unknown frame kind 0x2"), "{msg}");
+
+    // A SYNC must name its session: a bare 8-byte token and a 17-byte
+    // payload are malformed, and the connection stays open for the
+    // well-formed barrier after them.
+    let mut s = server.hello("t", "", &TenantOptions::default());
+    send_line(&mut s, 1, "update c");
+    for bad in [fields(&[1], b""), fields(&[1, SESSION], b"x")] {
+        write_frame(&mut s, FRAME_SYNC, &bad).unwrap();
+        let (code, msg) = expect_reject(&mut s);
+        assert_eq!(code, 400, "{msg}");
+        assert!(msg.contains("malformed SYNC payload"), "{msg}");
+    }
+    send_sync(&mut s, 1);
+    expect_synced(&mut s, 1, 1);
+
+    assert_eq!(server.svc.stats.bad_frames.load(Ordering::Relaxed), 5);
     drop(server);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -181,15 +232,14 @@ fn reject_410_resume_gone() {
     // Four matches overflow the 2-entry trigger log, evicting the
     // oldest two; resuming from the beginning is then impossible.
     for i in 0..4 {
-        write_frame(&mut s, FRAME_EVENT, format!("create c i{i}").as_bytes()).unwrap();
+        send_line(&mut s, i + 1, &format!("create c i{i}"));
     }
-    write_frame(&mut s, FRAME_EVENT, b"update c").unwrap();
+    send_line(&mut s, 5, "update c");
     for i in 0..4 {
-        write_frame(&mut s, FRAME_EVENT, format!("next i{i}").as_bytes()).unwrap();
+        send_line(&mut s, i + 6, &format!("next i{i}"));
     }
-    write_frame(&mut s, FRAME_SYNC, &1u64.to_le_bytes()).unwrap();
-    let (kind, _) = read_frame(&mut s).unwrap().unwrap();
-    assert_eq!(kind, 0x81, "SYNCED");
+    send_sync(&mut s, 1);
+    expect_synced(&mut s, 1, 9);
 
     let mut poll = Vec::new();
     poll.extend_from_slice(&0u64.to_le_bytes());
@@ -255,8 +305,8 @@ fn reject_431_queue_full_under_shed() {
     let opts = TenantOptions { flags: TENANT_FLAG_SLOW_WORKER, ..TenantOptions::default() };
     let mut s = server.hello("t", SPEC, &opts);
     // A burst into a depth-1 queue with a 2ms/line worker must shed.
-    for _ in 0..64 {
-        write_frame(&mut s, FRAME_EVENT, b"update c").unwrap();
+    for cseq in 1..=64 {
+        send_line(&mut s, cseq, "update c");
     }
     let (code, msg) = expect_reject(&mut s);
     assert_eq!(code, 431, "{msg}");
@@ -270,9 +320,9 @@ fn reject_500_tenant_failed() {
     let server = Server::start(ServiceConfig { root: root.clone(), ..ServiceConfig::default() });
     let opts = TenantOptions { flags: TENANT_FLAG_ALLOW_FATAL, ..TenantOptions::default() };
     let mut s = server.hello("t", SPEC, &opts);
-    write_frame(&mut s, FRAME_EVENT, b"!fatal").unwrap();
+    send_line(&mut s, 1, "!fatal");
     // Unsupervised: the worker dies and stays dead. Wait for the state
-    // to settle so the next EVENT deterministically answers 500.
+    // to settle so the next frames deterministically answer 500.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !server
         .svc
@@ -283,7 +333,12 @@ fn reject_500_tenant_failed() {
         assert!(Instant::now() < deadline, "worker never failed");
         std::thread::sleep(Duration::from_millis(5));
     }
-    write_frame(&mut s, FRAME_EVENT, b"update c").unwrap();
+    // A reload meets the same gate as a line: 500, not a retryable 503.
+    // A reload reject keeps the connection open for the line after it.
+    write_frame(&mut s, FRAME_RELOAD, &fields(&[1], SPEC.as_bytes())).unwrap();
+    let (code, msg) = expect_reject(&mut s);
+    assert_eq!(code, 500, "{msg}");
+    send_line(&mut s, 2, "update c");
     let (code, msg) = expect_reject(&mut s);
     assert_eq!(code, 500, "{msg}");
     drop(server);
@@ -315,10 +370,10 @@ fn reject_504_timeout() {
     let opts = TenantOptions { flags: TENANT_FLAG_SLOW_WORKER, ..TenantOptions::default() };
     let mut s = server.hello("t", SPEC, &opts);
     // ~120ms of queued slow-worker work vs a 40ms barrier deadline.
-    for _ in 0..60 {
-        write_frame(&mut s, FRAME_EVENT, b"update c").unwrap();
+    for cseq in 1..=60 {
+        send_line(&mut s, cseq, "update c");
     }
-    write_frame(&mut s, FRAME_SYNC, &7u64.to_le_bytes()).unwrap();
+    send_sync(&mut s, 7);
     let (code, msg) = expect_reject(&mut s);
     assert_eq!(code, 504, "{msg}");
     drop(server);
@@ -337,13 +392,15 @@ fn double_free_is_a_bad_line_not_a_tenant_failure() {
         ..ServiceConfig::default()
     });
     let mut s = server.hello("t", SPEC, &TenantOptions::default());
-    let barrier = |s: &mut TcpStream, lines: &[&str], token: u64| {
+    let mut cseq = 0u64;
+    let mut barrier = |s: &mut TcpStream, lines: &[&str], token: u64| {
         for line in lines {
-            write_frame(s, FRAME_EVENT, line.as_bytes()).unwrap();
+            cseq += 1;
+            send_line(s, cseq, line);
         }
-        write_frame(s, FRAME_SYNC, &token.to_le_bytes()).unwrap();
-        let (kind, payload) = read_frame(s).unwrap().expect("SYNCED");
-        assert_eq!((kind, payload.as_slice()), (0x81, &token.to_le_bytes()[..]));
+        send_sync(s, token);
+        // A bad line still advances the session's mark.
+        expect_synced(s, token, cseq);
         server.svc.snapshots().into_iter().find(|t| t.name == "t").unwrap()
     };
     let snap = barrier(&mut s, &["create c i", "next i", "!free i", "!free i"], 1);
@@ -356,12 +413,29 @@ fn double_free_is_a_bad_line_not_a_tenant_failure() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// A barrier sent first on a fresh connection — a client that
+/// reconnects with an empty resend window — names its session, so the
+/// echo carries that session's durable high-water mark from the earlier
+/// connection; a session that never sent a line reads 0.
+#[test]
+fn sync_first_on_a_fresh_connection_echoes_the_durable_hwm() {
+    let root = scratch("sync-first");
+    let server = Server::start(ServiceConfig { root: root.clone(), ..ServiceConfig::default() });
+    let mut s = server.hello("t", SPEC, &TenantOptions::default());
+    for (cseq, line) in (1..).zip(["create c i1", "update c", "next i1"]) {
+        send_line(&mut s, cseq, line);
+    }
+    send_sync(&mut s, 3);
+    expect_synced(&mut s, 3, 3);
+    drop(s);
+
+    let mut s = server.hello("t", "", &TenantOptions::default());
+    send_sync(&mut s, 3);
+    expect_synced(&mut s, 3, 3);
+    write_frame(&mut s, FRAME_SYNC, &fields(&[4, SESSION + 1], b"")).unwrap();
+    expect_synced(&mut s, 4, 0);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Seeded garbage against the framer: raw byte soup, CRC-corrupted
@@ -373,7 +447,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 fn malformed_frame_fuzz_never_panics_always_400() {
     let root = scratch("fuzz");
     let server = Server::start(ServiceConfig { root: root.clone(), ..ServiceConfig::default() });
-    let mut rng: u64 = 0xF022_5EED;
+    let mut rng = SplitMix64::new(0xF022_5EED);
     let hello = encode_frame(FRAME_HELLO, &encode_hello("t", SPEC, &TenantOptions::default()));
 
     for case in 0..120u32 {
@@ -382,22 +456,22 @@ fn malformed_frame_fuzz_never_panics_always_400() {
         let bytes: Vec<u8> = match case % 3 {
             // Raw byte soup of random length.
             0 => {
-                let len = (splitmix64(&mut rng) % 96 + 1) as usize;
-                (0..len).map(|_| (splitmix64(&mut rng) & 0xFF) as u8).collect()
+                let len = (rng.next_u64() % 96 + 1) as usize;
+                (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect()
             }
             // A real frame with one random bit flipped past the length
             // prefix (so the framer reads it fully and fails the CRC).
             1 => {
                 let mut b = hello.clone();
-                let pos = 4 + (splitmix64(&mut rng) as usize) % (b.len() - 4);
-                b[pos] ^= 1 << (splitmix64(&mut rng) % 8);
+                let pos = 4 + (rng.next_u64() as usize) % (b.len() - 4);
+                b[pos] ^= 1 << (rng.next_u64() % 8);
                 b
             }
             // A CRC-valid frame with an unknown kind byte.
             _ => {
-                let kind = 0x20 | (splitmix64(&mut rng) & 0x1F) as u8;
+                let kind = 0x20 | (rng.next_u64() & 0x1F) as u8;
                 let payload: Vec<u8> =
-                    (0..(splitmix64(&mut rng) % 32) as usize).map(|i| i as u8).collect();
+                    (0..(rng.next_u64() % 32) as usize).map(|i| i as u8).collect();
                 encode_frame(kind, &payload)
             }
         };
@@ -426,12 +500,11 @@ fn malformed_frame_fuzz_never_panics_always_400() {
     // The service survived 120 hostile connections: a well-formed
     // client still gets a full handshake and a working tenant.
     let mut s = server.hello("t", SPEC, &TenantOptions::default());
-    write_frame(&mut s, FRAME_EVENT, b"create c i1").unwrap();
-    write_frame(&mut s, FRAME_EVENT, b"update c").unwrap();
-    write_frame(&mut s, FRAME_EVENT, b"next i1").unwrap();
-    write_frame(&mut s, FRAME_SYNC, &1u64.to_le_bytes()).unwrap();
-    let (kind, _) = read_frame(&mut s).unwrap().unwrap();
-    assert_eq!(kind, 0x81, "SYNCED after the fuzz barrage");
+    for (cseq, line) in (1..).zip(["create c i1", "update c", "next i1"]) {
+        send_line(&mut s, cseq, line);
+    }
+    send_sync(&mut s, 1);
+    expect_synced(&mut s, 1, 3);
     let snap = server.svc.snapshots().into_iter().find(|t| t.name == "t").unwrap();
     assert_eq!(snap.triggers, 1, "{}", snap.to_json());
     drop(server);
