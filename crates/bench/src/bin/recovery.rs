@@ -3,57 +3,69 @@
 //!
 //! For each property, a seed-reproducible synthetic lifecycle workload
 //! (events over a churning pool of parameter objects, with deaths and
-//! collections) runs twice — once bare, once with a write-ahead journal
-//! and periodic checkpoints — and then the journal is recovered into a
-//! fresh monitor, timing the checkpoint restore plus suffix replay.
+//! collections, as trace lines) runs twice over the same lines — once
+//! bare, applied with no journal, once through the journal writer rvmond
+//! ships, with periodic checkpoints — and then the journal is recovered
+//! into a fresh monitor, timing the checkpoint restore plus suffix
+//! replay. Both runs parse and apply every line the same way, so the
+//! overhead column prices only the journal.
 //!
 //! Usage: `cargo run --release -p rv-bench --bin recovery --
 //! [--scale X] [--stats-json BENCH_RECOVERY.json]`
 
-use std::path::{Path, PathBuf};
+use std::convert::Infallible;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use rv_core::journal::{AUX_FREE, AUX_GC};
-use rv_core::recover::alloc_pinned;
+use rv_core::journal::DEFAULT_SEGMENT_BYTES;
+use rv_core::line::{apply, parse};
+use rv_core::snapshot::{checkpoint_path, list_checkpoints};
 use rv_core::{
-    recover, Binding, EngineConfig, GcPolicy, JournalStats, JournalWriter, NoopObserver,
-    PropertyMonitor, Record, ReplayFrom, RetryPolicy,
+    recover, EngineConfig, GcPolicy, Ingest, JournalStats, JournaledMonitor, NoopObserver,
+    ObjectTable, PropertyMonitor, ReplayFrom, RetryPolicy,
 };
-use rv_heap::{ClassId, Heap, HeapConfig, ObjId, SplitMix64};
-use rv_logic::EventId;
+use rv_heap::{Heap, HeapConfig, SplitMix64};
 use rv_props::Property;
 use rv_spec::CompiledSpec;
 
 const POOL: usize = 8;
-const CHECKPOINT_EVERY: usize = 1024;
+const CHECKPOINT_EVERY: u64 = 1024;
 
-/// One step of the lifecycle schedule. Replacement objects for killed
-/// pool slots are allocated lazily at the next event that uses the slot,
-/// so the journal's event records fully determine allocation order.
-enum Step {
-    Kill(usize),
-    Collect,
-    Event(EventId, Vec<(rv_logic::ParamId, usize)>),
-}
-
-fn schedule(spec: &CompiledSpec, seed: u64, events: usize) -> Vec<Step> {
+/// The lifecycle schedule as trace lines. Pool slot `s` names its objects
+/// `o{s}.{generation}`: an object is allocated at its slot's first
+/// mention, and a kill frees it (a kill of an empty slot is skipped), so
+/// the slot's next mention allocates a fresh one. A final `!sweep` does
+/// the end-of-run monitor sweep.
+fn schedule(spec: &CompiledSpec, seed: u64, events: usize) -> Vec<String> {
     let mut rng = SplitMix64::new(seed ^ 0x1bad_b002_dead_beef);
-    let mut steps = Vec::new();
+    let mut generation = [0usize; POOL];
+    let mut live = [false; POOL];
+    let mut lines = Vec::new();
     let mut emitted = 0;
     while emitted < events {
         if rng.chance(0.12) {
-            steps.push(Step::Kill(rng.gen_range(POOL)));
+            let s = rng.gen_range(POOL);
+            if live[s] {
+                live[s] = false;
+                lines.push(format!("!free o{s}.{}", generation[s]));
+                generation[s] += 1;
+            }
         } else if rng.chance(0.05) {
-            steps.push(Step::Collect);
+            lines.push("!gc".to_owned());
         } else {
-            let e = EventId(rng.gen_range(spec.alphabet.len()) as u16);
-            let slots =
-                spec.event_params[e.as_usize()].iter().map(|&p| (p, rng.gen_range(POOL))).collect();
-            steps.push(Step::Event(e, slots));
+            let e = rng.gen_range(spec.alphabet.len());
+            let mut line = spec.alphabet.name(rv_logic::EventId(e as u16)).to_owned();
+            for _ in &spec.event_params[e] {
+                let s = rng.gen_range(POOL);
+                live[s] = true;
+                line.push_str(&format!(" o{s}.{}", generation[s]));
+            }
+            lines.push(line);
             emitted += 1;
         }
     }
-    steps
+    lines.push("!sweep".to_owned());
+    lines
 }
 
 /// The measurements for one property row.
@@ -69,105 +81,62 @@ struct Row {
     triggers: u64,
 }
 
-/// The monitored program: a manual heap and a pool of parameter slots.
-struct World {
-    heap: Heap,
-    class: ClassId,
-    pool: Vec<Option<ObjId>>,
+fn config() -> EngineConfig {
+    EngineConfig { policy: GcPolicy::CoenableLazy, ..EngineConfig::default() }
 }
 
-impl World {
-    fn new() -> World {
-        let mut heap = Heap::new(HeapConfig::manual());
-        let class = heap.register_class("Obj");
-        World { heap, class, pool: vec![None; POOL] }
-    }
-
-    /// Performs `step`'s heap side and returns the record that journals
-    /// it (none for a kill of an empty slot).
-    fn step(&mut self, step: &Step) -> Option<Record> {
-        match step {
-            Step::Kill(slot) => self.pool[*slot].take().map(|obj| {
-                self.heap.unpin(obj);
-                Record::Aux { tag: AUX_FREE, bytes: obj.to_bits().to_le_bytes().to_vec() }
-            }),
-            Step::Collect => {
-                self.heap.collect();
-                Some(Record::Aux { tag: AUX_GC, bytes: Vec::new() })
-            }
-            Step::Event(event, slots) => {
-                let pairs: Vec<_> = slots
-                    .iter()
-                    .map(|&(p, s)| {
-                        let (heap, class) = (&mut self.heap, self.class);
-                        (p, *self.pool[s].get_or_insert_with(|| alloc_pinned(heap, class)))
-                    })
-                    .collect();
-                Some(Record::Event { event: *event, binding: Binding::from_pairs(&pairs) })
-            }
-        }
-    }
-}
-
-/// Runs the schedule without any durability machinery.
-fn run_bare(spec: &CompiledSpec, steps: &[Step]) -> (Duration, u64) {
-    let config = EngineConfig { policy: GcPolicy::CoenableLazy, ..EngineConfig::default() };
+/// Applies the lines with no durability machinery.
+fn run_bare(spec: &CompiledSpec, lines: &[String]) -> (Duration, u64) {
+    let config = EngineConfig { record_triggers: true, ..config() };
     let mut monitor = PropertyMonitor::new(spec.clone(), &config);
-    let mut world = World::new();
+    let mut heap = Heap::new(HeapConfig::manual());
+    let mut objects = ObjectTable::new(&mut heap);
     let start = Instant::now();
-    for step in steps {
-        if let Some(Record::Event { event, binding }) = world.step(step) {
-            monitor.process(&world.heap, event, binding);
-        }
+    for raw in lines {
+        let line = parse(raw, spec).expect("schedule line parses").expect("not blank");
+        apply(&line, &mut heap, &mut objects, &mut monitor, |_, _, _| Ok::<_, Infallible>(Some(0)))
+            .expect("schedule line applies");
     }
-    monitor.finish(&world.heap);
     (start.elapsed(), monitor.triggers())
 }
 
-/// Runs the same schedule with the write-ahead journal and periodic
-/// checkpoints, then times a full recovery from the directory.
+/// Feeds the same lines to the journal writer, then times a full
+/// recovery from the directory.
 fn run_journaled(
     spec: &CompiledSpec,
     source: &str,
-    steps: &[Step],
+    lines: &[String],
     dir: &Path,
 ) -> (Duration, JournalStats, u64, u64, Duration, u64, u64) {
-    let config = EngineConfig { policy: GcPolicy::CoenableLazy, ..EngineConfig::default() };
-    let mut monitor = PropertyMonitor::new(spec.clone(), &config);
-    let mut world = World::new();
-    let mut journal = JournalWriter::create(dir).expect("create journal");
-    let mut since_checkpoint = 0usize;
-    let mut checkpoint_bytes = 0u64;
     let start = Instant::now();
-    journal
-        .append(&Record::Aux { tag: rv_core::journal::AUX_SPEC, bytes: source.as_bytes().to_vec() })
-        .expect("journal spec");
-    for step in steps {
-        let Some(record) = world.step(step) else { continue };
-        journal.append(&record).expect("journal step");
-        if let Record::Event { event, binding } = record {
-            monitor.process(&world.heap, event, binding);
-            since_checkpoint += 1;
-            if since_checkpoint >= CHECKPOINT_EVERY {
-                since_checkpoint = 0;
-                let payload = monitor.snapshot_bytes().expect("serializable state");
-                checkpoint_bytes += payload.len() as u64;
-                journal.checkpoint(&payload, &RetryPolicy::none()).expect("checkpoint");
-            }
-        }
+    let mut w = JournaledMonitor::create(
+        dir,
+        source,
+        spec.clone(),
+        &config(),
+        RetryPolicy::none(),
+        DEFAULT_SEGMENT_BYTES,
+    )
+    .expect("create journal");
+    w.set_checkpoint_every(CHECKPOINT_EVERY);
+    for (i, raw) in lines.iter().enumerate() {
+        let done = w.process_line(1, i as u64 + 1, raw).expect("journal the line");
+        assert!(matches!(done, Ingest::Applied(_)), "line {raw}: {done:?}");
     }
-    monitor.finish(&world.heap);
-    journal.sync().expect("final sync");
+    w.sync().expect("final sync");
     let journaled = start.elapsed();
-    let jstats = journal.stats();
-    let checkpoints = journal.next_generation();
-    let triggers = monitor.triggers();
-    drop(journal);
+    let (jstats, checkpoints, triggers) =
+        (w.journal_stats(), w.checkpoints(), w.monitor().triggers());
+    drop(w);
+    let checkpoint_bytes = list_checkpoints(dir)
+        .into_iter()
+        .map(|g| std::fs::metadata(checkpoint_path(dir, g)).expect("stat checkpoint").len())
+        .sum();
 
     // Recovery: scan, restore the newest checkpoint, rebuild the heap
     // from the record prefix, replay the suffix.
     let start = Instant::now();
-    let mut recovered = recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| NoopObserver)
+    let mut recovered = recover(dir, ReplayFrom::LatestCheckpoint, &config(), |_| NoopObserver)
         .expect("recover the journal");
     assert!(
         recovered.plan.skipped_checkpoints.is_empty(),
@@ -188,8 +157,7 @@ fn main() {
     let args = rv_bench::HarnessArgs::from_env();
     let events = ((40_000.0 * args.scale) as usize).max(256);
     let mut report = rv_bench::StatsReport::new("recovery", args.scale);
-    let scratch: PathBuf =
-        std::env::temp_dir().join(format!("rv-bench-recovery-{}", std::process::id()));
+    let scratch = std::env::temp_dir().join(format!("rv-bench-recovery-{}", std::process::id()));
 
     println!("Durability harness: journaled vs unjournaled lifecycle (scale {})", args.scale);
     println!(
@@ -207,10 +175,10 @@ fn main() {
     for property in Property::EVALUATED {
         let spec = rv_props::compiled(property).expect("bundled properties compile");
         let source = property.source();
-        let steps = schedule(&spec, 42, events);
-        let (bare, bare_triggers) = run_bare(&spec, &steps);
+        let lines = schedule(&spec, 42, events);
+        let (bare, bare_triggers) = run_bare(&spec, &lines);
         let (journaled, jstats, checkpoints, checkpoint_bytes, recover, replayed, triggers) =
-            run_journaled(&spec, source, &steps, &scratch);
+            run_journaled(&spec, source, &lines, &scratch);
         assert_eq!(bare_triggers, triggers, "journaling must not change verdicts");
         let row = Row {
             events: events as u64,

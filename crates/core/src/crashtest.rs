@@ -2,49 +2,51 @@
 //! simulated process death, differentially checked against an
 //! uninterrupted oracle run.
 //!
-//! [`crash_and_recover`] drives a whole-spec [`PropertyMonitor`] over a
-//! seed-reproducible schedule of parametric events, object deaths, heap
-//! collections, and safepoint sweeps. It journals every operation in the
-//! vocabulary `rvmond` and `rvmon run` write — `AUX_SPEC` at sequence 0,
-//! then `Event`, `AUX_FREE`, `AUX_GC`, `AUX_SWEEP`, one record per
-//! operation, plus `Trigger` records — through a [`JournalWriter`], and
-//! writes periodic engine checkpoints. At a seed-chosen operation it
+//! [`crash_and_recover`] turns a seed-reproducible schedule of parametric
+//! events, object deaths, heap collections and safepoint sweeps into trace
+//! lines (`event obj…`, `!free obj`, `!gc`, `!sweep`) and feeds them, as
+//! one session numbered from 1, to the journal writer the daemon and
+//! `rvmon run` ship, [`JournaledMonitor`]: its journal carries `AUX_SPEC`,
+//! `AUX_OBJ` + `AUX_SLINE` per line, `Trigger` and `AUX_GC_CYCLE` records
+//! and checkpoints at its event cadence. At a seed-chosen line it
 //! simulates a crash: the writer is dropped and the on-disk artifacts are
 //! mutilated per a [`KillClass`] — the journal tail truncated at an
 //! adversarial byte offset (including byte 0), a bit flipped in the
 //! journal tail, or the newest checkpoint truncated or bit-flipped.
-//! Recovery then runs the daemon's own replayer, [`recover`]: it restores
-//! the latest usable checkpoint, rebuilds the heap from sequence 0,
-//! and replays the event suffix with reports at or below the durable
-//! trigger high-water mark suppressed. The harness resumes the remaining
-//! schedule with a [`JournalWriter::resume`]d writer.
+//! Recovery then resumes the writer ([`JournaledMonitor::resume`]), which
+//! runs the daemon's replayer: it restores the latest usable checkpoint,
+//! rebuilds the heap from sequence 0, and replays the suffix with reports
+//! at or below the durable trigger high-water mark suppressed. The
+//! harness resumes the schedule after the recovered session high-water
+//! mark.
 //!
 //! The differential check is the paper's own currency: the recovered
-//! run's final verdicts (per property block) and E/M/FM/CM statistics
-//! must equal the uninterrupted oracle's, each block's verdicts must equal
-//! the Figure 5 reference monitor's, and no goal report may be delivered
-//! twice.
+//! run's final verdicts (per property block), E/M/FM/CM statistics and
+//! heap shape must equal the uninterrupted oracle's, which applies the
+//! same lines through the same [`line::apply`] with no journal; each
+//! block's verdicts must equal the Figure 5 reference monitor's; and no
+//! goal report may be delivered twice.
+//!
+//! [`line::apply`]: crate::line::apply
 
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 
-use rv_heap::{ClassId, Heap, HeapConfig, HeapStats, ObjId, SplitMix64};
+use rv_heap::{Heap, HeapConfig, HeapStats, SplitMix64};
 use rv_logic::{EventId, ParamId};
 use rv_spec::CompiledSpec;
 
 use crate::binding::Binding;
 use crate::chaos::dedup;
 use crate::engine::{EngineConfig, GcPolicy};
-use crate::journal::{
-    read_journal, JournalWriter, Record, RetryPolicy, AUX_FREE, AUX_GC, AUX_SPEC, AUX_SWEEP,
-    SEGMENT_HEADER_LEN,
-};
+use crate::ingest::{Ingest, JournaledMonitor};
+use crate::journal::{read_journal, RetryPolicy, SEGMENT_HEADER_LEN};
+use crate::line::{apply, parse, Effect, ObjectTable};
 use crate::multi::PropertyMonitor;
-use crate::obs::NoopObserver;
-use crate::recover::{alloc_pinned, recover, ReplayFrom};
 use crate::reference::{monitor_trace, Trigger};
 use crate::service::TriggerRecord;
-use crate::snapshot::{checkpoint_path, list_checkpoints};
+use crate::snapshot::{checkpoint_path, list_checkpoints, plan_recovery};
 use crate::stats::EngineStats;
 
 /// Live parameter objects available to the schedule generator.
@@ -59,6 +61,8 @@ const SWEEP_PROB: f64 = 0.04;
 /// Segment rotation limit for harness journals — small, so kills regularly
 /// land past a rotation boundary.
 const SEGMENT_BYTES: u64 = 1 << 12;
+/// The one session the harness's lines are numbered in.
+const SESSION: u64 = 1;
 
 /// How the simulated crash mutilates the on-disk artifacts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -119,7 +123,8 @@ pub struct CrashOutcome {
     pub trace_len: usize,
     /// Operation index at which the process "died".
     pub crash_op: usize,
-    /// Operation index recovery resumed from (the durable op count).
+    /// Operation index recovery resumed from: the recovered session
+    /// high-water mark.
     pub resumed_at_op: usize,
     /// Journal sequence covered by the restored checkpoint, if one was
     /// usable after the mutilation.
@@ -130,6 +135,11 @@ pub struct CrashOutcome {
     pub oracle_stats: EngineStats,
     /// Final statistics of the crashed-and-recovered run.
     pub recovered_stats: EngineStats,
+    /// Final heap shape of the uninterrupted oracle run (pause time
+    /// zeroed).
+    pub oracle_heap: HeapStats,
+    /// Final heap shape of the crashed-and-recovered run.
+    pub recovered_heap: HeapStats,
     /// Oracle goal reports per property block: first report per
     /// binding, sorted.
     pub oracle_triggers: Vec<Vec<Trigger>>,
@@ -164,13 +174,14 @@ impl CrashOutcome {
         a == b
     }
 
-    /// The full acceptance predicate: verdicts and stats match, every
-    /// report was delivered exactly once, and the delivery count equals
-    /// the oracle's trigger count.
+    /// The full acceptance predicate: verdicts, stats and heap shape
+    /// match, every report was delivered exactly once, and the delivery
+    /// count equals the oracle's trigger count.
     #[must_use]
     pub fn ok(&self) -> bool {
         self.verdicts_match()
             && self.stats_match()
+            && self.recovered_heap == self.oracle_heap
             && self.duplicate_deliveries == 0
             && self.delivered == self.oracle_stats.triggers
     }
@@ -217,152 +228,93 @@ fn schedule(spec: &CompiledSpec, seed: u64, events: usize) -> Vec<Op> {
     ops
 }
 
-/// The monitored program: a manual heap plus a pool of parameter slots.
-/// A slot's object is allocated lazily at its first mention, so the
-/// journal's event records fully determine allocation order.
-struct World {
-    heap: Heap,
-    class: ClassId,
-    pool: Vec<Option<ObjId>>,
-}
-
-impl World {
-    fn new() -> World {
-        let mut heap = Heap::new(HeapConfig::manual());
-        let class = heap.register_class("Obj");
-        World { heap, class, pool: vec![None; POOL] }
-    }
-
-    /// Performs `op`'s heap side and returns the record that journals it.
-    fn record(&mut self, op: &Op) -> Record {
-        match op {
-            Op::Kill(slot) => {
-                let bytes = self.pool[*slot].take().map_or(Vec::new(), |obj| {
-                    self.heap.unpin(obj);
-                    obj.to_bits().to_le_bytes().to_vec()
-                });
-                Record::Aux { tag: AUX_FREE, bytes }
-            }
-            Op::Collect => {
-                self.heap.collect();
-                Record::Aux { tag: AUX_GC, bytes: Vec::new() }
-            }
-            Op::Sweep => Record::Aux { tag: AUX_SWEEP, bytes: Vec::new() },
+/// The schedule as trace lines, one per op. Pool slot `s` names its
+/// objects `o{s}.{generation}`: a slot's object is allocated at its first
+/// mention, and a kill frees it (a kill of an empty slot frees nothing),
+/// so the next mention names a fresh object.
+fn lines(spec: &CompiledSpec, ops: &[Op]) -> Vec<String> {
+    let mut generation = [0usize; POOL];
+    let mut live = [false; POOL];
+    ops.iter()
+        .map(|op| match op {
             Op::Event(event, slots) => {
-                let pairs: Vec<(ParamId, ObjId)> = slots
-                    .iter()
-                    .map(|&(p, s)| {
-                        (
-                            p,
-                            *self.pool[s]
-                                .get_or_insert_with(|| alloc_pinned(&mut self.heap, self.class)),
-                        )
-                    })
-                    .collect();
-                Record::Event { event: *event, binding: Binding::from_pairs(&pairs) }
+                let mut line = spec.alphabet.name(*event).to_owned();
+                for &(_, s) in slots {
+                    live[s] = true;
+                    line.push_str(&format!(" o{s}.{}", generation[s]));
+                }
+                line
             }
-        }
-    }
-}
-
-/// Whether `record` journals one schedule op (resumption counts them).
-fn is_op(record: &Record) -> bool {
-    matches!(record, Record::Event { .. } | Record::Aux { tag: AUX_FREE | AUX_GC | AUX_SWEEP, .. })
-}
-
-/// Applies a journaled op's engine side, returning the reports it fired
-/// keyed by `seq`, the op record's journal sequence.
-fn step(
-    monitor: &mut PropertyMonitor,
-    heap: &Heap,
-    record: &Record,
-    seq: u64,
-) -> Result<Vec<TriggerRecord>, String> {
-    match record {
-        Record::Aux { tag: AUX_SWEEP, .. } => {
-            for engine in monitor.engines_mut() {
-                engine.full_sweep(heap);
+            Op::Kill(s) if live[*s] => {
+                live[*s] = false;
+                generation[*s] += 1;
+                format!("!free o{s}.{}", generation[*s] - 1)
             }
-            Ok(Vec::new())
-        }
-        Record::Event { event, binding } => {
-            monitor.process_keyed(heap, *event, *binding, seq).map_err(|e| e.to_string())
-        }
-        _ => Ok(Vec::new()),
-    }
+            Op::Kill(_) => "!free".to_owned(),
+            Op::Collect => "!gc".to_owned(),
+            Op::Sweep => "!sweep".to_owned(),
+        })
+        .collect()
 }
 
 /// Deduplicated goal reports per block, and the schedule's events.
 type Verdicts = Vec<Vec<Trigger>>;
 type Trace = Vec<(EventId, Binding)>;
 
-/// Finishes the run and returns its per-block verdicts.
-fn finish(monitor: &mut PropertyMonitor, heap: &Heap) -> Result<Verdicts, String> {
-    monitor.finish(heap);
+/// Heap statistics with the wall-clock pause zeroed.
+fn shape(heap: &Heap) -> HeapStats {
+    HeapStats { gc_pause_ns: 0, ..heap.stats() }
+}
+
+/// A finished run's per-block verdicts, once its state passes the
+/// invariant checks.
+fn verdicts(monitor: &PropertyMonitor, heap: &Heap) -> Result<Verdicts, String> {
     monitor.check_invariants(heap).map_err(|e| e.to_string())?;
     Ok(monitor.engines().iter().map(|e| dedup(e.triggers())).collect())
 }
 
-/// Runs the schedule uninterrupted and returns `(stats, verdicts,
-/// trace)` — the oracle side of the differential check.
+/// Applies every line with no journal and returns `(stats, verdicts,
+/// heap shape, trace)` — the oracle side of the differential check.
 fn oracle_run(
     spec: &CompiledSpec,
     config: &EngineConfig,
-    ops: &[Op],
-) -> Result<(EngineStats, Verdicts, Trace), String> {
-    let mut world = World::new();
+    lines: &[String],
+) -> Result<(EngineStats, Verdicts, HeapStats, Trace), String> {
+    let mut heap = Heap::new(HeapConfig::manual());
+    let mut objects = ObjectTable::new(&mut heap);
     let mut monitor = PropertyMonitor::new(spec.clone(), config);
     let mut trace = Vec::new();
-    for op in ops {
-        let record = world.record(op);
-        if let Record::Event { event, binding } = record {
-            trace.push((event, binding));
-        }
-        step(&mut monitor, &world.heap, &record, 0)?;
-    }
-    let verdicts = finish(&mut monitor, &world.heap)?;
-    Ok((monitor.stats(), verdicts, trace))
-}
-
-fn io(e: std::io::Error) -> String {
-    format!("crash harness IO: {e}")
-}
-
-/// A journaled run: the program, its monitor, and the write-ahead
-/// journal, checkpointed every few ops.
-struct Run {
-    world: World,
-    monitor: PropertyMonitor,
-    journal: JournalWriter,
-    checkpoint_every: usize,
-}
-
-impl Run {
-    /// Executes `ops` (whose global schedule indices start at
-    /// `first_op_index`), appending op and trigger records and writing a
-    /// checkpoint every `checkpoint_every` ops. `on_trigger` sees each
-    /// fired report's `(event_seq, ordinal)` key.
-    fn run(
-        &mut self,
-        ops: &[Op],
-        first_op_index: usize,
-        mut on_trigger: impl FnMut((u64, u32)),
-    ) -> Result<(), String> {
-        for (i, op) in ops.iter().enumerate() {
-            let record = self.world.record(op);
-            let seq = self.journal.append(&record).map_err(io)?;
-            for t in step(&mut self.monitor, &self.world.heap, &record, seq)? {
-                self.journal.append(&t.to_record()).map_err(io)?;
-                on_trigger(t.key());
+    for raw in lines {
+        let line = parse(raw, spec).map_err(|e| e.to_string())?.ok_or("blank schedule line")?;
+        apply(&line, &mut heap, &mut objects, &mut monitor, |_, effect, _| {
+            if let Effect::Event(event, binding) = effect {
+                trace.push((*event, *binding));
             }
-            if (first_op_index + i + 1).is_multiple_of(self.checkpoint_every) {
-                if let Some(payload) = self.monitor.snapshot_bytes() {
-                    self.journal.checkpoint(&payload, &RetryPolicy::none()).map_err(io)?;
-                }
-            }
-        }
-        Ok(())
+            Ok::<_, Infallible>(Some(0))
+        })
+        .map_err(|e| format!("oracle line `{raw}`: {e:?}"))?;
     }
+    monitor.finish(&heap);
+    let verdicts = verdicts(&monitor, &heap)?;
+    Ok((monitor.stats(), verdicts, shape(&heap), trace))
+}
+
+/// Feeds `lines`, numbered from `first + 1`, to the writer; `on_trigger`
+/// sees each fired report's `(event_seq, ordinal)` key.
+fn feed(
+    w: &mut JournaledMonitor,
+    lines: &[String],
+    first: usize,
+    mut on_trigger: impl FnMut((u64, u32)),
+) -> Result<(), String> {
+    for (i, line) in lines.iter().enumerate() {
+        let cseq = (first + i + 1) as u64;
+        match w.process_line(SESSION, cseq, line).map_err(|e| e.to_string())? {
+            Ingest::Applied(done) => done.fired.iter().for_each(|t| on_trigger(t.key())),
+            other => return Err(format!("schedule line {cseq} `{line}` not applied: {other:?}")),
+        }
+    }
+    Ok(())
 }
 
 /// Goal-report deliveries across the crash boundary.
@@ -448,11 +400,11 @@ fn apply_kill(dir: &Path, kill: KillClass, rng: &mut SplitMix64) {
     }
 }
 
-/// Runs every property block of the spec `source` under `policy`, kills
-/// the journaled run at a seed-chosen op via `kill`, recovers from the
-/// mutilated artifacts in `dir` through [`recover`], finishes the
-/// schedule, and differentially checks the result against an
-/// uninterrupted oracle run.
+/// Runs every property block of the spec `source` under `policy` through
+/// the journal writer, checkpointing every `checkpoint_every` events,
+/// kills the run at a seed-chosen op via `kill`, resumes the writer from
+/// the mutilated artifacts in `dir`, finishes the schedule, and
+/// differentially checks the result against an uninterrupted oracle run.
 ///
 /// `dir` is created (and wiped) by the harness; callers own its cleanup.
 ///
@@ -474,10 +426,11 @@ pub fn crash_and_recover(
     let spec = CompiledSpec::from_source(source).map_err(|d| d.message)?;
     let config = EngineConfig { policy, record_triggers: true, ..EngineConfig::default() };
     if dir.exists() {
-        std::fs::remove_dir_all(dir).map_err(io)?;
+        std::fs::remove_dir_all(dir).map_err(|e| format!("crash harness IO: {e}"))?;
     }
     let ops = schedule(&spec, seed, events);
-    let (oracle_stats, oracle_triggers, trace) = oracle_run(&spec, &config, &ops)?;
+    let lines = lines(&spec, &ops);
+    let (oracle_stats, oracle_triggers, oracle_heap, trace) = oracle_run(&spec, &config, &lines)?;
     let reference_triggers = spec
         .properties
         .iter()
@@ -490,26 +443,28 @@ pub fn crash_and_recover(
         SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(kill.salt()));
     let span = (ops.len() / 2).max(1);
     let crash_op = ops.len() / 4 + crash_rng.gen_range(span);
+    let checkpoint_every = checkpoint_every.max(1) as u64;
 
     // --- Pre-crash journaled run -----------------------------------------
-    let begin = || -> Result<Run, String> {
-        let mut journal = JournalWriter::create_with(dir, SEGMENT_BYTES).map_err(io)?;
-        journal
-            .append(&Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() })
-            .map_err(io)?;
-        Ok(Run {
-            world: World::new(),
-            monitor: PropertyMonitor::new(spec.clone(), &config),
-            journal,
-            checkpoint_every: checkpoint_every.max(1),
-        })
+    let begin = || -> Result<JournaledMonitor, String> {
+        let mut w = JournaledMonitor::create(
+            dir,
+            source,
+            spec.clone(),
+            &config,
+            RetryPolicy::none(),
+            SEGMENT_BYTES,
+        )
+        .map_err(|e| e.to_string())?;
+        w.set_checkpoint_every(checkpoint_every);
+        Ok(w)
     };
-    let mut run = begin()?;
-    run.run(&ops[..crash_op], 0, |_| {})?;
+    let mut w = begin()?;
+    feed(&mut w, &lines[..crash_op], 0, |_| {})?;
     // Model the bytes that reached the OS before the kill; the mutilation
     // below decides which of them survive.
-    run.journal.sync().map_err(io)?;
-    drop(run);
+    w.sync().map_err(|e| e.to_string())?;
+    drop(w);
 
     apply_kill(dir, kill, &mut crash_rng);
 
@@ -517,52 +472,32 @@ pub fn crash_and_recover(
     let durable = read_journal(dir).map_err(|e| e.to_string())?;
     let lost_bytes = durable.truncation.as_ref().map_or(0, |t| t.lost_bytes);
     let mut deliveries = Deliveries::default();
-    let (mut run, resumed_at_op, checkpoint_seq) = if durable.records.is_empty() {
+    let (mut w, resumed_at_op, checkpoint_seq) = if durable.records.is_empty() {
         // Not even the spec header survived: the run starts over.
         (begin()?, 0, None)
     } else {
-        let rec = recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| NoopObserver)
+        let plan = plan_recovery(dir).map_err(|e| e.to_string())?;
+        let (mut w, replayed) = JournaledMonitor::resume(dir, plan, &config, RetryPolicy::none())
             .map_err(|e| e.to_string())?;
-        let scan = &rec.plan.scan;
+        w.set_checkpoint_every(checkpoint_every);
         // Reports journaled before the crash were delivered then; the
-        // replayer's refired ones are delivered now.
-        for sr in &scan.records {
+        // refired ones are delivered now.
+        for sr in &replayed.plan.scan.records {
             if let Some(t) = TriggerRecord::from_record(&sr.record) {
                 deliveries.deliver(t.key());
             }
         }
-        for t in rec.refired() {
+        for t in replayed.refired() {
             deliveries.deliver(t.key());
         }
-        // The program re-executes its durable prefix; the replayer must
-        // have rebuilt exactly the heap that prefix leaves behind.
-        let resumed_at_op = scan.records.iter().filter(|sr| is_op(&sr.record)).count();
-        let mut world = World::new();
-        for op in &ops[..resumed_at_op] {
-            world.record(op);
-        }
-        let shape = |heap: &Heap| HeapStats { gc_pause_ns: 0, ..heap.stats() };
-        if shape(&world.heap) != shape(&rec.heap) {
-            return Err(format!(
-                "replayed heap {:?} differs from the program's {:?}",
-                shape(&rec.heap),
-                shape(&world.heap)
-            ));
-        }
-        world.heap = rec.heap;
-        let run = Run {
-            world,
-            monitor: rec.monitor,
-            journal: JournalWriter::resume(dir, scan).map_err(io)?,
-            checkpoint_every: checkpoint_every.max(1),
-        };
-        (run, resumed_at_op, rec.plan.checkpoint.map(|c| c.seq))
+        let resumed_at_op = w.hwm(SESSION) as usize;
+        (w, resumed_at_op, replayed.plan.checkpoint.map(|c| c.seq))
     };
 
     // --- Resume the lost tail of the schedule ----------------------------
-    run.run(&ops[resumed_at_op..], resumed_at_op, |key| deliveries.deliver(key))?;
-    run.journal.sync().map_err(io)?;
-    let recovered_triggers = finish(&mut run.monitor, &run.world.heap)?;
+    feed(&mut w, &lines[resumed_at_op..], resumed_at_op, |key| deliveries.deliver(key))?;
+    w.finish().map_err(|e| e.to_string())?;
+    let recovered_triggers = verdicts(w.monitor(), w.heap())?;
 
     Ok(CrashOutcome {
         trace_len: trace.len(),
@@ -571,7 +506,9 @@ pub fn crash_and_recover(
         checkpoint_seq,
         lost_bytes,
         oracle_stats,
-        recovered_stats: run.monitor.stats(),
+        recovered_stats: w.monitor().stats(),
+        oracle_heap,
+        recovered_heap: shape(w.heap()),
         oracle_triggers,
         recovered_triggers,
         reference_triggers,

@@ -20,6 +20,16 @@
 //! operation, not an error), while a missing magic or a stale version
 //! byte is a typed [`EngineError::CorruptJournal`] — that artifact was
 //! never a journal this code wrote, or needs a migration we don't have.
+//!
+//! Every journal is written by [`JournaledMonitor`] in one vocabulary:
+//! `AUX_SPEC` at sequence 0, then per trace line its first-mention
+//! `AUX_OBJ` names and one `AUX_SLINE`, the `Trigger` records the line
+//! fired, an `AUX_GC_CYCLE` per collection or block swept, and the
+//! daemon's `AUX_FATAL` and `AUX_RELOAD` marks. Version 3 is that
+//! vocabulary; versions 1 and 2 also carried pre-bound `Event` records
+//! and are refused.
+//!
+//! [`JournaledMonitor`]: crate::ingest::JournaledMonitor
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -28,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use rv_heap::{ObjId, SplitMix64};
-use rv_logic::{EventId, ParamId, Verdict};
+use rv_logic::{ParamId, Verdict};
 
 use crate::binding::Binding;
 use crate::error::EngineError;
@@ -38,7 +48,7 @@ use crate::snapshot::{list_checkpoints, write_checkpoint};
 pub const SEGMENT_MAGIC: [u8; 4] = *b"RVJL";
 
 /// On-disk format version (the fifth header byte).
-pub const JOURNAL_VERSION: u8 = 1;
+pub const JOURNAL_VERSION: u8 = 3;
 
 /// Header length: magic + version byte.
 pub const SEGMENT_HEADER_LEN: u64 = 5;
@@ -89,27 +99,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Auxiliary record tag: the spec source header. Every journal carries
 /// it at sequence 0, so a journal directory is self-contained.
 pub const AUX_SPEC: u8 = 0;
-/// Auxiliary record tag: a trace `!free` directive (payload: object bits).
-pub const AUX_FREE: u8 = 1;
-/// Auxiliary record tag: a trace `!gc` directive (empty payload).
-pub const AUX_GC: u8 = 2;
-/// Auxiliary record tag: a trace `!sweep` directive (empty payload).
-pub const AUX_SWEEP: u8 = 3;
 /// Auxiliary record tag: one completed GC cycle, payload a
-/// `GcCycleRecord::to_bytes` body. Written *in addition to* the
-/// `AUX_GC`/`AUX_SWEEP` replay directives: those drive re-execution,
-/// this one carries the telemetry (`rvmon gc-log` reads it; replay
-/// skips it).
+/// `GcCycleRecord::to_bytes` body: one per heap collection a `!gc` line
+/// ran and one per block a `!sweep` line swept, after that line's
+/// `AUX_SLINE`. Telemetry only: `rvmon gc-log` reads it, replay skips it.
 pub const AUX_GC_CYCLE: u8 = 4;
-/// Auxiliary record tag: a first-mention object allocation in a tenant
-/// session (payload: object bits as `u64` LE, then the client-visible
-/// object name in UTF-8). The service layer journals one per allocation
-/// so recovery can rebuild the name → `ObjId` map its clients keep
-/// using.
+/// Auxiliary record tag: a first-mention object allocation (payload:
+/// object bits as `u64` LE, then the object's name in UTF-8), journaled
+/// ahead of the line that mentions it so recovery can rebuild the
+/// name → `ObjId` map later lines keep using.
 pub const AUX_OBJ: u8 = 5;
-/// Auxiliary record tag: one session-scoped trace line from a
-/// `rvmond` client (payload: `session: u64 LE`, `cseq: u64 LE`, then
-/// the raw line in UTF-8). The session/cseq pair is the exactly-once
+/// Auxiliary record tag: one session-scoped trace line (payload:
+/// `session: u64 LE`, `cseq: u64 LE`, then the raw line in UTF-8). The session/cseq pair is the exactly-once
 /// key: recovery rebuilds the per-session high-water mark from these
 /// records, so a reconnecting client that resends its unacknowledged
 /// window can never double-apply a line. Carrying the cseq *inside*
@@ -130,26 +131,17 @@ pub const AUX_FATAL: u8 = 7;
 /// idempotent: a client retrying a reload whose acknowledgement was
 /// lost in transit cannot cut over twice.
 pub const AUX_RELOAD: u8 = 8;
-/// One journal record. The variants mirror what the pipeline must be able
-/// to reconstruct after a crash: the parametric event stream, the goal
-/// reports already delivered (for duplicate suppression), degradation
-/// transitions, checkpoint placement, and free-form auxiliary entries the
-/// drivers use to make heap history replayable.
+/// One journal record: the auxiliary entries that make a run replayable
+/// (see the `AUX_*` tags), the goal reports already delivered (for
+/// duplicate suppression), and checkpoint placement.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Record {
-    /// A parametric event dispatched to the engine.
-    Event {
-        /// The event id within the property alphabet.
-        event: EventId,
-        /// The event's parameter instance.
-        binding: Binding,
-    },
     /// A goal report the trigger path delivered. `(event_seq, ordinal)`
     /// is the duplicate-suppression key: the journal sequence number of
     /// the event that fired it, and the report's index within that event.
     Trigger {
-        /// Journal sequence number of the [`Record::Event`] that fired
-        /// this report.
+        /// Journal sequence number of the `AUX_SLINE` record whose event
+        /// fired this report.
         event_seq: u64,
         /// Zero-based index of this report among the event's reports.
         ordinal: u32,
@@ -162,16 +154,6 @@ pub enum Record {
         /// The reported binding.
         binding: Binding,
     },
-    /// A graceful-degradation transition.
-    Degradation {
-        /// Property block whose engine transitioned.
-        block: u16,
-        /// The degradation level after the transition.
-        level: u8,
-        /// `true` when entering (escalating to) `level`, `false` when
-        /// exiting back down.
-        entered: bool,
-    },
     /// Marks that checkpoint `generation` was durably written covering
     /// everything up to journal sequence `seq`. Informational: recovery
     /// scans checkpoint files directly, but the mark makes `replay`
@@ -182,9 +164,9 @@ pub enum Record {
         /// The journal sequence the checkpoint covers (exclusive).
         seq: u64,
     },
-    /// A driver-defined auxiliary entry (see the `AUX_*` tags).
+    /// An auxiliary entry (see the `AUX_*` tags).
     Aux {
-        /// The driver-defined tag.
+        /// The entry's tag.
         tag: u8,
         /// Opaque payload bytes.
         bytes: Vec<u8>,
@@ -240,33 +222,15 @@ impl Record {
     #[must_use]
     pub fn kind(&self) -> u8 {
         match self {
-            Record::Event { .. } => 1,
             Record::Trigger { .. } => 2,
-            Record::Degradation { .. } => 3,
             Record::CheckpointMark { .. } => 4,
             Record::Aux { .. } => 5,
-        }
-    }
-
-    /// A short human label for audit output.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Record::Event { .. } => "event",
-            Record::Trigger { .. } => "trigger",
-            Record::Degradation { .. } => "degradation",
-            Record::CheckpointMark { .. } => "checkpoint",
-            Record::Aux { .. } => "aux",
         }
     }
 
     /// Serializes the payload (everything after the kind byte).
     pub fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Record::Event { event, binding } => {
-                out.extend_from_slice(&(event.as_usize() as u16).to_le_bytes());
-                encode_binding(*binding, out);
-            }
             Record::Trigger { event_seq, ordinal, block, step, verdict, binding } => {
                 out.extend_from_slice(&event_seq.to_le_bytes());
                 out.extend_from_slice(&ordinal.to_le_bytes());
@@ -274,11 +238,6 @@ impl Record {
                 out.extend_from_slice(&step.to_le_bytes());
                 out.push(verdict.to_byte());
                 encode_binding(*binding, out);
-            }
-            Record::Degradation { block, level, entered } => {
-                out.extend_from_slice(&block.to_le_bytes());
-                out.push(*level);
-                out.push(u8::from(*entered));
             }
             Record::CheckpointMark { generation, seq } => {
                 out.extend_from_slice(&generation.to_le_bytes());
@@ -296,11 +255,6 @@ impl Record {
     pub fn decode(kind: u8, payload: &[u8]) -> Option<Record> {
         let mut pos = 0usize;
         let rec = match kind {
-            1 => {
-                let event = EventId(u16_at(payload, &mut pos)?);
-                let binding = decode_binding(payload, &mut pos)?;
-                Record::Event { event, binding }
-            }
             2 => {
                 let event_seq = u64_at(payload, &mut pos)?;
                 let ordinal = u32_at(payload, &mut pos)?;
@@ -310,18 +264,6 @@ impl Record {
                 pos += 1;
                 let binding = decode_binding(payload, &mut pos)?;
                 Record::Trigger { event_seq, ordinal, block, step, verdict, binding }
-            }
-            3 => {
-                let block = u16_at(payload, &mut pos)?;
-                let level = *payload.get(pos)?;
-                pos += 1;
-                let entered = match *payload.get(pos)? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                pos += 1;
-                Record::Degradation { block, level, entered }
             }
             4 => {
                 let generation = u64_at(payload, &mut pos)?;
@@ -800,14 +742,6 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// The generation the next [`checkpoint`](Self::checkpoint) writes:
-    /// the number of checkpoints a [`create`](Self::create)d writer has
-    /// committed.
-    #[must_use]
-    pub fn next_generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Hands buffered records to the OS without fsyncing them, so a
     /// reader of the directory sees them.
     ///
@@ -894,15 +828,6 @@ impl JournalScan {
                 _ => None,
             })
             .max()
-    }
-
-    /// The latest `CheckpointMark` in the durable prefix, if any.
-    #[must_use]
-    pub fn last_checkpoint_mark(&self) -> Option<(u64, u64)> {
-        self.records.iter().rev().find_map(|r| match r.record {
-            Record::CheckpointMark { generation, seq } => Some((generation, seq)),
-            _ => None,
-        })
     }
 }
 
@@ -1039,6 +964,10 @@ mod tests {
     use super::*;
     use rv_heap::{Heap, HeapConfig};
 
+    fn aux(tag: u8, bytes: &[u8]) -> Record {
+        Record::Aux { tag, bytes: bytes.to_vec() }
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1060,8 +989,8 @@ mod tests {
     fn sample_records() -> Vec<Record> {
         let b = sample_binding();
         vec![
-            Record::Aux { tag: AUX_SPEC, bytes: b"spec text".to_vec() },
-            Record::Event { event: EventId(3), binding: b },
+            aux(AUX_SPEC, b"spec text"),
+            aux(AUX_SLINE, b"\x01\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0create c i"),
             Record::Trigger {
                 event_seq: 1,
                 ordinal: 0,
@@ -1070,7 +999,7 @@ mod tests {
                 verdict: Verdict::Match,
                 binding: b,
             },
-            Record::Degradation { block: 0, level: 2, entered: true },
+            aux(AUX_OBJ, b"\x01\0\0\0\0\0\0\0i"),
             Record::CheckpointMark { generation: 1, seq: 4 },
         ]
     }
@@ -1093,9 +1022,13 @@ mod tests {
         assert!(Record::decode(99, &[]).is_none(), "unknown kind");
         assert!(Record::decode(4, &[1, 2]).is_none(), "short checkpoint mark");
         let mut payload = Vec::new();
-        sample_records()[1].encode_payload(&mut payload);
+        sample_records()[2].encode_payload(&mut payload);
         payload.push(0);
-        assert!(Record::decode(1, &payload).is_none(), "trailing garbage");
+        assert!(Record::decode(2, &payload).is_none(), "trailing garbage");
+        // Kinds 1 (`Event`) and 3 (`Degradation`) were retired with
+        // version 3: their old payloads decode as nothing.
+        assert!(Record::decode(1, &[0, 0, 0]).is_none(), "retired Event kind");
+        assert!(Record::decode(3, &[0, 0, 2, 1]).is_none(), "retired Degradation kind");
     }
 
     #[test]
@@ -1114,7 +1047,8 @@ mod tests {
         let got: Vec<Record> = scan.records.iter().map(|r| r.record.clone()).collect();
         assert_eq!(got, recs);
         assert_eq!(scan.trigger_high_water_mark(), Some((1, 0)));
-        assert_eq!(scan.last_checkpoint_mark(), Some((1, 4)));
+        let mark = Record::CheckpointMark { generation: 1, seq: 4 };
+        assert_eq!(scan.records.last().map(|r| &r.record), Some(&mark));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1123,7 +1057,7 @@ mod tests {
         let dir = temp_dir("rotate");
         let mut w = JournalWriter::create_with(&dir, 96).unwrap();
         for _ in 0..32 {
-            w.append(&Record::Aux { tag: AUX_GC, bytes: vec![0; 16] }).unwrap();
+            w.append(&Record::Aux { tag: AUX_GC_CYCLE, bytes: vec![0; 16] }).unwrap();
         }
         w.sync().unwrap();
         assert!(w.stats().rotations > 0, "segment limit must force rotation");
@@ -1204,13 +1138,17 @@ mod tests {
             }
             other => panic!("expected CorruptJournal, got {other:?}"),
         }
-        std::fs::write(&path, b"RVJL\x00").unwrap();
-        match read_journal(&dir) {
-            Err(EngineError::CorruptJournal { offset, detail, .. }) => {
-                assert_eq!(offset, 4);
-                assert!(detail.contains("version"), "{detail}");
+        // Version 0 never existed; 1 and 2 carried pre-bound `Event`
+        // records, which no reader of this version decodes.
+        for version in [0u8, 1, 2] {
+            std::fs::write(&path, [b'R', b'V', b'J', b'L', version]).unwrap();
+            match read_journal(&dir) {
+                Err(EngineError::CorruptJournal { offset, detail, .. }) => {
+                    assert_eq!(offset, 4);
+                    assert!(detail.contains(&format!("version {version}")), "{detail}");
+                }
+                other => panic!("version {version}: expected CorruptJournal, got {other:?}"),
             }
-            other => panic!("expected CorruptJournal, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1279,7 +1217,7 @@ mod tests {
         // Every attempt from here on fails with a non-transient kind:
         // the first failure must be terminal (no useless retries).
         w.set_fault(FailingWriter::new(7, 0).with_hard_fail_after(0).with_partial(8));
-        let rec = Record::Aux { tag: AUX_GC, bytes: vec![] };
+        let rec = aux(AUX_SPEC, b"");
         match w.append_retry(&rec, &fast_retry(5)) {
             Err(EngineError::Journal { file, attempts, detail }) => {
                 assert_eq!(attempts, 1, "non-transient failures must not retry");
@@ -1303,7 +1241,7 @@ mod tests {
         // 100% transient failure rate: every attempt fails, so a
         // 4-attempt policy must give up with attempts == 4.
         w.set_fault(FailingWriter::new(11, 1000));
-        let rec = Record::Aux { tag: AUX_SWEEP, bytes: vec![] };
+        let rec = aux(AUX_SPEC, b"");
         match w.append_retry(&rec, &fast_retry(4)) {
             Err(EngineError::Journal { attempts, .. }) => assert_eq!(attempts, 4),
             other => panic!("expected EngineError::Journal, got {other:?}"),
@@ -1334,20 +1272,19 @@ mod tests {
             names
         };
         assert_eq!(entries(&dir), ["journal-00000000", "options"]);
-        assert_eq!(w.next_generation(), 0);
-        w.append(&Record::Aux { tag: AUX_GC, bytes: vec![] }).unwrap();
+        w.append(&aux(AUX_SPEC, b"")).unwrap();
         w.checkpoint(b"state", &RetryPolicy::none()).unwrap();
         assert_eq!(list_checkpoints(&dir), [0]);
         assert_eq!(w.stats().syncs, 1, "the appended record is synced before the checkpoint");
         drop(w);
 
         let scan = read_journal(&dir).unwrap();
-        assert_eq!(scan.last_checkpoint_mark(), Some((0, 1)));
+        let mark = Record::CheckpointMark { generation: 0, seq: 1 };
+        assert_eq!(scan.records.last().map(|r| &r.record), Some(&mark));
         let mut w = JournalWriter::resume(&dir, &scan).unwrap();
-        assert_eq!(w.next_generation(), 1, "resume continues after the newest checkpoint");
         w.checkpoint(b"state", &RetryPolicy::none()).unwrap();
         assert_eq!(w.stats().syncs, 0, "nothing appended since the resume, nothing to sync");
-        assert_eq!(list_checkpoints(&dir), [0, 1]);
+        assert_eq!(list_checkpoints(&dir), [0, 1], "resume continues after the newest checkpoint");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1366,7 +1303,7 @@ mod tests {
         assert_eq!(scan.records.len(), 4, "last record torn");
         let mut w = JournalWriter::resume(&dir, &scan).unwrap();
         assert_eq!(w.next_seq(), 4);
-        w.append(&Record::Aux { tag: AUX_GC, bytes: vec![] }).unwrap();
+        w.append(&aux(AUX_SPEC, b"")).unwrap();
         w.sync().unwrap();
         let rescan = read_journal(&dir).unwrap();
         assert!(rescan.truncation.is_none(), "tail was repaired");

@@ -60,6 +60,7 @@ pub mod engine;
 pub mod error;
 pub mod expo;
 pub mod flight;
+pub mod ingest;
 pub mod journal;
 pub mod line;
 pub mod multi;
@@ -86,6 +87,7 @@ pub use crate::flight::{
     render_dump, FlightDump, FlightEvent, FlightKind, FlightRecorder, RequestTrace,
     RequestTraceRing, Stage, StageStats, STAGE_COUNT,
 };
+pub use crate::ingest::{Ingest, JournaledMonitor, WriteError, DEFAULT_CHECKPOINT_EVERY};
 pub use crate::journal::{
     is_transient, read_journal, FailingWriter, JournalScan, JournalStats, JournalWriter, Record,
     RetryPolicy, SeqRecord, Truncation,

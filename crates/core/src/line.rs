@@ -1,4 +1,5 @@
-//! The trace grammar, and the object-name table its lines resolve against.
+//! The trace grammar, the object-name table its lines resolve against,
+//! and the one function that applies a line.
 //!
 //! A line is `event obj…` (dispatch an event; objects are named and
 //! allocated on first mention), `!free obj…` (unpin objects so a later
@@ -6,19 +7,25 @@
 //! a monitor-GC sweep on every block); `#` starts a comment. The paper's
 //! lazy monitor GC flags a monitor only when one of its parameter objects
 //! dies, so which object a name denotes, and when it is freed, decides
-//! every FM/CM count. `rvmon`'s trace commands, `rvmon run`, `rvmond`'s
-//! tenant workers and the journal replayer therefore all parse here and
-//! name objects through one [`ObjectTable`].
+//! every FM/CM count. `rvmon`'s trace commands, the journal writer and
+//! the journal replayer therefore all parse here and name objects through
+//! one [`ObjectTable`], and the writer and the replayer apply every line
+//! through [`apply`].
 
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Instant;
 
 use rv_heap::{ClassId, Heap, ObjId};
-use rv_logic::{EventId, ParamId};
+use rv_logic::{AnyFormalism, EventId, ParamId};
 use rv_spec::CompiledSpec;
 
 use crate::binding::Binding;
-use crate::recover::alloc_pinned;
+use crate::engine::Engine;
+use crate::error::EngineError;
+use crate::multi::PropertyMonitor;
+use crate::obs::{EngineObserver, GcCycleRecord, GcKind, GcReason};
+use crate::service::TriggerRecord;
 
 /// One parsed trace line.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -151,9 +158,12 @@ impl ObjectTable {
         self.pinned.contains_key(&obj)
     }
 
-    /// Allocates one unnamed object.
+    /// Allocates one unnamed object, pinned in a throwaway frame.
     pub fn alloc(&mut self, heap: &mut Heap) -> ObjId {
-        let obj = alloc_pinned(heap, self.class);
+        let frame = heap.enter_frame();
+        let obj = heap.alloc(self.class);
+        heap.pin(obj);
+        heap.exit_frame(frame);
         self.pinned.insert(obj, true);
         obj
     }
@@ -165,12 +175,12 @@ impl ObjectTable {
 
     /// Binds `names` to `params` in order, allocating each name's object
     /// at its first mention and handing it to `fresh`.
-    pub fn bind(
+    pub fn bind<'n>(
         &mut self,
         heap: &mut Heap,
         params: &[ParamId],
-        names: &[&str],
-        mut fresh: impl FnMut(ObjId, &str),
+        names: &[&'n str],
+        mut fresh: impl FnMut(ObjId, &'n str),
     ) -> Binding {
         let pairs: Vec<(ParamId, ObjId)> = params
             .iter()
@@ -191,52 +201,142 @@ impl ObjectTable {
         Binding::from_pairs(&pairs)
     }
 
-    /// Unpins the named objects, returning them in order.
+    /// Unpins the named objects.
     ///
     /// # Errors
     ///
     /// [`LineError::UnknownObject`] or [`LineError::DoubleFree`]; every
     /// name is checked before any object is unpinned.
-    pub fn free(&mut self, heap: &mut Heap, names: &[&str]) -> Result<Vec<ObjId>, LineError> {
+    pub fn free(&mut self, heap: &mut Heap, names: &[&str]) -> Result<(), LineError> {
         let objs = names
             .iter()
             .map(|&name| self.get(name).ok_or_else(|| LineError::UnknownObject(name.to_owned())))
             .collect::<Result<Vec<_>, _>>()?;
-        self.unpin(heap, &objs, |i| names[i].to_owned())?;
-        Ok(objs)
-    }
-
-    /// Unpins `objs` (named by their bits in errors), as [`free`] does.
-    ///
-    /// # Errors
-    ///
-    /// As [`free`].
-    ///
-    /// [`free`]: ObjectTable::free
-    pub fn free_objects(&mut self, heap: &mut Heap, objs: &[ObjId]) -> Result<(), LineError> {
-        let name = |i: usize| format!("{:#x}", objs[i].to_bits());
-        if let Some(i) = objs.iter().position(|o| !self.contains(*o)) {
-            return Err(LineError::UnknownObject(name(i)));
-        }
-        self.unpin(heap, objs, name)
-    }
-
-    fn unpin(
-        &mut self,
-        heap: &mut Heap,
-        objs: &[ObjId],
-        name: impl Fn(usize) -> String,
-    ) -> Result<(), LineError> {
         for (i, obj) in objs.iter().enumerate() {
             if self.pinned.get(obj) != Some(&true) || objs[..i].contains(obj) {
-                return Err(LineError::DoubleFree(name(i)));
+                return Err(LineError::DoubleFree(names[i].to_owned()));
             }
         }
         for obj in objs {
-            self.pinned.insert(*obj, false);
-            heap.unpin(*obj);
+            self.pinned.insert(obj, false);
+            heap.unpin(obj);
         }
         Ok(())
+    }
+}
+
+/// A line's engine side, as [`apply`]'s `commit` hook sees it once the
+/// heap side is done.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Effect {
+    /// Nothing: `!gc` and `!free` act on the heap alone.
+    Heap,
+    /// `!sweep`: sweep every block.
+    Sweep,
+    /// Dispatch the event on the binding.
+    Event(EventId, Binding),
+}
+
+/// What applying a line produced.
+#[derive(Clone, Debug, Default)]
+pub struct Applied {
+    /// The reports the event fired, keyed by the committed sequence.
+    pub fired: Vec<TriggerRecord>,
+    /// One record per heap collection a `!gc` ran, or per block a
+    /// `!sweep` swept.
+    pub cycles: Vec<GcCycleRecord>,
+}
+
+/// Why [`apply`] stopped.
+#[derive(Debug)]
+pub enum ApplyError<E> {
+    /// The line was rejected before `commit`; nothing changed.
+    Line(LineError),
+    /// The `commit` hook failed.
+    Commit(E),
+    /// The engine failed on the event.
+    Engine(EngineError),
+}
+
+/// Applies one parsed line to `heap`, `objects` and `monitor`.
+///
+/// The heap side runs first: `!gc` collects, `!free` unpins, an event
+/// binds its names, allocating each at its first mention. Then `commit`
+/// sees the monitor, the engine side and the objects the line allocated,
+/// and returns the sequence number that keys the event's reports, or
+/// `None` to skip the engine side. Last, `!sweep` sweeps every block and
+/// an event is dispatched. The journal writer commits by journaling the
+/// line; the replayer by checking that every object was named and
+/// restoring its checkpoint. Both run this function, so a journaled line
+/// and its replay cannot drift apart.
+///
+/// # Errors
+///
+/// [`ApplyError::Line`] for a `!free` the table rejects, else what
+/// `commit` or the engine returns.
+pub fn apply<'a, O: EngineObserver, E>(
+    line: &Line<'a>,
+    heap: &mut Heap,
+    objects: &mut ObjectTable,
+    monitor: &mut PropertyMonitor<O>,
+    commit: impl FnOnce(&mut PropertyMonitor<O>, &Effect, &[(ObjId, &'a str)]) -> Result<Option<u64>, E>,
+) -> Result<Applied, ApplyError<E>> {
+    let mut applied = Applied::default();
+    let mut fresh = Vec::new();
+    let effect = match line {
+        Line::Gc => {
+            heap.collect();
+            applied.cycles =
+                heap.drain_cycles().iter().map(GcCycleRecord::from_heap_cycle).collect();
+            Effect::Heap
+        }
+        Line::Free(names) => {
+            objects.free(heap, names).map_err(ApplyError::Line)?;
+            Effect::Heap
+        }
+        Line::Sweep => Effect::Sweep,
+        Line::Event(event, names) => {
+            let params = &monitor.spec().event_params[event.as_usize()];
+            let binding = objects.bind(heap, params, names, |obj, name| fresh.push((obj, name)));
+            Effect::Event(*event, binding)
+        }
+    };
+    let Some(seq) = commit(monitor, &effect, &fresh).map_err(ApplyError::Commit)? else {
+        return Ok(applied);
+    };
+    match effect {
+        Effect::Heap => {}
+        Effect::Sweep => {
+            for engine in monitor.engines_mut() {
+                applied.cycles.push(sweep(engine, heap));
+            }
+        }
+        Effect::Event(event, binding) => {
+            applied.fired =
+                monitor.process_keyed(heap, event, binding, seq).map_err(ApplyError::Engine)?;
+        }
+    }
+    Ok(applied)
+}
+
+/// Sweeps one block and accounts the cycle on the heap's clock, whatever
+/// the block's observer.
+fn sweep<O: EngineObserver>(engine: &mut Engine<AnyFormalism, O>, heap: &Heap) -> GcCycleRecord {
+    let before = engine.stats();
+    let t0 = Instant::now();
+    engine.full_sweep(heap);
+    let pause_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let after = engine.stats();
+    GcCycleRecord {
+        kind: GcKind::MonitorSweep,
+        reason: GcReason::Forced,
+        end_ns: heap.clock_ns(),
+        pause_ns,
+        scanned: before.live_monitors as u64,
+        reclaimed: after.monitors_collected - before.monitors_collected,
+        flagged: after.monitors_flagged - before.monitors_flagged,
+        occupancy_before: before.live_monitors as u64,
+        occupancy_after: after.live_monitors as u64,
     }
 }
 
@@ -278,12 +378,8 @@ mod tests {
             Err(LineError::UnknownObject("ghost".into()))
         );
         assert_eq!(table.free(&mut heap, &["c", "c"]), Err(LineError::DoubleFree("c".into())));
-        assert_eq!(table.free(&mut heap, &["i"]), Ok(vec![i]));
+        assert_eq!(table.free(&mut heap, &["i"]), Ok(()));
         assert_eq!(table.free(&mut heap, &["c", "i"]), Err(LineError::DoubleFree("i".into())));
-        assert_eq!(
-            table.free_objects(&mut heap, &[i]),
-            Err(LineError::DoubleFree(format!("{:#x}", i.to_bits())))
-        );
         heap.collect();
         assert!(heap.is_alive(c) && !heap.is_alive(i), "only the freed object is reclaimed");
     }

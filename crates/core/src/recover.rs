@@ -10,15 +10,13 @@
 //! `ObjId`. Engine effects (events and sweeps) apply only from the
 //! checkpoint's covered sequence on. Along the way it also
 //!
-//! * decodes the daemon's `AUX_OBJ` name table and `AUX_SLINE` lines,
-//!   and restores per-session `cseq` high-water marks from `AUX_SLINE` and
-//!   `AUX_FATAL`;
+//! * decodes the `AUX_OBJ` name table and applies every `AUX_SLINE`
+//!   through [`line::apply`], the function the journal writer applied it
+//!   with, and restores per-session `cseq` high-water marks from
+//!   `AUX_SLINE` and `AUX_FATAL`; every object a line mentions must have
+//!   been named by an earlier `AUX_OBJ`;
 //! * follows the spec lineage: the `AUX_SPEC` at sequence 0, then one
 //!   fresh engine per `AUX_RELOAD` cutover;
-//! * allocates objects that `Event` records mention for the first time in
-//!   the event's declared parameter order (`rvmon run` journals carry no
-//!   `AUX_OBJ` records; once a journal has carried an `AUX_OBJ` or
-//!   `AUX_SLINE`, it is a daemon journal and every object needs one);
 //! * classifies every goal report replay fires: at or below the durable
 //!   trigger high-water mark it was delivered before the crash
 //!   (suppressed); past it, it is a refired first-time delivery.
@@ -36,22 +34,21 @@
 //! tenant's spec (`tail_spec`) before paying for replay.
 //!
 //! [`plan_recovery`]: crate::snapshot::plan_recovery
+//! [`line::apply`]: crate::line::apply
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
-use rv_heap::{ClassId, Heap, HeapConfig, ObjId};
-use rv_logic::EventId;
+use rv_heap::{Heap, HeapConfig, ObjId};
 use rv_spec::CompiledSpec;
 
-use crate::binding::Binding;
 use crate::engine::EngineConfig;
 use crate::journal::{
-    read_journal, JournalScan, Record, SeqRecord, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ, AUX_RELOAD,
-    AUX_SLINE, AUX_SPEC, AUX_SWEEP,
+    read_journal, JournalScan, Record, SeqRecord, AUX_FATAL, AUX_OBJ, AUX_RELOAD, AUX_SLINE,
+    AUX_SPEC,
 };
-use crate::line::{parse, Line, LineError, ObjectTable};
+use crate::line::{apply, parse, ApplyError, Effect, Line, LineError, ObjectTable};
 use crate::multi::PropertyMonitor;
 use crate::obs::EngineObserver;
 use crate::service::TriggerRecord;
@@ -144,16 +141,6 @@ impl BaseCounters {
         };
         Some((u(0), base, String::from_utf8(bytes[56..].to_vec()).ok()?))
     }
-}
-
-/// Allocates one pinned object the way every journaled driver does, so a
-/// replayed allocation sequence reproduces the same `ObjId`s.
-pub fn alloc_pinned(heap: &mut Heap, class: ClassId) -> ObjId {
-    let frame = heap.enter_frame();
-    let obj = heap.alloc(class);
-    heap.pin(obj);
-    heap.exit_frame(frame);
-    obj
 }
 
 /// A journal directory replayed back into a running monitor.
@@ -286,9 +273,8 @@ pub(crate) fn replay<O: EngineObserver>(
         current: checkpoint.is_none(),
         checkpoint: checkpoint.as_ref(),
         hwm,
-        named: false,
         rec: Recovered {
-            monitor: PropertyMonitor::with_observers(spec.clone(), &config, &mut observers),
+            monitor: PropertyMonitor::with_observers(spec, &config, &mut observers),
             plan,
             heap,
             objects,
@@ -301,14 +287,13 @@ pub(crate) fn replay<O: EngineObserver>(
             fired: Vec::new(),
             suppressed: 0,
         },
-        spec,
         config,
         observers,
     };
     for sr in &records[1..] {
         replay.apply(sr)?;
     }
-    replay.make_current()?;
+    make_current(&mut replay.rec.monitor, replay.checkpoint, &mut replay.current)?;
     let mut rec = replay.rec;
     rec.monitor.check_invariants(&rec.heap).map_err(|e| RecoverError::Journal(e.to_string()))?;
     rec.plan.scan.records = records;
@@ -334,42 +319,22 @@ struct Replay<'a, O: EngineObserver, F> {
     checkpoint: Option<&'a Checkpoint>,
     replay_from: u64,
     hwm: Option<(u64, u32)>,
-    /// The spec in force at the current record.
-    spec: CompiledSpec,
     /// Whether `rec.monitor` holds the engine state at the current
     /// record: false until the checkpoint is restored, or a cutover at
     /// or past it starts a fresh engine.
     current: bool,
-    /// Whether an `AUX_OBJ` or `AUX_SLINE` has been seen: a daemon
-    /// journal, whose every object has an `AUX_OBJ` record.
-    named: bool,
 }
 
 impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
     fn apply(&mut self, sr: &SeqRecord) -> Result<(), RecoverError> {
         let seq = sr.seq;
         match &sr.record {
-            Record::Event { event, binding } => self.event_record(seq, *event, *binding),
-            Record::Aux { tag: AUX_GC, .. } => {
-                self.rec.heap.collect();
-                Ok(())
-            }
-            Record::Aux { tag: AUX_SWEEP, .. } => self.sweep(seq),
-            Record::Aux { tag: AUX_FREE, bytes } => {
-                let objs: Vec<ObjId> = bytes
-                    .chunks_exact(8)
-                    .map(|b| ObjId::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
-                    .collect();
-                let rec = &mut self.rec;
-                rec.objects.free_objects(&mut rec.heap, &objs).map_err(|e| line_error(seq, &e))
-            }
             Record::Aux { tag: AUX_OBJ, bytes } => {
                 let Some(bits) =
                     bytes.get(..8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
                 else {
                     return reject(format!("journal record {seq}: truncated AUX_OBJ"));
                 };
-                self.named = true;
                 let obj = ObjId::from_bits(bits);
                 if !self.rec.objects.contains(obj) {
                     let fresh = self.rec.objects.alloc(&mut self.rec.heap);
@@ -386,7 +351,6 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
             }
             Record::Aux { tag: AUX_SLINE, bytes } => {
                 let (session, cseq) = session_key(seq, bytes, "AUX_SLINE")?;
-                self.named = true;
                 self.note_session(session, cseq);
                 self.line(seq, &String::from_utf8_lossy(&bytes[16..]))
             }
@@ -400,18 +364,15 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
             }
             Record::Aux { tag: AUX_RELOAD, bytes } => {
                 let (token, base, source) = reload_of(seq, bytes)?;
-                self.spec = compile(seq, &source)?;
+                let spec = compile(seq, &source)?;
                 self.rec.spec_source = source;
                 self.rec.spec_version += 1;
                 self.rec.reload_token = token;
                 self.rec.base = base;
                 // Every cutover starts a fresh engine; one at or past the
                 // checkpoint replaces whatever engine state came before it.
-                self.rec.monitor = PropertyMonitor::with_observers(
-                    self.spec.clone(),
-                    &self.config,
-                    &mut self.observers,
-                );
+                self.rec.monitor =
+                    PropertyMonitor::with_observers(spec, &self.config, &mut self.observers);
                 self.current |= seq >= self.replay_from;
                 Ok(())
             }
@@ -419,112 +380,66 @@ impl<O: EngineObserver, F: FnMut(usize) -> O> Replay<'_, O, F> {
         }
     }
 
-    /// A pre-bound `Event` record. Objects it mentions for the first
-    /// time are allocated in the event's declared parameter order, the
-    /// order the journaling run allocated them in; a daemon journal
-    /// names every object with an `AUX_OBJ` first.
-    fn event_record(
-        &mut self,
-        seq: u64,
-        event: EventId,
-        binding: Binding,
-    ) -> Result<(), RecoverError> {
-        let Some(params) = self.spec.event_params.get(event.as_usize()).cloned() else {
-            return reject(format!("journal record {seq}: unknown event e{}", event.as_usize()));
-        };
-        for p in params {
-            let Some(obj) = binding.get(p) else {
-                return reject(format!(
-                    "journal record {seq} binds a different parameter set than event {} declares",
-                    event.as_usize()
-                ));
-            };
-            if !self.rec.objects.contains(obj) {
-                let fresh = (!self.named).then(|| self.rec.objects.alloc(&mut self.rec.heap));
-                if fresh != Some(obj) {
-                    return reject(format!(
-                        "journal record {seq} references object {:#x} with no AUX_OBJ record",
-                        obj.to_bits()
-                    ));
-                }
-            }
-        }
-        self.dispatch(seq, event, binding)
-    }
-
-    /// One session-stamped trace line, resolved against the object names.
+    /// One session-stamped trace line, applied as the writer applied it:
+    /// every object it mentions must already be named, and its engine
+    /// side runs only at or past the checkpoint.
     fn line(&mut self, seq: u64, raw: &str) -> Result<(), RecoverError> {
         let rec = &mut self.rec;
-        match parse(raw, &self.spec).map_err(|e| line_error(seq, &e))? {
-            None => Ok(()),
-            Some(Line::Gc) => {
-                rec.heap.collect();
-                Ok(())
-            }
-            Some(Line::Sweep) => self.sweep(seq),
-            Some(Line::Free(names)) => {
-                rec.objects.free(&mut rec.heap, &names).map_err(|e| line_error(seq, &e))?;
-                Ok(())
-            }
-            Some(Line::Event(event, names)) => {
-                if let Some(name) = names.iter().find(|n| rec.objects.get(n).is_none()) {
+        let Some(line) = parse(raw, rec.monitor.spec()).map_err(|e| line_error(seq, &e))? else {
+            return Ok(());
+        };
+        let (replay_from, checkpoint, current) =
+            (self.replay_from, self.checkpoint, &mut self.current);
+        let commit =
+            |monitor: &mut PropertyMonitor<O>, effect: &Effect, fresh: &[(ObjId, &str)]| {
+                if let Some((_, name)) = fresh.first() {
                     return reject(format!(
                         "journal record {seq} references `{name}` with no AUX_OBJ record"
                     ));
                 }
-                let params = &self.spec.event_params[event.as_usize()];
-                let binding = rec.objects.bind(&mut rec.heap, params, &names, |_, _| {});
-                self.dispatch(seq, event, binding)
-            }
+                if seq < replay_from || *effect == Effect::Heap {
+                    return Ok(None);
+                }
+                make_current(monitor, checkpoint, current)?;
+                Ok(Some(seq))
+            };
+        let applied = apply(&line, &mut rec.heap, &mut rec.objects, &mut rec.monitor, commit)
+            .map_err(|e| match e {
+                ApplyError::Line(e) => line_error(seq, &e),
+                ApplyError::Commit(e) => e,
+                ApplyError::Engine(e) => {
+                    RecoverError::Journal(format!("engine error at record {seq}: {e}"))
+                }
+            })?;
+        if matches!(line, Line::Event(..)) && seq >= replay_from {
+            rec.events += 1;
         }
+        rec.suppressed +=
+            applied.fired.iter().filter(|t| self.hwm.is_some_and(|h| t.key() <= h)).count();
+        rec.fired.extend(applied.fired);
+        Ok(())
     }
 
     fn note_session(&mut self, session: u64, cseq: u64) {
         let hwm = self.rec.sessions.entry(session).or_insert(0);
         *hwm = (*hwm).max(cseq);
     }
+}
 
-    /// Restores the checkpoint into the (still fresh) monitor of the spec
-    /// in force, at the first engine effect past it.
-    fn make_current(&mut self) -> Result<(), RecoverError> {
-        if let (false, Some(cp)) = (self.current, self.checkpoint) {
-            self.rec
-                .monitor
-                .restore_snapshot(&cp.payload, &cp.file)
-                .map_err(|e| RecoverError::Journal(e.to_string()))?;
-        }
-        self.current = true;
-        Ok(())
+/// Restores the checkpoint into the (still fresh) monitor of the spec in
+/// force, at the first engine effect past it.
+fn make_current<O: EngineObserver>(
+    monitor: &mut PropertyMonitor<O>,
+    checkpoint: Option<&Checkpoint>,
+    current: &mut bool,
+) -> Result<(), RecoverError> {
+    if let (false, Some(cp)) = (*current, checkpoint) {
+        monitor
+            .restore_snapshot(&cp.payload, &cp.file)
+            .map_err(|e| RecoverError::Journal(e.to_string()))?;
     }
-
-    fn sweep(&mut self, seq: u64) -> Result<(), RecoverError> {
-        if seq >= self.replay_from {
-            self.make_current()?;
-            for engine in self.rec.monitor.engines_mut() {
-                engine.full_sweep(&self.rec.heap);
-            }
-        }
-        Ok(())
-    }
-
-    /// Dispatches one event at or past the checkpoint and classifies the
-    /// reports it fires against the durable high-water mark.
-    fn dispatch(&mut self, seq: u64, event: EventId, binding: Binding) -> Result<(), RecoverError> {
-        if seq < self.replay_from {
-            return Ok(());
-        }
-        self.make_current()?;
-        let fired = self
-            .rec
-            .monitor
-            .process_keyed(&self.rec.heap, event, binding, seq)
-            .map_err(|e| RecoverError::Journal(format!("engine error at record {seq}: {e}")))?;
-        self.rec.suppressed +=
-            fired.iter().filter(|t| self.hwm.is_some_and(|h| t.key() <= h)).count();
-        self.rec.fired.extend(fired);
-        self.rec.events += 1;
-        Ok(())
-    }
+    *current = true;
+    Ok(())
 }
 
 fn line_error(seq: u64, e: &LineError) -> RecoverError {

@@ -67,7 +67,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rv_heap::{Heap, SplitMix64};
+use rv_heap::SplitMix64;
 use rv_logic::Verdict;
 use rv_spec::CompiledSpec;
 
@@ -78,13 +78,10 @@ use crate::flight::{
     render_dump, FlightEvent, FlightKind, FlightRecorder, RequestTrace, RequestTraceRing, Stage,
     StageStats, FLIGHT_CAP,
 };
-use crate::journal::{
-    crc32, JournalWriter, Record, RetryPolicy, AUX_FATAL, AUX_OBJ, AUX_RELOAD, AUX_SLINE, AUX_SPEC,
-};
-use crate::line::{parse, Line, ObjectTable};
-use crate::multi::PropertyMonitor;
-use crate::obs::NoopObserver;
-use crate::recover::{self, BaseCounters, RecoverError, ReplayFrom};
+use crate::ingest::{Ingest, JournaledMonitor, WriteError, DEFAULT_CHECKPOINT_EVERY};
+use crate::journal::{crc32, Record, RetryPolicy, DEFAULT_SEGMENT_BYTES};
+use crate::obs::GcKind;
+use crate::recover::{self, RecoverError, ReplayFrom};
 use crate::slo::{ObjectiveSnapshot, SloConfig, SloSnapshot, SloTracker};
 use crate::snapshot::list_checkpoints;
 
@@ -448,7 +445,7 @@ impl Default for ServiceConfig {
             max_conns_per_tenant: 4,
             queue_depth: 256,
             backpressure: Backpressure::Block,
-            checkpoint_every: 256,
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             engine: EngineConfig::default(),
             retry: RetryPolicy::default(),
             reply_timeout: Duration::from_secs(10),
@@ -2240,24 +2237,16 @@ fn supervisor_loop(
     }
 }
 
-/// Everything a tenant worker owns — engines, heap, naming, journal.
-/// Lives entirely on the worker thread; nothing here is `Send`.
+/// Everything a tenant worker owns: the journaled monitor, and the
+/// daemon's books about it. Lives entirely on the worker thread; nothing
+/// here is `Send`.
 struct Worker {
     name: String,
-    monitor: PropertyMonitor,
-    heap: Heap,
-    objects: ObjectTable,
-    journal: JournalWriter,
+    /// The tenant's monitor, heap, object names and journal.
+    core: JournaledMonitor,
     dir: PathBuf,
-    retry: RetryPolicy,
-    checkpoint_every: u64,
-    events_since_checkpoint: u64,
     shared: Arc<Mutex<TenantSnapshot>>,
     bad_lines: u64,
-    /// Per-session `cseq` high-water marks — the server half of
-    /// exactly-once ingestion. Rebuilt from `AUX_SLINE`/`AUX_FATAL`
-    /// records on recovery.
-    sessions: HashMap<u64, u64>,
     /// Session lines dropped as duplicates by this incarnation.
     deduped: u64,
     /// Session lines discarded because they arrived *past* a cseq gap
@@ -2271,11 +2260,9 @@ struct Worker {
     deduped_base: u64,
     /// `gap_dropped_events` carried over the same way.
     gap_dropped_base: u64,
-    /// Counter base folded in from pre-reload engines.
-    base: BaseCounters,
-    spec_version: u64,
-    reload_token: u64,
-    engine_cfg: EngineConfig,
+    /// Checkpoints on disk when this incarnation started: the
+    /// exposition's `_total` series stays monotonic across restarts.
+    checkpoints_base: u64,
     opts: TenantOptions,
     triggers: Arc<Mutex<TriggerLog>>,
     /// Shared per-tenant observability: stage histograms, trace ring,
@@ -2289,6 +2276,12 @@ struct Worker {
 /// A worker-fatal failure: the tenant quarantines, neighbors continue.
 struct Fatal(String);
 
+impl From<WriteError> for Fatal {
+    fn from(e: WriteError) -> Fatal {
+        Fatal(e.to_string())
+    }
+}
+
 /// The trace context a [`TenantMsg::Line`] carries into the worker:
 /// spans measured before dequeue, completed per-line by the worker.
 #[derive(Clone, Copy, Default)]
@@ -2299,7 +2292,7 @@ struct LineCtx {
 }
 
 impl Worker {
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     fn init(
         name: &str,
         dir: &Path,
@@ -2312,7 +2305,6 @@ impl Worker {
         flight: &Arc<Mutex<FlightRecorder>>,
     ) -> Result<Worker, Reject> {
         let mut engine_cfg = config.engine.clone();
-        engine_cfg.record_triggers = true;
         if let Some(n) = opts.max_live_monitors {
             engine_cfg.max_live_monitors = Some(n as usize);
         }
@@ -2328,41 +2320,47 @@ impl Worker {
             RecoverError::Spec(msg) => (REJECT_BAD_SPEC, msg),
             RecoverError::Journal(msg) => internal(msg),
         };
-        if !dir.join("journal-00000000").exists() {
-            // A fresh tenant: its journal starts with the spec, and the
-            // worker is recovered from that one-record journal.
+        let checkpoints_base = list_checkpoints(dir).len() as u64;
+        let (mut core, replayed) = if dir.join("journal-00000000").exists() {
+            let plan = recover::plan(dir, ReplayFrom::LatestCheckpoint).map_err(rejected)?;
+            // A mismatching admission is refused before it pays for replay.
+            if let Some(src) = &spec_source {
+                if spec_hash(src) != spec_hash(&recover::tail_spec(&plan.scan).map_err(rejected)?) {
+                    return Err((
+                        REJECT_SPEC_MISMATCH,
+                        format!("tenant `{name}` already exists with a different spec"),
+                    ));
+                }
+            }
+            let (core, replayed) =
+                JournaledMonitor::resume(dir, plan, &engine_cfg, retry).map_err(rejected)?;
+            (core, Some(replayed))
+        } else {
             let source = spec_source.as_deref().expect("admit() requires a spec for fresh tenants");
-            CompiledSpec::from_source(source)
+            let spec = CompiledSpec::from_source(source)
                 .map_err(|d| (REJECT_BAD_SPEC, format!("spec does not compile: {}", d.message)))?;
             std::fs::create_dir_all(dir).map_err(|e| internal(e.to_string()))?;
             write_options(dir, &opts).map_err(|e| internal(e.to_string()))?;
-            let mut journal = JournalWriter::create(dir).map_err(|e| internal(e.to_string()))?;
-            let head = Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() };
-            journal.append_retry(&head, &retry).map_err(|e| internal(e.to_string()))?;
-            journal.flush().map_err(|e| internal(e.to_string()))?;
-        }
-        let plan = recover::plan(dir, ReplayFrom::LatestCheckpoint).map_err(rejected)?;
-        // A mismatching admission is refused before it pays for replay.
-        if let Some(src) = &spec_source {
-            if spec_hash(src) != spec_hash(&recover::tail_spec(&plan.scan).map_err(rejected)?) {
-                return Err((
-                    REJECT_SPEC_MISMATCH,
-                    format!("tenant `{name}` already exists with a different spec"),
-                ));
-            }
-        }
-        let rec = recover::replay(plan, &engine_cfg, |_| NoopObserver).map_err(rejected)?;
-        let mut journal =
-            JournalWriter::resume(dir, &rec.plan.scan).map_err(|e| internal(e.to_string()))?;
-        // Reports that fired past the durable HWM during replay were
-        // lost between dispatch and trigger-journaling before the
-        // crash. They are first-time deliveries — journal them now
-        // so the *next* recovery suppresses them.
-        for t in rec.refired() {
-            journal.append_retry(&t.to_record(), &retry).map_err(|e| internal(e.to_string()))?;
-        }
-        if !rec.refired().is_empty() {
-            journal.sync().map_err(|e| internal(e.to_string()))?;
+            let core = JournaledMonitor::create(
+                dir,
+                source,
+                spec,
+                &engine_cfg,
+                retry,
+                DEFAULT_SEGMENT_BYTES,
+            )
+            .map_err(|e| internal(e.to_string()))?;
+            (core, None)
+        };
+        core.set_checkpoint_every(config.checkpoint_every);
+        // Fsync batches many lines behind one barrier, so its span goes
+        // to the stage histograms rather than split across per-request
+        // traces (whose `journal_fsync` column reads 0 by design).
+        {
+            let obs = Arc::clone(obs);
+            core.on_fsync(move |ns| {
+                obs.stages.lock().expect("stage stats poisoned").record(Stage::JournalFsync, ns);
+            });
         }
         // Rebuild the poll window: every journaled report in key
         // order, then the refired tail (their keys all sit past the
@@ -2370,36 +2368,28 @@ impl Worker {
         {
             let mut log = triggers.lock().expect("trigger log poisoned");
             log.reset(config.trigger_log_cap);
-            for sr in &rec.plan.scan.records {
-                if let Some(t) = TriggerRecord::from_record(&sr.record) {
-                    log.push(t);
+            if let Some(replayed) = &replayed {
+                for sr in &replayed.plan.scan.records {
+                    if let Some(t) = TriggerRecord::from_record(&sr.record) {
+                        log.push(t);
+                    }
                 }
-            }
-            for t in rec.refired() {
-                log.push(*t);
+                for t in replayed.refired() {
+                    log.push(*t);
+                }
             }
         }
         let mut w = Worker {
             name: name.to_owned(),
-            monitor: rec.monitor,
-            heap: rec.heap,
-            objects: rec.objects,
-            journal,
+            core,
             dir: dir.to_path_buf(),
-            retry,
-            checkpoint_every: config.checkpoint_every.max(1),
-            events_since_checkpoint: 0,
             shared: Arc::clone(shared),
             bad_lines: 0,
-            sessions: rec.sessions,
             deduped: 0,
             gap_dropped: 0,
             deduped_base: 0,
             gap_dropped_base: 0,
-            base: rec.base,
-            spec_version: rec.spec_version,
-            reload_token: rec.reload_token,
-            engine_cfg,
+            checkpoints_base,
             opts,
             triggers: Arc::clone(triggers),
             obs: Arc::clone(obs),
@@ -2408,13 +2398,9 @@ impl Worker {
         w.install_flags();
         {
             let mut snap = w.shared.lock().expect("snapshot poisoned");
-            snap.recovered_events = rec.events;
-            snap.suppressed_triggers = rec.suppressed as u64;
-            // The checkpoint counter survives restarts: prior generations
-            // are on disk, and the exposition's `_total` series should
-            // stay monotonic across a clean drain/restart cycle.
-            snap.checkpoints = list_checkpoints(&w.dir).len() as u64;
-            snap.spec_hash = spec_hash(&rec.spec_source);
+            snap.recovered_events = replayed.as_ref().map_or(0, |r| r.events);
+            snap.suppressed_triggers = replayed.as_ref().map_or(0, |r| r.suppressed as u64);
+            snap.spec_hash = spec_hash(w.core.spec_source());
             // A supervised restart reuses the snapshot: dedup and gap
             // totals already on it become this incarnation's base.
             w.deduped_base = snap.deduped_events;
@@ -2428,7 +2414,7 @@ impl Worker {
     /// current monitor — called at init and again after a reload swap.
     fn install_flags(&mut self) {
         if self.opts.flags & TENANT_FLAG_PANIC_HANDLER != 0 {
-            for engine in self.monitor.engines_mut() {
+            for engine in self.core.monitor_mut().engines_mut() {
                 engine.set_trigger_handler(|_, _, _| {
                     panic!("injected rvmond tenant handler panic");
                 });
@@ -2438,20 +2424,21 @@ impl Worker {
 
     /// Pushes the worker's counters into the shared snapshot.
     fn publish(&self) {
-        let stats = self.monitor.stats();
-        let jstats = self.journal.stats();
+        let totals = self.core.totals();
+        let jstats = self.core.journal_stats();
         let mut snap = self.shared.lock().expect("snapshot poisoned");
-        snap.events = self.base.events + stats.events;
-        snap.triggers = self.base.triggers + stats.triggers;
+        snap.events = totals.events;
+        snap.triggers = totals.triggers;
         snap.bad_lines = self.bad_lines;
-        snap.quarantined = self.base.quarantined + stats.quarantined;
-        snap.budget_trips = self.base.budget_trips + stats.budget_trips;
-        snap.degradations = self.base.degradations + stats.degradations;
-        snap.shed_monitors = self.base.shed + stats.shed;
-        snap.monitors_live = stats.live_monitors as u64;
+        snap.quarantined = totals.quarantined;
+        snap.budget_trips = totals.budget_trips;
+        snap.degradations = totals.degradations;
+        snap.shed_monitors = totals.shed;
+        snap.monitors_live = self.core.monitor().stats().live_monitors as u64;
         snap.journal_records = jstats.records;
         snap.journal_retries = jstats.retries;
-        snap.spec_version = self.spec_version;
+        snap.checkpoints = self.checkpoints_base + self.core.checkpoints();
+        snap.spec_version = self.core.spec_version();
         snap.deduped_events = self.deduped_base + self.deduped;
         snap.gap_dropped_events = self.gap_dropped_base + self.gap_dropped;
     }
@@ -2522,9 +2509,8 @@ impl Worker {
                 self.process_line(session, cseq, &line, ctx)
             }
             TenantMsg::Barrier { token, session, reply } => {
-                self.sync_timed()?;
-                let hwm = self.sessions.get(&session).copied().unwrap_or(0);
-                let _ = reply.send((token, hwm));
+                self.core.sync()?;
+                let _ = reply.send((token, self.core.hwm(session)));
                 Ok(())
             }
             TenantMsg::Stats { reply } => {
@@ -2533,39 +2519,23 @@ impl Worker {
                 let json = format!(
                     "{{\"tenant\":{},\"engine\":{},\"journal\":{},\"stages\":{stages},\"slo\":{slo}}}",
                     self.shared.lock().expect("snapshot poisoned").to_json(),
-                    self.monitor.stats().to_json(),
-                    self.journal.stats().to_json()
+                    self.core.monitor().stats().to_json(),
+                    self.core.journal_stats().to_json()
                 );
                 let _ = reply.send(json);
                 Ok(())
             }
             TenantMsg::Reload { token, source, reply } => self.reload(token, &source, &reply),
-            TenantMsg::Drain => self.checkpoint_now(),
+            TenantMsg::Drain => Ok(self.core.checkpoint_now().map(|_| ())?),
         }
     }
 
-    /// `journal.sync()` with the fsync span recorded into the stage
-    /// histograms. Fsync batches many lines behind one barrier, so it
-    /// is attributed here rather than split across per-request traces
-    /// (whose `journal_fsync` column reads 0 by design).
-    fn sync_timed(&mut self) -> Result<(), Fatal> {
-        let t0 = Instant::now();
-        self.journal.sync().map_err(|e| Fatal(format!("journal sync failed: {e}")))?;
-        self.obs.stages.lock().expect("stage stats poisoned").record(
-            Stage::JournalFsync,
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
-        Ok(())
-    }
-
     /// The hot-reload cutover, at a message boundary so no event
-    /// straddles spec versions: checkpoint the old engine at its exact
-    /// journal tail, journal the `AUX_RELOAD` cutover (token + counter
-    /// base + new source, fsynced), then swap in a fresh engine.
+    /// straddles spec versions ([`JournaledMonitor::reload`]).
     ///
     /// Crash safety: if the worker dies after the `AUX_RELOAD` fsync but
     /// before the acknowledgement reaches the client, recovery rebuilds
-    /// `reload_token` from the journal and the client's retry with the
+    /// the reload token from the journal and the client's retry with the
     /// same token lands in the idempotent branch — the cutover can never
     /// apply twice.
     fn reload(
@@ -2574,8 +2544,8 @@ impl Worker {
         source: &str,
         reply: &SyncSender<Result<u64, Reject>>,
     ) -> Result<(), Fatal> {
-        if token != 0 && token == self.reload_token {
-            let _ = reply.send(Ok(self.spec_version));
+        if token != 0 && token == self.core.reload_token() {
+            let _ = reply.send(Ok(self.core.spec_version()));
             return Ok(());
         }
         let spec = match CompiledSpec::from_source(source) {
@@ -2588,24 +2558,8 @@ impl Worker {
                 return Ok(());
             }
         };
-        self.checkpoint_now()?;
-        let stats = self.monitor.stats();
-        let base = BaseCounters {
-            events: self.base.events + stats.events,
-            triggers: self.base.triggers + stats.triggers,
-            quarantined: self.base.quarantined + stats.quarantined,
-            budget_trips: self.base.budget_trips + stats.budget_trips,
-            degradations: self.base.degradations + stats.degradations,
-            shed: self.base.shed + stats.shed,
-        };
-        self.append(&Record::Aux { tag: AUX_RELOAD, bytes: base.encode_reload(token, source) })?;
-        self.sync_timed()?;
-        self.monitor = PropertyMonitor::new(spec, &self.engine_cfg);
+        self.core.reload(token, source, spec)?;
         self.install_flags();
-        self.base = base;
-        self.spec_version += 1;
-        self.reload_token = token;
-        self.events_since_checkpoint = 0;
         self.shared.lock().expect("snapshot poisoned").spec_hash = spec_hash(source);
         // Publish before acknowledging: once the client sees RELOADED,
         // every observability surface must already show the new version.
@@ -2614,75 +2568,19 @@ impl Worker {
             &self.name,
             FlightKind::Reload,
             0,
-            format!("spec v{}", self.spec_version),
+            format!("spec v{}", self.core.spec_version()),
         );
-        let _ = reply.send(Ok(self.spec_version));
+        let _ = reply.send(Ok(self.core.spec_version()));
         Ok(())
     }
 
-    fn append(&mut self, record: &Record) -> Result<u64, Fatal> {
-        self.journal.append_retry(record, &self.retry).map_err(|e| Fatal(e.to_string()))
-    }
-
-    /// Syncs the journal, then commits a checkpoint and syncs its mark:
-    /// both fsyncs land in the `JournalFsync` stage.
-    fn checkpoint_now(&mut self) -> Result<(), Fatal> {
-        self.sync_timed()?;
-        if let Some(payload) = self.monitor.snapshot_bytes() {
-            self.journal
-                .checkpoint(&payload, &self.retry)
-                .map_err(|e| Fatal(format!("checkpoint failed: {e}")))?;
-            self.sync_timed()?;
-            self.shared.lock().expect("snapshot poisoned").checkpoints += 1;
-        }
-        Ok(())
-    }
-
-    /// Records `cseq` as seen for `session`.
-    fn note_session(&mut self, session: u64, cseq: u64) {
-        let hwm = self.sessions.entry(session).or_insert(0);
-        *hwm = (*hwm).max(cseq);
-    }
-
-    /// Journals one session-stamped line as a single atomic `AUX_SLINE`
-    /// record — the line and its dedup `(session, cseq)` commit
-    /// together, so a crash can never tear the dedup mark from its
-    /// effects.
-    fn append_line(&mut self, session: u64, cseq: u64, line: &str) -> Result<u64, Fatal> {
-        let mut bytes = Vec::with_capacity(16 + line.len());
-        bytes.extend_from_slice(&session.to_le_bytes());
-        bytes.extend_from_slice(&cseq.to_le_bytes());
-        bytes.extend_from_slice(line.as_bytes());
-        self.append(&Record::Aux { tag: AUX_SLINE, bytes })
-    }
-
-    /// Counts a malformed client line and skips it.
-    fn bad_line(&mut self, session: u64, cseq: u64) {
-        self.bad_lines += 1;
-        self.obs.note_error();
-        self.note_session(session, cseq);
-    }
-
-    /// One line of the trace grammar. Malformed client input is counted
-    /// (`bad_lines`) and skipped — a hostile client cannot fail its
-    /// tenant with garbage, let alone a neighbor. Journal and engine
-    /// failures are fatal for this tenant only.
-    ///
-    /// `session`/`cseq` implement the server half of exactly-once
-    /// ingestion: a `(session, cseq)` at or below the session's
-    /// high-water mark is dropped *before* journaling, so a
-    /// reconnecting client's blind resends leave the journal —
-    /// and therefore the trigger stream — byte-identical to an
-    /// undisturbed run. The HWM advances only *contiguously*: a line
-    /// past `hwm + 1` means something in between was lost in transit
-    /// (a dropped frame inside a live connection), and accepting it
-    /// would poison the mark — the later resend of the missing line
-    /// would be wrongly deduped. Such lines are discarded and counted
-    /// (`gap_dropped_events`). No frame announces the gap: the client
-    /// reads only at barriers, and the barrier's HWM echo already says
-    /// where the hole is, so the client resends the suffix past it on
-    /// the same connection.
-    #[allow(clippy::too_many_lines)]
+    /// One line of the trace grammar, journaled and applied by
+    /// [`JournaledMonitor::process_line`], which also drops resends and
+    /// lines past a gap. Malformed client input is counted (`bad_lines`)
+    /// and skipped — a hostile client cannot fail its tenant with
+    /// garbage, let alone a neighbor. Journal and engine failures are
+    /// fatal for this tenant only. A `!fatal` line, when the tenant
+    /// allows it, kills the worker once its mark is durable.
     fn process_line(
         &mut self,
         session: u64,
@@ -2693,140 +2591,70 @@ impl Worker {
         if self.opts.flags & TENANT_FLAG_SLOW_WORKER != 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let hwm = self.sessions.get(&session).copied().unwrap_or(0);
-        if cseq <= hwm {
-            self.deduped += 1;
-            return Ok(());
-        }
-        if cseq > hwm + 1 {
-            self.gap_dropped += 1;
-            return Ok(());
-        }
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.split_whitespace().next() == Some("!fatal") {
-            if self.opts.flags & TENANT_FLAG_ALLOW_FATAL == 0 {
-                self.bad_line(session, cseq);
+        let fatal = self.opts.flags & TENANT_FLAG_ALLOW_FATAL != 0
+            && raw.split('#').next().unwrap_or("").split_whitespace().next() == Some("!fatal");
+        let outcome = if fatal {
+            match self.core.mark_fatal(session, cseq)? {
+                Ingest::Applied(_) => {
+                    return Err(Fatal("injected worker-fatal fault (!fatal)".into()));
+                }
+                dropped => dropped,
+            }
+        } else {
+            self.core.process_line(session, cseq, raw)?
+        };
+        let done = match outcome {
+            Ingest::Applied(done) => done,
+            Ingest::Blank => return Ok(()),
+            Ingest::Duplicate => {
+                self.deduped += 1;
                 return Ok(());
             }
-            // Journal + fsync the kill marker BEFORE dying: the
-            // restarted worker rebuilds the session HWM past this
-            // cseq, so the client's resend of `!fatal` dedups
-            // instead of re-killing the tenant in a loop.
-            let mut bytes = Vec::with_capacity(16);
-            bytes.extend_from_slice(&session.to_le_bytes());
-            bytes.extend_from_slice(&cseq.to_le_bytes());
-            self.append(&Record::Aux { tag: AUX_FATAL, bytes })?;
-            self.sync_timed()?;
-            return Err(Fatal("injected worker-fatal fault (!fatal)".into()));
-        }
-        let parsed = match parse(line, self.monitor.spec()) {
-            Ok(Some(parsed)) => parsed,
-            Ok(None) => {
-                self.note_session(session, cseq);
+            Ingest::Gap => {
+                self.gap_dropped += 1;
                 return Ok(());
             }
-            Err(_) => {
-                self.bad_line(session, cseq);
+            Ingest::Bad(_) => {
+                self.bad_lines += 1;
+                self.obs.note_error();
                 return Ok(());
             }
         };
         // The wire-to-trigger trace for this line: the connection-side
-        // spans arrive in `ctx`, the worker fills in the rest as the
-        // line flows through the engine and the journal.
+        // spans arrive in `ctx`, the journaled monitor reports the rest.
         let mut trace = RequestTrace {
             session,
             cseq,
-            seq: 0,
+            seq: done.seq,
             at_ns: 0,
             stages: [0; crate::flight::STAGE_COUNT],
         };
         trace.stages[Stage::WireRead.idx()] = ctx.wire_ns;
         trace.stages[Stage::Admission.idx()] = ctx.admission_ns;
         trace.stages[Stage::QueueWait.idx()] = ctx.queue_ns;
-        let span_ns = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match parsed {
-            directive @ (Line::Gc | Line::Sweep) => {
-                let note = if directive == Line::Gc {
-                    "heap collect (!gc)"
-                } else {
-                    "full sweep (!sweep)"
-                };
-                let t0 = Instant::now();
-                self.append_line(session, cseq, line)?;
-                trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
-                let t0 = Instant::now();
-                if directive == Line::Gc {
-                    self.heap.collect();
-                } else {
-                    for engine in self.monitor.engines_mut() {
-                        engine.full_sweep(&self.heap);
-                    }
-                }
-                let dur = span_ns(t0);
-                trace.stages[Stage::Engine.idx()] = dur;
-                self.flight.lock().expect("flight recorder poisoned").note(
-                    &self.name,
-                    FlightKind::GcCycle,
-                    dur,
-                    note,
-                );
-            }
-            Line::Free(names) => {
-                // A free the table rejects (unknown or already freed
-                // object) is a bad line: nothing is journaled or unpinned.
-                let t0 = Instant::now();
-                if self.objects.free(&mut self.heap, &names).is_err() {
-                    self.bad_line(session, cseq);
-                    return Ok(());
-                }
-                trace.stages[Stage::Engine.idx()] = span_ns(t0);
-                let t0 = Instant::now();
-                self.append_line(session, cseq, line)?;
-                trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
-            }
-            Line::Event(event, names) => {
-                // First-mention allocations are journaled as AUX_OBJ
-                // (object bits + client name) ahead of the event, so
-                // recovery rebuilds the same name → ObjId map.
-                let mut fresh: Vec<Record> = Vec::new();
-                let params = &self.monitor.spec().event_params[event.as_usize()];
-                let binding = self.objects.bind(&mut self.heap, params, &names, |obj, name| {
-                    let mut bytes = obj.to_bits().to_le_bytes().to_vec();
-                    bytes.extend_from_slice(name.as_bytes());
-                    fresh.push(Record::Aux { tag: AUX_OBJ, bytes });
-                });
-                let t0 = Instant::now();
-                for r in &fresh {
-                    self.append(r)?;
-                }
-                let seq = self.append_line(session, cseq, line)?;
-                trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
-                trace.seq = seq;
-                let t0 = Instant::now();
-                let fired = self
-                    .monitor
-                    .process_keyed(&self.heap, event, binding, seq)
-                    .map_err(|e| Fatal(format!("engine error: {e}")))?;
-                trace.stages[Stage::Engine.idx()] = span_ns(t0);
-                if !fired.is_empty() {
-                    let t0 = Instant::now();
-                    for t in &fired {
-                        self.append(&t.to_record())?;
-                    }
-                    let mut log = self.triggers.lock().expect("trigger log poisoned");
-                    for t in fired {
-                        log.push(t);
-                    }
-                    trace.stages[Stage::TriggerDelivery.idx()] = span_ns(t0);
-                }
-                self.events_since_checkpoint += 1;
-                if self.events_since_checkpoint >= self.checkpoint_every {
-                    self.events_since_checkpoint = 0;
-                    self.checkpoint_now()?;
-                }
-            }
+        trace.stages[Stage::JournalAppend.idx()] = done.append_ns;
+        trace.stages[Stage::Engine.idx()] = done.engine_ns;
+        if let Some(cycle) = done.cycles.first() {
+            let note = match cycle.kind {
+                GcKind::HeapCollect => "heap collect (!gc)",
+                GcKind::MonitorSweep => "full sweep (!sweep)",
+            };
+            self.flight.lock().expect("flight recorder poisoned").note(
+                &self.name,
+                FlightKind::GcCycle,
+                done.engine_ns,
+                note,
+            );
         }
-        self.note_session(session, cseq);
+        if !done.fired.is_empty() {
+            let t0 = Instant::now();
+            let mut log = self.triggers.lock().expect("trigger log poisoned");
+            for t in done.fired {
+                log.push(t);
+            }
+            let push_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            trace.stages[Stage::TriggerDelivery.idx()] = done.trigger_ns + push_ns;
+        }
         // The line made it wire-to-trigger: close out its trace.
         trace.at_ns = self.obs.now_ns();
         let total_us = trace.total_ns() / 1_000;
@@ -2846,6 +2674,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{JournalWriter, AUX_OBJ, AUX_SPEC};
 
     const SPEC: &str = "\
 UnsafeIter(Collection c, Iterator i) {

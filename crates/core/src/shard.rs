@@ -504,22 +504,6 @@ impl<O: EngineObserver + Send + Default + 'static> ShardedMonitor<O> {
         self.quiesce(heap);
     }
 
-    /// Drains the triggers accepted so far, deterministically ordered and
-    /// with `(event_seq, ordinal)` keys assigned (see
-    /// [`ShardedMonitor::finish`]).
-    ///
-    /// Call only between sessions (or after [`ShardSession::flush`]): at a
-    /// quiesce point every trigger of every submitted event has arrived,
-    /// so the drained prefix is complete and final. Triggers produced by
-    /// later events are *not* re-numbered from zero — ordinals are per
-    /// `event_seq`, so drained and finish-returned streams concatenate
-    /// into exactly the stream an undrained run would report.
-    pub fn drain_triggers(&mut self) -> Vec<ShardTrigger> {
-        let mut triggers = std::mem::take(&mut self.triggers);
-        order_triggers(&mut triggers);
-        triggers
-    }
-
     fn route(&mut self, heap: &Heap, event: EventId, binding: Binding) {
         // Time the routing decision + batch hand-off; compiled out on
         // NoopObserver runs like every other phase span.

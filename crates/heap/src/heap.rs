@@ -425,7 +425,7 @@ impl Heap {
         if self.cycles.len() < MAX_HEAP_CYCLES {
             self.cycles.push(HeapCycle {
                 forced,
-                end_ns: u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                end_ns: self.clock_ns(),
                 pause_ns,
                 live_before: live_before as u64,
                 swept: swept as u64,
@@ -440,6 +440,14 @@ impl Heap {
     /// cycles into their own telemetry records.
     pub fn drain_cycles(&mut self) -> Vec<HeapCycle> {
         std::mem::take(&mut self.cycles)
+    }
+
+    /// Nanoseconds since the heap was created: the clock of
+    /// [`HeapCycle::end_ns`], for callers that stamp their own cycles on
+    /// the same timeline.
+    #[must_use]
+    pub fn clock_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// A snapshot of the heap statistics accumulated so far.

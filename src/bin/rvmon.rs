@@ -54,15 +54,15 @@
 //!                           battery also runs the sharded engine against
 //!                           the sequential engine and the oracle
 //! rvmon run     <spec.rv> <events-file> --journal DIR
-//!                           [--checkpoint-every N] [--shards K]
-//!                           like `trace`, but crash-consistent: every
-//!                           event, directive, and goal report is written
-//!                           ahead to a checksummed journal in DIR, with a
-//!                           full engine checkpoint every N events
-//!                           (default 32); with `--shards K` (K > 1) the
-//!                           trace runs on the sharded parallel engine
-//!                           (checkpoints disabled — recovery replays the
-//!                           journal from sequence 0)
+//!                           [--checkpoint-every N]
+//!                           like `trace`, but crash-consistent: the trace
+//!                           is journaled through the writer rvmond's
+//!                           tenants use, as session 1 numbered by line —
+//!                           every line, first-mention object name, GC
+//!                           cycle and goal report is written ahead to a
+//!                           checksummed journal in DIR, with a full
+//!                           engine checkpoint every N events (default
+//!                           256)
 //! rvmon recover <journal-dir>
 //!                           crash recovery: restore the latest usable
 //!                           checkpoint, truncate the torn journal tail,
@@ -1135,11 +1135,14 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
     ExitCode::SUCCESS
 }
 
-/// `rvmon run` — the journaled twin of `trace`: every event, directive,
-/// and goal report is written ahead to a checksummed journal before (or
-/// as) it takes effect, and a full engine checkpoint is written every
+/// `rvmon run` — the journaled twin of `trace`: the trace goes through the
+/// journal writer rvmond's tenants use ([`JournaledMonitor`]), so every
+/// line and goal report is written ahead to a checksummed journal before
+/// it takes effect, and a full engine checkpoint is written every
 /// `--checkpoint-every` events, so `rvmon recover` can resurrect the run
 /// after a crash at any byte.
+///
+/// [`JournaledMonitor`]: rv_monitor::core::JournaledMonitor
 fn run(path: &str, source: &str, rest: &[String]) -> ExitCode {
     match run_inner(path, source, rest) {
         Ok(code) => code,
@@ -1150,98 +1153,24 @@ fn run(path: &str, source: &str, rest: &[String]) -> ExitCode {
     }
 }
 
-/// Appends `r` under a [`Phase::JournalAppend`] profiler span, so the
-/// journaled paths report where their write-ahead time goes.
-fn append_timed(
-    journal: &mut rv_monitor::core::JournalWriter,
-    prof: &mut rv_monitor::core::PhaseProfiler,
-    r: &rv_monitor::core::Record,
-) -> std::io::Result<u64> {
-    let span = prof.enter(rv_monitor::core::Phase::JournalAppend);
-    // Transient faults (EINTR and friends) are retried with backoff;
-    // only a persistent failure (typed `EngineError::Journal`) surfaces.
-    let res = journal.append_retry(r, &RetryPolicy::default()).map_err(std::io::Error::other);
-    prof.exit(span);
-    res
-}
-
-/// Opens a fresh journal in `dir` whose sequence 0 carries the spec
-/// source, so `recover` and `replay` are self-contained: the journal
-/// directory alone reconstitutes the run.
-fn begin_journal(
-    dir: &std::path::Path,
-    source: &str,
-) -> std::io::Result<(rv_monitor::core::JournalWriter, PhaseProfiler)> {
-    use rv_monitor::core::journal::AUX_SPEC;
-    use rv_monitor::core::{JournalWriter, Record};
-
-    let mut journal = JournalWriter::create(dir)?;
-    // Journal appends are timed as `journal_append` spans; the profile is
-    // part of the final stats line.
-    let mut jprof = PhaseProfiler::new().with_label("journal");
-    let spec = Record::Aux { tag: AUX_SPEC, bytes: source.as_bytes().to_vec() };
-    append_timed(&mut journal, &mut jprof, &spec)?;
-    Ok((journal, jprof))
-}
-
-/// Journals and runs one `!gc`; the collection's cycle telemetry follows
-/// as `AUX_GC_CYCLE` records and is returned.
-fn journaled_gc(
-    journal: &mut rv_monitor::core::JournalWriter,
-    jprof: &mut PhaseProfiler,
-    heap: &mut rv_monitor::heap::Heap,
-) -> std::io::Result<Vec<rv_monitor::core::GcCycleRecord>> {
-    use rv_monitor::core::journal::{AUX_GC, AUX_GC_CYCLE};
-    use rv_monitor::core::{GcCycleRecord, Record};
-
-    append_timed(journal, jprof, &Record::Aux { tag: AUX_GC, bytes: Vec::new() })?;
-    heap.collect();
-    heap.drain_cycles()
-        .iter()
-        .map(|c| {
-            let rec = GcCycleRecord::from_heap_cycle(c);
-            let bytes = rec.to_bytes();
-            append_timed(journal, jprof, &Record::Aux { tag: AUX_GC_CYCLE, bytes })?;
-            Ok(rec)
-        })
-        .collect()
-}
-
-/// Journals the objects a `!free` unpinned as one `AUX_FREE` record.
-fn append_free(
-    journal: &mut rv_monitor::core::JournalWriter,
-    jprof: &mut PhaseProfiler,
-    freed: &[rv_monitor::heap::ObjId],
-) -> std::io::Result<u64> {
-    use rv_monitor::core::journal::AUX_FREE;
-
-    let bytes = freed.iter().flat_map(|o| o.to_bits().to_le_bytes()).collect();
-    append_timed(journal, jprof, &rv_monitor::core::Record::Aux { tag: AUX_FREE, bytes })
-}
-
 /// The `rvmon run` exit for a rejected trace line.
 fn line_error(events_path: &str, lineno: usize, e: impl std::fmt::Display) -> (u8, String) {
     (1, format!("{events_path}:{}: {e}", lineno + 1))
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8, String)> {
-    use rv_monitor::core::journal::{AUX_GC_CYCLE, AUX_SWEEP};
+    use rv_monitor::core::journal::DEFAULT_SEGMENT_BYTES;
     use rv_monitor::core::{
-        line, EngineConfig, EngineObserver as _, GcReason, Line, MetricsRegistry, ObjectTable,
-        PropertyMonitor, Record,
+        EngineConfig, Ingest, JournaledMonitor, WriteError, DEFAULT_CHECKPOINT_EVERY,
     };
-    use rv_monitor::heap::{Heap, HeapConfig};
 
     let mut events_path: Option<&str> = None;
     let mut journal_dir: Option<&str> = None;
-    let mut checkpoint_every: Option<usize> = None;
-    let mut shards: usize = 1;
+    let mut checkpoint_every = DEFAULT_CHECKPOINT_EVERY;
     let usage = || {
         (
             2u8,
-            "usage: rvmon run <spec-file> <events-file> --journal DIR [--checkpoint-every N] \
-             [--shards K]"
+            "usage: rvmon run <spec-file> <events-file> --journal DIR [--checkpoint-every N]"
                 .to_owned(),
         )
     };
@@ -1250,17 +1179,9 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
         match arg.as_str() {
             "--journal" => journal_dir = Some(it.next().ok_or_else(usage)?.as_str()),
             "--checkpoint-every" => {
-                checkpoint_every = Some(
-                    it.next()
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or_else(usage)?,
-                );
-            }
-            "--shards" => {
-                shards = it
+                checkpoint_every = it
                     .next()
-                    .and_then(|s| s.parse::<usize>().ok())
+                    .and_then(|s| s.parse::<u64>().ok())
                     .filter(|&n| n > 0)
                     .ok_or_else(usage)?;
             }
@@ -1280,300 +1201,39 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
         Ok(s) => s,
         Err(code) => return Ok(code),
     };
-    if shards > 1 {
-        if checkpoint_every.is_some() {
-            eprintln!(
-                "rvmon: note: --checkpoint-every is ignored with --shards > 1 — worker-private \
-                 engine state is not checkpointed; recovery replays the journal from sequence 0"
-            );
-        }
-        return run_sharded(source, spec, events_path, &events, journal_dir, shards);
-    }
-    let checkpoint_every = checkpoint_every.unwrap_or(32);
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    // A metrics observer on every block turns the GC telemetry on: with
-    // it enabled, sweeps hand back per-cycle records the journal keeps as
-    // AUX_GC_CYCLE payloads for `rvmon gc-log` to decode.
-    let mut monitor = PropertyMonitor::with_observers(spec, &config, |_| MetricsRegistry::new());
-
-    let io = |e: std::io::Error| (2u8, format!("journal write failed: {e}"));
-    let (mut journal, mut jprof) = begin_journal(journal_dir, source).map_err(io)?;
-    let checkpoint = |journal: &mut rv_monitor::core::JournalWriter,
-                      monitor: &PropertyMonitor<MetricsRegistry>| {
-        match monitor.snapshot_bytes() {
-            Some(payload) => journal
-                .checkpoint(&payload, &RetryPolicy::default())
-                .map_err(|e| (2u8, format!("checkpoint failed: {e}"))),
-            None => Ok(()),
-        }
+    let failed = |lineno: usize, e: WriteError| match e {
+        WriteError::Journal(msg) => (2u8, msg),
+        engine @ WriteError::Engine(_) => line_error(events_path, lineno, engine),
     };
-
-    let mut heap = Heap::new(HeapConfig::manual());
-    let mut objects = ObjectTable::new(&mut heap);
-    let mut events_since_checkpoint = 0usize;
+    let mut w = JournaledMonitor::create(
+        journal_dir,
+        source,
+        spec,
+        &EngineConfig::default(),
+        RetryPolicy::default(),
+        DEFAULT_SEGMENT_BYTES,
+    )
+    .map_err(|e| failed(0, e))?;
+    w.set_checkpoint_every(checkpoint_every);
     for (lineno, raw) in events.lines().enumerate() {
-        let parsed = line::parse(raw, monitor.spec());
-        match parsed.map_err(|e| line_error(events_path, lineno, e))? {
-            None => {}
-            Some(Line::Gc) => {
-                // Deliver the collection's telemetry to the first block's
-                // observer (one consumer per shared heap).
-                for rec in journaled_gc(&mut journal, &mut jprof, &mut heap).map_err(io)? {
-                    if let Some(first) = monitor.engines_mut().first_mut() {
-                        first.observer_mut().gc_cycle(&rec);
-                    }
-                }
-            }
-            Some(Line::Sweep) => {
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_SWEEP, bytes: Vec::new() },
-                )
-                .map_err(io)?;
-                for engine in monitor.engines_mut() {
-                    if let Some(rec) = engine.full_sweep_with(&heap, GcReason::Forced) {
-                        append_timed(
-                            &mut journal,
-                            &mut jprof,
-                            &Record::Aux { tag: AUX_GC_CYCLE, bytes: rec.to_bytes() },
-                        )
-                        .map_err(io)?;
-                    }
-                }
-            }
-            Some(Line::Free(names)) => {
-                let freed = objects
-                    .free(&mut heap, &names)
-                    .map_err(|e| line_error(events_path, lineno, e))?;
-                append_free(&mut journal, &mut jprof, &freed).map_err(io)?;
-            }
-            Some(Line::Event(event, names)) => {
-                let params = &monitor.spec().event_params[event.as_usize()];
-                let binding = objects.bind(&mut heap, params, &names, |_, _| {});
-                let seq = append_timed(&mut journal, &mut jprof, &Record::Event { event, binding })
-                    .map_err(io)?;
-                let fired = monitor
-                    .process_keyed(&heap, event, binding, seq)
-                    .map_err(|e| line_error(events_path, lineno, format!("engine error: {e}")))?;
-                for t in fired {
-                    append_timed(&mut journal, &mut jprof, &t.to_record()).map_err(io)?;
-                }
-                events_since_checkpoint += 1;
-                if events_since_checkpoint >= checkpoint_every {
-                    events_since_checkpoint = 0;
-                    checkpoint(&mut journal, &monitor)?;
-                }
-            }
+        if let Ingest::Bad(e) =
+            w.process_line(1, lineno as u64 + 1, raw).map_err(|e| failed(lineno, e))?
+        {
+            return Err(line_error(events_path, lineno, e));
         }
     }
-    monitor.finish(&heap);
     // A final checkpoint makes `recover` on a cleanly finished run a
     // near-instant restore.
-    checkpoint(&mut journal, &monitor)?;
-    journal.sync().map_err(io)?;
-    let jstats = journal.stats();
+    w.finish().map_err(|e| failed(0, e))?;
+    let jstats = w.journal_stats();
     println!(
         "journaled run: {} record(s), {} byte(s), {} checkpoint(s) in {}",
         jstats.records,
         jstats.bytes,
-        journal.next_generation(),
+        w.checkpoints(),
         journal_dir.display()
     );
-    println!(
-        "{{\"engine\":{},\"journal\":{},\"profile\":{}}}",
-        monitor.stats().to_json(),
-        jstats.to_json(),
-        jprof.to_json()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `rvmon run --shards K` (K > 1): the journaled run on the sharded
-/// parallel engine.
-///
-/// Events are written ahead to the journal exactly as in the sequential
-/// path; goal reports are appended at each quiesce point (heap directive
-/// or end of trace) with their deterministic `(event_seq, ordinal)` keys,
-/// where `event_seq` is the journal sequence of the event record. Heap
-/// mutation — collection, unpinning, and first-mention allocation — only
-/// happens while every worker is quiescent: each directive-free run of
-/// events is bound up front, which hands out the same `ObjId`s as binding
-/// at each event because the free list only changes at a collection.
-/// Checkpoints are not written: recovery replays the journal from
-/// sequence 0 on the sequential engine, which is verdict-equivalent.
-#[allow(clippy::too_many_lines)]
-fn run_sharded(
-    source: &str,
-    spec: CompiledSpec,
-    events_path: &str,
-    events: &str,
-    journal_dir: &std::path::Path,
-    shards: usize,
-) -> Result<ExitCode, (u8, String)> {
-    use rv_monitor::core::journal::AUX_SWEEP;
-    use rv_monitor::core::{
-        line, EngineConfig, JournalWriter, Line, ObjectTable, Record, ShardConfig, ShardTrigger,
-        ShardedMonitor,
-    };
-    use rv_monitor::heap::{Heap, HeapConfig};
-
-    // Parse the whole trace up front (no heap effects yet) so runs of
-    // event lines between directives are known before a session opens.
-    let mut lines = Vec::new();
-    for (lineno, raw) in events.lines().enumerate() {
-        if let Some(line) =
-            line::parse(raw, &spec).map_err(|e| line_error(events_path, lineno, e))?
-        {
-            lines.push((lineno, line));
-        }
-    }
-
-    let io = |e: std::io::Error| (2u8, format!("journal write failed: {e}"));
-    let (mut journal, mut jprof) = begin_journal(journal_dir, source).map_err(io)?;
-
-    let event_params = spec.event_params.clone();
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    let mut sharded = ShardedMonitor::new(spec, &config, ShardConfig::with_shards(shards));
-    let mut heap = Heap::new(HeapConfig::manual());
-    let mut objects = ObjectTable::new(&mut heap);
-    // Maps the sharded engine's 0-based event index to the journal
-    // sequence of that event's record — the key trigger records carry.
-    let mut seq_of_event: Vec<u64> = Vec::new();
-    let mut trigger_records = 0u64;
-
-    fn append_triggers(
-        journal: &mut JournalWriter,
-        jprof: &mut PhaseProfiler,
-        triggers: Vec<ShardTrigger>,
-        seq_of_event: &[u64],
-    ) -> std::io::Result<u64> {
-        let mut written = 0u64;
-        for t in triggers {
-            append_timed(
-                journal,
-                jprof,
-                &Record::Trigger {
-                    event_seq: seq_of_event[t.event_seq as usize],
-                    ordinal: t.ordinal,
-                    block: t.block as u16,
-                    step: t.event_seq,
-                    verdict: t.verdict,
-                    binding: t.binding,
-                },
-            )?;
-            written += 1;
-        }
-        Ok(written)
-    }
-
-    let engine_failed = |e: &rv_monitor::core::EngineError| (1u8, format!("engine error: {e}"));
-    let mut i = 0usize;
-    while let Some((lineno, line)) = lines.get(i) {
-        i += 1;
-        match line {
-            Line::Gc => {
-                // Heap-collection telemetry is journaled at the quiesce
-                // point, same as the sequential path. (Worker-private
-                // monitor sweeps stay off the journal: their clocks live
-                // on the shard threads.)
-                journaled_gc(&mut journal, &mut jprof, &mut heap).map_err(io)?;
-            }
-            Line::Sweep => {
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_SWEEP, bytes: Vec::new() },
-                )
-                .map_err(io)?;
-                sharded.sweep(&heap);
-            }
-            Line::Free(names) => {
-                let freed = objects
-                    .free(&mut heap, names)
-                    .map_err(|e| line_error(events_path, *lineno, e))?;
-                append_free(&mut journal, &mut jprof, &freed).map_err(io)?;
-            }
-            Line::Event(..) => {
-                // Bind this directive-free run of events while the
-                // workers are still quiescent.
-                let run: Vec<_> = lines[i - 1..]
-                    .iter()
-                    .map_while(|(_, line)| match line {
-                        Line::Event(event, names) => {
-                            let params = &event_params[event.as_usize()];
-                            Some((*event, objects.bind(&mut heap, params, names, |_, _| {})))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                i += run.len() - 1;
-                {
-                    let mut session = sharded.session(&heap);
-                    for (event, binding) in run {
-                        let seq = append_timed(
-                            &mut journal,
-                            &mut jprof,
-                            &Record::Event { event, binding },
-                        )
-                        .map_err(io)?;
-                        seq_of_event.push(seq);
-                        session.process(event, binding);
-                    }
-                } // drop quiesces: every trigger of this run has arrived
-                if let Some(e) = sharded.last_error() {
-                    return Err(engine_failed(e));
-                }
-                trigger_records += append_triggers(
-                    &mut journal,
-                    &mut jprof,
-                    sharded.drain_triggers(),
-                    &seq_of_event,
-                )
-                .map_err(io)?;
-            }
-        }
-    }
-
-    let report = sharded.finish(&heap);
-    if let Some(e) = report.error {
-        return Err(engine_failed(&e));
-    }
-    trigger_records +=
-        append_triggers(&mut journal, &mut jprof, report.triggers, &seq_of_event).map_err(io)?;
-    journal.sync().map_err(io)?;
-    // Fold the coordinator's routing spans (compiled out on the no-op
-    // observer path, so empty here) into the run profile for one merged
-    // figure — the same merge discipline shard aggregation uses.
-    jprof.merge_from(&report.route_profile);
-    let jstats = journal.stats();
-    println!(
-        "journaled sharded run: {} record(s), {} byte(s), {} shard(s), no checkpoints in {}",
-        jstats.records,
-        jstats.bytes,
-        shards,
-        journal_dir.display()
-    );
-    println!(
-        "shards: {} event(s) — {} routed, {} broadcast, {} deliveries, {} goal report(s)",
-        report.events,
-        report.routed_events,
-        report.broadcast_events,
-        report.deliveries,
-        trigger_records
-    );
-    println!(
-        "{{\"engine\":{},\"journal\":{},\"shards\":{{\"shards\":{},\"events\":{},\"routed\":{},\
-         \"broadcast\":{},\"deliveries\":{}}},\"profile\":{}}}",
-        report.stats.to_json(),
-        jstats.to_json(),
-        shards,
-        report.events,
-        report.routed_events,
-        report.broadcast_events,
-        report.deliveries,
-        jprof.to_json()
-    );
+    println!("{{\"engine\":{},\"journal\":{}}}", w.monitor().stats().to_json(), jstats.to_json());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1705,8 +1365,8 @@ fn gc_log(dir: &std::path::Path) -> ExitCode {
         dir.display()
     );
     if cycles.is_empty() {
-        println!("no GC-cycle telemetry — journals written by `rvmon run` record one");
-        println!("cycle per !gc heap collection and per-engine !sweep");
+        println!("no GC-cycle telemetry — a journal records one cycle per !gc heap");
+        println!("collection and one per block for each !sweep");
         return ExitCode::SUCCESS;
     }
     println!(

@@ -232,6 +232,12 @@ fn rvmond_survives_sigkill_and_drains_on_sigterm() {
         "replay must re-fire and suppress, not re-deliver: {stats}"
     );
     drive(&mut alpha, "j", 4);
+    // Directives are journaled with their GC cycles, whatever observer
+    // the tenant runs: one heap cycle for `!gc`, one sweep per block.
+    for line in ["!free j0", "!gc", "!sweep"] {
+        alpha.event(line);
+    }
+    alpha.sync(0xC0C);
     let stats = alpha.stats();
     assert_eq!(json_u64(&stats, "events"), 26);
     assert_eq!(json_u64(&stats, "triggers"), 12, "fresh triggers after recovery: {stats}");
@@ -256,6 +262,16 @@ fn rvmond_survives_sigkill_and_drains_on_sigterm() {
     assert_eq!(json_u64(&stats, "recovered_events"), 0, "drain checkpointed the tail: {stats}");
     alpha.bye();
     drop(daemon);
+
+    // `rvmon gc-log` reads the tenant journal's cycles.
+    let out = Command::new(env!("CARGO_BIN_EXE_rvmon"))
+        .args(["gc-log", root.join("alpha").to_str().unwrap()])
+        .output()
+        .expect("run rvmon gc-log");
+    let log = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "gc-log on a tenant journal: {log}");
+    assert!(log.contains("2 GC cycle(s)"), "{log}");
+    assert!(log.contains("heap: 1 cycle(s)") && log.contains("monitor_sweep: 1 cycle(s)"), "{log}");
 
     let _ = std::fs::remove_dir_all(&root);
 }

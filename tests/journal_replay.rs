@@ -7,16 +7,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rv_monitor::core::journal::{
-    AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ, AUX_RELOAD, AUX_SLINE, AUX_SPEC,
+    AUX_FATAL, AUX_GC_CYCLE, AUX_OBJ, AUX_RELOAD, AUX_SLINE, AUX_SPEC,
 };
-use rv_monitor::core::recover::alloc_pinned;
 use rv_monitor::core::snapshot::write_checkpoint;
 use rv_monitor::core::{
-    recover, Binding, EngineConfig, JournalWriter, NoopObserver, Record, RecoverError, Recovered,
-    ReplayFrom,
+    recover, Binding, EngineConfig, JournalWriter, NoopObserver, ObjectTable, Record, RecoverError,
+    Recovered, ReplayFrom,
 };
 use rv_monitor::heap::{Heap, HeapConfig, ObjId};
-use rv_monitor::logic::{EventId, ParamId, Verdict};
+use rv_monitor::logic::Verdict;
 
 const UNSAFE_ITER: &str = "UnsafeIter(Collection c, Iterator i) {
     event create(c, i); event update(c); event next(i);
@@ -34,8 +33,8 @@ const HAS_NEXT: &str = "HasNext(Iterator i) {
 /// The `ObjId`s a fresh replay heap hands out, in order.
 fn ids(n: usize) -> Vec<ObjId> {
     let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    (0..n).map(|_| alloc_pinned(&mut heap, class)).collect()
+    let mut objects = ObjectTable::new(&mut heap);
+    (0..n).map(|_| objects.alloc(&mut heap)).collect()
 }
 
 fn aux(tag: u8, bytes: impl Into<Vec<u8>>) -> Record {
@@ -89,43 +88,22 @@ fn rejection(records: &[Record]) -> String {
 #[test]
 fn every_inconsistent_journal_is_rejected() {
     let id = ids(2);
-    let create = |c: ObjId, i: ObjId| Record::Event {
-        event: EventId(0),
-        binding: Binding::from_pairs(&[(ParamId(0), c), (ParamId(1), i)]),
-    };
-    let free = |id: ObjId| aux(AUX_FREE, id.to_bits().to_le_bytes());
-    let freed_twice = format!("journal record 3: double free of object `{:#x}`", id[1].to_bits());
     let cases: Vec<(Vec<Record>, &str)> = vec![
         (vec![obj(id[1], "c")], "heap replay diverged"),
-        (vec![create(id[1], id[0])], "with no AUX_OBJ record"),
-        // Once a journal names objects, `i` needs a name too, even though
-        // it is exactly the object the rebuilt heap would allocate next.
-        (vec![obj(id[0], "c"), create(id[0], id[1])], "with no AUX_OBJ record"),
+        // `i` needs a name too, even though it is exactly the object the
+        // rebuilt heap would allocate next.
         (vec![obj(id[0], "c"), sline(1, 1, "create c i")], "`i` with no AUX_OBJ record"),
         (vec![aux(AUX_OBJ, [1, 2, 3])], "truncated AUX_OBJ"),
         (vec![aux(AUX_SLINE, [0; 9])], "truncated AUX_SLINE"),
         (vec![aux(AUX_FATAL, [0; 15])], "truncated AUX_FATAL"),
         (vec![aux(AUX_RELOAD, [0; 20])], "malformed AUX_RELOAD"),
         (vec![sline(1, 1, "bogus")], "unknown event `bogus`"),
-        (
-            vec![Record::Event { event: EventId(9), binding: Binding::from_pairs(&[]) }],
-            "unknown event e9",
-        ),
         (vec![obj(id[0], "c"), sline(1, 1, "create c")], "arity mismatch"),
-        (
-            vec![Record::Event {
-                event: EventId(0),
-                binding: Binding::from_pairs(&[(ParamId(0), id[0])]),
-            }],
-            "binds a different parameter set",
-        ),
-        (vec![aux(AUX_FREE, id[0].to_bits().to_le_bytes())], "never allocated"),
         (vec![sline(1, 1, "!free ghost")], "frees unknown object `ghost`"),
         (
             vec![obj(id[0], "c"), sline(1, 1, "!free c"), sline(1, 2, "!free c")],
             "journal record 3: double free of object `c`",
         ),
-        (vec![create(id[0], id[1]), free(id[1]), free(id[1])], &freed_twice),
     ];
     for (records, expected) in cases {
         let err = rejection(&records);
@@ -134,7 +112,7 @@ fn every_inconsistent_journal_is_rejected() {
     let dir = journal(&[]);
     assert!(replay(&dir, ReplayFrom::Start).err().unwrap().contains("no durable records"));
     std::fs::remove_dir_all(&dir).unwrap();
-    let dir = journal(&[aux(AUX_GC, [])]);
+    let dir = journal(&[aux(AUX_GC_CYCLE, [])]);
     let err = replay(&dir, ReplayFrom::Start).err().unwrap();
     assert!(err.contains("does not begin with a spec record"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -143,20 +121,6 @@ fn every_inconsistent_journal_is_rejected() {
     let dir = journal(&[aux(AUX_SPEC, "spec X {")]);
     let err = recover(&dir, ReplayFrom::Start, &EngineConfig::default(), |_| NoopObserver);
     assert!(matches!(err.err(), Some(RecoverError::Spec(m)) if m.contains("no longer compiles")));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn first_mentions_allocate_only_in_unnamed_journals() {
-    let id = ids(2);
-    let create = Record::Event {
-        event: EventId(0),
-        binding: Binding::from_pairs(&[(ParamId(0), id[0]), (ParamId(1), id[1])]),
-    };
-    let dir = journal(&[aux(AUX_SPEC, UNSAFE_ITER), create]);
-    let rec = replay(&dir, ReplayFrom::Start).unwrap();
-    assert_eq!(rec.events, 1);
-    assert!(rec.objects.is_empty(), "an `rvmon run` journal names no objects");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
