@@ -201,7 +201,7 @@ pub struct Engine<F: Formalism, O: EngineObserver = NoopObserver> {
     /// Optional goal-report handler, run under `catch_unwind`.
     handler: HandlerSlot,
     /// The most recent error swallowed by the infallible [`Engine::process`]
-    /// facade (sticky until [`Engine::take_last_error`]).
+    /// facade (sticky).
     last_error: Option<EngineError>,
     /// Construction instant: the time origin for [`GcCycleRecord::end_ns`]
     /// timestamps.
@@ -528,10 +528,9 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
     /// [`Engine::try_process`].
     ///
     /// This never panics: a monitoring layer that can abort the monitored
-    /// program (or, sharded, poison a whole worker thread) is worse than no
-    /// monitoring at all. Malformed events and internal inconsistencies are
-    /// dropped and remembered — the typed [`EngineError`] stays readable
-    /// via [`Engine::last_error`] / [`Engine::take_last_error`]. Callers
+    /// program is worse than no monitoring at all. Malformed events and
+    /// internal inconsistencies are dropped and remembered — the typed
+    /// [`EngineError`] stays readable via [`Engine::last_error`]. Callers
     /// that need per-event failure reporting use [`Engine::try_process`].
     pub fn process(&mut self, heap: &Heap, event: EventId, binding: Binding) {
         if let Err(e) = self.try_process(heap, event, binding) {
@@ -540,15 +539,10 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
     }
 
     /// The most recent error the infallible [`Engine::process`] facade
-    /// swallowed, if any. Sticky until [`Engine::take_last_error`].
+    /// swallowed, if any. Sticky: a later valid event leaves it in place.
     #[must_use]
     pub fn last_error(&self) -> Option<&EngineError> {
         self.last_error.as_ref()
-    }
-
-    /// Takes (and clears) the most recent swallowed error.
-    pub fn take_last_error(&mut self) -> Option<EngineError> {
-        self.last_error.take()
     }
 
     /// Processes one parametric event, reporting malformed input and
@@ -1980,8 +1974,8 @@ mod tests {
     }
 
     /// Regression: `process` used to `panic!("engine: {e}")` on a malformed
-    /// event, which would abort the monitored program — or, sharded, poison
-    /// a whole worker thread. The typed error must surface via
+    /// event, which would abort the monitored program. The typed error must
+    /// surface via
     /// [`Engine::last_error`] instead, and the engine must stay usable.
     #[test]
     fn process_surfaces_errors_instead_of_panicking() {
@@ -1998,14 +1992,15 @@ mod tests {
             "{:?}",
             engine.last_error()
         );
-        assert!(matches!(engine.take_last_error(), Some(EngineError::InconsistentEvent { .. })));
-        assert_eq!(engine.last_error(), None, "take_last_error clears the slot");
         // The engine is still fully usable after swallowing errors.
         let objs = alloc_n(&mut heap, 2);
         let ev = |n: &str| alphabet.lookup(n).unwrap();
         engine.process(&heap, ev("create"), Binding::from_pairs(&[(C, objs[0]), (I, objs[1])]));
         assert_eq!(engine.stats().events, 1);
-        assert_eq!(engine.last_error(), None, "valid events do not set the slot");
+        assert!(
+            matches!(engine.last_error(), Some(EngineError::InconsistentEvent { .. })),
+            "valid events leave the slot as it was"
+        );
         engine.check_invariants(&heap).unwrap();
     }
 

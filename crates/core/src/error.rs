@@ -62,15 +62,6 @@ pub enum EngineError {
         /// What was wrong.
         detail: String,
     },
-    /// A shard worker thread of a [`ShardedMonitor`] hung up its channel —
-    /// it either panicked or was torn down early. Events routed to that
-    /// shard after the disconnect are lost.
-    ///
-    /// [`ShardedMonitor`]: crate::shard::ShardedMonitor
-    ShardDisconnected {
-        /// Index of the shard whose worker disconnected.
-        shard: usize,
-    },
     /// A journal append failed persistently: every retry the
     /// [`RetryPolicy`](crate::journal::RetryPolicy) allowed was spent (or
     /// the failure was non-transient to begin with). The on-disk journal
@@ -107,9 +98,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::CorruptSnapshot { file, detail } => {
                 write!(f, "corrupt snapshot: {file}: {detail}")
-            }
-            EngineError::ShardDisconnected { shard } => {
-                write!(f, "shard {shard} worker disconnected")
             }
             EngineError::Journal { file, attempts, detail } => {
                 write!(f, "journal append failed after {attempts} attempt(s) on {file}: {detail}")

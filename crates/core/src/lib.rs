@@ -52,6 +52,8 @@
 //! # Ok::<(), rv_logic::ere::EreError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod binding;
 pub mod chaos;
 pub mod client;
@@ -70,7 +72,6 @@ pub mod profile;
 pub mod recover;
 pub mod reference;
 pub mod service;
-pub mod shard;
 pub mod slo;
 pub mod snapshot;
 pub mod stats;
@@ -109,10 +110,6 @@ pub use crate::service::{
     encode_frame, read_frame, read_frame_timed, serve_connection, write_frame, Backpressure,
     ConnPermit, Service, ServiceConfig, ServiceStats, SupervisorConfig, TenantOptions,
     TenantSnapshot, TenantState, TriggerLog, TriggerRecord,
-};
-pub use crate::shard::{
-    differential_run, differential_run_with, owner_param, HandlerFactory, ShardConfig,
-    ShardDifferential, ShardReport, ShardSession, ShardTrigger, ShardedMonitor,
 };
 pub use crate::slo::{Objective, ObjectiveSnapshot, SloConfig, SloSnapshot, SloTracker};
 pub use crate::snapshot::{

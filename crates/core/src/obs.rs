@@ -20,7 +20,9 @@
 //!   [`EngineStats`], the one counter. The JSON snapshot serializer is
 //!   hand-rolled: the workspace is dependency-free, so there is no serde
 //!   here. Per-phase wall-clock
-//!   histograms live in one place, [`PhaseProfiler`](crate::PhaseProfiler).
+//!   histograms live in one place, [`PhaseProfiler`](crate::PhaseProfiler),
+//!   and [`Phase`] names only the spans the engine itself times; a
+//!   journal append is rvmond's `journal_append` stage, not a phase.
 //!
 //! Two observers compose as a tuple: `(TraceRecorder, MetricsRegistry)`
 //! is itself an [`EngineObserver`] that forwards to both.
@@ -251,8 +253,9 @@ impl GcCycleRecord {
     }
 }
 
-/// A timed phase of event dispatch, reported via
-/// [`EngineObserver::phase_timed`].
+/// A phase of event dispatch the engine times, reported via
+/// [`EngineObserver::phase_timed`]. Every variant has a producer in the
+/// engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Phase {
     /// Looking `θ` up in the `⟨D(e)⟩` indexing tree (Figure 6).
@@ -270,15 +273,11 @@ pub enum Phase {
     /// A whole safepoint sweep/compaction pass
     /// ([`Engine::full_sweep`](crate::Engine::full_sweep), end to end).
     Sweep,
-    /// Appending one record to the write-ahead journal (durable runs).
-    JournalAppend,
-    /// Routing/broadcasting one event across shard channels.
-    ShardRoute,
 }
 
 impl Phase {
     /// Number of phases (the length of [`Phase::ALL`]).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// All phases, in dispatch order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -288,8 +287,6 @@ impl Phase {
         Phase::Aliveness,
         Phase::DeadKeyExpunge,
         Phase::Sweep,
-        Phase::JournalAppend,
-        Phase::ShardRoute,
     ];
 
     /// The snake_case label used in snapshots.
@@ -302,8 +299,6 @@ impl Phase {
             Phase::Aliveness => "aliveness",
             Phase::DeadKeyExpunge => "dead_key_expunge",
             Phase::Sweep => "sweep",
-            Phase::JournalAppend => "journal_append",
-            Phase::ShardRoute => "shard_route",
         }
     }
 
@@ -1069,7 +1064,7 @@ impl Histogram {
     }
 
     /// Accumulates another histogram into this one (bucket-wise), the
-    /// aggregation step for per-shard metrics: bucket counts, `count`, and
+    /// aggregation step for per-block metrics: bucket counts, `count`, and
     /// `sum` add (saturating — merging is where near-full counters actually
     /// meet), `max` takes the larger mark. Bucket layout is fixed at
     /// compile time, so histograms from any two engines are compatible.
@@ -1321,15 +1316,15 @@ impl MetricsRegistry {
         &self.event_latency_ns
     }
 
-    /// Accumulates another registry into this one — the per-shard metrics
+    /// Accumulates another registry into this one — the per-block metrics
     /// aggregation path: every counter sums (saturating) and every
     /// histogram merges via [`Histogram::merge_from`].
     ///
     /// The per-monitor birth table is deliberately *not* merged:
-    /// [`MonitorId`]s are engine-local and collide across shards, and the
+    /// [`MonitorId`]s are engine-local and collide across engines, and the
     /// table exists only to feed the lifetime/latency histograms at
-    /// flag/collect time — which each shard already did before its
-    /// snapshot was shipped.
+    /// flag/collect time — which each engine already did before its
+    /// registry was merged.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         self.events = self.events.saturating_add(other.events);
         self.sweeps = self.sweeps.saturating_add(other.sweeps);
@@ -1789,8 +1784,7 @@ mod tests {
     }
 
     /// Merging is associative on every exposed statistic: (a⊕b)⊕c equals
-    /// a⊕(b⊕c) bucket-for-bucket, so shard aggregation order is
-    /// irrelevant.
+    /// a⊕(b⊕c) bucket-for-bucket, so aggregation order is irrelevant.
     #[test]
     fn histogram_merge_is_associative() {
         let mk = |values: &[u64]| {

@@ -7,15 +7,16 @@
 //! did this specific monitor instance get created, flagged, and
 //! collected*.
 //!
-//! * [`PhaseProfiler`] — an [`EngineObserver`] that folds every
-//!   [`Phase`]-timed span into a per-phase power-of-two [`Histogram`]
-//!   (p50/p95/p99 via [`Histogram::quantile`]) and keeps enter/exit span
-//!   counters so tests can assert balance. It rides the same
-//!   `O::ENABLED` monomorphization as `MetricsRegistry`: with
-//!   [`NoopObserver`](crate::NoopObserver) the engine compiles all
-//!   timing out, so the disabled path costs nothing (verified by the
-//!   bench harness). Like `MetricsRegistry` it is
-//!   [`merge_from`](PhaseProfiler::merge_from)-able across shards.
+//! * [`PhaseProfiler`] — an [`EngineObserver`] that folds every span the
+//!   engine times ([`EngineObserver::phase_timed`]) into a per-phase
+//!   power-of-two [`Histogram`] (p50/p95/p99 via
+//!   [`Histogram::quantile`]); a phase's span count is its histogram's
+//!   count. It rides the same `O::ENABLED` monomorphization as
+//!   `MetricsRegistry`: with [`NoopObserver`](crate::NoopObserver) the
+//!   engine compiles all timing out, so the disabled path costs nothing
+//!   (verified by the bench harness). Like `MetricsRegistry` it is
+//!   [`merge_from`](PhaseProfiler::merge_from)-able across the blocks of
+//!   a spec.
 //! * [`ProvenanceLedger`] — an [`EngineObserver`] recording each monitor
 //!   instance's life story: creating event index and binding, every
 //!   flagging with its cause (which parameters were dead, which event's
@@ -48,30 +49,17 @@ use crate::store::MonitorId;
 // PhaseProfiler
 // ---------------------------------------------------------------------------
 
-/// An open timing span returned by [`PhaseProfiler::enter`]; hand it back
-/// to [`PhaseProfiler::exit`] to close and record it. Call sites outside
-/// the engine's own `phase_timed` plumbing (journal appends, shard
-/// routing) use this pair so the span counters stay balanced.
-#[derive(Debug)]
-#[must_use = "an unclosed span never records and unbalances the profiler"]
-pub struct SpanToken {
-    phase: Phase,
-    start: Instant,
-}
-
-/// Per-phase wall-clock histograms with span-balance counters.
+/// Per-phase wall-clock histograms of the spans the engine times.
 ///
-/// One profiler covers one property (or one shard of one property); the
+/// One profiler covers one property block; the
 /// [`label`](PhaseProfiler::with_label) names it in expositions. Merging
-/// follows the same discipline as
-/// [`MetricsRegistry::merge_from`]: bucket counts and span counters add,
-/// maxima take the larger mark, so shard aggregation order is irrelevant.
+/// follows the same discipline as [`MetricsRegistry::merge_from`]: bucket
+/// counts add and maxima take the larger mark, so aggregation order is
+/// irrelevant.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
     label: String,
     spans: [Histogram; Phase::COUNT],
-    enters: [u64; Phase::COUNT],
-    exits: [u64; Phase::COUNT],
     events: u64,
 }
 
@@ -101,47 +89,14 @@ impl PhaseProfiler {
         self.events
     }
 
-    /// The wall-clock histogram for `phase`.
+    /// The wall-clock histogram for `phase`; its
+    /// [`count`](Histogram::count) is the number of spans timed.
     #[must_use]
     pub fn phase(&self, phase: Phase) -> &Histogram {
         &self.spans[phase.index()]
     }
 
-    /// Spans opened for `phase` (every [`phase_timed`][EngineObserver::phase_timed]
-    /// callback counts as one opened-and-closed span).
-    #[must_use]
-    pub fn enters(&self, phase: Phase) -> u64 {
-        self.enters[phase.index()]
-    }
-
-    /// Spans closed for `phase`.
-    #[must_use]
-    pub fn exits(&self, phase: Phase) -> u64 {
-        self.exits[phase.index()]
-    }
-
-    /// Whether every opened span was closed, for every phase.
-    #[must_use]
-    pub fn balanced(&self) -> bool {
-        Phase::ALL.into_iter().all(|p| self.enters(p) == self.exits(p))
-    }
-
-    /// Opens a timing span for `phase` at a call site the engine does not
-    /// instrument itself (journal appends, shard routing).
-    pub fn enter(&mut self, phase: Phase) -> SpanToken {
-        self.enters[phase.index()] = self.enters[phase.index()].saturating_add(1);
-        SpanToken { phase, start: Instant::now() }
-    }
-
-    /// Closes `span`, recording its wall-clock duration.
-    pub fn exit(&mut self, span: SpanToken) {
-        let nanos = u64::try_from(span.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let i = span.phase.index();
-        self.exits[i] = self.exits[i].saturating_add(1);
-        self.spans[i].record(nanos);
-    }
-
-    /// Accumulates another profiler (the cross-shard aggregation path).
+    /// Accumulates another profiler (the per-block aggregation path).
     /// The label is kept from `self` unless `self` is unlabelled.
     pub fn merge_from(&mut self, other: &PhaseProfiler) {
         if self.label.is_empty() {
@@ -150,35 +105,32 @@ impl PhaseProfiler {
         for (h, o) in self.spans.iter_mut().zip(&other.spans) {
             h.merge_from(o);
         }
-        for (c, &o) in self.enters.iter_mut().zip(&other.enters) {
-            *c = c.saturating_add(o);
-        }
-        for (c, &o) in self.exits.iter_mut().zip(&other.exits) {
-            *c = c.saturating_add(o);
-        }
         self.events = self.events.saturating_add(other.events);
     }
 
     /// Measures the profiler's own cost: the mean wall-clock nanoseconds
-    /// one enter/exit pair spends on clock reads and histogram updates,
-    /// over `reps` probe spans against a scratch profiler. This is the
-    /// figure to subtract when interpreting per-phase sums — and the
-    /// reason the `NoopObserver` path compiles the spans out entirely.
+    /// one span spends on its clock pair and its
+    /// [`phase_timed`](EngineObserver::phase_timed) record, over `reps`
+    /// probe spans against a scratch profiler. This is the figure to
+    /// subtract when interpreting per-phase sums — and the reason the
+    /// `NoopObserver` path compiles the spans out entirely.
     #[must_use]
     pub fn measure_self_overhead(reps: u32) -> f64 {
         let reps = reps.max(1);
         let mut probe = PhaseProfiler::new();
         let start = Instant::now();
         for _ in 0..reps {
-            let span = probe.enter(Phase::IndexLookup);
-            probe.exit(span);
+            let span = Instant::now();
+            let nanos = u64::try_from(span.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            probe.phase_timed(Phase::IndexLookup, nanos);
         }
         let total = start.elapsed().as_nanos() as f64;
         total / f64::from(reps)
     }
 
     /// Renders the profiler as one JSON object: per-phase histograms
-    /// (with quantiles), span counters, and the event denominator.
+    /// (with quantiles, the span count among them) and the event
+    /// denominator.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = format!(
@@ -192,14 +144,7 @@ impl PhaseProfiler {
                 out.push(',');
             }
             first = false;
-            let _ = write!(
-                out,
-                "\"{}\":{{\"enters\":{},\"exits\":{},\"ns\":{}}}",
-                p.label(),
-                self.enters(p),
-                self.exits(p),
-                self.phase(p).to_json()
-            );
+            let _ = write!(out, "\"{}\":{{\"ns\":{}}}", p.label(), self.phase(p).to_json());
         }
         out.push_str("}}");
         out
@@ -212,12 +157,7 @@ impl EngineObserver for PhaseProfiler {
     }
 
     fn phase_timed(&mut self, phase: Phase, nanos: u64) {
-        // One callback is one completed span: count both ends so
-        // balance checks cover the engine-instrumented phases too.
-        let i = phase.index();
-        self.enters[i] = self.enters[i].saturating_add(1);
-        self.exits[i] = self.exits[i].saturating_add(1);
-        self.spans[i].record(nanos);
+        self.spans[phase.index()].record(nanos);
     }
 }
 
@@ -246,7 +186,7 @@ pub const MAX_TIMELINE_SPANS: usize = 1 << 18;
 /// An [`EngineObserver`] that captures every timed phase span and GC
 /// cycle as a `(start, duration)` interval on one timeline, for Chrome
 /// trace-event export ([`chrome_trace_json`]). Each log is one lane
-/// (`tid`) in the exported trace; shard workers get one log each.
+/// (`tid`) in the exported trace; each property block gets one log.
 #[derive(Debug)]
 pub struct SpanLog {
     epoch: Instant,
@@ -542,8 +482,8 @@ impl ProvenanceLedger {
         }
     }
 
-    /// Accumulates another ledger (per-shard aggregation). Instances are
-    /// concatenated — ids are engine-local, so cross-shard id lookups are
+    /// Accumulates another ledger (per-block aggregation). Instances are
+    /// concatenated — ids are engine-local, so cross-engine id lookups are
     /// meaningless after a merge, but stories and summaries still hold.
     pub fn merge_from(&mut self, other: &ProvenanceLedger) {
         self.events = self.events.saturating_add(other.events);
@@ -769,33 +709,28 @@ mod tests {
     }
 
     #[test]
-    fn profiler_spans_balance_and_merge() {
+    fn profiler_spans_count_and_merge() {
         let mut a = PhaseProfiler::new().with_label("UnsafeIter");
-        let span = a.enter(Phase::JournalAppend);
-        a.exit(span);
         a.phase_timed(Phase::IndexLookup, 100);
         a.phase_timed(Phase::Sweep, 2_000);
-        assert!(a.balanced());
-        assert_eq!(a.enters(Phase::JournalAppend), 1);
-        assert_eq!(a.exits(Phase::JournalAppend), 1);
         assert_eq!(a.phase(Phase::IndexLookup).count(), 1);
+        assert_eq!(a.phase(Phase::Sweep).count(), 1);
 
         let mut b = PhaseProfiler::new();
         b.phase_timed(Phase::IndexLookup, 50);
-        let open = b.enter(Phase::ShardRoute);
-        assert!(!b.balanced(), "open span detected");
-        b.exit(open);
+        b.phase_timed(Phase::Transition, 70);
 
         let mut merged = PhaseProfiler::new();
         merged.merge_from(&a);
         merged.merge_from(&b);
         assert_eq!(merged.label(), "UnsafeIter", "first non-empty label wins");
         assert_eq!(merged.phase(Phase::IndexLookup).count(), 2);
-        assert_eq!(merged.enters(Phase::ShardRoute), 1);
-        assert!(merged.balanced());
+        assert_eq!(merged.phase(Phase::IndexLookup).sum(), 150);
+        assert_eq!(merged.phase(Phase::Transition).count(), 1);
+        assert_eq!(merged.phase(Phase::Sweep).max(), 2_000);
         let json = merged.to_json();
         assert!(json.contains("\"label\":\"UnsafeIter\""), "{json}");
-        assert!(json.contains("\"index_lookup\""), "{json}");
+        assert!(json.contains("\"index_lookup\":{\"ns\":{\"count\":2,"), "{json}");
     }
 
     #[test]
@@ -982,11 +917,11 @@ mod tests {
         assert_eq!(log.count_named("gc:monitor_sweep (forced)"), 1);
 
         let mut other = SpanLog::new();
-        other.phase_timed(Phase::ShardRoute, 100);
-        let json = chrome_trace_json(&[("main".to_owned(), &log), ("shard-0".to_owned(), &other)]);
+        other.phase_timed(Phase::Aliveness, 100);
+        let json = chrome_trace_json(&[("main".to_owned(), &log), ("block2".to_owned(), &other)]);
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
         assert!(json.contains("\"ph\":\"M\""), "lane metadata present: {json}");
-        assert!(json.contains("\"args\":{\"name\":\"shard-0\"}"), "{json}");
+        assert!(json.contains("\"args\":{\"name\":\"block2\"}"), "{json}");
 
         // GC cycles export as single `X` complete events (they overlap
         // the sweep phase span without nesting); phases as B/E pairs.

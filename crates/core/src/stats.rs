@@ -47,7 +47,7 @@ impl EngineStats {
     ///
     /// Additive counters sum. `live_monitors` also sums, because merged
     /// engines hold disjoint monitor populations (one engine per property
-    /// block, or one per shard). `peak_live_monitors` is a *high-water
+    /// block). `peak_live_monitors` is a *high-water
     /// mark*, not a flow: the per-engine peaks were almost certainly not
     /// simultaneous, so summing them fabricates a combined peak that never
     /// existed (it would overstate Fig. 9B-style peak-memory numbers). The

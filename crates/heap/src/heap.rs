@@ -1,7 +1,7 @@
 //! The heap proper: slots, roots, edges, and the mark-sweep collector.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::object::{ClassId, ObjId, WeakRef};
@@ -91,10 +91,9 @@ pub struct FrameToken {
 
 /// Fault-injection state (see [`Heap::arm_doom`]): after `fuse` further
 /// [`Heap::is_alive`] queries, the `doomed` objects report dead. The query
-/// counter is atomic because liveness queries take `&Heap`, and a quiesced
-/// heap is shared read-only across shard worker threads (`Heap: Sync`).
+/// counter is a `Cell` because liveness queries take `&Heap`.
 struct DoomState {
-    queries: AtomicU64,
+    queries: Cell<u64>,
     fuse: u64,
     doomed: Vec<ObjId>,
 }
@@ -218,7 +217,8 @@ impl Heap {
     #[must_use]
     pub fn is_alive(&self, id: ObjId) -> bool {
         if let Some(doom) = &self.doom {
-            let q = doom.queries.fetch_add(1, Ordering::Relaxed) + 1;
+            let q = doom.queries.get() + 1;
+            doom.queries.set(q);
             if q > doom.fuse && doom.doomed.contains(&id) {
                 return false;
             }
@@ -512,7 +512,7 @@ impl Heap {
     /// The next [`Heap::collect`] disarms the injection and makes the
     /// deaths real.
     pub fn arm_doom(&mut self, fuse: u64, doomed: Vec<ObjId>) {
-        self.doom = Some(Box::new(DoomState { queries: AtomicU64::new(0), fuse, doomed }));
+        self.doom = Some(Box::new(DoomState { queries: Cell::new(0), fuse, doomed }));
     }
 
     /// Disarms fault injection without collecting.
@@ -550,13 +550,14 @@ mod tests {
         (h, c)
     }
 
-    /// The sharded engine shares a quiesced heap read-only across worker
-    /// threads, so `Heap` must stay `Send + Sync`. This is a compile-time
-    /// property; the test exists so removing it is a deliberate act.
+    /// A heap may move to the thread that drives it, so `Heap` must stay
+    /// `Send`; it is not `Sync`, since the doom fuse is a `Cell`. This is
+    /// a compile-time property; the test exists so removing it is a
+    /// deliberate act.
     #[test]
-    fn heap_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Heap>();
+    fn heap_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Heap>();
     }
 
     #[test]

@@ -160,12 +160,6 @@ impl EventDef {
         self.params_of[e.as_usize()]
     }
 
-    /// Number of parameters `|X|`.
-    #[must_use]
-    pub fn param_count(&self) -> usize {
-        self.param_names.len()
-    }
-
     /// The name of parameter `p`.
     ///
     /// # Panics
@@ -224,7 +218,6 @@ mod tests {
         let update = a.lookup("update").unwrap();
         assert_eq!(def.params_of(create).len(), 2);
         assert_eq!(def.params_of(update), ParamSet::singleton(ParamId(0)));
-        assert_eq!(def.param_count(), 2);
         assert_eq!(def.param_name(ParamId(1)), "i");
         assert_eq!(def.lookup_param("i"), Some(ParamId(1)));
         assert_eq!(def.lookup_param("z"), None);

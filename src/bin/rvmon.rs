@@ -43,16 +43,15 @@
 //!                           one-shot cost table for a journaled run:
 //!                           re-execute the journal with profiler
 //!                           observers and print per-phase span counts,
-//!                           p50/p95/p99 and totals, plus the E/M/FM/CM
-//!                           counters
-//! rvmon chaos   <spec.rv> [--seed N] [--events M] [--shards K]
+//!                           p50/p95/p99 and totals of the engine's
+//!                           phases, plus the E/M/FM/CM counters; on an
+//!                           rvmond root, one table per tenant
+//! rvmon chaos   <spec.rv> [--seed N] [--events M]
 //!                           deterministic fault-injection differential:
 //!                           every property block under every GC policy on
 //!                           a chaos heap, checked against the reference
 //!                           oracle (seed-reproducible; default seed 1,
-//!                           512 events); with `--shards K` (K > 1) the
-//!                           battery also runs the sharded engine against
-//!                           the sequential engine and the oracle
+//!                           512 events)
 //! rvmon run     <spec.rv> <events-file> --journal DIR
 //!                           [--checkpoint-every N]
 //!                           like `trace`, but crash-consistent: the trace
@@ -64,11 +63,13 @@
 //!                           engine checkpoint every N events (default
 //!                           256)
 //! rvmon recover <journal-dir>
-//!                           crash recovery: restore the latest usable
+//!                           crash recovery, as rvmond recovers a
+//!                           tenant: restore the latest usable
 //!                           checkpoint, truncate the torn journal tail,
 //!                           replay the durable suffix (suppressing goal
-//!                           reports already delivered), and write a fresh
-//!                           checkpoint
+//!                           reports already delivered), journal the
+//!                           reports replay refired, and write a fresh
+//!                           checkpoint if replay re-executed any event
 //! rvmon replay  <journal-dir>
 //!                           audit a journal by re-executing it from
 //!                           sequence 0, printing triggers and statistics
@@ -255,11 +256,10 @@ fn netchaos(rest: &[String]) -> ExitCode {
 /// the spec, under every GC policy, driven over a seed-reproducible random
 /// workload on a chaos heap and compared against the Figure 5 oracle.
 fn chaos(path: &str, source: &str, rest: &[String]) -> ExitCode {
-    use rv_monitor::core::{differential_run, run_block, GcPolicy, ShardConfig};
+    use rv_monitor::core::{run_block, GcPolicy};
 
     let mut seed: u64 = 1;
     let mut events: usize = 512;
-    let mut shards: usize = 1;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         let value = |v: Option<&String>| v.and_then(|s| s.parse::<u64>().ok());
@@ -278,18 +278,8 @@ fn chaos(path: &str, source: &str, rest: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--shards" => match value(it.next()).filter(|&n| n > 0) {
-                Some(n) => shards = n as usize,
-                None => {
-                    eprintln!("rvmon: error: --shards takes a positive numeric argument");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
-                eprintln!(
-                    "usage: rvmon chaos <spec-file> [--seed N] [--events M] [--shards K]; \
-                     got `{other}`"
-                );
+                eprintln!("usage: rvmon chaos <spec-file> [--seed N] [--events M]; got `{other}`");
                 return ExitCode::from(2);
             }
         }
@@ -325,35 +315,6 @@ fn chaos(path: &str, source: &str, rest: &[String]) -> ExitCode {
                 Err(e) => {
                     failures += 1;
                     eprintln!("block {} {policy:?} seed {seed}: error: {e}", block + 1);
-                }
-            }
-        }
-    }
-    // With `--shards K`, run the whole-spec sharded differential on top of
-    // the per-block battery: sequential engine vs sharded engine vs oracle.
-    if shards > 1 {
-        for policy in [GcPolicy::None, GcPolicy::AllParamsDead, GcPolicy::CoenableLazy] {
-            let cfg = ShardConfig::with_shards(shards);
-            match differential_run(&spec, policy, cfg, seed, events) {
-                Ok(out) if out.matches() => println!(
-                    "sharded {policy:?} x{shards} seed {seed}: OK — {} event(s), \
-                     {} trigger(s), {} routed, {} broadcast",
-                    out.trace_len,
-                    out.report.triggers.len(),
-                    out.report.routed_events,
-                    out.report.broadcast_events
-                ),
-                Ok(out) => {
-                    failures += 1;
-                    eprintln!(
-                        "sharded {policy:?} x{shards} seed {seed}: error: \
-                         DIFFERENTIAL MISMATCH\n{}",
-                        out.mismatches.join("\n")
-                    );
-                }
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("sharded {policy:?} x{shards} seed {seed}: error: {e}");
                 }
             }
         }
@@ -1086,35 +1047,18 @@ fn fig10_counts(stats: &EngineStats) -> String {
 }
 
 /// `rvmon top` over a daemon root: one cost table per tenant, each row
-/// tagged with the tenant name. The engine phases come from a per-tenant
-/// replay; the `journal_append` row comes from re-appending that
-/// tenant's decoded records to a throwaway scratch journal, so the
-/// write-ahead cost is attributed per tenant rather than folded across
-/// the daemon.
+/// tagged with the tenant name, from a per-tenant replay. A tenant's
+/// journal-append cost is rvmond's own `journal_append` stage, not an
+/// engine phase.
 fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) -> ExitCode {
-    use rv_monitor::core::{JournalWriter, Phase};
-
     println!("rvmon top — daemon root {} with {} tenant(s)", root.display(), tenants.len());
     print_phase_header(&format!("{:<12} ", "tenant"));
     let mut failures = 0usize;
     for (name, dir) in tenants {
         let result = (|| -> Result<(), String> {
-            let (rec, mut merged) =
+            let (rec, merged) =
                 profiled_replay(dir, &format!("{name}/block"), name).map_err(|e| e.to_string())?;
             let scan = &rec.plan.scan;
-            // Scratch re-append: same records, fresh journal, timed spans.
-            let scratch =
-                std::env::temp_dir().join(format!("rvmon-top-{}-{name}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&scratch);
-            let mut journal = JournalWriter::create(&scratch)
-                .map_err(|e| format!("cannot create scratch journal: {e}"))?;
-            for sr in &scan.records {
-                let span = merged.enter(Phase::JournalAppend);
-                journal.append(&sr.record).map_err(|e| format!("scratch append failed: {e}"))?;
-                merged.exit(span);
-            }
-            drop(journal);
-            let _ = std::fs::remove_dir_all(&scratch);
             print_phases(&merged, &format!("{name:<12} "));
             println!(
                 "{name:<12} {} ({} event(s) from {} record(s))",
@@ -1237,32 +1181,33 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
     Ok(ExitCode::SUCCESS)
 }
 
-/// `rvmon recover` — crash recovery over a journal directory: the same
-/// replayer `rvmond` runs per tenant, then a fresh checkpoint at the
-/// repaired journal tail.
+/// `rvmon recover` — crash recovery over a journal directory, as `rvmond`
+/// recovers a tenant: [`JournaledMonitor::resume`] replays the journal,
+/// repairs its torn tail and journals the reports replay refired; a
+/// fresh checkpoint follows only when replay re-executed events past the
+/// restored one, so recovering a recovered journal writes nothing.
+///
+/// [`JournaledMonitor::resume`]: rv_monitor::core::JournaledMonitor::resume
 fn recover(dir: &std::path::Path) -> ExitCode {
-    use rv_monitor::core::{EngineConfig, JournalWriter, ReplayFrom};
+    use rv_monitor::core::{plan_recovery, EngineConfig, JournaledMonitor};
 
-    let config = EngineConfig::default();
-    let rec = match rv_monitor::core::recover(dir, ReplayFrom::LatestCheckpoint, &config, |_| {
-        rv_monitor::core::NoopObserver
-    }) {
-        Ok(r) => r,
+    let plan = match plan_recovery(dir) {
+        Ok(p) => p,
         Err(e) => return fail(e),
     };
+    let (mut w, rec) =
+        match JournaledMonitor::resume(dir, plan, &EngineConfig::default(), RetryPolicy::default())
+        {
+            Ok(r) => r,
+            Err(e) => return fail(e),
+        };
     let scan = &rec.plan.scan;
     for reason in &rec.plan.skipped_checkpoints {
         eprintln!("rvmon: warning: skipping checkpoint: {reason}");
     }
-    let mut journal = match JournalWriter::resume(dir, scan) {
-        Ok(j) => j,
-        Err(e) => return fail(format!("cannot resume journal: {e}")),
-    };
-    if let Some(payload) = rec.monitor.snapshot_bytes() {
-        let committed =
-            journal.checkpoint(&payload, &RetryPolicy::default()).and_then(|()| journal.sync());
-        if let Err(e) = committed {
-            return fail(format!("checkpoint failed: {e}"));
+    if rec.events > 0 {
+        if let Err(e) = w.checkpoint_now() {
+            return fail(e);
         }
     }
 
@@ -1282,7 +1227,7 @@ fn recover(dir: &std::path::Path) -> ExitCode {
         None => println!("no usable checkpoint — full replay of {} event(s)", rec.events),
     }
     println!("suppressed {} already-delivered goal report(s)", rec.suppressed);
-    println!("stats: {}", rec.monitor.stats());
+    println!("stats: {}", w.monitor().stats());
     ExitCode::SUCCESS
 }
 

@@ -69,6 +69,7 @@ fn usage_errors_exit_2() {
         vec!["trace", good.as_str()],
         vec!["chaos", good.as_str(), "--seed", "not-a-number"],
         vec!["chaos", good.as_str(), "--unknown-flag"],
+        vec!["chaos", good.as_str(), "--shards", "4"],
     ] {
         let (code, _out, err) = run(&args);
         assert_eq!(code, 2, "rvmon {args:?}: expected exit 2, got {code}\nstderr: {err}");
@@ -118,17 +119,45 @@ fn trace_rejects_unknown_events_and_objects_cleanly() {
     std::fs::remove_dir_all(journal).expect("remove journal");
 }
 
+/// Every file in `dir` with its contents, sorted by name.
+fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read journal dir")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read journal file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// `stats:` line of `rvmon recover` after journaling `events` into `dir`
-/// with the extra `run` flags.
+/// with the extra `run` flags. A finished journal ends in a checkpoint,
+/// so recovering it replays no event and writes nothing: two `recover`s
+/// in a row must leave every file as `run` left it.
 fn journal_and_recover(dir: &str, events: &str, flags: &[&str]) -> String {
     let spec = repo_path("specs/unsafe_iter.rv");
     let mut args = vec!["run", spec.as_str(), events, "--journal", dir];
     args.extend_from_slice(flags);
     let (code, _out, err) = run(&args);
     assert_eq!(code, 0, "rvmon {args:?}: {err}");
-    let (code, out, err) = run(&["recover", dir]);
-    assert_eq!(code, 0, "rvmon recover {dir}: {err}");
-    out.lines().find(|l| l.starts_with("stats: ")).expect("stats line").to_owned()
+    let journaled = dir_contents(std::path::Path::new(dir));
+    let mut stats = Vec::new();
+    for pass in 1..=2 {
+        let (code, out, err) = run(&["recover", dir]);
+        assert_eq!(code, 0, "rvmon recover {dir} pass {pass}: {err}");
+        assert!(out.contains("replayed 0 event(s)"), "pass {pass}: {out}");
+        let names: Vec<&str> = journaled.iter().map(|(n, _)| n.as_str()).collect();
+        assert!(
+            dir_contents(std::path::Path::new(dir)) == journaled,
+            "rvmon recover {dir} pass {pass} changed the directory (it held {names:?})"
+        );
+        stats.push(out.lines().find(|l| l.starts_with("stats: ")).expect("stats line").to_owned());
+    }
+    assert_eq!(stats[0], stats[1], "rvmon recover {dir}");
+    stats.pop().expect("two passes")
 }
 
 /// A run journaled into a directory that holds an earlier, checkpointed
@@ -151,6 +180,70 @@ fn a_reused_journal_directory_recovers_like_a_fresh_one() {
     let reused = journal_and_recover(&path("reused"), &path("b.events"), &[]);
     assert_eq!(reused, fresh, "rvmon run into a reused directory");
     std::fs::remove_dir_all(&tmp).expect("remove scratch dir");
+}
+
+/// A scratch journal directory for one test, emptied first.
+fn scratch_journal(tag: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("rvmon_cli_errors_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.to_str().expect("utf-8").to_owned()
+}
+
+/// A crash that tears a line's `Trigger` record leaves the line durable
+/// but the report undelivered. `rvmon recover` refires it and journals
+/// it, so a later recovery — even a full replay with every checkpoint
+/// gone — counts it as delivered instead of delivering it again.
+#[test]
+fn recover_journals_the_report_a_torn_trigger_lost() {
+    use rv_monitor::core::{read_journal, Record};
+
+    let spec = repo_path("specs/unsafe_iter.rv");
+    let events = repo_path("examples/unsafe_iter.events");
+    let dir = scratch_journal("torn_trigger");
+    let flags = ["--journal", dir.as_str(), "--checkpoint-every", "1000000"];
+    let mut args = vec!["run", spec.as_str(), events.as_str()];
+    args.extend_from_slice(&flags);
+    let (code, _out, err) = run(&args);
+    assert_eq!(code, 0, "rvmon run: {err}");
+    let segment = std::path::Path::new(&dir).join("journal-00000000");
+    let full = std::fs::read(&segment).expect("read segment");
+    // The shortest prefix whose durable records include the trigger:
+    // one byte less tears exactly that record.
+    let probe = std::path::PathBuf::from(scratch_journal("torn_trigger_probe"));
+    std::fs::create_dir_all(&probe).expect("probe dir");
+    let has_trigger = |len: usize| {
+        std::fs::write(probe.join("journal-00000000"), &full[..len]).expect("write probe");
+        let scan = read_journal(&probe).expect("read probe");
+        scan.records.iter().any(|r| matches!(r.record, Record::Trigger { .. }))
+    };
+    assert!(has_trigger(full.len()), "the example fires one report");
+    let (mut lo, mut hi) = (0, full.len());
+    while lo + 1 < hi {
+        let mid = (lo + hi) / 2;
+        if has_trigger(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    std::fs::remove_dir_all(&probe).expect("remove probe");
+    std::fs::write(&segment, &full[..lo]).expect("tear the trigger");
+
+    let (code, out, err) = run(&["recover", &dir]);
+    assert_eq!(code, 0, "rvmon recover: {err}");
+    assert!(out.contains("truncated torn tail"), "{out}");
+    assert!(out.contains("suppressed 0 already-delivered"), "{out}");
+    for entry in std::fs::read_dir(&dir).expect("read journal dir") {
+        let path = entry.expect("dir entry").path();
+        if path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("checkpoint-")) {
+            std::fs::remove_file(path).expect("remove checkpoint");
+        }
+    }
+    let (code, out, err) = run(&["recover", &dir]);
+    assert_eq!(code, 0, "rvmon recover after removing checkpoints: {err}");
+    assert!(out.contains("no usable checkpoint"), "{out}");
+    assert!(out.contains("suppressed 1 already-delivered"), "the refired report is durable: {out}");
+    std::fs::remove_dir_all(&dir).expect("remove journal");
 }
 
 /// The chaos subcommand is seed-reproducible: identical invocations give

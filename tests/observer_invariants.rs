@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use rv_monitor::core::{
     Binding, BudgetKind, DegradationPolicy, EngineConfig, EngineObserver, EngineStats, FlagCause,
     GcPolicy, MetricsRegistry, MonitorId, Phase, PhaseProfiler, PropertyMonitor, ProvenanceLedger,
-    ShardConfig, ShardedMonitor, TraceRecorder,
+    TraceRecorder,
 };
 use rv_monitor::heap::{Heap, HeapConfig, ObjId};
 use rv_monitor::logic::{EventId, ParamId, ParamSet, Verdict};
@@ -397,10 +397,9 @@ fn degradation_transitions_are_visible_in_trace_and_metrics() {
     }
 }
 
-/// Every engine-instrumented phase span must balance — a `phase_timed`
-/// callback counts both ends, and the external enter/exit call sites
-/// (journal append, shard route) are not reachable here — for the whole
-/// catalog under every GC policy. The hot-path phases must actually fire.
+/// Every span the engine times lands in its phase's histogram, for the
+/// whole catalog under every GC policy: one index lookup per dispatched
+/// event, and the hot-path phases actually fire.
 #[test]
 fn phase_spans_balance_for_all_catalog_properties_and_policies() {
     for p in Property::ALL {
@@ -411,206 +410,17 @@ fn phase_spans_balance_for_all_catalog_properties_and_policies() {
                 drive(spec, &config, |_| PhaseProfiler::new()).into_iter().enumerate()
             {
                 let ctx = format!("{p:?} block {block} policy {policy:?}");
-                assert!(prof.balanced(), "{ctx}: unbalanced spans: {}", prof.to_json());
                 assert_eq!(prof.events(), stats.events, "{ctx}: event denominator");
-                for phase in Phase::ALL {
-                    assert_eq!(
-                        prof.phase(phase).count(),
-                        prof.exits(phase),
-                        "{ctx}: every closed {} span records one sample",
-                        phase.label()
-                    );
-                }
                 assert_eq!(
-                    prof.enters(Phase::IndexLookup),
+                    prof.phase(Phase::IndexLookup).count(),
                     stats.events,
                     "{ctx}: one index lookup per dispatched event"
                 );
                 assert!(
-                    prof.enters(Phase::Transition) > 0,
+                    prof.phase(Phase::Transition).count() > 0,
                     "{ctx}: the workload must step monitors"
                 );
-                assert!(prof.enters(Phase::Sweep) > 0, "{ctx}: finish() sweeps");
-                assert_eq!(
-                    prof.enters(Phase::JournalAppend),
-                    0,
-                    "{ctx}: no journal in this harness"
-                );
-                assert_eq!(prof.enters(Phase::ShardRoute), 0, "{ctx}: no router in this harness");
-            }
-        }
-    }
-}
-
-/// Per-shard profiler workload: every object is allocated before the
-/// session opens (workers share the heap immutably), the alphabet is
-/// replayed twice per round over each round's objects, then the run
-/// frees everything, collects, sweeps and finishes — mirrored exactly by
-/// [`drive_plain`] so a 1-shard run is comparable span-for-span.
-fn drive_sharded(
-    property: Property,
-    config: &EngineConfig,
-    shards: usize,
-) -> rv_monitor::core::ShardReport<PhaseProfiler> {
-    let spec = compiled(property).unwrap();
-    let event_params = spec.event_params.clone();
-    let n_params = spec.param_classes.len();
-    let n_events = spec.alphabet.len();
-    let mut sharded = ShardedMonitor::with_observers(
-        spec,
-        config,
-        ShardConfig { shards, batch: 4, seed: 7 },
-        |_, _| PhaseProfiler::new(),
-    );
-    let mut heap = Heap::new(HeapConfig::manual());
-    let cls = heap.register_class("Obj");
-    let frame = heap.enter_frame();
-    let rounds: Vec<Vec<ObjId>> =
-        (0..6).map(|_| (0..n_params.max(1)).map(|_| heap.alloc(cls)).collect()).collect();
-    {
-        let mut session = sharded.session(&heap);
-        for objs in &rounds {
-            for _pass in 0..2 {
-                for e in 0..n_events {
-                    let event = EventId(u16::try_from(e).unwrap());
-                    let pairs: Vec<_> =
-                        event_params[e].iter().map(|&p| (p, objs[p.0 as usize])).collect();
-                    session.process(event, Binding::from_pairs(&pairs));
-                }
-            }
-        }
-    }
-    heap.exit_frame(frame);
-    heap.collect();
-    sharded.sweep(&heap);
-    sharded.finish(&heap)
-}
-
-/// The sequential mirror of [`drive_sharded`]: identical event stream,
-/// identical free/collect/sweep/finish tail, one [`PropertyMonitor`].
-fn drive_plain(property: Property, config: &EngineConfig) -> Vec<(PhaseProfiler, EngineStats)> {
-    let spec = compiled(property).unwrap();
-    let event_params = spec.event_params.clone();
-    let n_params = spec.param_classes.len();
-    let n_events = spec.alphabet.len();
-    let mut monitor = PropertyMonitor::with_observers(spec, config, |_| PhaseProfiler::new());
-    let mut heap = Heap::new(HeapConfig::manual());
-    let cls = heap.register_class("Obj");
-    let frame = heap.enter_frame();
-    let rounds: Vec<Vec<ObjId>> =
-        (0..6).map(|_| (0..n_params.max(1)).map(|_| heap.alloc(cls)).collect()).collect();
-    for objs in &rounds {
-        for _pass in 0..2 {
-            for e in 0..n_events {
-                let event = EventId(u16::try_from(e).unwrap());
-                let pairs: Vec<_> =
-                    event_params[e].iter().map(|&p| (p, objs[p.0 as usize])).collect();
-                monitor.process(&heap, event, Binding::from_pairs(&pairs));
-            }
-        }
-    }
-    heap.exit_frame(frame);
-    heap.collect();
-    for engine in monitor.engines_mut() {
-        engine.full_sweep(&heap);
-    }
-    monitor.finish(&heap);
-    monitor
-        .engines_mut()
-        .iter_mut()
-        .map(|e| {
-            let stats = e.stats();
-            (std::mem::take(&mut *e.observer_mut()), stats)
-        })
-        .collect()
-}
-
-/// Sharded phase accounting, across the whole catalog × GC policies ×
-/// shard counts {1, 4}: every worker-side profiler balances, the
-/// coordinator's routing spans balance and count one span per submitted
-/// event, and the cross-shard merge preserves both balance and exact
-/// per-phase span counts (merge is pure addition — nothing lost, nothing
-/// invented).
-#[test]
-fn sharded_phase_spans_balance_and_merge_exactly() {
-    for p in Property::ALL {
-        for policy in [GcPolicy::None, GcPolicy::AllParamsDead, GcPolicy::CoenableLazy] {
-            for shards in [1usize, 4] {
-                let config = EngineConfig { policy, ..EngineConfig::default() };
-                let report = drive_sharded(p, &config, shards);
-                let ctx = format!("{p:?} policy {policy:?} shards {shards}");
-                assert_eq!(report.error, None, "{ctx}");
-                assert!(report.route_profile.balanced(), "{ctx}: router spans");
-                assert_eq!(
-                    report.route_profile.enters(Phase::ShardRoute),
-                    report.events,
-                    "{ctx}: one routing span per submitted event"
-                );
-                let mut merged = PhaseProfiler::new();
-                let mut sums = [0u64; Phase::COUNT];
-                for per_block in &report.observers {
-                    for prof in per_block {
-                        assert!(prof.balanced(), "{ctx}: worker spans: {}", prof.to_json());
-                        for (i, phase) in Phase::ALL.into_iter().enumerate() {
-                            sums[i] += prof.enters(phase);
-                        }
-                        merged.merge_from(prof);
-                    }
-                }
-                assert!(merged.balanced(), "{ctx}: merge must preserve balance");
-                for (i, phase) in Phase::ALL.into_iter().enumerate() {
-                    assert_eq!(
-                        merged.enters(phase),
-                        sums[i],
-                        "{ctx}: merged {} spans are the exact sum of the parts",
-                        phase.label()
-                    );
-                }
-                assert_eq!(
-                    merged.events(),
-                    report.deliveries,
-                    "{ctx}: one event_dispatched per (shard, block) delivery"
-                );
-            }
-        }
-    }
-}
-
-/// A 1-shard run delivers exactly the sequential event stream, so the
-/// merged worker profilers must agree with a sequential profiler
-/// span-count-for-span-count (timings differ; counts may not).
-#[test]
-fn one_shard_profile_counts_equal_sequential_profile_counts() {
-    for p in Property::ALL {
-        for policy in [GcPolicy::None, GcPolicy::AllParamsDead, GcPolicy::CoenableLazy] {
-            // Worker engines always record triggers; mirror that.
-            let config = EngineConfig { policy, record_triggers: true, ..EngineConfig::default() };
-            let report = drive_sharded(p, &config, 1);
-            assert_eq!(report.error, None, "{p:?} policy {policy:?}");
-            assert_eq!(report.broadcast_events, 0, "{p:?}: one shard never broadcasts");
-            let mut merged = PhaseProfiler::new();
-            for per_block in &report.observers {
-                for prof in per_block {
-                    merged.merge_from(prof);
-                }
-            }
-            let mut sequential = PhaseProfiler::new();
-            let mut seq_stats = EngineStats::default();
-            for (prof, stats) in drive_plain(p, &config) {
-                sequential.merge_from(&prof);
-                seq_stats.merge_from(&stats);
-            }
-            let ctx = format!("{p:?} policy {policy:?}");
-            assert_eq!(report.stats.events, seq_stats.events, "{ctx}: same event stream");
-            assert_eq!(merged.events(), sequential.events(), "{ctx}: event denominators");
-            for phase in Phase::ALL {
-                assert_eq!(
-                    merged.enters(phase),
-                    sequential.enters(phase),
-                    "{ctx}: {} span count must not depend on sharding",
-                    phase.label()
-                );
-                assert_eq!(merged.exits(phase), sequential.exits(phase), "{ctx}: exits");
+                assert!(prof.phase(Phase::Sweep).count() > 0, "{ctx}: finish() sweeps");
             }
         }
     }
@@ -770,7 +580,7 @@ fn disabled_observer_sweeps_yield_no_cycle_records() {
 
 /// The timeline lane is a faithful transcript of the profiler: a
 /// composed `(SpanLog, PhaseProfiler)` observer must log exactly one
-/// phase span per profiler exit, name for name, and the Chrome trace
+/// phase span per profiler sample, name for name, and the Chrome trace
 /// export of those lanes must carry one balanced `B`/`E` pair per span.
 #[test]
 fn span_log_lanes_match_phase_profiler_counts_for_catalog() {
@@ -784,12 +594,12 @@ fn span_log_lanes_match_phase_profiler_counts_for_catalog() {
         for (block, ((log, prof), _)) in runs.into_iter().enumerate() {
             let ctx = format!("{p:?} block {block}");
             let phase_spans: u64 = log.spans().iter().filter(|s| s.cat == "phase").count() as u64;
-            let profiler_spans: u64 = Phase::ALL.into_iter().map(|ph| prof.exits(ph)).sum();
-            assert_eq!(phase_spans, profiler_spans, "{ctx}: one span per exit");
+            let profiler_spans: u64 = Phase::ALL.into_iter().map(|ph| prof.phase(ph).count()).sum();
+            assert_eq!(phase_spans, profiler_spans, "{ctx}: one span per sample");
             for ph in Phase::ALL {
                 assert_eq!(
                     log.count_named(ph.label()),
-                    prof.exits(ph),
+                    prof.phase(ph).count(),
                     "{ctx}: {} span count",
                     ph.label()
                 );
