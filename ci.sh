@@ -65,19 +65,38 @@ test "$PHASES_OK" = 1
 
 # A client frame kind that no shipped client sends is protocol the
 # server keeps for tests alone: each client → server `pub const FRAME_*:
-# u8 = 0x0…` in service.rs must appear as a `write_frame(…, FRAME_X`
-# call in the non-test part (up to the first `#[cfg(test)]`) of
-# crates/core/src/client.rs or src/bin/rvmonctl.rs.
+# u8 = 0x0…` in service.rs must appear as a `write_frame(…, FRAME_X` or
+# a `request(FRAME_X` call in the non-test part (up to the first
+# `#[cfg(test)]`) of crates/core/src/client.rs, the one shipped client.
 echo "== every client frame kind has a shipped sender"
-SENDERS=$(for f in crates/core/src/client.rs src/bin/rvmonctl.rs; do
-    awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
-done)
+SENDERS=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/client.rs)
 KINDS=$(sed -n 's/^pub const \(FRAME_[A-Z_]*\): u8 = 0x0.*/\1/p' crates/core/src/service.rs)
 test -n "$KINDS" || { echo "no client frame kinds found in service.rs"; exit 1; }
 for kind in $KINDS; do
-    printf '%s\n' "$SENDERS" | grep -qE "write_frame\([^,]*, $kind[,)]" \
-        || { echo "$kind has no write_frame sender in client.rs or rvmonctl.rs"; exit 1; }
+    printf '%s\n' "$SENDERS" | grep -qE "(write_frame\([^,]*, |request\()$kind[,)]" \
+        || { echo "$kind has no write_frame or request sender in client.rs"; exit 1; }
 done
+
+# One request path: every reply the client awaits is read in one place,
+# where a reply deadline can go, and rvmonctl speaks only through
+# `ResilientClient`. The non-test part of client.rs calls `read_frame(`
+# exactly once; that of rvmonctl.rs calls neither `read_frame(` nor
+# `write_frame(`.
+echo "== one reply reader in client.rs, no raw frames in rvmonctl.rs"
+READS=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/client.rs \
+    | grep -o 'read_frame(' | wc -l | tr -d ' ')
+PATH_OK=1
+test "$READS" = 1 \
+    || { echo "crates/core/src/client.rs calls read_frame( $READS times, want 1"; PATH_OK=0; }
+RAW=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' src/bin/rvmonctl.rs \
+    | grep -nE '(read|write)_frame\(' || true)
+if [ -n "$RAW" ]; then
+    printf '%s\n' "$RAW" | while IFS=: read -r line _; do
+        echo "src/bin/rvmonctl.rs:$line speaks raw frames instead of ResilientClient"
+    done
+    PATH_OK=0
+fi
+test "$PATH_OK" = 1
 
 # A journal record made outside the journal writer is a second writer,
 # and a second vocabulary recovery must replay: each `pub const AUX_*: u8`

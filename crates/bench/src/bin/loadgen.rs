@@ -21,8 +21,7 @@
 //! ```text
 //! loadgen --addr HOST:PORT --tenant NAME=PROFILE[,panic] ...
 //!         [--events N] [--sync-every K] [--max-live N] [--fatal-at N]
-//!         [--reload-at N] [--reload-spec FILE]
-//!         [--journal-retries N] [--journal-backoff-ms N] [--json]
+//!         [--reload-at N] [--reload-spec FILE] [--json]
 //! ```
 
 use std::process::ExitCode;
@@ -30,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use rv_core::obs::{json_number_field, json_object_field};
 use rv_core::service::{TenantOptions, TENANT_FLAG_ALLOW_FATAL, TENANT_FLAG_PANIC_HANDLER};
-use rv_core::{ClientStats, Histogram, ReconnectPolicy, ResilientClient};
+use rv_core::{ClientStats, Histogram, ReconnectPolicy, ResilientClient, Stage};
 use rv_heap::SplitMix64;
 use rv_workloads::Profile;
 
@@ -50,8 +49,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: loadgen --addr HOST:PORT --tenant NAME=PROFILE[,panic] [--tenant ...] \
          [--events N] [--sync-every K] [--max-live N] [--fatal-at N] \
-         [--reload-at N] [--reload-spec FILE] \
-         [--journal-retries N] [--journal-backoff-ms N] [--json]"
+         [--reload-at N] [--reload-spec FILE] [--json]"
     );
     ExitCode::from(2)
 }
@@ -188,8 +186,6 @@ struct DriveConfig {
     /// lets a chaos run stay byte-identical to a clean one.
     reload_at: Option<u64>,
     reload_spec: Option<String>,
-    journal_retries: Option<u32>,
-    journal_backoff_ms: Option<u32>,
 }
 
 fn drive_tenant(addr: &str, plan: &TenantPlan, cfg: &DriveConfig) -> TenantOutcome {
@@ -197,12 +193,7 @@ fn drive_tenant(addr: &str, plan: &TenantPlan, cfg: &DriveConfig) -> TenantOutco
     if cfg.fatal_at.is_some() {
         flags |= TENANT_FLAG_ALLOW_FATAL;
     }
-    let opts = TenantOptions {
-        flags,
-        max_live_monitors: cfg.max_live,
-        journal_retries: cfg.journal_retries,
-        journal_backoff_ms: cfg.journal_backoff_ms,
-    };
+    let opts = TenantOptions { flags, max_live_monitors: cfg.max_live };
     // The session id only has to be stable per logical client so that a
     // rerun of the same plan dedups identically server-side.
     let session = fnv1a(0, plan.name.as_bytes()) | 1;
@@ -329,8 +320,6 @@ fn main() -> ExitCode {
         fatal_at: None,
         reload_at: None,
         reload_spec: None,
-        journal_retries: None,
-        journal_backoff_ms: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -379,14 +368,6 @@ fn main() -> ExitCode {
                     eprintln!("loadgen: cannot read reload spec: {e}");
                     return ExitCode::from(2);
                 }
-                None => return usage(),
-            },
-            "--journal-retries" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => cfg.journal_retries = Some(n),
-                _ => return usage(),
-            },
-            "--journal-backoff-ms" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => cfg.journal_backoff_ms = Some(n),
                 None => return usage(),
             },
             "--json" => json = true,
@@ -449,15 +430,7 @@ fn main() -> ExitCode {
         for o in &outcomes {
             let Some(stats) = o.server_stats.as_deref() else { continue };
             let Some(stages) = json_object_field(stats, "stages") else { continue };
-            for stage in [
-                "wire_read",
-                "admission",
-                "queue_wait",
-                "engine",
-                "journal_append",
-                "journal_fsync",
-                "trigger_delivery",
-            ] {
+            for stage in Stage::ALL.map(Stage::label) {
                 let count = json_number_field(stages, &format!("{stage}_count")).unwrap_or(0.0);
                 if count == 0.0 {
                     continue;

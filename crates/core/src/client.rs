@@ -36,10 +36,10 @@ use std::time::Duration;
 use rv_heap::SplitMix64;
 
 use crate::service::{
-    decode_triggers, encode_hello, read_frame, write_frame, TenantOptions, TriggerRecord,
-    FRAME_BYE, FRAME_EVENT_SEQ, FRAME_HELLO, FRAME_OK, FRAME_POLL, FRAME_REJECT, FRAME_RELOAD,
-    FRAME_RELOADED, FRAME_STATS, FRAME_STATS_REPLY, FRAME_SYNC, FRAME_SYNCED, FRAME_TRIGGERS,
-    REJECT_BAD_SPEC, REJECT_RESUME_GONE, REJECT_SPEC_MISMATCH,
+    decode_triggers, encode_hello, frame_name, read_frame, write_frame, TenantOptions,
+    TriggerRecord, FRAME_BYE, FRAME_EVENT_SEQ, FRAME_HELLO, FRAME_OK, FRAME_POLL, FRAME_REJECT,
+    FRAME_RELOAD, FRAME_RELOADED, FRAME_STATS, FRAME_STATS_REPLY, FRAME_SYNC, FRAME_SYNCED,
+    FRAME_TRIGGERS, REJECT_BAD_SPEC, REJECT_RESUME_GONE, REJECT_SPEC_MISMATCH,
 };
 
 /// Reconnect/retry policy for a [`ResilientClient`].
@@ -141,14 +141,6 @@ fn write_line(s: &mut TcpStream, session: u64, cseq: u64, line: &str) -> io::Res
     write_frame(s, FRAME_EVENT_SEQ, &payload)
 }
 
-/// Writes the session's `[token][session]` barrier.
-fn write_sync(s: &mut TcpStream, token: u64, session: u64) -> io::Result<()> {
-    let mut payload = [0u8; 16];
-    payload[..8].copy_from_slice(&token.to_le_bytes());
-    payload[8..].copy_from_slice(&session.to_le_bytes());
-    write_frame(s, FRAME_SYNC, &payload)
-}
-
 /// A reconnecting, exactly-once client for one tenant of an rvmond
 /// endpoint. See the module docs for the protocol argument.
 pub struct ResilientClient {
@@ -179,8 +171,8 @@ impl ResilientClient {
     ///
     /// # Errors
     ///
-    /// Connection/HELLO failures after `policy.max_attempts` tries, or
-    /// a fatal reject (bad spec, spec mismatch).
+    /// Connection/HELLO failures after `policy.max_attempts` tries
+    /// (`TimedOut`), or a fatal reject (bad spec, spec mismatch).
     pub fn connect(
         addr: &str,
         tenant: &str,
@@ -233,21 +225,29 @@ impl ResilientClient {
         std::thread::sleep(capped + jitter);
     }
 
-    /// (Re)establishes the connection with retries: HELLO (the full
-    /// spec only on the first ever connect, an empty attach afterwards
-    /// so a hot-reloaded spec doesn't 409) and a blind resend of the
-    /// unacknowledged window.
-    fn reconnect(&mut self) -> io::Result<()> {
+    /// The one retry loop every operation runs `op` under: a fatal
+    /// reject returns at once; any other failure drops the stream, backs
+    /// off and tries again (the next request reconnects and resends the
+    /// window), up to `policy.max_attempts` tries in all. Exhaustion is
+    /// `TimedOut` ("`what` retries exhausted: …").
+    fn retry<T>(
+        &mut self,
+        what: &str,
+        mut op: impl FnMut(&mut Self) -> io::Result<T>,
+    ) -> io::Result<T> {
         let mut attempt = 0u32;
         loop {
-            match self.try_connect() {
-                Ok(()) => return Ok(()),
+            match op(self) {
+                Ok(v) => return Ok(v),
                 Err(e) if is_fatal(&e) => return Err(e),
                 Err(e) => {
                     self.stream = None;
                     attempt += 1;
                     if attempt >= self.policy.max_attempts {
-                        return Err(e);
+                        return Err(io::Error::new(
+                            ErrorKind::TimedOut,
+                            format!("{what} retries exhausted: {e}"),
+                        ));
                     }
                     self.stats.rejects_retried += 1;
                     self.backoff_sleep(attempt - 1);
@@ -256,41 +256,71 @@ impl ResilientClient {
         }
     }
 
+    /// (Re)establishes the connection with retries: HELLO (the full
+    /// spec only on the first ever connect, an empty attach afterwards
+    /// so a hot-reloaded spec doesn't 409) and a blind resend of the
+    /// unacknowledged window.
+    fn reconnect(&mut self) -> io::Result<()> {
+        self.retry("connect", Self::try_connect)
+    }
+
     fn try_connect(&mut self) -> io::Result<()> {
         self.stream = None;
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_read_timeout(Some(self.policy.read_timeout))?;
         stream.set_nodelay(true)?;
         self.stream = Some(stream);
-        let spec = if self.spec_sent { String::new() } else { self.spec.clone() };
-        let hello = encode_hello(&self.tenant, &spec, &self.opts);
-        let s = self.stream.as_mut().expect("just connected");
-        write_frame(s, FRAME_HELLO, &hello)?;
-        loop {
-            match read_frame(s)? {
-                None => {
-                    return Err(io::Error::new(
-                        ErrorKind::ConnectionAborted,
-                        "server closed during HELLO",
-                    ))
-                }
-                Some((FRAME_OK, _)) => break,
-                Some((FRAME_REJECT, p)) => {
-                    let (code, msg) = decode_reject(&p);
-                    if is_fatal_code(code) {
-                        return Err(fatal(code, &msg));
-                    }
-                    return Err(io::Error::other(format!("HELLO reject {code}: {msg}")));
-                }
-                Some(_) => {}
-            }
-        }
+        let spec = if self.spec_sent { "" } else { &self.spec };
+        let hello = encode_hello(&self.tenant, spec, &self.opts);
+        self.request(FRAME_HELLO, &hello, FRAME_OK)?;
         self.spec_sent = true;
         self.stats.connects += 1;
         if self.stats.connects > 1 {
             self.stats.reconnects += 1;
         }
         self.resend_window()
+    }
+
+    /// The one request path: writes a `kind` frame, reconnecting first
+    /// if the stream is gone, and returns the payload of the reply.
+    fn request(&mut self, kind: u8, payload: &[u8], want: u8) -> io::Result<Vec<u8>> {
+        if self.stream.is_none() {
+            self.reconnect()?;
+        }
+        write_frame(self.stream.as_mut().expect("reconnected"), kind, payload)?;
+        self.reply(want)
+    }
+
+    /// The one reply reader: reads until a `want` frame arrives and
+    /// returns its payload, skipping every other kind. A `REJECT` is an
+    /// error (fatal or retryable by its code), and so is EOF
+    /// (`ConnectionAborted`).
+    fn reply(&mut self, want: u8) -> io::Result<Vec<u8>> {
+        let s = self
+            .stream
+            .as_mut()
+            .ok_or_else(|| io::Error::new(ErrorKind::NotConnected, "not connected"))?;
+        let what = frame_name(want).unwrap_or("reply");
+        loop {
+            match read_frame(s)? {
+                None => {
+                    let msg = format!("server closed awaiting {what}");
+                    return Err(io::Error::new(ErrorKind::ConnectionAborted, msg));
+                }
+                Some((kind, p)) if kind == want => return Ok(p),
+                Some((FRAME_REJECT, p)) => {
+                    let (code, msg) = decode_reject(&p);
+                    if is_fatal_code(code) {
+                        return Err(fatal(code, &msg));
+                    }
+                    // Some submitted line may have been dropped
+                    // server-side (restart, reload, shed): the retry
+                    // loop reconnects and resends the whole window.
+                    return Err(io::Error::other(format!("reject {code} awaiting {what}: {msg}")));
+                }
+                Some(_) => {}
+            }
+        }
     }
 
     /// Rewrites every line still in the window on the current stream.
@@ -344,53 +374,21 @@ impl ResilientClient {
     /// Fatal rejects, or retry exhaustion.
     pub fn sync(&mut self) -> io::Result<u64> {
         let token = self.next_cseq - 1;
-        let mut attempt = 0u32;
-        loop {
-            match self.try_sync(token) {
-                Ok(t) => {
-                    self.window.clear();
-                    return Ok(t);
-                }
-                Err(e) if is_fatal(&e) => return Err(e),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(io::Error::new(
-                            ErrorKind::TimedOut,
-                            format!("sync retries exhausted: {e}"),
-                        ));
-                    }
-                    self.stats.rejects_retried += 1;
-                    self.stream = None;
-                    self.backoff_sleep(attempt - 1);
-                }
-            }
-        }
+        let t = self.retry("sync", |c| c.try_sync(token))?;
+        self.window.clear();
+        Ok(t)
     }
 
     fn try_sync(&mut self, token: u64) -> io::Result<u64> {
-        if self.stream.is_none() {
-            self.reconnect()?;
-        }
-        write_sync(self.stream.as_mut().expect("reconnected"), token, self.session)?;
+        let mut barrier = [0u8; 16];
+        barrier[..8].copy_from_slice(&token.to_le_bytes());
+        barrier[8..].copy_from_slice(&self.session.to_le_bytes());
+        let mut p = self.request(FRAME_SYNC, &barrier, FRAME_SYNCED)?;
         let mut repairs = 0u32;
         loop {
-            let s = self.stream.as_mut().expect("reconnected");
-            match read_frame(s)? {
-                None => {
-                    return Err(io::Error::new(
-                        ErrorKind::ConnectionAborted,
-                        "server closed mid-barrier",
-                    ))
-                }
-                Some((FRAME_SYNCED, p)) if p.len() == 16 => {
-                    let u = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().expect("8"));
-                    let (got, hwm) = (u(0), u(8));
-                    if got != token {
-                        // A stale barrier echo (duplicated or delayed
-                        // frame) from before a disturbance — ignore it.
-                        continue;
-                    }
+            let u = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().expect("8"));
+            match (p.len() == 16).then(|| (u(0), u(8))) {
+                Some((got, hwm)) if got == token => {
                     if hwm >= token {
                         return Ok(got);
                     }
@@ -411,19 +409,11 @@ impl ResilientClient {
                         self.window.pop_front();
                     }
                     self.resend_window()?;
-                    write_sync(self.stream.as_mut().expect("connected"), token, self.session)?;
+                    p = self.request(FRAME_SYNC, &barrier, FRAME_SYNCED)?;
                 }
-                Some((FRAME_REJECT, p)) => {
-                    let (code, msg) = decode_reject(&p);
-                    if is_fatal_code(code) {
-                        return Err(fatal(code, &msg));
-                    }
-                    // Some submitted line may have been dropped
-                    // server-side (restart, reload, shed): the retry
-                    // path reconnects and resends the whole window.
-                    return Err(io::Error::other(format!("reject {code}: {msg}")));
-                }
-                Some(_) => {}
+                // A short echo, or a stale one (a duplicated or delayed
+                // frame from before a disturbance): keep reading.
+                _ => p = self.reply(FRAME_SYNCED)?,
             }
         }
     }
@@ -437,74 +427,27 @@ impl ResilientClient {
     /// Fatal rejects (including [`REJECT_RESUME_GONE`]) or retry
     /// exhaustion.
     pub fn poll_triggers(&mut self, max: u32) -> io::Result<Vec<TriggerRecord>> {
-        let mut attempt = 0u32;
-        loop {
-            match self.try_poll(max) {
-                Ok(batch) => {
-                    let mut fresh = Vec::with_capacity(batch.len());
-                    for t in batch {
-                        if t.key() > self.hwm {
-                            self.hwm = t.key();
-                            self.stats.triggers_observed += 1;
-                            fresh.push(t);
-                        } else {
-                            self.stats.deduped_triggers += 1;
-                        }
-                    }
-                    return Ok(fresh);
-                }
-                Err(e) if is_fatal(&e) => return Err(e),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(io::Error::new(
-                            ErrorKind::TimedOut,
-                            format!("poll retries exhausted: {e}"),
-                        ));
-                    }
-                    self.stats.rejects_retried += 1;
-                    self.stream = None;
-                    self.backoff_sleep(attempt - 1);
-                }
+        let batch = self.retry("poll", |c| {
+            let (seq, ord) = c.hwm;
+            let mut payload = Vec::with_capacity(16);
+            payload.extend_from_slice(&seq.to_le_bytes());
+            payload.extend_from_slice(&ord.to_le_bytes());
+            payload.extend_from_slice(&max.to_le_bytes());
+            let p = c.request(FRAME_POLL, &payload, FRAME_TRIGGERS)?;
+            decode_triggers(&p)
+                .ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "malformed TRIGGERS payload"))
+        })?;
+        let mut fresh = Vec::with_capacity(batch.len());
+        for t in batch {
+            if t.key() > self.hwm {
+                self.hwm = t.key();
+                self.stats.triggers_observed += 1;
+                fresh.push(t);
+            } else {
+                self.stats.deduped_triggers += 1;
             }
         }
-    }
-
-    fn try_poll(&mut self, max: u32) -> io::Result<Vec<TriggerRecord>> {
-        if self.stream.is_none() {
-            self.reconnect()?;
-        }
-        let (seq, ord) = self.hwm;
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(&ord.to_le_bytes());
-        payload.extend_from_slice(&max.to_le_bytes());
-        let s = self.stream.as_mut().expect("reconnected");
-        write_frame(s, FRAME_POLL, &payload)?;
-        loop {
-            let s = self.stream.as_mut().expect("reconnected");
-            match read_frame(s)? {
-                None => {
-                    return Err(io::Error::new(
-                        ErrorKind::ConnectionAborted,
-                        "server closed mid-poll",
-                    ))
-                }
-                Some((FRAME_TRIGGERS, p)) => {
-                    return decode_triggers(&p).ok_or_else(|| {
-                        io::Error::new(ErrorKind::InvalidData, "malformed TRIGGERS payload")
-                    });
-                }
-                Some((FRAME_REJECT, p)) => {
-                    let (code, msg) = decode_reject(&p);
-                    if is_fatal_code(code) {
-                        return Err(fatal(code, &msg));
-                    }
-                    return Err(io::Error::other(format!("reject {code}: {msg}")));
-                }
-                Some(_) => {}
-            }
-        }
+        Ok(fresh)
     }
 
     /// Hot-reloads the tenant's spec, retrying with the same idempotency
@@ -516,61 +459,11 @@ impl ResilientClient {
     ///
     /// [`REJECT_BAD_SPEC`] (fatal) or retry exhaustion.
     pub fn reload(&mut self, token: u64, spec: &str) -> io::Result<u64> {
-        let mut attempt = 0u32;
-        loop {
-            match self.try_reload(token, spec) {
-                Ok(v) => return Ok(v),
-                Err(e) if is_fatal(&e) => return Err(e),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(io::Error::new(
-                            ErrorKind::TimedOut,
-                            format!("reload retries exhausted: {e}"),
-                        ));
-                    }
-                    self.stats.rejects_retried += 1;
-                    self.stream = None;
-                    self.backoff_sleep(attempt - 1);
-                }
-            }
-        }
-    }
-
-    fn try_reload(&mut self, token: u64, spec: &str) -> io::Result<u64> {
-        if self.stream.is_none() {
-            self.reconnect()?;
-        }
         let mut payload = Vec::with_capacity(8 + spec.len());
         payload.extend_from_slice(&token.to_le_bytes());
         payload.extend_from_slice(spec.as_bytes());
-        let s = self.stream.as_mut().expect("reconnected");
-        write_frame(s, FRAME_RELOAD, &payload)?;
-        loop {
-            let s = self.stream.as_mut().expect("reconnected");
-            match read_frame(s)? {
-                None => {
-                    return Err(io::Error::new(
-                        ErrorKind::ConnectionAborted,
-                        "server closed mid-reload",
-                    ))
-                }
-                Some((FRAME_RELOADED, p)) => {
-                    return Ok(p
-                        .get(..8)
-                        .and_then(|b| b.try_into().ok())
-                        .map_or(0, u64::from_le_bytes));
-                }
-                Some((FRAME_REJECT, p)) => {
-                    let (code, msg) = decode_reject(&p);
-                    if is_fatal_code(code) {
-                        return Err(fatal(code, &msg));
-                    }
-                    return Err(io::Error::other(format!("reject {code}: {msg}")));
-                }
-                Some(_) => {}
-            }
-        }
+        let p = self.retry("reload", |c| c.request(FRAME_RELOAD, &payload, FRAME_RELOADED))?;
+        Ok(p.get(..8).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes))
     }
 
     /// Fetches the server-side tenant stats JSON (engine, journal,
@@ -581,56 +474,11 @@ impl ResilientClient {
     ///
     /// Fatal rejects or retry exhaustion.
     pub fn server_stats_json(&mut self) -> io::Result<String> {
-        let mut attempt = 0u32;
-        loop {
-            match self.try_stats() {
-                Ok(json) => return Ok(json),
-                Err(e) if is_fatal(&e) => return Err(e),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(io::Error::new(
-                            ErrorKind::TimedOut,
-                            format!("stats retries exhausted: {e}"),
-                        ));
-                    }
-                    self.stats.rejects_retried += 1;
-                    self.stream = None;
-                    self.backoff_sleep(attempt - 1);
-                }
-            }
-        }
-    }
-
-    fn try_stats(&mut self) -> io::Result<String> {
-        if self.stream.is_none() {
-            self.reconnect()?;
-        }
-        let s = self.stream.as_mut().expect("reconnected");
-        write_frame(s, FRAME_STATS, &[])?;
-        loop {
-            let s = self.stream.as_mut().expect("reconnected");
-            match read_frame(s)? {
-                None => {
-                    return Err(io::Error::new(
-                        ErrorKind::ConnectionAborted,
-                        "server closed mid-stats",
-                    ))
-                }
-                Some((FRAME_STATS_REPLY, p)) => {
-                    return String::from_utf8(p)
-                        .map_err(|_| io::Error::new(ErrorKind::InvalidData, "non-UTF8 stats"));
-                }
-                Some((FRAME_REJECT, p)) => {
-                    let (code, msg) = decode_reject(&p);
-                    if is_fatal_code(code) {
-                        return Err(fatal(code, &msg));
-                    }
-                    return Err(io::Error::other(format!("reject {code}: {msg}")));
-                }
-                Some(_) => {}
-            }
-        }
+        self.retry("stats", |c| {
+            let p = c.request(FRAME_STATS, &[], FRAME_STATS_REPLY)?;
+            String::from_utf8(p)
+                .map_err(|_| io::Error::new(ErrorKind::InvalidData, "non-UTF8 stats"))
+        })
     }
 
     /// Graceful goodbye; returns the final counters.

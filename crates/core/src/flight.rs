@@ -127,11 +127,14 @@ impl RequestTrace {
     }
 }
 
+/// Recent request traces each rvmond tenant retains.
+pub const TRACE_RING: usize = 256;
+/// Slowest-request exemplars each rvmond tenant retains.
+pub const TRACE_EXEMPLARS: usize = 8;
+
 /// Bounded per-tenant trace sink: a ring of the most recent traces plus
 /// the k slowest ever seen (exemplars), each with full stage
-/// breakdowns. `cap == 0` disables capture entirely (pushes become
-/// no-ops beyond a counter), which is the daemon's stance when tracing
-/// is turned off.
+/// breakdowns.
 #[derive(Clone, Debug)]
 pub struct RequestTraceRing {
     cap: usize,
@@ -149,18 +152,9 @@ impl RequestTraceRing {
         RequestTraceRing { cap, k, recent: VecDeque::new(), slowest: Vec::new(), recorded: 0 }
     }
 
-    /// Whether pushes retain anything.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.cap > 0
-    }
-
     /// Records one completed trace.
     pub fn push(&mut self, t: RequestTrace) {
         self.recorded += 1;
-        if self.cap == 0 {
-            return;
-        }
         if self.recent.len() == self.cap {
             self.recent.pop_front();
         }
@@ -191,7 +185,7 @@ impl RequestTraceRing {
         &self.slowest
     }
 
-    /// Lifetime count of traces pushed (including while disabled).
+    /// Lifetime count of traces pushed.
     #[must_use]
     pub fn recorded(&self) -> u64 {
         self.recorded
@@ -209,12 +203,6 @@ pub struct StageStats {
 }
 
 impl StageStats {
-    /// All-empty histograms.
-    #[must_use]
-    pub fn new() -> StageStats {
-        StageStats::default()
-    }
-
     /// Records `ns` into `stage`'s histogram.
     pub fn record(&mut self, stage: Stage, ns: u64) {
         self.hists[stage.idx()].record(ns);
@@ -237,19 +225,6 @@ impl StageStats {
     #[must_use]
     pub fn stage(&self, stage: Stage) -> &Histogram {
         &self.hists[stage.idx()]
-    }
-
-    /// Adds `other`'s samples into `self` (restart-surviving merges).
-    pub fn merge_from(&mut self, other: &StageStats) {
-        for i in 0..STAGE_COUNT {
-            self.hists[i].merge_from(&other.hists[i]);
-        }
-    }
-
-    /// Total samples across all stages.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.hists.iter().map(Histogram::count).sum()
     }
 
     /// Renders flat per-stage percentiles in microseconds:
@@ -735,18 +710,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_ring_counts_but_keeps_nothing() {
-        let mut r = RequestTraceRing::new(0, 4);
-        assert!(!r.enabled());
-        r.push(trace(1, 5));
-        assert_eq!(r.recorded(), 1);
-        assert_eq!(r.recent().count(), 0);
-        assert!(r.slowest().is_empty());
-    }
-
-    #[test]
     fn stage_stats_records_and_renders_flat_json() {
-        let mut s = StageStats::new();
+        let mut s = StageStats::default();
         s.record(Stage::QueueWait, 2_000);
         s.record_trace(&trace(1, 3_000));
         assert_eq!(s.stage(Stage::QueueWait).count(), 1);
@@ -759,9 +724,6 @@ mod tests {
                 assert!(j.contains(&key), "missing {key} in {j}");
             }
         }
-        let mut merged = StageStats::new();
-        merged.merge_from(&s);
-        assert_eq!(merged.samples(), s.samples());
     }
 
     #[test]

@@ -107,9 +107,9 @@ pub use crate::profile::{
 pub use crate::recover::{recover, RecoverError, Recovered, ReplayFrom};
 pub use crate::reference::{monitor_trace, ReferenceRun, Trigger};
 pub use crate::service::{
-    encode_frame, read_frame, read_frame_timed, serve_connection, write_frame, Backpressure,
-    ConnPermit, Service, ServiceConfig, ServiceStats, SupervisorConfig, TenantOptions,
-    TenantSnapshot, TenantState, TriggerLog, TriggerRecord,
+    content_token, encode_frame, read_frame, read_frame_timed, serve_connection, write_frame,
+    Backpressure, ConnPermit, Service, ServiceConfig, ServiceStats, SupervisorConfig,
+    TenantOptions, TenantSnapshot, TenantState, TriggerLog, TriggerRecord,
 };
 pub use crate::slo::{Objective, ObjectiveSnapshot, SloConfig, SloSnapshot, SloTracker};
 pub use crate::snapshot::{

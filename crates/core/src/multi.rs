@@ -169,23 +169,6 @@ impl<O: EngineObserver> PropertyMonitor<O> {
         self.process(heap, event, binding);
     }
 
-    /// Dispatches by event name, reporting unknown events and engine
-    /// failures as recoverable errors.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownEvent`] if `name` is not declared by the
-    /// spec, or whatever the engines report.
-    pub fn try_process_named(
-        &mut self,
-        heap: &Heap,
-        name: &str,
-        binding: Binding,
-    ) -> Result<(), EngineError> {
-        let event = self.event(name).ok_or_else(|| EngineError::UnknownEvent(name.to_owned()))?;
-        self.try_process(heap, event, binding)
-    }
-
     /// Total goal reports across all blocks.
     #[must_use]
     pub fn triggers(&self) -> u64 {

@@ -482,19 +482,6 @@ impl ProvenanceLedger {
         }
     }
 
-    /// Accumulates another ledger (per-block aggregation). Instances are
-    /// concatenated — ids are engine-local, so cross-engine id lookups are
-    /// meaningless after a merge, but stories and summaries still hold.
-    pub fn merge_from(&mut self, other: &ProvenanceLedger) {
-        self.events = self.events.saturating_add(other.events);
-        self.sweeps = self.sweeps.saturating_add(other.sweeps);
-        self.instances.extend(other.instances.iter().cloned());
-        if self.names.is_none() {
-            self.names = other.names.clone();
-        }
-        self.live.clear(); // ids collide across engines; stop tracking
-    }
-
     /// Records whose rendered binding contains `needle` (creation order).
     #[must_use]
     pub fn find(&self, needle: &str) -> Vec<&InstanceRecord> {
@@ -786,22 +773,6 @@ mod tests {
         assert!(ledger.instances()[0].flags.is_empty(), "first holder untouched by reuse");
         assert_eq!(ledger.instances()[1].flags.len(), 1);
         let s = ledger.summary();
-        assert_eq!(s.created, 2);
-        assert_eq!(s.collected, 1);
-    }
-
-    #[test]
-    fn ledger_merge_concatenates_instances() {
-        let mut a = ProvenanceLedger::new();
-        a.event_dispatched(EventId(0), &Binding::BOTTOM, 0);
-        a.monitor_created(MonitorId::from_raw(0), &Binding::BOTTOM);
-        let mut b = ProvenanceLedger::new();
-        b.event_dispatched(EventId(0), &Binding::BOTTOM, 0);
-        b.monitor_created(MonitorId::from_raw(0), &Binding::BOTTOM);
-        b.monitor_collected(MonitorId::from_raw(0));
-        a.merge_from(&b);
-        let s = a.summary();
-        assert_eq!(s.events, 2);
         assert_eq!(s.created, 2);
         assert_eq!(s.collected, 1);
     }

@@ -76,13 +76,13 @@ use crate::engine::EngineConfig;
 use crate::expo::{Exposition, Kind};
 use crate::flight::{
     render_dump, FlightEvent, FlightKind, FlightRecorder, RequestTrace, RequestTraceRing, Stage,
-    StageStats, FLIGHT_CAP,
+    StageStats, FLIGHT_CAP, TRACE_EXEMPLARS, TRACE_RING,
 };
 use crate::ingest::{Ingest, JournaledMonitor, WriteError, DEFAULT_CHECKPOINT_EVERY};
 use crate::journal::{crc32, Record, RetryPolicy, DEFAULT_SEGMENT_BYTES};
 use crate::obs::GcKind;
 use crate::recover::{self, RecoverError, ReplayFrom};
-use crate::slo::{ObjectiveSnapshot, SloConfig, SloSnapshot, SloTracker};
+use crate::slo::{ObjectiveSnapshot, SloConfig, SloTracker};
 use crate::snapshot::list_checkpoints;
 
 // --- Wire protocol -------------------------------------------------------
@@ -276,17 +276,36 @@ pub fn read_frame_timed(r: &mut impl Read) -> std::io::Result<Option<(u8, Vec<u8
     Ok(Some((kind, body, wire_ns)))
 }
 
+/// The protocol name of a frame kind, as reject and client error
+/// messages spell it; `None` for a kind the protocol does not define.
+#[must_use]
+pub fn frame_name(kind: u8) -> Option<&'static str> {
+    Some(match kind {
+        FRAME_HELLO => "HELLO",
+        FRAME_SYNC => "SYNC",
+        FRAME_STATS => "STATS",
+        FRAME_BYE => "BYE",
+        FRAME_RELOAD => "RELOAD",
+        FRAME_POLL => "POLL",
+        FRAME_EVENT_SEQ => "EVENT_SEQ",
+        FRAME_OK => "OK",
+        FRAME_SYNCED => "SYNCED",
+        FRAME_STATS_REPLY => "STATS_REPLY",
+        FRAME_REJECT => "REJECT",
+        FRAME_TRIGGERS => "TRIGGERS",
+        FRAME_RELOADED => "RELOADED",
+        _ => return None,
+    })
+}
+
 /// Encodes a HELLO payload (client-side helper shared with `loadgen`).
-/// Layout: `[flags: u8][max_live_monitors: u32 LE][journal_retries:
-/// u32 LE][journal_backoff_ms: u32 LE][name]\n[spec]` — zeros mean
-/// "use the service default".
+/// Layout: `[flags: u8][max_live_monitors: u32 LE][name]\n[spec]` — a
+/// zero limit means "use the service default".
 #[must_use]
 pub fn encode_hello(name: &str, spec: &str, opts: &TenantOptions) -> Vec<u8> {
-    let mut p = Vec::with_capacity(14 + name.len() + 1 + spec.len());
+    let mut p = Vec::with_capacity(6 + name.len() + spec.len());
     p.push(opts.flags);
     p.extend_from_slice(&opts.max_live_monitors.map_or(0, |n| n.max(1)).to_le_bytes());
-    p.extend_from_slice(&opts.journal_retries.unwrap_or(0).to_le_bytes());
-    p.extend_from_slice(&opts.journal_backoff_ms.unwrap_or(0).to_le_bytes());
     p.extend_from_slice(name.as_bytes());
     p.push(b'\n');
     p.extend_from_slice(spec.as_bytes());
@@ -298,18 +317,11 @@ pub fn encode_hello(name: &str, spec: &str, opts: &TenantOptions) -> Vec<u8> {
 pub fn decode_hello(payload: &[u8]) -> Option<(String, String, TenantOptions)> {
     let flags = *payload.first()?;
     let max_live = u32::from_le_bytes(payload.get(1..5)?.try_into().ok()?);
-    let retries = u32::from_le_bytes(payload.get(5..9)?.try_into().ok()?);
-    let backoff_ms = u32::from_le_bytes(payload.get(9..13)?.try_into().ok()?);
-    let rest = payload.get(13..)?;
+    let rest = payload.get(5..)?;
     let split = rest.iter().position(|&b| b == b'\n')?;
     let name = String::from_utf8(rest[..split].to_vec()).ok()?;
     let spec = String::from_utf8(rest[split + 1..].to_vec()).ok()?;
-    let opts = TenantOptions {
-        flags,
-        max_live_monitors: (max_live > 0).then_some(max_live),
-        journal_retries: (retries > 0).then_some(retries),
-        journal_backoff_ms: (backoff_ms > 0).then_some(backoff_ms),
-    };
+    let opts = TenantOptions { flags, max_live_monitors: (max_live > 0).then_some(max_live) };
     Some((name, spec, opts))
 }
 
@@ -350,12 +362,6 @@ pub struct TenantOptions {
     /// Overrides [`EngineConfig::max_live_monitors`] for this tenant —
     /// the knob that arms the degradation ladder per tenant.
     pub max_live_monitors: Option<u32>,
-    /// Overrides [`RetryPolicy::max_attempts`] for this tenant's
-    /// journal appends.
-    pub journal_retries: Option<u32>,
-    /// Overrides [`RetryPolicy::backoff`] (milliseconds) for this
-    /// tenant's journal appends.
-    pub journal_backoff_ms: Option<u32>,
 }
 
 /// Tenant supervision policy: how the service restarts Failed tenants
@@ -425,12 +431,6 @@ pub struct ServiceConfig {
     pub trigger_log_cap: usize,
     /// Per-tenant SLO objectives (latency target + goals + window).
     pub slo: SloConfig,
-    /// Recent request traces retained per tenant; `0` disables the
-    /// trace ring entirely (the disabled path records nothing).
-    pub trace_ring: usize,
-    /// Slowest-request exemplars retained per tenant with full
-    /// per-stage breakdowns.
-    pub trace_exemplars: usize,
     /// Daemon version string for `rvmond_build_info` and `/healthz`.
     pub version: String,
     /// Build commit identifier for `rvmond_build_info` and `/healthz`.
@@ -452,8 +452,6 @@ impl Default for ServiceConfig {
             supervisor: SupervisorConfig::default(),
             trigger_log_cap: 1 << 20,
             slo: SloConfig::default(),
-            trace_ring: 256,
-            trace_exemplars: 8,
             version: env!("CARGO_PKG_VERSION").to_owned(),
             commit: "unknown".to_owned(),
         }
@@ -798,39 +796,56 @@ impl TriggerLog {
 
 // --- Tenant plumbing ------------------------------------------------------
 
-/// Per-tenant observability state: stage-latency histograms, the
-/// bounded request-trace ring with slowest-exemplar capture, and the
-/// SLO tracker. Shared between the worker (records), connection
-/// threads (availability errors on rejects), and the exposition
-/// surfaces (reads). Like the snapshot it lives in the tenant's
-/// wiring, so supervised restarts keep the series monotonic and the
-/// label set frozen.
-struct TenantObs {
+/// One tenant's books, behind one lock: the public snapshot, the
+/// trigger log [`FRAME_POLL`] serves, the stage-latency histograms, the
+/// request-trace ring with its slowest exemplars, and the SLO tracker.
+/// The worker writes them (once per line), connection threads charge
+/// rejects to the SLO, and the exposition surfaces read them.
+#[derive(Debug)]
+struct Book {
+    snap: TenantSnapshot,
+    triggers: TriggerLog,
+    stages: StageStats,
+    ring: RequestTraceRing,
+    slo: SloTracker,
+}
+
+/// The state a tenant keeps across supervised restarts, so counters
+/// stay monotonic, the label set frozen, live permits valid and pollers
+/// served: one `Arc` shared by the registry, the worker, its fsync hook
+/// and the connection permits. Lock order is registry → book; nobody
+/// holds the book across journal IO, an fsync or a channel send.
+#[derive(Debug)]
+struct Shared {
+    book: Mutex<Book>,
+    conns: AtomicUsize,
+    /// Set by [`Service::reload`] around the cutover round trip;
+    /// submissions answer a retryable 503 while it holds.
+    reloading: AtomicBool,
     /// Time origin shared with the service's flight recorder, so trace
     /// `at_ns` stamps and black-box events sit on one timeline.
     epoch: Instant,
-    stages: Mutex<StageStats>,
-    ring: Mutex<RequestTraceRing>,
-    slo: Mutex<SloTracker>,
 }
 
-impl TenantObs {
-    fn new(config: &ServiceConfig, epoch: Instant) -> TenantObs {
-        TenantObs {
+impl Shared {
+    fn new(name: &str, config: &ServiceConfig, epoch: Instant) -> Shared {
+        let book = Book {
+            snap: TenantSnapshot { name: name.to_owned(), ..TenantSnapshot::default() },
+            triggers: TriggerLog::with_cap(config.trigger_log_cap),
+            stages: StageStats::default(),
+            ring: RequestTraceRing::new(TRACE_RING, TRACE_EXEMPLARS),
+            slo: SloTracker::new(config.slo),
+        };
+        Shared {
+            book: Mutex::new(book),
+            conns: AtomicUsize::new(0),
+            reloading: AtomicBool::new(false),
             epoch,
-            stages: Mutex::new(StageStats::default()),
-            ring: Mutex::new(RequestTraceRing::new(config.trace_ring, config.trace_exemplars)),
-            slo: Mutex::new(SloTracker::new(config.slo)),
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Charges one failed request against the availability objective.
-    fn note_error(&self) {
-        self.slo.lock().expect("slo poisoned").record_error();
+    fn book(&self) -> std::sync::MutexGuard<'_, Book> {
+        self.book.lock().expect("tenant book poisoned")
     }
 }
 
@@ -871,14 +886,8 @@ enum TenantMsg {
 
 struct Tenant {
     ingest: SyncSender<TenantMsg>,
-    conns: Arc<AtomicUsize>,
-    shared: Arc<Mutex<TenantSnapshot>>,
+    shared: Arc<Shared>,
     worker: Option<std::thread::JoinHandle<()>>,
-    triggers: Arc<Mutex<TriggerLog>>,
-    obs: Arc<TenantObs>,
-    /// Set by [`Service::reload`] around the cutover round trip;
-    /// submissions answer a retryable 503 while it holds.
-    reloading: Arc<AtomicBool>,
     dir: PathBuf,
     opts: TenantOptions,
     /// Completion times of supervised restarts still inside the budget
@@ -891,12 +900,12 @@ struct Tenant {
 /// A granted connection slot; dropping it releases the slot.
 #[derive(Debug)]
 pub struct ConnPermit {
-    conns: Arc<AtomicUsize>,
+    shared: Arc<Shared>,
 }
 
 impl Drop for ConnPermit {
     fn drop(&mut self) {
-        self.conns.fetch_sub(1, Ordering::AcqRel);
+        self.shared.conns.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -941,11 +950,9 @@ fn write_options(dir: &Path, opts: &TenantOptions) -> std::io::Result<()> {
     std::fs::write(
         dir.join(OPTIONS_FILE),
         format!(
-            "flags={}\nmax_live_monitors={}\njournal_retries={}\njournal_backoff_ms={}\n",
+            "flags={}\nmax_live_monitors={}\n",
             opts.flags,
-            opts.max_live_monitors.unwrap_or(0),
-            opts.journal_retries.unwrap_or(0),
-            opts.journal_backoff_ms.unwrap_or(0),
+            opts.max_live_monitors.unwrap_or(0)
         ),
     )
 }
@@ -961,12 +968,6 @@ fn read_options(dir: &Path) -> TenantOptions {
         } else if let Some(v) = line.strip_prefix("max_live_monitors=") {
             let n: u32 = v.trim().parse().unwrap_or(0);
             opts.max_live_monitors = (n > 0).then_some(n);
-        } else if let Some(v) = line.strip_prefix("journal_retries=") {
-            let n: u32 = v.trim().parse().unwrap_or(0);
-            opts.journal_retries = (n > 0).then_some(n);
-        } else if let Some(v) = line.strip_prefix("journal_backoff_ms=") {
-            let n: u32 = v.trim().parse().unwrap_or(0);
-            opts.journal_backoff_ms = (n > 0).then_some(n);
         }
     }
     opts
@@ -986,14 +987,14 @@ fn gather_flight_dump<'a>(
     reason: &str,
     meta: &[(String, String)],
     flight: &Mutex<FlightRecorder>,
-    tenants: impl IntoIterator<Item = (&'a str, &'a TenantObs)>,
+    tenants: impl IntoIterator<Item = (&'a str, &'a Shared)>,
 ) -> String {
     let events: Vec<FlightEvent> =
         flight.lock().expect("flight recorder poisoned").events().cloned().collect();
     let mut traces: Vec<(String, RequestTrace)> = Vec::new();
-    for (name, obs) in tenants {
-        let ring = obs.ring.lock().expect("trace ring poisoned");
-        traces.extend(ring.recent().chain(ring.slowest()).map(|t| (name.to_owned(), *t)));
+    for (name, shared) in tenants {
+        let book = shared.book();
+        traces.extend(book.ring.recent().chain(book.ring.slowest()).map(|t| (name.to_owned(), *t)));
     }
     render_dump(reason, meta, &events, &traces)
 }
@@ -1007,11 +1008,11 @@ fn write_tenant_flight_dump(
     reason: &str,
     tenant: &str,
     err: &str,
-    flight: &Arc<Mutex<FlightRecorder>>,
-    obs: &Arc<TenantObs>,
+    flight: &Mutex<FlightRecorder>,
+    shared: &Shared,
 ) -> Option<PathBuf> {
     let meta = [("tenant".to_owned(), tenant.to_owned()), ("error".to_owned(), err.to_owned())];
-    let body = gather_flight_dump(reason, &meta, flight, [(tenant, &**obs)]);
+    let body = gather_flight_dump(reason, &meta, flight, [(tenant, shared)]);
     let root = dir.parent().unwrap_or(dir);
     for k in 0..10_000u32 {
         let path = root.join(format!(
@@ -1026,15 +1027,25 @@ fn write_tenant_flight_dump(
     None
 }
 
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 /// FNV-1a over a spec source — the cheap fingerprint HELLO attaches are
 /// checked against.
 fn spec_hash(source: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in source.trim().as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(source.trim().bytes())
+}
+
+/// The default reload idempotency token for `tenant` and a spec
+/// `source`: FNV-1a over the name, a NUL and the trimmed source, odd so
+/// it is never the always-apply token 0. rvmond's SIGHUP reload and
+/// `rvmonctl reload` both use it, so the same file reloads once.
+#[must_use]
+pub fn content_token(tenant: &str, source: &str) -> u64 {
+    fnv1a(tenant.bytes().chain([0]).chain(source.trim().bytes())) | 1
 }
 
 impl Service {
@@ -1110,9 +1121,17 @@ impl Service {
         self.flight.lock().expect("flight recorder poisoned").note(tenant, kind, dur_ns, detail);
     }
 
-    fn obs_of(&self, name: &str) -> Option<Arc<TenantObs>> {
+    fn shared_of(&self, name: &str) -> Option<Arc<Shared>> {
         let tenants = self.tenants.lock().expect("tenant registry poisoned");
-        tenants.get(name).map(|t| Arc::clone(&t.obs))
+        tenants.get(name).map(|t| Arc::clone(&t.shared))
+    }
+
+    /// `f` applied to every tenant's book, in name order.
+    fn each_book<T>(&self, f: impl Fn(&Book) -> T) -> Vec<T> {
+        let tenants = self.tenants.lock().expect("tenant registry poisoned");
+        let mut named: Vec<(&String, &Tenant)> = tenants.iter().collect();
+        named.sort_by_key(|&(name, _)| name);
+        named.into_iter().map(|(_, t)| f(&t.shared.book())).collect()
     }
 
     /// Charges one failed request against `name`'s availability
@@ -1121,29 +1140,10 @@ impl Service {
     /// budget burns when the wire misbehaves — not only when the worker
     /// does.
     pub fn note_request_error(&self, name: &str, code: u16, msg: &str) {
-        if let Some(obs) = self.obs_of(name) {
-            obs.note_error();
+        if let Some(shared) = self.shared_of(name) {
+            shared.book().slo.record_error();
         }
         self.flight_note(name, FlightKind::Reject, 0, &format!("{code} {msg}"));
-    }
-
-    /// Per-tenant `(name, stage stats, slo snapshot, traces recorded)`
-    /// for the exposition surfaces, sorted by name.
-    fn obs_snapshots(&self) -> Vec<(String, StageStats, SloSnapshot, u64)> {
-        let mut out: Vec<_> = {
-            let tenants = self.tenants.lock().expect("tenant registry poisoned");
-            tenants
-                .iter()
-                .map(|(name, t)| {
-                    let stages = t.obs.stages.lock().expect("stage stats poisoned").clone();
-                    let slo = t.obs.slo.lock().expect("slo poisoned").snapshot();
-                    let recorded = t.obs.ring.lock().expect("trace ring poisoned").recorded();
-                    (name.clone(), stages, slo, recorded)
-                })
-                .collect()
-        };
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// Writes a post-mortem flight dump — the black box plus every
@@ -1161,8 +1161,8 @@ impl Service {
         ];
         let body = {
             let tenants = self.tenants.lock().expect("tenant registry poisoned");
-            let mut named: Vec<(&str, &TenantObs)> =
-                tenants.iter().map(|(name, t)| (name.as_str(), &*t.obs)).collect();
+            let mut named: Vec<(&str, &Shared)> =
+                tenants.iter().map(|(name, t)| (name.as_str(), &*t.shared)).collect();
             named.sort_by_key(|&(name, _)| name);
             gather_flight_dump(reason, &meta, &self.flight, named)
         };
@@ -1196,8 +1196,8 @@ impl Service {
         let mut tenants = self.tenants.lock().expect("tenant registry poisoned");
         if let Some(t) = tenants.get(name) {
             let (state, hash) = {
-                let snap = t.shared.lock().expect("snapshot poisoned");
-                (snap.state.clone(), snap.spec_hash)
+                let book = t.shared.book();
+                (book.snap.state.clone(), book.snap.spec_hash)
             };
             match state {
                 TenantState::Failed(e) if self.config.supervisor.max_restarts == 0 => {
@@ -1244,9 +1244,8 @@ impl Service {
             if spec.trim().is_empty() { None } else { Some(spec.to_owned()) },
             opts,
             &self.config,
-            None,
+            Arc::new(Shared::new(name, &self.config, self.started)),
             &self.flight,
-            self.started,
         )
         .map_err(|r| {
             self.stats.tenants_rejected.fetch_add(1, Ordering::Relaxed);
@@ -1301,6 +1300,7 @@ impl Service {
         };
         let cap = self.config.max_conns_per_tenant;
         let granted = t
+            .shared
             .conns
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < cap).then_some(n + 1))
             .is_ok();
@@ -1312,7 +1312,7 @@ impl Service {
             ));
         }
         self.stats.conns_opened.fetch_add(1, Ordering::Relaxed);
-        Ok(ConnPermit { conns: Arc::clone(&t.conns) })
+        Ok(ConnPermit { shared: Arc::clone(&t.shared) })
     }
 
     /// The one state gate for work sent to a live tenant: lines,
@@ -1320,7 +1320,7 @@ impl Service {
     /// `503` while a supervisor will restart the tenant and a `500` once
     /// nothing will.
     fn gate(&self, name: &str, t: &Tenant) -> Result<(), Reject> {
-        let state = t.shared.lock().expect("snapshot poisoned").state.clone();
+        let state = t.shared.book().snap.state.clone();
         match state {
             TenantState::Failed(e) if self.config.supervisor.max_restarts == 0 => {
                 Err((REJECT_TENANT_FAILED, format!("tenant quarantined: {e}")))
@@ -1338,20 +1338,23 @@ impl Service {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn ingest_of(
+    /// The one lookup for work sent to tenant `name`: its ingest queue
+    /// and books, past the state [`gate`](Self::gate). Work other than a
+    /// `reload` also waits out a reload in flight (a retryable 503).
+    fn live(
         &self,
         name: &str,
-    ) -> Result<(SyncSender<TenantMsg>, Arc<Mutex<TenantSnapshot>>, Arc<TenantObs>), Reject> {
+        reload: bool,
+    ) -> Result<(SyncSender<TenantMsg>, Arc<Shared>), Reject> {
         let tenants = self.tenants.lock().expect("tenant registry poisoned");
         let Some(t) = tenants.get(name) else {
             return Err((REJECT_BAD_FRAME, format!("unknown tenant `{name}`")));
         };
-        if t.reloading.load(Ordering::Acquire) {
+        if !reload && t.shared.reloading.load(Ordering::Acquire) {
             return Err((REJECT_DRAINING, format!("tenant `{name}` is reloading its spec")));
         }
         self.gate(name, t)?;
-        Ok((t.ingest.clone(), Arc::clone(&t.shared), Arc::clone(&t.obs)))
+        Ok((t.ingest.clone(), Arc::clone(&t.shared)))
     }
 
     /// One worker round trip: sends the message `msg` builds around a
@@ -1404,14 +1407,14 @@ impl Service {
         if self.is_draining() {
             return Err((REJECT_DRAINING, "service is draining".into()));
         }
-        let (ingest, shared, obs) = self.ingest_of(name).inspect_err(|r| {
+        let (ingest, shared) = self.live(name, false).inspect_err(|r| {
             // Dead-tenant submissions are failed requests: burn budget
-            // (the obs Arc survives the worker, so Failed tenants keep
+            // (the book survives the worker, so Failed tenants keep
             // accounting) — but not for retryable restart/reload 503s,
             // which the resilient client absorbs.
             if r.0 != REJECT_DRAINING {
-                if let Some(obs) = self.obs_of(name) {
-                    obs.note_error();
+                if let Some(shared) = self.shared_of(name) {
+                    shared.book().slo.record_error();
                 }
             }
         })?;
@@ -1431,8 +1434,10 @@ impl Service {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => {
                     self.stats.events_shed.fetch_add(1, Ordering::Relaxed);
-                    shared.lock().expect("snapshot poisoned").shed_events += 1;
-                    obs.note_error();
+                    let mut book = shared.book();
+                    book.snap.shed_events += 1;
+                    book.slo.record_error();
+                    drop(book);
                     self.flight_note(name, FlightKind::Reject, 0, "431 ingest queue full");
                     return Err((
                         REJECT_QUEUE_FULL,
@@ -1440,7 +1445,7 @@ impl Service {
                     ));
                 }
                 Err(TrySendError::Disconnected(_)) => {
-                    obs.note_error();
+                    shared.book().slo.record_error();
                     return Err((REJECT_TENANT_FAILED, format!("tenant `{name}` worker is gone")));
                 }
             },
@@ -1462,7 +1467,7 @@ impl Service {
     /// [`REJECT_TIMEOUT`] past [`ServiceConfig::reply_timeout`], or the
     /// dead-tenant rejects.
     pub fn sync(&self, name: &str, token: u64, session: u64) -> Result<(u64, u64), Reject> {
-        let (ingest, _, _) = self.ingest_of(name)?;
+        let (ingest, _) = self.live(name, false)?;
         self.round_trip(name, &ingest, "barrier", |reply| TenantMsg::Barrier {
             token,
             session,
@@ -1477,7 +1482,7 @@ impl Service {
     ///
     /// [`REJECT_TIMEOUT`] or the dead-tenant rejects.
     pub fn tenant_stats_json(&self, name: &str) -> Result<String, Reject> {
-        let (ingest, _, _) = self.ingest_of(name)?;
+        let (ingest, _) = self.live(name, false)?;
         self.round_trip(name, &ingest, "stats", |reply| TenantMsg::Stats { reply })
     }
 
@@ -1508,15 +1513,8 @@ impl Service {
         CompiledSpec::from_source(source).map_err(|d| {
             (REJECT_BAD_SPEC, format!("reload spec does not compile: {}", d.message))
         })?;
-        let (ingest, reloading) = {
-            let tenants = self.tenants.lock().expect("tenant registry poisoned");
-            let Some(t) = tenants.get(name) else {
-                return Err((REJECT_BAD_FRAME, format!("unknown tenant `{name}`")));
-            };
-            self.gate(name, t)?;
-            (t.ingest.clone(), Arc::clone(&t.reloading))
-        };
-        reloading.store(true, Ordering::Release);
+        let (ingest, shared) = self.live(name, true)?;
+        shared.reloading.store(true, Ordering::Release);
         let outcome = self
             .round_trip(name, &ingest, "reload", |reply| TenantMsg::Reload {
                 token,
@@ -1524,7 +1522,7 @@ impl Service {
                 reply,
             })
             .and_then(|r| r);
-        reloading.store(false, Ordering::Release);
+        shared.reloading.store(false, Ordering::Release);
         if outcome.is_ok() {
             self.stats.spec_reloads.fetch_add(1, Ordering::Relaxed);
         }
@@ -1547,15 +1545,11 @@ impl Service {
         after: (u64, u32),
         max: usize,
     ) -> Result<Vec<TriggerRecord>, Reject> {
-        let triggers = {
-            let tenants = self.tenants.lock().expect("tenant registry poisoned");
-            let Some(t) = tenants.get(name) else {
-                return Err((REJECT_BAD_FRAME, format!("unknown tenant `{name}`")));
-            };
-            Arc::clone(&t.triggers)
+        let Some(shared) = self.shared_of(name) else {
+            return Err((REJECT_BAD_FRAME, format!("unknown tenant `{name}`")));
         };
-        let log = triggers.lock().expect("trigger log poisoned");
-        log.poll(after, max.clamp(1, 4096)).map_err(|()| {
+        let book = shared.book();
+        book.triggers.poll(after, max.clamp(1, 4096)).map_err(|()| {
             (REJECT_RESUME_GONE, format!("resume point {after:?} was evicted from the trigger log"))
         })
     }
@@ -1572,11 +1566,7 @@ impl Service {
     /// Snapshots of every tenant, sorted by name.
     #[must_use]
     pub fn snapshots(&self) -> Vec<TenantSnapshot> {
-        let tenants = self.tenants.lock().expect("tenant registry poisoned");
-        let mut snaps: Vec<TenantSnapshot> =
-            tenants.values().map(|t| t.shared.lock().expect("snapshot poisoned").clone()).collect();
-        snaps.sort_by(|a, b| a.name.cmp(&b.name));
-        snaps
+        self.each_book(|b| b.snap.clone())
     }
 
     /// Plain-text liveness body for `/healthz`: a leading `ok` (or
@@ -1618,7 +1608,9 @@ impl Service {
                 s.gap_dropped_events,
             ));
         }
-        for (name, _, slo, recorded) in self.obs_snapshots() {
+        for (name, slo, recorded) in
+            self.each_book(|b| (b.snap.name.clone(), b.slo.snapshot(), b.ring.recorded()))
+        {
             out.push_str(&format!(
                 "slo {name} latency_budget={:.4} latency_burn={:.2} \
                  availability_budget={:.4} availability_burn={:.2} good={} bad={} traces={}\n",
@@ -1705,10 +1697,10 @@ impl Service {
             .sample(&[("version", &self.config.version), ("commit", &self.config.commit)], 1);
         expo.family("rvmond_uptime_seconds", "Seconds since the daemon started", Kind::Gauge)
             .sample(&[], self.uptime_seconds());
-        let obs = self.obs_snapshots();
+        let obs = self.each_book(|b| (b.snap.name.clone(), b.stages.clone(), b.slo.snapshot()));
         let mut f =
             expo.family("rvmond_stage_events_total", "Stage samples recorded", Kind::Counter);
-        for (name, stages, _, _) in &obs {
+        for (name, stages, _) in &obs {
             for stage in Stage::ALL {
                 f.sample(
                     &[("tenant", name), ("stage", stage.label())],
@@ -1718,7 +1710,7 @@ impl Service {
         }
         let mut f =
             expo.family("rvmond_stage_latency_us", "Per-stage latency quantiles", Kind::Gauge);
-        for (name, stages, _, _) in &obs {
+        for (name, stages, _) in &obs {
             for stage in Stage::ALL {
                 let h = stages.stage(stage);
                 for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
@@ -1739,7 +1731,7 @@ impl Service {
         ];
         for (family, help, precision, get) in slo_gauges {
             let mut f = expo.family(family, help, Kind::Gauge);
-            for (name, _, slo, _) in &obs {
+            for (name, _, slo) in &obs {
                 for (objective, o) in [("latency", slo.latency), ("availability", slo.availability)]
                 {
                     f.sample(
@@ -1751,7 +1743,7 @@ impl Service {
         }
         let mut f =
             expo.family("rvmond_slo_requests_total", "Requests by SLO outcome", Kind::Counter);
-        for (name, _, slo, _) in &obs {
+        for (name, _, slo) in &obs {
             let a = &slo.availability;
             for (outcome, n) in [("good", a.good_total), ("bad", a.bad_total)] {
                 f.sample(&[("tenant", name), ("outcome", outcome)], n);
@@ -1784,10 +1776,8 @@ impl Service {
             let _ = h.join();
         }
         let tenants = self.tenants.lock().expect("tenant registry poisoned");
-        let drained = tenants
-            .values()
-            .filter(|t| t.shared.lock().expect("snapshot poisoned").state == TenantState::Drained)
-            .count();
+        let drained =
+            tenants.values().filter(|t| t.shared.book().snap.state == TenantState::Drained).count();
         drained.min(joined.max(drained))
     }
 }
@@ -1818,10 +1808,32 @@ fn write_reject(w: &mut impl Write, code: u16, msg: &str) -> std::io::Result<()>
     write_frame(w, FRAME_REJECT, &payload)
 }
 
+/// Counts a bad frame and answers it with a 400 carrying `msg`.
+fn bad_frame(service: &Service, w: &mut impl Write, msg: &str) -> std::io::Result<()> {
+    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+    write_reject(w, REJECT_BAD_FRAME, msg)
+}
+
+/// The 400 for a `kind` frame whose payload does not parse.
+fn malformed(service: &Service, w: &mut impl Write, kind: u8) -> std::io::Result<()> {
+    let what = frame_name(kind).unwrap_or("?");
+    bad_frame(service, w, &format!("malformed {what} payload"))
+}
+
+fn u64_at(p: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(p.get(at..at + 8)?.try_into().ok()?))
+}
+
+fn u32_at(p: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(p.get(at..at + 4)?.try_into().ok()?))
+}
+
 /// Serves one framed client connection against the service: HELLO →
 /// admission + connection permit, EVENT_SEQ → submit with backpressure,
 /// SYNC → durability barrier, RELOAD → hot spec reload, POLL → goal
-/// reports, STATS → tenant JSON, BYE/EOF → close.
+/// reports, STATS → tenant JSON, BYE/EOF → close. Every kind but HELLO
+/// and BYE needs an attached session; a malformed payload is a 400 that
+/// keeps the connection (HELLO's closes it).
 /// Read timeouts (surfaced as `WouldBlock`/`TimedOut` from the stream)
 /// reap the connection and are counted in
 /// [`ServiceStats::idle_reaped`].
@@ -1832,7 +1844,7 @@ fn write_reject(w: &mut impl Write, code: u16, msg: &str) -> std::io::Result<()>
 pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> std::io::Result<()> {
     let mut session: Option<(String, ConnPermit)> = None;
     loop {
-        let frame = match read_frame_timed(stream) {
+        let (kind, payload, wire_ns) = match read_frame_timed(stream) {
             Ok(Some(f)) => f,
             Ok(None) => return Ok(()),
             Err(e) if crate::journal::is_transient(e.kind()) => {
@@ -1846,160 +1858,105 @@ pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> s
             // With an attached session it is also a failed request — the
             // tenant's availability budget burns when its wire degrades.
             Err(e) if matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof) => {
-                service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
                 if let Some((name, _)) = &session {
                     service.note_request_error(name, REJECT_BAD_FRAME, "malformed frame");
                 }
-                let _ = write_reject(stream, REJECT_BAD_FRAME, &format!("malformed frame: {e}"));
+                let _ = bad_frame(service, stream, &format!("malformed frame: {e}"));
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
-        match frame {
-            (FRAME_HELLO, payload, _) => {
+        // Each request yields its reply frame or a reject, and whether
+        // that reject ends the connection.
+        let (reply, close): (Result<(u8, Vec<u8>), Reject>, bool) = match (kind, &session) {
+            (FRAME_BYE, _) => return Ok(()),
+            (FRAME_HELLO, _) => {
                 let Some((name, spec, opts)) = decode_hello(&payload) else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "malformed HELLO payload")?;
+                    malformed(service, stream, kind)?;
                     return Ok(());
                 };
-                if let Err((code, msg)) = service.admit(&name, &spec, opts) {
-                    write_reject(stream, code, &msg)?;
-                    return Ok(());
-                }
-                match service.connect(&name) {
+                match service.admit(&name, &spec, opts).and_then(|()| service.connect(&name)) {
                     Ok(permit) => {
                         session = Some((name.clone(), permit));
-                        write_frame(stream, FRAME_OK, name.as_bytes())?;
+                        (Ok((FRAME_OK, name.into_bytes())), true)
                     }
-                    Err((code, msg)) => {
-                        write_reject(stream, code, &msg)?;
-                        return Ok(());
-                    }
+                    Err(r) => (Err(r), true),
                 }
             }
-            (FRAME_EVENT_SEQ, payload, wire_ns) => {
-                let Some((name, _)) = &session else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "EVENT_SEQ before HELLO")?;
-                    return Ok(());
-                };
-                let parsed = payload.get(..8).zip(payload.get(8..16)).and_then(|(s, c)| {
-                    let sess = u64::from_le_bytes(s.try_into().ok()?);
-                    let cseq = u64::from_le_bytes(c.try_into().ok()?);
-                    let line = String::from_utf8(payload.get(16..)?.to_vec()).ok()?;
-                    Some((sess, cseq, line))
+            (FRAME_EVENT_SEQ | FRAME_RELOAD | FRAME_POLL | FRAME_SYNC | FRAME_STATS, None) => {
+                let what = frame_name(kind).unwrap_or("?");
+                bad_frame(service, stream, &format!("{what} before HELLO"))?;
+                return Ok(());
+            }
+            (FRAME_EVENT_SEQ, Some((name, _))) => {
+                let parsed = u64_at(&payload, 0).zip(u64_at(&payload, 8)).and_then(|(s, c)| {
+                    Some((s, c, String::from_utf8(payload.get(16..)?.to_vec()).ok()?))
                 });
                 let Some((sess, cseq, line)) = parsed else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "malformed EVENT_SEQ payload")?;
+                    malformed(service, stream, kind)?;
                     continue;
                 };
                 match service.submit(name, sess, cseq, &line, wire_ns) {
-                    Ok(()) => {}
+                    Ok(()) => continue,
                     // Shed (431) and reload/restart pauses (503) are
                     // per-line, retryable outcomes, not connection
                     // failures: report and keep serving.
-                    Err((code @ (REJECT_QUEUE_FULL | REJECT_DRAINING), msg)) => {
-                        write_reject(stream, code, &msg)?;
-                    }
-                    Err((code, msg)) => {
-                        write_reject(stream, code, &msg)?;
-                        return Ok(());
+                    Err(r) => {
+                        let close = !matches!(r.0, REJECT_QUEUE_FULL | REJECT_DRAINING);
+                        (Err(r), close)
                     }
                 }
             }
-            (FRAME_RELOAD, payload, _) => {
-                let Some((name, _)) = &session else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "RELOAD before HELLO")?;
-                    return Ok(());
-                };
-                let parsed = payload.get(..8).and_then(|t| {
-                    let token = u64::from_le_bytes(t.try_into().ok()?);
-                    let source = String::from_utf8(payload.get(8..)?.to_vec()).ok()?;
-                    Some((token, source))
-                });
+            (FRAME_RELOAD, Some((name, _))) => {
+                let parsed = u64_at(&payload, 0)
+                    .and_then(|t| Some((t, String::from_utf8(payload.get(8..)?.to_vec()).ok()?)));
                 let Some((token, source)) = parsed else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "malformed RELOAD payload")?;
+                    malformed(service, stream, kind)?;
                     continue;
                 };
                 // Reload is a retryable control operation: rejects keep
                 // the connection so the client can back off and retry.
-                match service.reload(name, token, &source) {
-                    Ok(version) => write_frame(stream, FRAME_RELOADED, &version.to_le_bytes())?,
-                    Err((code, msg)) => write_reject(stream, code, &msg)?,
-                }
+                let version = service.reload(name, token, &source);
+                (version.map(|v| (FRAME_RELOADED, v.to_le_bytes().to_vec())), false)
             }
-            (FRAME_POLL, payload, _) => {
-                let Some((name, _)) = &session else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "POLL before HELLO")?;
-                    return Ok(());
-                };
-                let parsed = payload.get(..8).zip(payload.get(8..12)).zip(payload.get(12..16));
+            (FRAME_POLL, Some((name, _))) => {
+                let parsed = u64_at(&payload, 0).zip(u32_at(&payload, 8)).zip(u32_at(&payload, 12));
                 let Some(((seq, ord), max)) = parsed else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "malformed POLL payload")?;
+                    malformed(service, stream, kind)?;
                     continue;
                 };
-                let after = (
-                    u64::from_le_bytes(seq.try_into().expect("8 bytes")),
-                    u32::from_le_bytes(ord.try_into().expect("4 bytes")),
-                );
-                let max = u32::from_le_bytes(max.try_into().expect("4 bytes")) as usize;
-                match service.poll_triggers(name, after, max) {
-                    Ok(batch) => write_frame(stream, FRAME_TRIGGERS, &encode_triggers(&batch))?,
-                    Err((code, msg)) => write_reject(stream, code, &msg)?,
-                }
+                let batch = service.poll_triggers(name, (seq, ord), max as usize);
+                (batch.map(|b| (FRAME_TRIGGERS, encode_triggers(&b))), false)
             }
-            (FRAME_SYNC, payload, _) => {
-                let Some((name, _)) = &session else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "SYNC before HELLO")?;
-                    return Ok(());
-                };
-                let parsed = (payload.len() == 16).then(|| {
-                    let u = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().expect("8"));
-                    (u(0), u(8))
-                });
-                let Some((token, sess)) = parsed else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "malformed SYNC payload")?;
+            (FRAME_SYNC, Some((name, _))) => {
+                let (Some(token), Some(sess), 16) =
+                    (u64_at(&payload, 0), u64_at(&payload, 8), payload.len())
+                else {
+                    malformed(service, stream, kind)?;
                     continue;
                 };
-                match service.sync(name, token, sess) {
-                    Ok((echoed, hwm)) => {
-                        let mut p = Vec::with_capacity(16);
-                        p.extend_from_slice(&echoed.to_le_bytes());
-                        p.extend_from_slice(&hwm.to_le_bytes());
-                        write_frame(stream, FRAME_SYNCED, &p)?;
-                    }
-                    Err((code, msg)) => {
-                        write_reject(stream, code, &msg)?;
-                        return Ok(());
-                    }
-                }
+                let synced = service.sync(name, token, sess);
+                (
+                    synced.map(|(t, hwm)| (FRAME_SYNCED, [t, hwm].map(u64::to_le_bytes).concat())),
+                    true,
+                )
             }
-            (FRAME_STATS, _, _) => {
-                let Some((name, _)) = &session else {
-                    service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                    write_reject(stream, REJECT_BAD_FRAME, "STATS before HELLO")?;
-                    return Ok(());
-                };
-                match service.tenant_stats_json(name) {
-                    Ok(json) => write_frame(stream, FRAME_STATS_REPLY, json.as_bytes())?,
-                    Err((code, msg)) => {
-                        write_reject(stream, code, &msg)?;
-                        return Ok(());
-                    }
-                }
+            (FRAME_STATS, Some((name, _))) => {
+                let json = service.tenant_stats_json(name);
+                (json.map(|j| (FRAME_STATS_REPLY, j.into_bytes())), true)
             }
-            (FRAME_BYE, _, _) => return Ok(()),
-            (kind, _, _) => {
-                service.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                write_reject(stream, REJECT_BAD_FRAME, &format!("unknown frame kind {kind:#x}"))?;
+            (kind, _) => {
+                bad_frame(service, stream, &format!("unknown frame kind {kind:#x}"))?;
                 return Ok(());
+            }
+        };
+        match reply {
+            Ok((kind, payload)) => write_frame(stream, kind, &payload)?,
+            Err((code, msg)) => {
+                write_reject(stream, code, &msg)?;
+                if close {
+                    return Ok(());
+                }
             }
         }
     }
@@ -2007,85 +1964,45 @@ pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> s
 
 // --- Tenant worker --------------------------------------------------------
 
-/// Pre-existing per-tenant shared state a restarted worker must keep
-/// using: the snapshot (so `restarts` and friends survive), the
-/// connection counter (live permits stay valid), and the trigger log
-/// Arc (pollers keep their handle across the restart).
-struct Wiring {
-    shared: Arc<Mutex<TenantSnapshot>>,
-    conns: Arc<AtomicUsize>,
-    triggers: Arc<Mutex<TriggerLog>>,
-    reloading: Arc<AtomicBool>,
-    obs: Arc<TenantObs>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Spawns `name`'s worker over `shared`, the books a supervised
+/// restart keeps, and waits for it to initialise.
 fn spawn_worker(
     name: &str,
     dir: &Path,
     spec_source: Option<String>,
     opts: TenantOptions,
     config: &ServiceConfig,
-    wiring: Option<Wiring>,
+    shared: Arc<Shared>,
     flight: &Arc<Mutex<FlightRecorder>>,
-    epoch: Instant,
 ) -> Result<Tenant, Reject> {
     let (ingest_tx, ingest_rx) = sync_channel::<TenantMsg>(config.queue_depth.max(1));
-    let Wiring { shared, conns, triggers, reloading, obs } = wiring.unwrap_or_else(|| Wiring {
-        shared: Arc::new(Mutex::new(TenantSnapshot {
-            name: name.to_owned(),
-            ..TenantSnapshot::default()
-        })),
-        conns: Arc::new(AtomicUsize::new(0)),
-        triggers: Arc::new(Mutex::new(TriggerLog::with_cap(config.trigger_log_cap))),
-        reloading: Arc::new(AtomicBool::new(false)),
-        obs: Arc::new(TenantObs::new(config, epoch)),
-    });
     let (init_tx, init_rx) = sync_channel::<Result<(), Reject>>(1);
     let worker = {
         let name = name.to_owned();
         let dir = dir.to_path_buf();
         let shared = Arc::clone(&shared);
-        let triggers = Arc::clone(&triggers);
-        let obs = Arc::clone(&obs);
         let flight = Arc::clone(flight);
         let config = config.clone();
         std::thread::Builder::new()
             .name(format!("rvmond-tenant-{name}"))
             .spawn(move || {
-                let mut w = match Worker::init(
-                    &name,
-                    &dir,
-                    spec_source,
-                    opts,
-                    &config,
-                    &shared,
-                    &triggers,
-                    &obs,
-                    &flight,
-                ) {
-                    Ok(w) => {
+                match Worker::init(&name, &dir, spec_source, opts, &config, shared, flight) {
+                    Ok(mut w) => {
                         let _ = init_tx.send(Ok(()));
-                        w
+                        w.run(&ingest_rx);
                     }
                     Err(r) => {
                         let _ = init_tx.send(Err(r));
-                        return;
                     }
-                };
-                w.run(&ingest_rx);
+                }
             })
             .map_err(|e| (REJECT_TENANT_FAILED, format!("cannot spawn worker: {e}")))?
     };
     match init_rx.recv_timeout(Duration::from_secs(60)) {
         Ok(Ok(())) => Ok(Tenant {
             ingest: ingest_tx,
-            conns,
             shared,
             worker: Some(worker),
-            triggers,
-            obs,
-            reloading,
             dir: dir.to_path_buf(),
             opts,
             restart_times: Vec::new(),
@@ -2125,7 +2042,7 @@ fn supervisor_loop(
             name: String,
             dir: PathBuf,
             opts: TenantOptions,
-            wiring: Wiring,
+            shared: Arc<Shared>,
             old_worker: Option<std::thread::JoinHandle<()>>,
         }
         let mut due: Vec<Job> = Vec::new();
@@ -2133,12 +2050,11 @@ fn supervisor_loop(
             let mut reg = tenants.lock().expect("tenant registry poisoned");
             let now = std::time::Instant::now();
             for (name, t) in reg.iter_mut() {
-                let state = t.shared.lock().expect("snapshot poisoned").state.clone();
+                let state = t.shared.book().snap.state.clone();
                 let TenantState::Failed(err) = state else { continue };
                 t.restart_times.retain(|&at| now.duration_since(at) < sup.window);
                 if t.restart_times.len() >= sup.max_restarts as usize {
-                    t.shared.lock().expect("snapshot poisoned").state =
-                        TenantState::FailedPermanent(err.clone());
+                    t.shared.book().snap.state = TenantState::FailedPermanent(err.clone());
                     t.next_restart = None;
                     stats.tenants_circuit_broken.fetch_add(1, Ordering::Relaxed);
                     flight.lock().expect("flight recorder poisoned").note(
@@ -2156,7 +2072,7 @@ fn supervisor_loop(
                         name,
                         &err,
                         flight,
-                        &t.obs,
+                        &t.shared,
                     );
                     continue;
                 }
@@ -2170,18 +2086,12 @@ fn supervisor_loop(
                     now + capped + jitter
                 });
                 if now >= due_at {
-                    t.shared.lock().expect("snapshot poisoned").state = TenantState::Restarting;
+                    t.shared.book().snap.state = TenantState::Restarting;
                     due.push(Job {
                         name: name.clone(),
                         dir: t.dir.clone(),
                         opts: t.opts,
-                        wiring: Wiring {
-                            shared: Arc::clone(&t.shared),
-                            conns: Arc::clone(&t.conns),
-                            triggers: Arc::clone(&t.triggers),
-                            reloading: Arc::clone(&t.reloading),
-                            obs: Arc::clone(&t.obs),
-                        },
+                        shared: Arc::clone(&t.shared),
                         old_worker: t.worker.take(),
                     });
                 }
@@ -2195,16 +2105,8 @@ fn supervisor_loop(
                 let _ = h.join();
             }
             let restart_start = Instant::now();
-            let respawned = spawn_worker(
-                &job.name,
-                &job.dir,
-                None,
-                job.opts,
-                config,
-                Some(job.wiring),
-                flight,
-                restart_start,
-            );
+            let respawned =
+                spawn_worker(&job.name, &job.dir, None, job.opts, config, job.shared, flight);
             let mut reg = tenants.lock().expect("tenant registry poisoned");
             let Some(t) = reg.get_mut(&job.name) else { continue };
             t.restart_times.push(std::time::Instant::now());
@@ -2213,11 +2115,11 @@ fn supervisor_loop(
                 Ok(fresh) => {
                     t.ingest = fresh.ingest;
                     t.worker = fresh.worker;
-                    let mut snap = t.shared.lock().expect("snapshot poisoned");
-                    let n = snap.restarts + 1;
-                    snap.restarts = n;
-                    snap.state = TenantState::Running;
-                    drop(snap);
+                    let mut book = t.shared.book();
+                    let n = book.snap.restarts + 1;
+                    book.snap.restarts = n;
+                    book.snap.state = TenantState::Running;
+                    drop(book);
                     stats.tenants_restarted.fetch_add(1, Ordering::Relaxed);
                     flight.lock().expect("flight recorder poisoned").note(
                         &job.name,
@@ -2229,7 +2131,7 @@ fn supervisor_loop(
                 Err((_, msg)) => {
                     // Recovery itself failed: back to Failed so the next
                     // scan retries (or circuit-breaks) it.
-                    t.shared.lock().expect("snapshot poisoned").state =
+                    t.shared.book().snap.state =
                         TenantState::Failed(format!("restart failed: {msg}"));
                 }
             }
@@ -2245,29 +2147,13 @@ struct Worker {
     /// The tenant's monitor, heap, object names and journal.
     core: JournaledMonitor,
     dir: PathBuf,
-    shared: Arc<Mutex<TenantSnapshot>>,
-    bad_lines: u64,
-    /// Session lines dropped as duplicates by this incarnation.
-    deduped: u64,
-    /// Session lines discarded because they arrived *past* a cseq gap
-    /// (a frame lost inside a live connection) — accepting them would
-    /// poison the contiguous HWM. The client resends after the barrier
-    /// echo reveals the shortfall.
-    gap_dropped: u64,
-    /// `deduped_events` carried over from the previous incarnation's
-    /// snapshot — supervised restarts keep the snapshot Arc, so the
-    /// public counter stays monotonic.
-    deduped_base: u64,
-    /// `gap_dropped_events` carried over the same way.
-    gap_dropped_base: u64,
+    /// The tenant's books; the counters this worker bumps live there,
+    /// so they survive a supervised restart.
+    shared: Arc<Shared>,
     /// Checkpoints on disk when this incarnation started: the
     /// exposition's `_total` series stays monotonic across restarts.
     checkpoints_base: u64,
     opts: TenantOptions,
-    triggers: Arc<Mutex<TriggerLog>>,
-    /// Shared per-tenant observability: stage histograms, trace ring,
-    /// SLO tracker.
-    obs: Arc<TenantObs>,
     /// The daemon-wide black box this worker notes GC cycles, reload
     /// cutovers and failures into.
     flight: Arc<Mutex<FlightRecorder>>,
@@ -2292,28 +2178,18 @@ struct LineCtx {
 }
 
 impl Worker {
-    #[allow(clippy::too_many_arguments)]
     fn init(
         name: &str,
         dir: &Path,
         spec_source: Option<String>,
         opts: TenantOptions,
         config: &ServiceConfig,
-        shared: &Arc<Mutex<TenantSnapshot>>,
-        triggers: &Arc<Mutex<TriggerLog>>,
-        obs: &Arc<TenantObs>,
-        flight: &Arc<Mutex<FlightRecorder>>,
+        shared: Arc<Shared>,
+        flight: Arc<Mutex<FlightRecorder>>,
     ) -> Result<Worker, Reject> {
         let mut engine_cfg = config.engine.clone();
         if let Some(n) = opts.max_live_monitors {
             engine_cfg.max_live_monitors = Some(n as usize);
-        }
-        let mut retry = config.retry;
-        if let Some(n) = opts.journal_retries {
-            retry.max_attempts = n.max(1);
-        }
-        if let Some(ms) = opts.journal_backoff_ms {
-            retry.backoff = Duration::from_millis(u64::from(ms));
         }
         let internal = |msg: String| (REJECT_TENANT_FAILED, msg);
         let rejected = |e: RecoverError| match e {
@@ -2333,7 +2209,7 @@ impl Worker {
                 }
             }
             let (core, replayed) =
-                JournaledMonitor::resume(dir, plan, &engine_cfg, retry).map_err(rejected)?;
+                JournaledMonitor::resume(dir, plan, &engine_cfg, config.retry).map_err(rejected)?;
             (core, Some(replayed))
         } else {
             let source = spec_source.as_deref().expect("admit() requires a spec for fresh tenants");
@@ -2346,7 +2222,7 @@ impl Worker {
                 source,
                 spec,
                 &engine_cfg,
-                retry,
+                config.retry,
                 DEFAULT_SEGMENT_BYTES,
             )
             .map_err(|e| internal(e.to_string()))?;
@@ -2357,56 +2233,38 @@ impl Worker {
         // to the stage histograms rather than split across per-request
         // traces (whose `journal_fsync` column reads 0 by design).
         {
-            let obs = Arc::clone(obs);
-            core.on_fsync(move |ns| {
-                obs.stages.lock().expect("stage stats poisoned").record(Stage::JournalFsync, ns);
-            });
-        }
-        // Rebuild the poll window: every journaled report in key
-        // order, then the refired tail (their keys all sit past the
-        // journaled HWM).
-        {
-            let mut log = triggers.lock().expect("trigger log poisoned");
-            log.reset(config.trigger_log_cap);
-            if let Some(replayed) = &replayed {
-                for sr in &replayed.plan.scan.records {
-                    if let Some(t) = TriggerRecord::from_record(&sr.record) {
-                        log.push(t);
-                    }
-                }
-                for t in replayed.refired() {
-                    log.push(*t);
-                }
-            }
+            let shared = Arc::clone(&shared);
+            core.on_fsync(move |ns| shared.book().stages.record(Stage::JournalFsync, ns));
         }
         let mut w = Worker {
             name: name.to_owned(),
             core,
             dir: dir.to_path_buf(),
-            shared: Arc::clone(shared),
-            bad_lines: 0,
-            deduped: 0,
-            gap_dropped: 0,
-            deduped_base: 0,
-            gap_dropped_base: 0,
+            shared,
             checkpoints_base,
             opts,
-            triggers: Arc::clone(triggers),
-            obs: Arc::clone(obs),
-            flight: Arc::clone(flight),
+            flight,
         };
         w.install_flags();
-        {
-            let mut snap = w.shared.lock().expect("snapshot poisoned");
-            snap.recovered_events = replayed.as_ref().map_or(0, |r| r.events);
-            snap.suppressed_triggers = replayed.as_ref().map_or(0, |r| r.suppressed as u64);
-            snap.spec_hash = spec_hash(w.core.spec_source());
-            // A supervised restart reuses the snapshot: dedup and gap
-            // totals already on it become this incarnation's base.
-            w.deduped_base = snap.deduped_events;
-            w.gap_dropped_base = snap.gap_dropped_events;
+        let mut book = w.shared.book();
+        // Rebuild the poll window: every journaled report in key
+        // order, then the refired tail (their keys all sit past the
+        // journaled HWM).
+        book.triggers.reset(config.trigger_log_cap);
+        if let Some(replayed) = &replayed {
+            let journaled = replayed.plan.scan.records.iter();
+            for t in journaled.filter_map(|sr| TriggerRecord::from_record(&sr.record)) {
+                book.triggers.push(t);
+            }
+            for t in replayed.refired() {
+                book.triggers.push(*t);
+            }
         }
-        w.publish();
+        book.snap.recovered_events = replayed.as_ref().map_or(0, |r| r.events);
+        book.snap.suppressed_triggers = replayed.as_ref().map_or(0, |r| r.suppressed as u64);
+        book.snap.spec_hash = spec_hash(w.core.spec_source());
+        w.publish_into(&mut book.snap);
+        drop(book);
         Ok(w)
     }
 
@@ -2422,14 +2280,12 @@ impl Worker {
         }
     }
 
-    /// Pushes the worker's counters into the shared snapshot.
-    fn publish(&self) {
+    /// Copies the monitor's and the journal's counters into `snap`.
+    fn publish_into(&self, snap: &mut TenantSnapshot) {
         let totals = self.core.totals();
         let jstats = self.core.journal_stats();
-        let mut snap = self.shared.lock().expect("snapshot poisoned");
         snap.events = totals.events;
         snap.triggers = totals.triggers;
-        snap.bad_lines = self.bad_lines;
         snap.quarantined = totals.quarantined;
         snap.budget_trips = totals.budget_trips;
         snap.degradations = totals.degradations;
@@ -2439,12 +2295,15 @@ impl Worker {
         snap.journal_retries = jstats.retries;
         snap.checkpoints = self.checkpoints_base + self.core.checkpoints();
         snap.spec_version = self.core.spec_version();
-        snap.deduped_events = self.deduped_base + self.deduped;
-        snap.gap_dropped_events = self.gap_dropped_base + self.gap_dropped;
     }
 
-    fn set_state(&self, state: TenantState) {
-        self.shared.lock().expect("snapshot poisoned").state = state;
+    /// Publishes the counters, and `state` when given, under one lock.
+    fn publish(&self, state: Option<TenantState>) {
+        let mut book = self.shared.book();
+        self.publish_into(&mut book.snap);
+        if let Some(state) = state {
+            book.snap.state = state;
+        }
     }
 
     /// Black-boxes a tenant failure and drops a post-mortem flight dump
@@ -2457,29 +2316,35 @@ impl Worker {
             0,
             format!("{reason}: {err}"),
         );
-        let _ =
-            write_tenant_flight_dump(&self.dir, reason, &self.name, err, &self.flight, &self.obs);
+        let _ = write_tenant_flight_dump(
+            &self.dir,
+            reason,
+            &self.name,
+            err,
+            &self.flight,
+            &self.shared,
+        );
     }
 
     fn run(&mut self, rx: &Receiver<TenantMsg>) {
         while let Ok(msg) = rx.recv() {
             let drain = matches!(msg, TenantMsg::Drain);
+            let line = matches!(msg, TenantMsg::Line { .. });
             // The panic boundary: anything that unwinds out of message
             // handling — including engine internals beyond the engine's
             // own handler quarantine — fails THIS tenant only.
             let outcome = catch_unwind(AssertUnwindSafe(|| self.handle(msg)));
             match outcome {
-                Ok(Ok(())) => {
-                    self.publish();
-                    if drain {
-                        self.set_state(TenantState::Drained);
-                        return;
-                    }
+                Ok(Ok(())) if drain => {
+                    self.publish(Some(TenantState::Drained));
+                    return;
                 }
+                // A line's epilogue already published under its one lock.
+                Ok(Ok(())) if line => {}
+                Ok(Ok(())) => self.publish(None),
                 Ok(Err(Fatal(msg))) => {
-                    self.publish();
                     self.note_failure("worker-fatal", &msg);
-                    self.set_state(TenantState::Failed(msg));
+                    self.publish(Some(TenantState::Failed(msg)));
                     return;
                 }
                 Err(panic) => {
@@ -2489,7 +2354,7 @@ impl Worker {
                         .or_else(|| panic.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "worker panicked".into());
                     self.note_failure("panic", &msg);
-                    self.set_state(TenantState::Failed(format!("panic: {msg}")));
+                    self.shared.book().snap.state = TenantState::Failed(format!("panic: {msg}"));
                     return;
                 }
             }
@@ -2514,14 +2379,16 @@ impl Worker {
                 Ok(())
             }
             TenantMsg::Stats { reply } => {
-                let stages = self.obs.stages.lock().expect("stage stats poisoned").to_json();
-                let slo = self.obs.slo.lock().expect("slo poisoned").snapshot().to_json();
+                let book = self.shared.book();
                 let json = format!(
-                    "{{\"tenant\":{},\"engine\":{},\"journal\":{},\"stages\":{stages},\"slo\":{slo}}}",
-                    self.shared.lock().expect("snapshot poisoned").to_json(),
+                    "{{\"tenant\":{},\"engine\":{},\"journal\":{},\"stages\":{},\"slo\":{}}}",
+                    book.snap.to_json(),
                     self.core.monitor().stats().to_json(),
-                    self.core.journal_stats().to_json()
+                    self.core.journal_stats().to_json(),
+                    book.stages.to_json(),
+                    book.slo.snapshot().to_json(),
                 );
+                drop(book);
                 let _ = reply.send(json);
                 Ok(())
             }
@@ -2560,10 +2427,13 @@ impl Worker {
         };
         self.core.reload(token, source, spec)?;
         self.install_flags();
-        self.shared.lock().expect("snapshot poisoned").spec_hash = spec_hash(source);
         // Publish before acknowledging: once the client sees RELOADED,
         // every observability surface must already show the new version.
-        self.publish();
+        {
+            let mut book = self.shared.book();
+            book.snap.spec_hash = spec_hash(source);
+            self.publish_into(&mut book.snap);
+        }
         self.flight.lock().expect("flight recorder poisoned").note(
             &self.name,
             FlightKind::Reload,
@@ -2607,16 +2477,20 @@ impl Worker {
             Ingest::Applied(done) => done,
             Ingest::Blank => return Ok(()),
             Ingest::Duplicate => {
-                self.deduped += 1;
+                self.shared.book().snap.deduped_events += 1;
                 return Ok(());
             }
+            // A line past a cseq gap (a frame lost inside a live
+            // connection) would poison the contiguous HWM; the client
+            // resends once a barrier echo reveals the shortfall.
             Ingest::Gap => {
-                self.gap_dropped += 1;
+                self.shared.book().snap.gap_dropped_events += 1;
                 return Ok(());
             }
             Ingest::Bad(_) => {
-                self.bad_lines += 1;
-                self.obs.note_error();
+                let mut book = self.shared.book();
+                book.snap.bad_lines += 1;
+                book.slo.record_error();
                 return Ok(());
             }
         };
@@ -2646,27 +2520,22 @@ impl Worker {
                 note,
             );
         }
+        // The line made it wire-to-trigger: close out its trace, and
+        // publish, under the book's one lock.
+        let mut book = self.shared.book();
+        self.publish_into(&mut book.snap);
         if !done.fired.is_empty() {
             let t0 = Instant::now();
-            let mut log = self.triggers.lock().expect("trigger log poisoned");
             for t in done.fired {
-                log.push(t);
+                book.triggers.push(t);
             }
             let push_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             trace.stages[Stage::TriggerDelivery.idx()] = done.trigger_ns + push_ns;
         }
-        // The line made it wire-to-trigger: close out its trace.
-        trace.at_ns = self.obs.now_ns();
-        let total_us = trace.total_ns() / 1_000;
-        {
-            let mut stages = self.obs.stages.lock().expect("stage stats poisoned");
-            stages.record_trace(&trace);
-        }
-        {
-            let mut ring = self.obs.ring.lock().expect("trace ring poisoned");
-            ring.push(trace);
-        }
-        self.obs.slo.lock().expect("slo poisoned").record_request(total_us);
+        trace.at_ns = u64::try_from(self.shared.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        book.stages.record_trace(&trace);
+        book.ring.push(trace);
+        book.slo.record_request(trace.total_ns() / 1_000);
         Ok(())
     }
 }
@@ -2728,18 +2597,23 @@ UnsafeIter(Collection c, Iterator i) {
 
     #[test]
     fn hello_payload_round_trips() {
-        let opts = TenantOptions {
-            flags: TENANT_FLAG_PANIC_HANDLER,
-            max_live_monitors: Some(8),
-            journal_retries: Some(3),
-            journal_backoff_ms: Some(7),
-        };
+        let opts = TenantOptions { flags: TENANT_FLAG_PANIC_HANDLER, max_live_monitors: Some(8) };
         let p = encode_hello("tenant-a", SPEC, &opts);
+        assert_eq!(p.len(), 5 + "tenant-a\n".len() + SPEC.len(), "flags, limit, name, spec");
         let (name, spec, got) = decode_hello(&p).unwrap();
         assert_eq!(name, "tenant-a");
         assert_eq!(spec, SPEC);
         assert_eq!(got, opts);
         assert!(decode_hello(&[1, 2]).is_none(), "truncated HELLO");
+    }
+
+    #[test]
+    fn content_token_is_pinned_and_ignores_surrounding_whitespace() {
+        // rvmond's SIGHUP reload and `rvmonctl reload` must derive the
+        // same token from the same file, release after release.
+        assert_eq!(content_token("t", "spec"), 0x998b_ed1b_8811_2b5b);
+        assert_eq!(content_token("t", "  spec\n"), content_token("t", "spec"));
+        assert_ne!(content_token("u", "spec"), content_token("t", "spec"));
     }
 
     #[test]

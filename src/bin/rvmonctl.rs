@@ -1,9 +1,11 @@
 //! `rvmonctl` — operator control for a running rvmond.
 //!
 //! Speaks the same framed wire protocol as loadgen, through
-//! [`ResilientClient`], so control operations inherit the reconnect +
-//! idempotency machinery: a `reload` interrupted by a dropped
-//! connection retries with the same token and can never double-apply.
+//! [`ResilientClient`] only, so control operations inherit the
+//! reconnect + idempotency machinery: a `reload` interrupted by a
+//! dropped connection retries with the same token and can never
+//! double-apply. `status` and `slo` make one attempt (5 s read
+//! timeout) and print the tenant's STATS reply.
 //!
 //! ```text
 //! rvmonctl reload --addr HOST:PORT --tenant NAME --spec FILE [--token N]
@@ -11,15 +13,11 @@
 //! rvmonctl slo    --addr HOST:PORT --tenant NAME
 //! ```
 
-use std::net::TcpStream;
 use std::process::ExitCode;
 
 use rv_monitor::core::obs::{json_number_field, json_object_field};
-use rv_monitor::core::service::{
-    FRAME_BYE, FRAME_HELLO, FRAME_OK, FRAME_REJECT, FRAME_STATS, FRAME_STATS_REPLY,
-};
 use rv_monitor::core::{
-    read_frame, write_frame, ClientStats, ReconnectPolicy, ResilientClient, TenantOptions,
+    content_token, ClientStats, ReconnectPolicy, ResilientClient, Stage, TenantOptions,
 };
 
 fn usage() -> ExitCode {
@@ -29,17 +27,6 @@ fn usage() -> ExitCode {
          \x20      rvmonctl slo    --addr HOST:PORT --tenant NAME"
     );
     ExitCode::from(2)
-}
-
-/// FNV-1a over tenant + spec text — the default reload idempotency
-/// token, matching rvmond's SIGHUP path: same file, same token, no-op.
-fn content_token(tenant: &str, source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.bytes().chain([0u8]).chain(source.trim().bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h | 1
 }
 
 struct Args {
@@ -78,6 +65,8 @@ fn cmd_reload(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // The default token matches rvmond's SIGHUP path: same file, same
+    // token, no-op.
     let token = args.token.unwrap_or_else(|| content_token(&args.tenant, &source));
     // Attach with an empty spec: rvmonctl never creates tenants, and an
     // empty attach skips the spec-hash check so it works mid-upgrade.
@@ -108,31 +97,14 @@ fn cmd_reload(args: &Args) -> ExitCode {
     }
 }
 
-/// One shot, raw frames: HELLO (empty attach) then STATS.
+/// One attempt: an empty attach, then STATS.
 fn fetch_stats(args: &Args) -> std::io::Result<String> {
-    let mut s = TcpStream::connect(&args.addr)?;
-    s.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    let hello =
-        rv_monitor::core::service::encode_hello(&args.tenant, "", &TenantOptions::default());
-    write_frame(&mut s, FRAME_HELLO, &hello)?;
-    match read_frame(&mut s)? {
-        Some((FRAME_OK, _)) => {}
-        Some((FRAME_REJECT, p)) => {
-            let code = p.get(..2).and_then(|b| b.try_into().ok()).map_or(0, u16::from_le_bytes);
-            let msg = String::from_utf8_lossy(p.get(2..).unwrap_or(&[])).into_owned();
-            return Err(std::io::Error::other(format!("reject {code}: {msg}")));
-        }
-        _ => return Err(std::io::Error::other("unexpected HELLO reply")),
-    }
-    write_frame(&mut s, FRAME_STATS, &[])?;
-    let reply = loop {
-        match read_frame(&mut s)? {
-            Some((FRAME_STATS_REPLY, p)) => break String::from_utf8_lossy(&p).into_owned(),
-            Some(_) => {}
-            None => return Err(std::io::Error::other("closed before STATS_REPLY")),
-        }
-    };
-    let _ = write_frame(&mut s, FRAME_BYE, &[]);
+    let policy = ReconnectPolicy { max_attempts: 1, ..ReconnectPolicy::default() };
+    let opts = TenantOptions::default();
+    // The session id is moot: this client sends no lines.
+    let mut client = ResilientClient::connect(&args.addr, &args.tenant, "", opts, 1, policy)?;
+    let reply = client.server_stats_json()?;
+    let _: ClientStats = client.bye();
     Ok(reply)
 }
 
@@ -182,15 +154,7 @@ fn cmd_slo(args: &Args) -> ExitCode {
     println!("  requests:          good {:.0} bad {:.0}", num("good_total"), num("bad_total"));
     if let Some(stages) = json_object_field(&json, "stages") {
         println!("  {:<16} {:>9} {:>9} {:>9} {:>9}", "stage", "count", "p50us", "p99us", "maxus");
-        for stage in [
-            "wire_read",
-            "admission",
-            "queue_wait",
-            "engine",
-            "journal_append",
-            "journal_fsync",
-            "trigger_delivery",
-        ] {
+        for stage in Stage::ALL.map(Stage::label) {
             let f = |suffix: &str| {
                 json_number_field(stages, &format!("{stage}_{suffix}")).unwrap_or(0.0)
             };

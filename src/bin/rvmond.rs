@@ -28,7 +28,7 @@
 //!        [--max-conns N] [--queue N] [--shed] [--checkpoint-every N]
 //!        [--idle-ms N] [--max-live-monitors N]
 //!        [--restart-budget N] [--restart-window-ms N] [--restart-backoff-ms N]
-//!        [--spec-dir DIR] [--slo SPEC] [--trace-ring N] [--trace-exemplars K]
+//!        [--spec-dir DIR] [--slo SPEC]
 //! ```
 
 use std::io::Write as _;
@@ -40,7 +40,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rv_monitor::core::expo::{respond, Endpoint};
-use rv_monitor::core::{serve_connection, Backpressure, Service, ServiceConfig, SloConfig};
+use rv_monitor::core::{
+    content_token, serve_connection, Backpressure, Service, ServiceConfig, SloConfig,
+};
 
 /// Set by the signal handler; the accept loops poll it.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -85,24 +87,15 @@ fn usage() -> ExitCode {
         "usage: rvmond --root DIR [--port N] [--http-port N] [--max-tenants N] \
          [--max-conns N] [--queue N] [--shed] [--checkpoint-every N] [--idle-ms N] \
          [--restart-budget N] [--restart-window-ms N] [--restart-backoff-ms N] \
-         [--spec-dir DIR] [--slo SPEC] [--trace-ring N] [--trace-exemplars K]"
+         [--spec-dir DIR] [--slo SPEC]"
     );
     ExitCode::from(2)
 }
 
-/// FNV-1a over the spec text: the SIGHUP reload's idempotency token, so
-/// re-sending the signal with an unchanged file is a no-op cutover.
-fn content_token(tenant: &str, source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.bytes().chain([0u8]).chain(source.trim().bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h | 1
-}
-
 /// SIGHUP handler body: every live tenant whose `<name>.spec` exists
-/// under `spec_dir` is hot-reloaded to that file's contents.
+/// under `spec_dir` is hot-reloaded to that file's contents, under its
+/// [`content_token`], so re-sending the signal with an unchanged file
+/// is a no-op cutover.
 fn reload_from_dir(service: &Service, spec_dir: &std::path::Path) {
     for name in service.tenant_names() {
         let path = spec_dir.join(format!("{name}.spec"));
@@ -196,14 +189,6 @@ fn main() -> ExitCode {
                     eprintln!("rvmond: bad --slo spec: {e}");
                     return ExitCode::from(2);
                 }
-                None => return usage(),
-            },
-            "--trace-ring" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => config.trace_ring = n,
-                None => return usage(),
-            },
-            "--trace-exemplars" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => config.trace_exemplars = n,
                 None => return usage(),
             },
             _ => return usage(),

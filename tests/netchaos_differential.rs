@@ -7,9 +7,11 @@
 //! Both sides of every differential run the identical workload and
 //! daemon configuration; only the wire between them differs.
 //!
-//! The last two tests pin what loss costs: a session line lost inside a
-//! live connection is repaired at the barrier without a reconnect, and
-//! a clean proxy adds no Nagle stall to a barrier.
+//! The last three tests pin what loss costs: a session line lost inside
+//! a live connection is repaired at the barrier without a reconnect, a
+//! lost control frame of any request kind costs one reconnect and
+//! changes nothing the client observes, and a clean proxy adds no
+//! Nagle stall to a barrier.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -17,7 +19,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use rv_monitor::core::service::{FRAME_EVENT_SEQ, TENANT_FLAG_ALLOW_FATAL};
+use rv_monitor::core::service::{
+    FRAME_EVENT_SEQ, FRAME_POLL, FRAME_RELOAD, FRAME_RELOADED, FRAME_STATS, FRAME_STATS_REPLY,
+    FRAME_SYNC, FRAME_SYNCED, FRAME_TRIGGERS, TENANT_FLAG_ALLOW_FATAL,
+};
 use rv_monitor::core::{
     encode_frame, read_frame, serve_connection, Backpressure, ChaosProfile, ChaosProxy,
     ClientStats, ReconnectPolicy, ResilientClient, Service, ServiceConfig, SupervisorConfig,
@@ -268,13 +273,21 @@ fn mixed_fault_profile_is_exactly_once() {
     assert_identical(&clean, &chaos, "mixed faults", &stats);
 }
 
-/// Forwards whole frames from `src` to `dst` until either side closes;
-/// with `drop_kth`, the k-th `FRAME_EVENT_SEQ` frame through the relay
-/// (counted across connections) is silently discarded.
-fn relay(mut src: TcpStream, mut dst: TcpStream, drop_kth: Option<(usize, Arc<AtomicUsize>)>) {
+/// Which frame a [`dropping_relay`] discards: the k-th of `kind`,
+/// counted across connections.
+#[derive(Clone)]
+struct Victim {
+    kind: u8,
+    k: usize,
+    seen: Arc<AtomicUsize>,
+}
+
+/// Forwards whole frames from `src` to `dst` until either side closes,
+/// silently discarding `victim`'s frame if it passes this way.
+fn relay(mut src: TcpStream, mut dst: TcpStream, victim: Option<Victim>) {
     while let Ok(Some((kind, payload))) = read_frame(&mut src) {
-        if let Some((k, seen)) = &drop_kth {
-            if kind == FRAME_EVENT_SEQ && seen.fetch_add(1, Ordering::Relaxed) + 1 == *k {
+        if let Some(v) = &victim {
+            if kind == v.kind && v.seen.fetch_add(1, Ordering::Relaxed) + 1 == v.k {
                 continue;
             }
         }
@@ -286,12 +299,15 @@ fn relay(mut src: TcpStream, mut dst: TcpStream, drop_kth: Option<(usize, Arc<At
     let _ = dst.shutdown(Shutdown::Both);
 }
 
-/// A test-local proxy that drops exactly the k-th session line
-/// upstream and nothing else. Returns its listen address.
-fn dropping_relay(upstream: String, k: usize) -> String {
+/// A test-local proxy that drops exactly the k-th `kind` frame and
+/// nothing else, in the direction that kind travels: client → server
+/// for the request kinds, server → client for the replies (`0x80` and
+/// up). Returns its listen address.
+fn dropping_relay(upstream: String, kind: u8, k: usize) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let seen = Arc::new(AtomicUsize::new(0));
+    let victim = Victim { kind, k, seen: Arc::new(AtomicUsize::new(0)) };
+    let (up, down) = if kind < 0x80 { (Some(victim), None) } else { (None, Some(victim)) };
     std::thread::spawn(move || {
         for client in listener.incoming() {
             let Ok(client) = client else { break };
@@ -300,9 +316,9 @@ fn dropping_relay(upstream: String, k: usize) -> String {
                 s.set_nodelay(true).unwrap();
             }
             let (c2, s2) = (client.try_clone().unwrap(), server.try_clone().unwrap());
-            let seen = Arc::clone(&seen);
-            std::thread::spawn(move || relay(client, server, Some((k, seen))));
-            std::thread::spawn(move || relay(s2, c2, None));
+            let (up, down) = (up.clone(), down.clone());
+            std::thread::spawn(move || relay(client, server, up));
+            std::thread::spawn(move || relay(s2, c2, down));
         }
     });
     addr
@@ -354,7 +370,7 @@ fn lost_session_line_is_repaired_on_the_live_connection() {
     for k in [1, 17, LINES] {
         let root = scratch(&format!("drop{k}"));
         let server = Server::start(&root);
-        let addr = dropping_relay(server.addr.clone(), k);
+        let addr = dropping_relay(server.addr.clone(), FRAME_EVENT_SEQ, k);
         let (relayed, stats, tenant) = send_sync_poll(&addr, &lines);
         let ctx = format!("k={k}; client: {}; server: {tenant}", stats.to_json());
         assert_eq!(stats.reconnects, 0, "{ctx}");
@@ -362,6 +378,81 @@ fn lost_session_line_is_repaired_on_the_live_connection() {
         assert_eq!(stats.resent_lines, (LINES - k + 1) as u64, "{ctx}");
         assert_eq!(json_u64(&tenant, "gap_dropped_events"), (LINES - k) as u64, "{ctx}");
         assert_eq!(relayed, direct, "{ctx}");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// The keys of a flat or nested JSON object, in document order.
+fn json_keys(json: &str) -> Vec<&str> {
+    let parts: Vec<&str> = json.split('"').collect();
+    parts.windows(2).filter(|w| w[1].starts_with(':')).map(|w| w[0]).collect()
+}
+
+/// One session through every control round trip: lines, a barrier, a
+/// hot reload, more lines, a barrier, the trigger drain and a stats
+/// fetch. A short read timeout makes a lost control frame cost half a
+/// second. Returns the rendered triggers, the client counters and the
+/// tenant's stats JSON.
+fn control_session(addr: &str) -> (Vec<String>, ClientStats, String) {
+    let lines = workload();
+    let policy =
+        ReconnectPolicy { read_timeout: Duration::from_millis(500), ..ReconnectPolicy::default() };
+    let opts = TenantOptions::default();
+    let mut client = ResilientClient::connect(addr, "t", SPEC, opts, SESSION, policy).unwrap();
+    for line in &lines[..64] {
+        client.send(line).unwrap();
+    }
+    client.sync().unwrap();
+    assert_eq!(client.reload(RELOAD_TOKEN, SPEC_V2).unwrap(), 2);
+    for line in &lines[64..128] {
+        client.send(line).unwrap();
+    }
+    client.sync().unwrap();
+    let mut rendered = Vec::new();
+    loop {
+        let batch = client.poll_triggers(256).unwrap();
+        if batch.is_empty() {
+            break;
+        }
+        rendered.extend(batch.iter().map(|t| t.render()));
+    }
+    let server = client.server_stats_json().unwrap();
+    (rendered, client.bye(), server)
+}
+
+#[test]
+fn one_lost_control_frame_per_request_kind_is_exactly_once() {
+    let root = scratch("ctl-direct");
+    let server = Server::start(&root);
+    let (direct, _, direct_stats) = control_session(&server.addr);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(!direct.is_empty(), "the control session fires no trigger");
+
+    // Each case loses the first frame of one kind. The retry loop must
+    // reconnect and ask again, and a lost RELOADED must land in the
+    // reload token's idempotent branch: spec v2, never v3.
+    for (kind, name) in [
+        (FRAME_SYNC, "SYNC"),
+        (FRAME_SYNCED, "SYNCED"),
+        (FRAME_POLL, "POLL"),
+        (FRAME_TRIGGERS, "TRIGGERS"),
+        (FRAME_RELOAD, "RELOAD"),
+        (FRAME_RELOADED, "RELOADED"),
+        (FRAME_STATS, "STATS"),
+        (FRAME_STATS_REPLY, "STATS_REPLY"),
+    ] {
+        let root = scratch(&format!("ctl-{name}"));
+        let server = Server::start(&root);
+        let addr = dropping_relay(server.addr.clone(), kind, 1);
+        let (relayed, stats, tenant) = control_session(&addr);
+        eprintln!("lost {name}: {}", stats.to_json());
+        let ctx = format!("lost {name}; client: {}; server: {tenant}", stats.to_json());
+        assert!(stats.reconnects >= 1, "the frame was never lost: {ctx}");
+        assert_eq!(relayed, direct, "{ctx}");
+        assert_eq!(json_keys(&tenant), json_keys(&direct_stats), "{ctx}");
+        assert_eq!(json_u64(&tenant, "spec_version"), 2, "{ctx}");
         drop(server);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -1,8 +1,9 @@
 //! Supervision and hot-reload battery against an in-process [`Service`]:
-//! a worker-fatal tenant is restarted unattended with its counters and
-//! acked history intact, the restart budget circuit-breaks
-//! deterministically to `failed-permanent`, and spec reloads are
-//! idempotent, versioned, and journal-durable across a daemon restart.
+//! a worker-fatal tenant is restarted unattended with its counters
+//! (those its worker bumps included) and acked history intact, the
+//! restart budget circuit-breaks deterministically to
+//! `failed-permanent`, and spec reloads are idempotent, versioned, and
+//! journal-durable across a daemon restart.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -140,6 +141,35 @@ fn supervisor_restarts_fatal_tenant_unattended() {
     assert!(health.contains("restarts=1"), "{health}");
     let prom = svc.prometheus();
     assert!(prom.contains("rvmond_tenants_restarted_total 1"), "{prom}");
+
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn tenant_counters_survive_a_supervised_restart() {
+    let root = scratch("counters");
+    let svc = Service::new(supervised_config(&root, 3)).unwrap();
+    svc.admit("t", SPEC, fatal_opts()).unwrap();
+    let mut feed = Feeder::new("t", 1);
+
+    // One malformed line, one resend of an applied cseq, a barrier.
+    feed.send(&svc, "create c i1");
+    feed.send(&svc, "bogus c");
+    svc.submit("t", 1, 1, "create c i1", 0).unwrap();
+    feed.barrier(&svc);
+    let before = snapshot(&svc, "t");
+    assert_eq!((before.bad_lines, before.deduped_events), (1, 1), "{}", before.to_json());
+
+    // The restarted worker keeps the tenant's books: no counter it
+    // bumps starts over.
+    feed.send(&svc, "!fatal");
+    let healed = wait_for(&svc, "t", "supervised restart", |s| {
+        s.state == TenantState::Running && s.restarts == 1
+    });
+    assert_eq!(healed.bad_lines, 1, "{}", healed.to_json());
+    assert_eq!(healed.deduped_events, before.deduped_events, "{}", healed.to_json());
+    assert!(svc.healthz().contains(" bad_lines=1 "), "{}", svc.healthz());
 
     drop(svc);
     let _ = std::fs::remove_dir_all(&root);
