@@ -142,6 +142,24 @@ for f in $(find crates/*/src src -name '*.rs' | sort); do
 done
 test "$WRITERS_OK" = 1
 
+# A table keyed by `Binding` on the default SipHash pays a slower hash
+# than the engine's own tables, and makes Fig. 9A's columns pay different
+# hashes: every `HashMap<Binding` or `HashSet<Binding` in the
+# non-test part of a file under crates/*/src or src/ must name
+# `BindingHash` on the same line.
+echo "== every Binding-keyed table hashes with BindingHash"
+HASHERS_OK=1
+for f in $(find crates/*/src src -name '*.rs' | sort); do
+    SIP=$(awk "$NON_TEST" "$f" | grep -nE 'Hash(Map|Set)<Binding\b' | grep -v 'BindingHash' || true)
+    if [ -n "$SIP" ]; then
+        printf '%s\n' "$SIP" | while IFS=: read -r line _; do
+            echo "$f:$line keys a table by Binding without BindingHash"
+        done
+        HASHERS_OK=0
+    fi
+done
+test "$HASHERS_OK" = 1
+
 echo "== cargo build --release"
 cargo build --release
 

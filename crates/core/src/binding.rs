@@ -1,8 +1,10 @@
 //! Parameter instances (the partial functions `θ ∈ [X ⇁ V]` of
 //! Definition 3) and their lattice operations (Definition 5).
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 use rv_heap::ObjId;
 use rv_logic::{ParamId, ParamSet};
@@ -134,6 +136,86 @@ impl Hash for Binding {
     }
 }
 
+/// The hasher of every table keyed by [`Binding`]: the engine's exact
+/// tables and indexing trees ([`RvMap`](crate::trees::RvMap)), its disable
+/// table, the Figure 5 oracle's maps and the Tracematches baseline's sets.
+///
+/// Each written word is folded into the state with one 64×64→128-bit
+/// multiply (the xor of the product's two halves), and `finish` folds once
+/// more. A multiply alone would not do: [`ObjId::to_bits`] puts the slot
+/// index in the high 32 bits, and the low bits of a product depend only on
+/// the low bits of its inputs, so sequential objects would share one
+/// bucket; the fold brings the high half of the product, which depends on
+/// every input bit, down into the bucket bits.
+///
+/// The seed is drawn once per process from [`RandomState`], so table
+/// iteration order is as unpredictable as with SipHash and equal bindings
+/// hash equal through any two builders. Flooding resistance is not needed
+/// here: the keys are heap handles the monitor assigns, never bytes a
+/// client chooses. Tables keyed by client-chosen strings (object names,
+/// tenant names) stay on SipHash.
+#[derive(Clone, Copy, Debug)]
+pub struct BindingHash {
+    seed: u64,
+}
+
+impl Default for BindingHash {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        BindingHash { seed: *SEED.get_or_init(|| RandomState::new().hash_one(0u64)) }
+    }
+}
+
+impl BuildHasher for BindingHash {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { state: self.seed }
+    }
+}
+
+/// The [`Hasher`] a [`BindingHash`] builds.
+#[derive(Clone, Copy, Debug)]
+pub struct FoldHasher {
+    state: u64,
+}
+
+/// An odd multiplier with well-spread bits (the 64-bit golden ratio).
+const FOLD_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The xor of the two halves of the 128-bit product `a·b`.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.state = fold(self.state ^ n, FOLD_K);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        fold(self.state, FOLD_K)
+    }
+}
+
 impl fmt::Debug for Binding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨")?;
@@ -230,10 +312,10 @@ mod tests {
 
     #[test]
     fn hash_agrees_with_eq_and_separates_domains() {
-        use std::collections::hash_map::RandomState;
-        use std::hash::BuildHasher;
         let (_h, o) = objs(3);
-        let hasher = RandomState::new();
+        // Two builders, one process: the seed is drawn once, so a table
+        // built later hashes a binding as one built earlier did.
+        let (hasher, other_builder) = (BindingHash::default(), BindingHash::default());
         let ci = Binding::from_pairs(&[(ParamId(0), o[0]), (ParamId(2), o[2])]);
         let wide =
             Binding::from_pairs(&[(ParamId(0), o[0]), (ParamId(1), o[1]), (ParamId(2), o[2])]);
@@ -246,6 +328,7 @@ mod tests {
         for other in [restricted, joined] {
             assert_eq!(other, ci);
             assert_eq!(hasher.hash_one(other), hasher.hash_one(ci));
+            assert_eq!(other_builder.hash_one(other), hasher.hash_one(ci));
         }
         // Same object, different parameter: equal slot values, different
         // domains, different hashes.
@@ -253,6 +336,22 @@ mod tests {
         let as_x1 = Binding::from_pairs(&[(ParamId(1), o[1])]);
         assert_ne!(as_x0, as_x1);
         assert_ne!(hasher.hash_one(as_x0), hasher.hash_one(as_x1));
+    }
+
+    /// `ObjId::to_bits` puts the slot index in the high 32 bits. A
+    /// multiply-only (Fx-style) hash of such keys leaves the low bits, the
+    /// ones a hash table picks buckets with, depending on the generation
+    /// alone: these 4096 objects would share one bucket. A random hash
+    /// spreads them over about 4096·(1 − 1/e) ≈ 2589 of 4096.
+    #[test]
+    fn sequential_slots_spread_over_the_low_bucket_bits() {
+        let hasher = BindingHash::default();
+        let mut buckets = std::collections::HashSet::new();
+        for index in 0..4096u64 {
+            let b = Binding::from_pairs(&[(ParamId(0), ObjId::from_bits(index << 32))]);
+            buckets.insert(hasher.hash_one(b) & 0xfff);
+        }
+        assert!(buckets.len() >= 2400, "{} distinct low-12-bit buckets", buckets.len());
     }
 
     #[test]

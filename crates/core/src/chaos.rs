@@ -16,11 +16,13 @@
 //! The same driver backs `rvmon chaos`, the fig10 `--chaos-seed` flag,
 //! and the `chaos_differential` integration suite.
 
+use std::collections::HashSet;
+
 use rv_heap::{ChaosHeap, ObjId, SplitMix64};
 use rv_logic::{AnyFormalism, EventId};
 use rv_spec::CompiledSpec;
 
-use crate::binding::Binding;
+use crate::binding::{Binding, BindingHash};
 use crate::engine::{Engine, EngineConfig, GcPolicy};
 use crate::error::EngineError;
 use crate::reference::{monitor_trace, Trigger};
@@ -62,7 +64,7 @@ impl ChaosOutcome {
 /// the engine retires such monitors after the first report, and order
 /// within a step is unspecified on both sides.
 pub(crate) fn dedup(ts: &[Trigger]) -> Vec<Trigger> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen: HashSet<Binding, BindingHash> = HashSet::default();
     let mut v: Vec<Trigger> = ts.iter().filter(|t| seen.insert(t.binding)).copied().collect();
     v.sort();
     v

@@ -47,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use crate::binding::Binding;
+use crate::binding::{Binding, BindingHash};
 use crate::error::EngineError;
 use crate::obs::{EngineObserver, FlagCause, GcCycleRecord, GcKind, GcReason, NoopObserver, Phase};
 use crate::reference::Trigger;
@@ -191,6 +191,9 @@ pub struct Engine<F: Formalism, O: EngineObserver = NoopObserver> {
     triggers: Vec<Trigger>,
     /// Scratch buffers reused across events.
     scratch_ids: Vec<MonitorId>,
+    /// Nanoseconds of [`Phase::Creation`] spans inside the current event's
+    /// disable check, which that span leaves out.
+    creation_ns: u64,
     /// The monomorphic lookup cache (see [`EngineConfig::lookup_cache`]).
     cache: LookupCache,
     /// Active degradation rung (`None` = normal operation). `Option`
@@ -275,7 +278,7 @@ struct LookupCache {
 /// The disable table with its own lazy weak pruning.
 #[derive(Debug, Default)]
 struct DisableTable {
-    seen: HashSet<Binding>,
+    seen: HashSet<Binding, BindingHash>,
     ring: Vec<Binding>,
     cursor: usize,
 }
@@ -314,8 +317,11 @@ impl DisableTable {
         }
     }
 
+    /// Retained entries, not allocator capacity: the rule of
+    /// [`RvMap::estimated_bytes`], and capacity would follow the hash
+    /// table's tombstone layout.
     fn bytes(&self) -> usize {
-        (self.seen.capacity() + self.ring.capacity()) * std::mem::size_of::<Binding>()
+        (self.seen.len() + self.ring.len()) * std::mem::size_of::<Binding>()
     }
 }
 
@@ -446,6 +452,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             stats: EngineStats::default(),
             triggers: Vec::new(),
             scratch_ids: Vec::new(),
+            creation_ns: 0,
             cache: LookupCache::default(),
             degradation: None,
             clean_events: 0,
@@ -685,6 +692,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         // by creation-time expunges and sweeps, all of which move the
         // signature.
         let t_disable = if O::ENABLED { Some(Instant::now()) } else { None };
+        self.creation_ns = 0;
         let own_exists = match self.cache.own_exists {
             Some(known) if hit => known,
             _ => self.exact_get(&binding).is_some(),
@@ -706,7 +714,8 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             self.cache.own_exists = if created { None } else { Some(own_exists) };
         }
         if let Some(t) = t_disable {
-            self.observer.phase_timed(Phase::DisableCheck, elapsed_nanos(t));
+            let ns = elapsed_nanos(t).saturating_sub(self.creation_ns);
+            self.observer.phase_timed(Phase::DisableCheck, ns);
         }
         self.end_of_event_governance(heap);
         if O::ENABLED {
@@ -970,10 +979,30 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         true
     }
 
+    /// [`Engine::register_instance`], timed as one [`Phase::Creation`]
+    /// span.
+    fn create_instance(
+        &mut self,
+        heap: &Heap,
+        binding: Binding,
+        state: F::State,
+        event: EventId,
+        step: usize,
+    ) -> Result<MonitorId, EngineError> {
+        let t = if O::ENABLED { Some(Instant::now()) } else { None };
+        let created = self.register_instance(heap, binding, state, event, step);
+        if let Some(t) = t {
+            let ns = elapsed_nanos(t);
+            self.creation_ns += ns;
+            self.observer.phase_timed(Phase::Creation, ns);
+        }
+        created
+    }
+
     /// Registers a freshly created instance in the exact table and every
     /// relevant indexing tree, then steps it by the creating event.
     /// Returns the new instance's id.
-    fn create_instance(
+    fn register_instance(
         &mut self,
         heap: &Heap,
         binding: Binding,
@@ -1648,7 +1677,7 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
             trees.into_iter().collect::<Option<_>>().ok_or("missing indexing tree")?;
         // Disable table.
         let nseen = need(c.count(), "disable-table size")?;
-        let mut seen = HashSet::with_capacity(nseen);
+        let mut seen = HashSet::with_capacity_and_hasher(nseen, BindingHash::default());
         for _ in 0..nseen {
             if !seen.insert(need(c.binding(), "disable-table binding")?) {
                 return Err("duplicate disable-table binding".into());

@@ -78,7 +78,7 @@ pub mod stats;
 pub mod store;
 pub mod trees;
 
-pub use crate::binding::{Binding, MAX_PARAMS};
+pub use crate::binding::{Binding, BindingHash, MAX_PARAMS};
 pub use crate::chaos::{run_block, ChaosOutcome};
 pub use crate::client::{ClientStats, ReconnectPolicy, ResilientClient};
 pub use crate::crashtest::{crash_and_recover, CrashOutcome, KillClass};

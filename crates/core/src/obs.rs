@@ -260,9 +260,14 @@ impl GcCycleRecord {
 pub enum Phase {
     /// Looking `θ` up in the `⟨D(e)⟩` indexing tree (Figure 6).
     IndexLookup,
-    /// Consulting the disable set / creation veto before instantiating a
-    /// monitor (Algorithm C⟨X⟩'s `disable` check plus coenable vetoes).
+    /// Deciding whether to instantiate monitors and keeping the disable
+    /// table (Algorithm C⟨X⟩'s `disable` check, coenable vetoes, the
+    /// disable-table insert and prune), with [`Phase::Creation`]'s spans
+    /// subtracted.
     DisableCheck,
+    /// Instantiating one monitor: its exact-table insert, its indexing-tree
+    /// registrations and its first step.
+    Creation,
     /// Stepping matched monitor states by the event.
     Transition,
     /// Evaluating ALIVENESS for monitors under a dead key (Figure 7).
@@ -277,12 +282,13 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (the length of [`Phase::ALL`]).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 7;
 
     /// All phases, in dispatch order.
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::IndexLookup,
         Phase::DisableCheck,
+        Phase::Creation,
         Phase::Transition,
         Phase::Aliveness,
         Phase::DeadKeyExpunge,
@@ -295,6 +301,7 @@ impl Phase {
         match self {
             Phase::IndexLookup => "index_lookup",
             Phase::DisableCheck => "disable_check",
+            Phase::Creation => "creation",
             Phase::Transition => "transition",
             Phase::Aliveness => "aliveness",
             Phase::DeadKeyExpunge => "dead_key_expunge",

@@ -192,6 +192,8 @@ pub struct SpanLog {
     epoch: Instant,
     spans: Vec<TimelineSpan>,
     dropped: u64,
+    /// Creation nanoseconds since the last disable-check span.
+    creation_ns: u64,
 }
 
 impl Default for SpanLog {
@@ -204,7 +206,7 @@ impl SpanLog {
     /// An empty log; its creation instant becomes the lane's time origin.
     #[must_use]
     pub fn new() -> SpanLog {
-        SpanLog { epoch: Instant::now(), spans: Vec::new(), dropped: 0 }
+        SpanLog { epoch: Instant::now(), spans: Vec::new(), dropped: 0, creation_ns: 0 }
     }
 
     /// The captured spans, in completion order.
@@ -252,7 +254,17 @@ impl SpanLog {
 
 impl EngineObserver for SpanLog {
     fn phase_timed(&mut self, phase: Phase, nanos: u64) {
-        self.push(phase.label().to_owned(), "phase", nanos);
+        // A disable-check span reports its time without the creation spans
+        // inside it; draw the enclosing interval, so that they nest in it.
+        let wall = match phase {
+            Phase::Creation => {
+                self.creation_ns += nanos;
+                nanos
+            }
+            Phase::DisableCheck => nanos + std::mem::take(&mut self.creation_ns),
+            _ => nanos,
+        };
+        self.push(phase.label().to_owned(), "phase", wall);
     }
 
     fn gc_cycle(&mut self, record: &GcCycleRecord) {
@@ -864,6 +876,17 @@ mod tests {
         assert!(text.contains("rvmon_event_latency_ns_count 1"), "{text}");
         crate::expo::lint::lint_exposition(&text);
         assert!(text.contains("# TYPE rvmon_gc_debt gauge\n"), "{text}");
+    }
+
+    #[test]
+    fn span_log_draws_the_disable_check_around_its_creations() {
+        let mut log = SpanLog::new();
+        log.phase_timed(Phase::Creation, 300);
+        log.phase_timed(Phase::Creation, 200);
+        log.phase_timed(Phase::DisableCheck, 40);
+        log.phase_timed(Phase::DisableCheck, 60);
+        let durations: Vec<u64> = log.spans().iter().map(|s| s.dur_ns).collect();
+        assert_eq!(durations, [300, 200, 540, 60], "creations add back to their own span only");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use rv_logic::{EventId, Formalism, GoalSet, Verdict};
 
-use crate::binding::Binding;
+use crate::binding::{Binding, BindingHash};
 
 /// One goal-verdict occurrence: the engine and the oracle must agree on
 /// these exactly.
@@ -32,7 +32,7 @@ pub struct Trigger {
 #[derive(Clone, Debug)]
 pub struct ReferenceRun {
     /// Final verdict per known parameter instance (the `Γ` table).
-    pub verdicts: HashMap<Binding, Verdict>,
+    pub verdicts: HashMap<Binding, Verdict, BindingHash>,
     /// Every goal verdict, in trace order.
     pub triggers: Vec<Trigger>,
     /// `|Θ|` at the end (including `⊥`).
@@ -58,13 +58,13 @@ pub fn monitor_trace<F: Formalism>(
     // Δ and Θ; Θ is join-closed at all times (line 7 adds all joins), which
     // makes `max {θ'' ∈ Θ | θ'' ⊑ θ'}` well-defined: the candidates are
     // closed under ⊔, hence directed, hence have a unique maximum.
-    let mut delta: HashMap<Binding, F::State> = HashMap::new();
+    let mut delta: HashMap<Binding, F::State, BindingHash> = HashMap::default();
     delta.insert(Binding::BOTTOM, formalism.initial_state());
     let mut theta: Vec<Binding> = vec![Binding::BOTTOM];
-    let mut verdicts: HashMap<Binding, Verdict> = HashMap::new();
+    let mut verdicts: HashMap<Binding, Verdict, BindingHash> = HashMap::default();
     // Instances whose state was terminal at creation: their slices are
     // continuations of an already-settled verdict.
-    let mut born_dead: HashMap<Binding, bool> = HashMap::new();
+    let mut born_dead: HashMap<Binding, bool, BindingHash> = HashMap::default();
     born_dead.insert(Binding::BOTTOM, false);
     let mut triggers = Vec::new();
 

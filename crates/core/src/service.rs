@@ -298,12 +298,19 @@ pub fn frame_name(kind: u8) -> Option<&'static str> {
     })
 }
 
+/// The HELLO layout version, the payload's first byte. Earlier layouts
+/// had no version byte and began with the flags byte, whose defined bits
+/// are `0x07`; numbering versioned layouts from 8 makes every older HELLO
+/// a version mismatch rather than a misparse.
+pub const HELLO_VERSION: u8 = 8;
+
 /// Encodes a HELLO payload (client-side helper shared with `loadgen`).
-/// Layout: `[flags: u8][max_live_monitors: u32 LE][name]\n[spec]` — a
-/// zero limit means "use the service default".
+/// Layout: `[HELLO_VERSION: u8][flags: u8][max_live_monitors: u32
+/// LE][name]\n[spec]` — a zero limit means "use the service default".
 #[must_use]
 pub fn encode_hello(name: &str, spec: &str, opts: &TenantOptions) -> Vec<u8> {
-    let mut p = Vec::with_capacity(6 + name.len() + spec.len());
+    let mut p = Vec::with_capacity(7 + name.len() + spec.len());
+    p.push(HELLO_VERSION);
     p.push(opts.flags);
     p.extend_from_slice(&opts.max_live_monitors.map_or(0, |n| n.max(1)).to_le_bytes());
     p.extend_from_slice(name.as_bytes());
@@ -312,9 +319,14 @@ pub fn encode_hello(name: &str, spec: &str, opts: &TenantOptions) -> Vec<u8> {
     p
 }
 
-/// Decodes a HELLO payload into `(name, spec, options)`.
+/// Decodes a HELLO payload into `(name, spec, options)`; `None` if it is
+/// malformed or not of layout [`HELLO_VERSION`].
 #[must_use]
 pub fn decode_hello(payload: &[u8]) -> Option<(String, String, TenantOptions)> {
+    let (&version, payload) = payload.split_first()?;
+    if version != HELLO_VERSION {
+        return None;
+    }
     let flags = *payload.first()?;
     let max_live = u32::from_le_bytes(payload.get(1..5)?.try_into().ok()?);
     let rest = payload.get(5..)?;
@@ -1871,6 +1883,14 @@ pub fn serve_connection<S: Read + Write>(service: &Service, stream: &mut S) -> s
         let (reply, close): (Result<(u8, Vec<u8>), Reject>, bool) = match (kind, &session) {
             (FRAME_BYE, _) => return Ok(()),
             (FRAME_HELLO, _) => {
+                if let Some(&version) = payload.first().filter(|&&v| v != HELLO_VERSION) {
+                    let msg = format!(
+                        "HELLO layout version {version} is not this server's version \
+                         {HELLO_VERSION}"
+                    );
+                    bad_frame(service, stream, &msg)?;
+                    return Ok(());
+                }
                 let Some((name, spec, opts)) = decode_hello(&payload) else {
                     malformed(service, stream, kind)?;
                     return Ok(());
@@ -2599,12 +2619,19 @@ UnsafeIter(Collection c, Iterator i) {
     fn hello_payload_round_trips() {
         let opts = TenantOptions { flags: TENANT_FLAG_PANIC_HANDLER, max_live_monitors: Some(8) };
         let p = encode_hello("tenant-a", SPEC, &opts);
-        assert_eq!(p.len(), 5 + "tenant-a\n".len() + SPEC.len(), "flags, limit, name, spec");
+        assert_eq!(
+            p.len(),
+            6 + "tenant-a\n".len() + SPEC.len(),
+            "version, flags, limit, name, spec"
+        );
         let (name, spec, got) = decode_hello(&p).unwrap();
         assert_eq!(name, "tenant-a");
         assert_eq!(spec, SPEC);
         assert_eq!(got, opts);
-        assert!(decode_hello(&[1, 2]).is_none(), "truncated HELLO");
+        assert!(decode_hello(&[HELLO_VERSION, 1, 2]).is_none(), "truncated HELLO");
+        let mut old = p.clone();
+        old[0] = HELLO_VERSION - 1;
+        assert!(decode_hello(&old).is_none(), "another layout version");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use rv_heap::Heap;
 
-use crate::binding::Binding;
+use crate::binding::{Binding, BindingHash};
 use crate::store::{MonitorId, MonitorStore};
 
 /// Maintenance callbacks invoked while an [`RvMap`] scans its entries
@@ -57,7 +57,7 @@ pub const DEFAULT_EXPUNGE_WINDOW: usize = 4;
 /// expunging.
 #[derive(Debug)]
 pub struct RvMap<V> {
-    map: HashMap<Binding, V>,
+    map: HashMap<Binding, V, BindingHash>,
     /// Ring of keys for incremental scanning. May contain stale keys
     /// (already removed); checked against `map` before acting.
     ring: Vec<Binding>,
@@ -75,7 +75,12 @@ impl<V> RvMap<V> {
     /// An empty map with the default expunge window.
     #[must_use]
     pub fn new() -> Self {
-        RvMap { map: HashMap::new(), ring: Vec::new(), cursor: 0, window: DEFAULT_EXPUNGE_WINDOW }
+        RvMap {
+            map: HashMap::default(),
+            ring: Vec::new(),
+            cursor: 0,
+            window: DEFAULT_EXPUNGE_WINDOW,
+        }
     }
 
     /// Overrides the expunge window (0 disables lazy expunging).
@@ -228,7 +233,7 @@ impl<V> RvMap<V> {
     }
 
     /// The live entries, in hash order (snapshot encoders sort them).
-    pub(crate) fn snapshot_entries(&self) -> &HashMap<Binding, V> {
+    pub(crate) fn snapshot_entries(&self) -> &HashMap<Binding, V, BindingHash> {
         &self.map
     }
 

@@ -51,7 +51,9 @@
 //! # Ok::<(), rv_logic::ere::EreError>(())
 //! ```
 
-use rv_core::Binding;
+use std::collections::HashSet;
+
+use rv_core::{Binding, BindingHash};
 use rv_heap::Heap;
 use rv_logic::dfa::{Dfa, StateAliveness, DEAD};
 use rv_logic::{EventDef, EventId, GoalSet, ParamSet};
@@ -101,13 +103,13 @@ pub struct TraceMatch {
     /// binding's slice is tracked by exactly one disjunct, so joins and
     /// ⊥-starts must not mint a second one. (Membership bookkeeping only —
     /// the per-event work stays the linear compatibility scans.)
-    present: std::collections::HashSet<Binding>,
+    present: HashSet<Binding, BindingHash>,
     /// Event instances seen so far — the disable table. A fresh disjunct
     /// for β sourced from a disjunct covering `covered ⊆ dom(β)` is exact
     /// only if no event instance β|S with S ⊈ covered ever occurred;
     /// otherwise its slice would silently miss history (the same check the
     /// RV engine performs). Pruned as objects die.
-    seen: std::collections::HashSet<Binding>,
+    seen: HashSet<Binding, BindingHash>,
     seen_ring: Vec<Binding>,
     seen_cursor: usize,
 }
@@ -129,8 +131,8 @@ impl TraceMatch {
             scan_state: 0,
             retired: Vec::new(),
             retired_cursor: 0,
-            present: std::collections::HashSet::new(),
-            seen: std::collections::HashSet::new(),
+            present: HashSet::default(),
+            seen: HashSet::default(),
             seen_ring: Vec::new(),
             seen_cursor: 0,
         }

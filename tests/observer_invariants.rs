@@ -426,6 +426,35 @@ fn phase_spans_balance_for_all_catalog_properties_and_policies() {
     }
 }
 
+/// Monitor creation is its own phase, one span per created monitor, for
+/// the whole catalog under every GC policy; the disable check keeps one
+/// span per dispatched event with the creation spans inside it left out.
+#[test]
+fn creation_phase_counts_every_created_monitor() {
+    for p in Property::ALL {
+        for policy in [GcPolicy::None, GcPolicy::AllParamsDead, GcPolicy::CoenableLazy] {
+            let spec = compiled(p).unwrap();
+            let config = EngineConfig { policy, record_triggers: true, ..EngineConfig::default() };
+            for (block, (prof, stats)) in
+                drive(spec, &config, |_| PhaseProfiler::new()).into_iter().enumerate()
+            {
+                let ctx = format!("{p:?} block {block} policy {policy:?}");
+                assert!(stats.monitors_created > 0, "{ctx}: the workload must create monitors");
+                assert_eq!(
+                    prof.phase(Phase::Creation).count(),
+                    stats.monitors_created,
+                    "{ctx}: one creation span per created monitor"
+                );
+                assert_eq!(
+                    prof.phase(Phase::DisableCheck).count(),
+                    stats.events,
+                    "{ctx}: one disable-check span per dispatched event"
+                );
+            }
+        }
+    }
+}
+
 /// The provenance ledger's re-derived Figure 10 row must equal the
 /// engine's own E/M/FM/CM — per block, for the whole catalog, under
 /// every GC policy. This is the accounting identity `rvmon explain

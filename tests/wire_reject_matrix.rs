@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use rv_monitor::core::service::{
-    encode_frame, encode_hello, TENANT_FLAG_ALLOW_FATAL, TENANT_FLAG_SLOW_WORKER,
+    encode_frame, encode_hello, HELLO_VERSION, TENANT_FLAG_ALLOW_FATAL, TENANT_FLAG_SLOW_WORKER,
 };
 use rv_monitor::core::{
     read_frame, serve_connection, write_frame, Backpressure, Service, ServiceConfig,
@@ -204,6 +204,41 @@ fn reject_400_bad_frame() {
     expect_synced(&mut s, 1, 1);
 
     assert_eq!(server.svc.stats.bad_frames.load(Ordering::Relaxed), 5);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A client that predates the HELLO layout version sends the unversioned
+/// 13-byte header `[flags][max_live u32][journal_retries u32][backoff_ms
+/// u32]`: the server names both versions instead of misreading the option
+/// bytes as a tenant name, then serves a current client.
+#[test]
+fn reject_400_hello_of_an_unversioned_layout() {
+    let root = scratch("400-layout");
+    let server = Server::start(ServiceConfig { root: root.clone(), ..ServiceConfig::default() });
+
+    let mut old = vec![0u8; 13];
+    old.extend_from_slice(b"t\n");
+    old.extend_from_slice(SPEC.as_bytes());
+    let mut s = server.connect();
+    write_frame(&mut s, FRAME_HELLO, &old).unwrap();
+    let (code, msg) = expect_reject(&mut s);
+    assert_eq!(code, 400, "{msg}");
+    assert!(
+        msg.contains(&format!(
+            "HELLO layout version 0 is not this server's version {HELLO_VERSION}"
+        )),
+        "{msg}"
+    );
+    assert!(!msg.contains("tenant names"), "{msg}");
+    // The reject closes the connection.
+    assert!(read_frame(&mut s).unwrap().is_none(), "connection closed after the reject");
+
+    let mut s = server.hello("t", SPEC, &TenantOptions::default());
+    send_line(&mut s, 1, "update c");
+    send_sync(&mut s, 1);
+    expect_synced(&mut s, 1, 1);
+    assert_eq!(server.svc.stats.bad_frames.load(Ordering::Relaxed), 1);
     drop(server);
     let _ = std::fs::remove_dir_all(&root);
 }
