@@ -370,6 +370,38 @@ open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1], timeout=10).re
 fi
 cargo test -q --release --test cli_rvmond --test service_isolation >/dev/null
 
+# A crash before a tenant's spec record reached the disk leaves an empty
+# journal. rvmond's startup recovery refuses that tenant (it cannot know
+# the spec); the next attach that carries the spec starts it over.
+echo "== start-over smoke (empty tenant journal + attach with spec, release)"
+if command -v python3 >/dev/null 2>&1; then
+    SO_DIR="${TMPDIR:-/tmp}/rv-ci-startover-$$"
+    SO_OUT="${TMPDIR:-/tmp}/rv-ci-startover-$$.out"
+    SO_HEALTH="${TMPDIR:-/tmp}/rv-ci-startover-$$.health"
+    rm -rf "$SO_DIR"
+    mkdir -p "$SO_DIR/t"
+    : >"$SO_DIR/t/journal-00000000"
+    ./target/release/rvmond --root "$SO_DIR" --port 0 --http-port 0 >"$SO_OUT" 2>/dev/null &
+    SO_PID=$!
+    for _ in $(seq 1 100); do
+        grep -q 'http://' "$SO_OUT" 2>/dev/null && break
+        sleep 0.1
+    done
+    SO_INGEST=$(sed -n 's/.*ingest on \([^ ]*\).*/\1/p' "$SO_OUT" | head -1)
+    SO_HTTP=$(sed -n 's#.*\(http://[^ ]*\)/healthz.*#\1#p' "$SO_OUT" | head -1)
+    ./target/release/rvmonctl status --addr "$SO_INGEST" --tenant t \
+        --spec specs/unsafe_iter.rv >/dev/null \
+        || { echo "an attach with the spec did not start tenant t over"; exit 1; }
+    python3 -c 'import sys, urllib.request
+open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1] + "/healthz", timeout=10).read())
+' "$SO_HTTP" "$SO_HEALTH"
+    grep -q 'tenant t state=running' "$SO_HEALTH" \
+        || { echo "tenant t is not running after the start-over"; cat "$SO_HEALTH"; exit 1; }
+    kill -TERM "$SO_PID"
+    wait "$SO_PID" || { echo "rvmond drain exited nonzero"; exit 1; }
+    rm -rf "$SO_DIR" "$SO_OUT" "$SO_HEALTH"
+fi
+
 # Self-healing smoke: the same seeded loadgen workload runs twice — once
 # straight into a supervised rvmond, once through `rvmon netchaos`
 # injecting seeded drops/dups/corruption — and both runs carry a

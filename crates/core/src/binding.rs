@@ -7,12 +7,8 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
 use rv_heap::ObjId;
+pub use rv_logic::MAX_PARAMS;
 use rv_logic::{ParamId, ParamSet};
-
-/// The maximum number of parameters an engine binding can carry. The
-/// paper's largest property binds three (`Lock`, `Thread` and the implicit
-/// method nesting); eight leaves headroom while keeping bindings `Copy`.
-pub const MAX_PARAMS: usize = 8;
 
 /// A parameter instance `θ`: a partial map from parameters to heap
 /// objects.

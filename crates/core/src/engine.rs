@@ -514,6 +514,13 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
         &self.triggers
     }
 
+    /// Removes and yields the recorded triggers from index `from` on: a
+    /// caller that hands each event's reports onward keeps no history in
+    /// the engine (or in its checkpoints).
+    pub(crate) fn drain_triggers(&mut self, from: usize) -> std::vec::Drain<'_, Trigger> {
+        self.triggers.drain(from..)
+    }
+
     /// Estimated bytes held by the engine's monitors and structures — the
     /// Fig. 9(B) metric.
     #[must_use]
@@ -1362,20 +1369,6 @@ impl<F: Formalism, O: EngineObserver> Engine<F, O> {
     /// reflects every monitor the engine let go of.
     pub fn finish(&mut self, heap: &Heap) {
         self.full_sweep(heap);
-    }
-
-    /// Drains the heap's completed-collection log and delivers each cycle
-    /// to the observer as a [`GcKind::HeapCollect`] record. A no-op (the
-    /// log is still drained, keeping it bounded) when the observer is
-    /// disabled. Call once per heap per drain point: the heap log is
-    /// consumed, so routing it through several engines would double-count.
-    pub fn observe_heap_cycles(&mut self, heap: &mut Heap) {
-        let cycles = heap.drain_cycles();
-        if O::ENABLED {
-            for c in &cycles {
-                self.observer.gc_cycle(&GcCycleRecord::from_heap_cycle(c));
-            }
-        }
     }
 
     // --- Checkpoint/restore (crash consistency) --------------------------

@@ -16,10 +16,11 @@
 //!   sequence;
 //! * checkpoint cadence: one every `checkpoint_every` events.
 //!
-//! `rvmond`'s tenant workers, `rvmon run --journal`, the crash harness
-//! and the recovery bench all journal through it, so the journal the
-//! replayer ([`recover`](crate::recover)) reads is the one shipped code
-//! writes.
+//! `rvmond`'s tenant workers, `rvmon run --journal` and the recovery
+//! bench all journal through it, so the journal the replayer
+//! ([`recover`](crate::recover)) reads is the one shipped code writes.
+//! Each line's reports go to the caller and the journal, not into the
+//! engines: a checkpoint carries no trigger history.
 //!
 //! [`line::apply`]: crate::line::apply
 
@@ -560,5 +561,46 @@ impl JournaledMonitor {
     #[must_use]
     pub fn reload_token(&self) -> u64 {
         self.reload_token
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SPEC: &str = "UnsafeIter(Collection c, Iterator i) {
+        event create(c, i); event update(c); event next(i);
+        ere: update* create next* update+ next
+        @match { report \"cme\"; } }";
+
+    /// The writer hands every report to its caller and the journal; the
+    /// engines keep none, so no checkpoint carries trigger history.
+    #[test]
+    fn engines_keep_no_trigger_history() {
+        let dir = std::env::temp_dir().join(format!("rv-ingest-no-history-{}", std::process::id()));
+        let spec = CompiledSpec::from_source(SPEC).unwrap();
+        let config = EngineConfig::default();
+        let mut w =
+            JournaledMonitor::create(&dir, SPEC, spec, &config, RetryPolicy::none(), 1 << 20)
+                .unwrap();
+        w.set_checkpoint_every(3);
+        let mut lines = Vec::new();
+        for k in 0..6 {
+            lines.extend([format!("create c{k} i{k}"), format!("update c{k}")]);
+            lines.extend([format!("next i{k}"), format!("!free i{k}"), "!gc".to_owned()]);
+        }
+        let mut fired = 0;
+        for (n, line) in lines.iter().enumerate() {
+            let Ingest::Applied(done) = w.process_line(1, n as u64 + 1, line).unwrap() else {
+                panic!("line {line} not applied");
+            };
+            fired += done.fired.len();
+            for engine in w.monitor().engines() {
+                assert!(engine.triggers().is_empty(), "after `{line}`: {:?}", engine.triggers());
+            }
+        }
+        assert_eq!((fired, w.monitor().triggers()), (6, 6));
+        assert!(w.checkpoints() >= 5);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

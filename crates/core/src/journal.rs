@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use rv_heap::{ObjId, SplitMix64};
-use rv_logic::{ParamId, Verdict};
+use rv_logic::{ParamId, Verdict, MAX_PARAMS};
 
 use crate::binding::Binding;
 use crate::error::EngineError;
@@ -177,7 +177,7 @@ pub enum Record {
 /// bits per bound parameter, in parameter order. Shared with the snapshot
 /// encoder (engine.rs).
 pub(crate) fn encode_binding(b: Binding, out: &mut Vec<u8>) {
-    debug_assert!(b.domain().0 <= 0xFF, "MAX_PARAMS is 8; domains fit a byte");
+    const _: () = assert!(MAX_PARAMS <= 8, "a binding's domain is encoded as one byte");
     out.push(b.domain().0 as u8);
     for (_, obj) in b.iter() {
         out.extend_from_slice(&obj.to_bits().to_le_bytes());
@@ -189,7 +189,7 @@ pub(crate) fn decode_binding(bytes: &[u8], pos: &mut usize) -> Option<Binding> {
     let domain = *bytes.get(*pos)?;
     *pos += 1;
     let mut pairs = Vec::new();
-    for p in 0..8u8 {
+    for p in 0..MAX_PARAMS as u8 {
         if domain & (1u8 << p) != 0 {
             let raw: [u8; 8] = bytes.get(*pos..*pos + 8)?.try_into().ok()?;
             *pos += 8;
@@ -1309,6 +1309,81 @@ mod tests {
         assert!(rescan.truncation.is_none(), "tail was repaired");
         assert_eq!(rescan.records.len(), 5);
         assert_eq!(rescan.records[4].seq, 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a journal of `segments` full 96-byte segments (three
+    /// records each); returns how many records it holds.
+    fn rotated_journal(dir: &Path, segments: u64) -> usize {
+        let mut w = JournalWriter::create_with(dir, 96).unwrap();
+        let n = 3 * segments as usize;
+        for i in 0..n {
+            w.append(&aux(AUX_GC_CYCLE, &[i as u8; 16])).unwrap();
+        }
+        w.sync().unwrap();
+        assert_eq!(read_journal(dir).unwrap().segments, segments);
+        n
+    }
+
+    #[test]
+    fn an_empty_successor_segment_is_the_torn_tail_of_its_predecessor() {
+        let dir = temp_dir("empty-successor");
+        let n = rotated_journal(&dir, 2);
+        let (last, successor) = (segment_path(&dir, 1), segment_path(&dir, 2));
+        let last_len = std::fs::metadata(&last).unwrap().len();
+        // A crash during rotation: the next segment exists, but none or
+        // only part of its header reached the disk.
+        for header in [&b""[..], &SEGMENT_MAGIC[..2]] {
+            std::fs::write(&successor, header).unwrap();
+            let scan = read_journal(&dir).unwrap();
+            assert_eq!((scan.records.len(), scan.segments), (n, 3));
+            let torn = scan.truncation.as_ref().expect("the empty successor is a torn tail");
+            assert_eq!((torn.offset, torn.lost_bytes), (0, header.len() as u64));
+            assert!(torn.file.ends_with("journal-00000002"), "{torn:?}");
+            let pos = scan.last_segment.expect("the durable segment stays the tail");
+            assert_eq!((pos.index, pos.valid_bytes), (1, last_len));
+        }
+        // Resuming deletes the torn successor and appends to segment 1.
+        let scan = read_journal(&dir).unwrap();
+        let mut w = JournalWriter::resume(&dir, &scan).unwrap();
+        assert!(!successor.exists());
+        assert_eq!(w.append(&aux(AUX_SPEC, b"")).unwrap(), n as u64);
+        w.sync().unwrap();
+        let rescan = read_journal(&dir).unwrap();
+        assert!(rescan.truncation.is_none());
+        assert_eq!((rescan.records.len(), rescan.segments), (n + 1, 2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_repairs_a_multi_segment_journal_torn_in_its_last_segment() {
+        let dir = temp_dir("resume-rotated");
+        let n = rotated_journal(&dir, 3);
+        let last = segment_path(&dir, 2);
+        let before: Vec<Vec<u8>> =
+            (0..2).map(|i| std::fs::read(segment_path(&dir, i)).unwrap()).collect();
+        let full = std::fs::read(&last).unwrap();
+        std::fs::write(&last, &full[..full.len() - 3]).unwrap();
+        let scan = read_journal(&dir).unwrap();
+        assert_eq!(scan.records.len(), n - 1, "the last record is torn");
+        assert!(scan.truncation.as_ref().is_some_and(|t| t.file.ends_with("journal-00000002")));
+
+        let mut w = JournalWriter::resume(&dir, &scan).unwrap();
+        assert_eq!(w.next_seq(), n as u64 - 1);
+        for _ in 0..2 {
+            w.append(&aux(AUX_SPEC, b"after")).unwrap();
+        }
+        w.sync().unwrap();
+        let rescan = read_journal(&dir).unwrap();
+        assert!(rescan.truncation.is_none(), "the tail was repaired");
+        assert_eq!((rescan.records.len(), rescan.segments), (n + 1, 3));
+        for (i, r) in rescan.records.iter().enumerate() {
+            assert_eq!(r.seq, i as u64);
+        }
+        assert_eq!(rescan.records[n - 1].record, aux(AUX_SPEC, b"after"));
+        for (i, bytes) in before.iter().enumerate() {
+            assert_eq!(&std::fs::read(segment_path(&dir, i as u64)).unwrap(), bytes);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -57,7 +57,6 @@
 pub mod binding;
 pub mod chaos;
 pub mod client;
-pub mod crashtest;
 pub mod engine;
 pub mod error;
 pub mod expo;
@@ -81,7 +80,6 @@ pub mod trees;
 pub use crate::binding::{Binding, BindingHash, MAX_PARAMS};
 pub use crate::chaos::{run_block, ChaosOutcome};
 pub use crate::client::{ClientStats, ReconnectPolicy, ResilientClient};
-pub use crate::crashtest::{crash_and_recover, CrashOutcome, KillClass};
 pub use crate::engine::{BudgetKind, DegradationPolicy, Engine, EngineConfig, GcPolicy};
 pub use crate::error::EngineError;
 pub use crate::flight::{

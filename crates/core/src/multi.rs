@@ -127,7 +127,9 @@ impl<O: EngineObserver> PropertyMonitor<O> {
     /// returns the goal reports it fired, keyed for exactly-once delivery:
     /// `event_seq` is the journal sequence of the firing record, and the
     /// ordinal counts this event's reports across blocks, in block order.
-    /// Reports are recorded only with `EngineConfig::record_triggers` on.
+    /// Reports are recorded only with `EngineConfig::record_triggers` on,
+    /// and are taken out of each engine: the caller owns them, and the
+    /// engines' trigger history (and their checkpoints') stays empty.
     ///
     /// # Errors
     ///
@@ -143,7 +145,7 @@ impl<O: EngineObserver> PropertyMonitor<O> {
         for (block, engine) in self.engines.iter_mut().enumerate() {
             let before = engine.triggers().len();
             engine.try_process(heap, event, binding)?;
-            for t in &engine.triggers()[before..] {
+            for t in engine.drain_triggers(before) {
                 fired.push(TriggerRecord {
                     event_seq,
                     ordinal: fired.len() as u32,
@@ -195,15 +197,6 @@ impl<O: EngineObserver> PropertyMonitor<O> {
     pub fn finish(&mut self, heap: &Heap) {
         for e in &mut self.engines {
             e.finish(heap);
-        }
-    }
-
-    /// Drains the heap's completed-collection log into the *first* block's
-    /// observer (the heap is shared by all blocks, so forwarding to every
-    /// engine would multiply each cycle by the block count).
-    pub fn observe_heap_cycles(&mut self, heap: &mut rv_heap::Heap) {
-        if let Some(first) = self.engines.first_mut() {
-            first.observe_heap_cycles(heap);
         }
     }
 

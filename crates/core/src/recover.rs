@@ -28,8 +28,8 @@
 //! judging every binding by every death the heap holds would flag
 //! monitors the lazy path collects unflagged and inflate FM. Replay ends
 //! with `check_invariants`.
-//! `rvmond`'s tenant recovery, `rvmon recover`/`replay`/`top`, the crash
-//! harness and the recovery bench all run this one function; `rvmond`
+//! `rvmond`'s tenant recovery, `rvmon recover`/`replay`/`top` and the
+//! recovery bench all run this one function; `rvmond`
 //! calls its two halves, `plan` and `replay`, so it can check the
 //! tenant's spec (`tail_spec`) before paying for replay.
 //!
@@ -185,7 +185,9 @@ impl<O: EngineObserver> Recovered<O> {
 
 /// Replays the journal in `dir` into a monitor built by `observers`
 /// (called with the block index, once per block of every engine built).
-/// `config.record_triggers` is forced on: replay classifies every report.
+/// `config.record_triggers` is forced on, so replay can classify every
+/// report; replay takes each report out of the engines (as the journal
+/// writer does), so the recovered engines hold no trigger history.
 ///
 /// # Errors
 ///

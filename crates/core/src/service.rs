@@ -427,8 +427,9 @@ pub struct ServiceConfig {
     pub backpressure: Backpressure,
     /// Events between tenant checkpoints.
     pub checkpoint_every: u64,
-    /// Template engine configuration for tenants (`record_triggers` is
-    /// forced on — the journal needs the reports).
+    /// Template engine configuration for tenants. `record_triggers` is
+    /// forced on, so each event's reports reach the journal; the journal
+    /// writer takes them out of the engines, which keep no history.
     pub engine: EngineConfig,
     /// Retry policy for journal appends.
     pub retry: RetryPolicy,
@@ -2216,9 +2217,18 @@ impl Worker {
             RecoverError::Spec(msg) => (REJECT_BAD_SPEC, msg),
             RecoverError::Journal(msg) => internal(msg),
         };
-        let checkpoints_base = list_checkpoints(dir).len() as u64;
-        let (mut core, replayed) = if dir.join("journal-00000000").exists() {
-            let plan = recover::plan(dir, ReplayFrom::LatestCheckpoint).map_err(rejected)?;
+        let plan = if dir.join("journal-00000000").exists() {
+            Some(recover::plan(dir, ReplayFrom::LatestCheckpoint).map_err(rejected)?)
+        } else {
+            None
+        };
+        // A journal with no durable record (a crash before the spec
+        // record reached the disk) holds nothing to recover: a HELLO that
+        // carries the spec starts the tenant over, and `create` wipes the
+        // stale segments and checkpoints. Without a spec, replay refuses.
+        let plan = plan.filter(|p| !p.scan.records.is_empty() || spec_source.is_none());
+        let checkpoints_base = if plan.is_some() { list_checkpoints(dir).len() as u64 } else { 0 };
+        let (mut core, replayed) = if let Some(plan) = plan {
             // A mismatching admission is refused before it pays for replay.
             if let Some(src) = &spec_source {
                 if spec_hash(src) != spec_hash(&recover::tail_spec(&plan.scan).map_err(rejected)?) {

@@ -181,7 +181,7 @@ impl<V> RvMap<V> {
     /// Runs maintenance over *every* entry (used by safepoint sweeps). Entries are visited in binding
     /// order: hash order would make the release order — and therefore
     /// slot reuse and snapshot bytes — vary between identical runs, which
-    /// the crash-recovery harness's differential checks cannot tolerate.
+    /// the crash sweep's differential checks cannot tolerate.
     pub fn expunge_all(&mut self, heap: &Heap, maintainer: &mut impl Maintainer<V>) {
         let mut keys: Vec<Binding> = self.map.keys().copied().collect();
         keys.sort_unstable();

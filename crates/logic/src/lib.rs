@@ -53,5 +53,5 @@ pub mod verdict;
 pub use crate::coenable::{Aliveness, CoenableSets, SetFamily};
 pub use crate::event::{Alphabet, EventId, EventSet};
 pub use crate::formalism::{AnyFormalism, AnyState, Formalism};
-pub use crate::param::{EventDef, ParamId, ParamSet};
+pub use crate::param::{EventDef, ParamId, ParamSet, MAX_PARAMS};
 pub use crate::verdict::{GoalSet, Verdict};

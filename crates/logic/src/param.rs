@@ -9,6 +9,12 @@ use std::fmt;
 
 use crate::event::{Alphabet, EventId};
 
+/// The most parameters a spec may declare: the slot count of a runtime
+/// binding. The paper's largest property binds three (`Lock`, `Thread`
+/// and the implicit method nesting); eight leaves headroom while keeping
+/// bindings `Copy`. The spec compiler refuses a spec that declares more.
+pub const MAX_PARAMS: usize = 8;
+
 /// A dense identifier for a property parameter (the `x ∈ X` of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub u8);

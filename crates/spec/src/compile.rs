@@ -16,6 +16,7 @@ use rv_logic::fsm::FsmSpec;
 use rv_logic::ltl::Ltl;
 use rv_logic::{
     Aliveness, Alphabet, AnyFormalism, EventDef, EventId, GoalSet, ParamId, ParamSet, Verdict,
+    MAX_PARAMS,
 };
 
 use crate::ast::{
@@ -100,8 +101,14 @@ pub fn compile(ast: &SpecAst) -> Result<CompiledSpec, Diagnostic> {
     if ast.params.is_empty() {
         return Err(Diagnostic::new(ast.name_span, "spec declares no parameters"));
     }
-    if ast.params.len() > 32 {
-        return Err(Diagnostic::new(ast.name_span, "at most 32 parameters supported"));
+    if let Some(extra) = ast.params.get(MAX_PARAMS) {
+        return Err(Diagnostic::new(
+            extra.span,
+            format!(
+                "spec declares {} parameters; a binding holds at most {MAX_PARAMS}",
+                ast.params.len()
+            ),
+        ));
     }
     let mut param_ids: HashMap<&str, ParamId> = HashMap::new();
     for (i, p) in ast.params.iter().enumerate() {

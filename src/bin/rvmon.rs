@@ -327,8 +327,10 @@ fn chaos(path: &str, source: &str, rest: &[String]) -> ExitCode {
 }
 
 /// Drives a textual event trace through `monitor` — the shared core of
-/// `trace`, `explain`, `serve` and `timeline`, in the grammar of
-/// [`rv_monitor::core::line`].
+/// `trace`, `explain`, `serve` and `timeline` — applying each line with
+/// [`rv_monitor::core::line::apply`], as the journal writer and the
+/// replayer do. `on_heap_cycles` sees the heap collections of each `!gc`
+/// line as that line completes.
 ///
 /// Errors carry the `file:line: error: message` rendering ready to print.
 fn drive_trace<O: rv_monitor::core::EngineObserver>(
@@ -336,33 +338,29 @@ fn drive_trace<O: rv_monitor::core::EngineObserver>(
     heap: &mut rv_monitor::heap::Heap,
     events_path: &str,
     events: &str,
+    mut on_heap_cycles: impl FnMut(
+        &mut rv_monitor::core::PropertyMonitor<O>,
+        &[rv_monitor::core::GcCycleRecord],
+    ),
 ) -> Result<(), String> {
-    use rv_monitor::core::{line, Line, ObjectTable};
+    use rv_monitor::core::line::{apply, parse, ApplyError};
+    use rv_monitor::core::{Line, ObjectTable};
 
     let mut objects = ObjectTable::new(heap);
     for (lineno, raw) in events.lines().enumerate() {
         let report_err =
             |msg: &dyn std::fmt::Display| format!("{events_path}:{}: error: {msg}", lineno + 1);
-        match line::parse(raw, monitor.spec()).map_err(|e| report_err(&e))? {
-            None => {}
-            Some(Line::Gc) => {
-                heap.collect();
-            }
-            Some(Line::Sweep) => {
-                for engine in monitor.engines_mut() {
-                    engine.full_sweep(heap);
-                }
-            }
-            Some(Line::Free(names)) => {
-                objects.free(heap, &names).map_err(|e| report_err(&e))?;
-            }
-            Some(Line::Event(event, names)) => {
-                let params = &monitor.spec().event_params[event.as_usize()];
-                let binding = objects.bind(heap, params, &names, |_, _| {});
-                monitor
-                    .try_process(heap, event, binding)
-                    .map_err(|e| report_err(&format!("engine error: {e}")))?;
-            }
+        let Some(line) = parse(raw, monitor.spec()).map_err(|e| report_err(&e))? else {
+            continue;
+        };
+        let commit = |_: &mut _, _: &_, _: &_| Ok::<_, std::convert::Infallible>(Some(0));
+        let applied = apply(&line, heap, &mut objects, monitor, commit).map_err(|e| match e {
+            ApplyError::Line(e) => report_err(&e),
+            ApplyError::Engine(e) => report_err(&format!("engine error: {e}")),
+            ApplyError::Commit(never) => match never {},
+        })?;
+        if line == Line::Gc {
+            on_heap_cycles(monitor, &applied.cycles);
         }
     }
     Ok(())
@@ -435,7 +433,7 @@ fn trace(path: &str, source: &str, rest: &[String]) -> ExitCode {
     });
 
     let mut heap = Heap::new(HeapConfig::manual());
-    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events) {
+    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events, |_, _| {}) {
         eprintln!("{msg}");
         return ExitCode::from(1);
     }
@@ -560,7 +558,7 @@ fn explain(path: &str, source: &str, rest: &[String]) -> ExitCode {
         ProvenanceLedger::new().with_names(alphabet.clone(), event_def.clone())
     });
     let mut heap = Heap::new(HeapConfig::manual());
-    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events) {
+    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events, |_, _| {}) {
         eprintln!("{msg}");
         return ExitCode::from(1);
     }
@@ -673,7 +671,7 @@ fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
         )
     });
     let mut heap = Heap::new(HeapConfig::manual());
-    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events) {
+    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events, |_, _| {}) {
         eprintln!("{msg}");
         return ExitCode::from(1);
     }
@@ -739,7 +737,9 @@ fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
 ///
 /// [`SpanLog`]: rv_monitor::core::SpanLog
 fn timeline(path: &str, source: &str, rest: &[String]) -> ExitCode {
-    use rv_monitor::core::{chrome_trace_json, EngineConfig, PropertyMonitor, SpanLog};
+    use rv_monitor::core::{
+        chrome_trace_json, EngineConfig, EngineObserver, GcCycleRecord, PropertyMonitor, SpanLog,
+    };
     use rv_monitor::heap::{Heap, HeapConfig};
 
     let usage = || {
@@ -779,13 +779,17 @@ fn timeline(path: &str, source: &str, rest: &[String]) -> ExitCode {
     let config = EngineConfig::default();
     let mut monitor = PropertyMonitor::with_observers(spec, &config, |_| SpanLog::new());
     let mut heap = Heap::new(HeapConfig::manual());
-    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events) {
+    // The heap is shared by every block, so its collections land on the
+    // first lane only, as each `!gc` line completes.
+    let on_heap_cycles = |m: &mut PropertyMonitor<SpanLog>, cycles: &[GcCycleRecord]| {
+        if let Some(first) = m.engines_mut().first_mut() {
+            cycles.iter().for_each(|c| first.observer_mut().gc_cycle(c));
+        }
+    };
+    if let Err(msg) = drive_trace(&mut monitor, &mut heap, events_path, &events, on_heap_cycles) {
         eprintln!("{msg}");
         return ExitCode::from(1);
     }
-    // Heap collections accumulated over the trace land on the first lane
-    // (the heap is shared, so exactly one lane may consume its log).
-    monitor.observe_heap_cycles(&mut heap);
     monitor.finish(&heap);
 
     let lanes: Vec<(String, &SpanLog)> = monitor

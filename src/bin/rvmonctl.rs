@@ -5,12 +5,14 @@
 //! reconnect + idempotency machinery: a `reload` interrupted by a
 //! dropped connection retries with the same token and can never
 //! double-apply. `status` and `slo` make one attempt (5 s read
-//! timeout) and print the tenant's STATS reply.
+//! timeout) and print the tenant's STATS reply; with `--spec` their
+//! attach carries that spec, so it also creates the tenant, or starts
+//! over one whose journal kept no durable record.
 //!
 //! ```text
 //! rvmonctl reload --addr HOST:PORT --tenant NAME --spec FILE [--token N]
-//! rvmonctl status --addr HOST:PORT --tenant NAME
-//! rvmonctl slo    --addr HOST:PORT --tenant NAME
+//! rvmonctl status --addr HOST:PORT --tenant NAME [--spec FILE]
+//! rvmonctl slo    --addr HOST:PORT --tenant NAME [--spec FILE]
 //! ```
 
 use std::process::ExitCode;
@@ -23,8 +25,8 @@ use rv_monitor::core::{
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rvmonctl reload --addr HOST:PORT --tenant NAME --spec FILE [--token N]\n\
-         \x20      rvmonctl status --addr HOST:PORT --tenant NAME\n\
-         \x20      rvmonctl slo    --addr HOST:PORT --tenant NAME"
+         \x20      rvmonctl status --addr HOST:PORT --tenant NAME [--spec FILE]\n\
+         \x20      rvmonctl slo    --addr HOST:PORT --tenant NAME [--spec FILE]"
     );
     ExitCode::from(2)
 }
@@ -54,16 +56,24 @@ fn parse_args(rest: &[String]) -> Option<Args> {
     Some(out)
 }
 
-fn cmd_reload(args: &Args) -> ExitCode {
+/// The `--spec` file's source (empty without `--spec`).
+fn read_spec(args: &Args) -> Result<String, ExitCode> {
     let Some(spec_path) = args.spec.as_deref() else {
-        return usage();
+        return Ok(String::new());
     };
-    let source = match std::fs::read_to_string(spec_path) {
+    std::fs::read_to_string(spec_path).map_err(|e| {
+        eprintln!("rvmonctl: cannot read {spec_path}: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn cmd_reload(args: &Args) -> ExitCode {
+    if args.spec.is_none() {
+        return usage();
+    }
+    let source = match read_spec(args) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("rvmonctl: cannot read {spec_path}: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     // The default token matches rvmond's SIGHUP path: same file, same
     // token, no-op.
@@ -97,19 +107,24 @@ fn cmd_reload(args: &Args) -> ExitCode {
     }
 }
 
-/// One attempt: an empty attach, then STATS.
-fn fetch_stats(args: &Args) -> std::io::Result<String> {
+/// One attempt: an attach carrying `spec` (empty: attach only), then
+/// STATS.
+fn fetch_stats(args: &Args, spec: &str) -> std::io::Result<String> {
     let policy = ReconnectPolicy { max_attempts: 1, ..ReconnectPolicy::default() };
     let opts = TenantOptions::default();
     // The session id is moot: this client sends no lines.
-    let mut client = ResilientClient::connect(&args.addr, &args.tenant, "", opts, 1, policy)?;
+    let mut client = ResilientClient::connect(&args.addr, &args.tenant, spec, opts, 1, policy)?;
     let reply = client.server_stats_json()?;
     let _: ClientStats = client.bye();
     Ok(reply)
 }
 
 fn cmd_status(args: &Args) -> ExitCode {
-    match fetch_stats(args) {
+    let spec = match read_spec(args) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
+    match fetch_stats(args, &spec) {
         Ok(json) => {
             println!("{json}");
             ExitCode::SUCCESS
@@ -124,7 +139,11 @@ fn cmd_status(args: &Args) -> ExitCode {
 /// `rvmonctl slo` — renders the tenant's SLO budget and per-stage
 /// latency attribution from the same STATS reply `status` dumps raw.
 fn cmd_slo(args: &Args) -> ExitCode {
-    let json = match fetch_stats(args) {
+    let spec = match read_spec(args) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
+    let json = match fetch_stats(args, &spec) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("rvmonctl: slo failed: {e}");

@@ -119,6 +119,28 @@ fn trace_rejects_unknown_events_and_objects_cleanly() {
     std::fs::remove_dir_all(journal).expect("remove journal");
 }
 
+/// A spec that declares more parameters than a binding holds is refused
+/// at compile time, at the first parameter past the limit, by every
+/// command — `trace` used to accept it from `check` and then panic on the
+/// ninth parameter's slot.
+#[test]
+fn a_spec_wider_than_a_binding_is_a_spanned_diagnostic() {
+    let spec = repo_path("specs/bad/too_many_params.rv");
+    let events = std::env::temp_dir().join("rvmon_cli_errors_wide.events");
+    std::fs::write(&events, "start a1\nlast k1\n").expect("write events file");
+    let events = events.to_str().expect("utf-8");
+    for args in [vec!["check", spec.as_str()], vec!["trace", spec.as_str(), events]] {
+        let (code, out, err) = run(&args);
+        assert_eq!(code, 1, "rvmon {args:?}: stdout: {out} stderr: {err}");
+        assert!(
+            err.contains(&format!("{spec}:1:86: error: spec declares 9 parameters")),
+            "rvmon {args:?}: stderr: {err}"
+        );
+        assert!(err.contains("at most 8"), "rvmon {args:?}: stderr: {err}");
+        assert!(!err.contains("panicked"), "rvmon {args:?}: stderr: {err}");
+    }
+}
+
 /// Every file in `dir` with its contents, sorted by name.
 fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)

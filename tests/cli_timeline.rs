@@ -142,6 +142,27 @@ fn timeline_emits_structurally_valid_chrome_trace_json() {
     assert!(events.iter().any(|e| e.ph == "X" && e.name.starts_with("gc:heap")), "no heap cycle");
 }
 
+/// A heap collection is drawn where its `!gc` line ran: one on the
+/// trace's first line precedes every engine span and the later sweep.
+#[test]
+fn timeline_draws_each_heap_collection_where_its_line_ran() {
+    let events = std::env::temp_dir().join(format!("rvmon-timeline-gc-{}", std::process::id()));
+    std::fs::write(&events, "!gc\ncreate c1 i1\nnext i1\n!sweep\n").expect("write events");
+    let out = Command::new(env!("CARGO_BIN_EXE_rvmon"))
+        .args(["timeline", &repo_path("specs/unsafe_iter.rv"), events.to_str().expect("utf-8")])
+        .output()
+        .expect("run rvmon timeline");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let events_json = parse_events(&String::from_utf8(out.stdout).expect("UTF-8 output"));
+    let ts = |name: &str| {
+        events_json.iter().find(|e| e.name.starts_with(name)).map(|e| e.ts).expect(name)
+    };
+    let first_span = events_json.iter().find(|e| e.ph == "B").expect("an engine span").ts;
+    assert!(ts("gc:heap") < first_span, "heap GC drawn after the first event: {events_json:?}");
+    assert!(ts("gc:heap") < ts("gc:monitor_sweep"), "heap GC drawn after the sweep");
+    std::fs::remove_file(&events).ok();
+}
+
 #[test]
 fn timeline_out_flag_writes_the_file_and_reports_it() {
     let dir = std::env::temp_dir().join(format!("rvmon-timeline-{}", std::process::id()));

@@ -13,7 +13,9 @@
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use rv_monitor::core::service::TENANT_FLAG_PANIC_HANDLER;
+use rv_monitor::core::journal::SEGMENT_HEADER_LEN;
+use rv_monitor::core::service::{REJECT_TENANT_FAILED, TENANT_FLAG_PANIC_HANDLER};
+use rv_monitor::core::snapshot::list_checkpoints;
 use rv_monitor::core::{read_journal, Record, Service, ServiceConfig, TenantOptions, TenantState};
 
 mod common;
@@ -135,7 +137,7 @@ fn faulty_tenants_do_not_perturb_a_healthy_neighbor() {
             feed.send(&multi, line);
         }
     }
-    for feed in &feeds {
+    for feed in &mut feeds {
         feed.barrier(&multi);
     }
 
@@ -299,4 +301,54 @@ fn crash_recovery_delivers_triggers_exactly_once() {
     );
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crash can leave a tenant's journal with no durable record — empty,
+/// or only its segment header — beside checkpoints of the lost run.
+/// Recovery cannot know the spec, so it refuses the tenant with a typed
+/// reject; a HELLO that carries the spec starts the tenant over, wiping
+/// the stale checkpoints, and the new run recovers like any other.
+#[test]
+fn a_journal_without_durable_records_starts_over_on_hello() {
+    for keep in [0, SEGMENT_HEADER_LEN] {
+        let root = scratch("start-over");
+        let cfg = ServiceConfig { checkpoint_every: 8, ..config(&root) };
+        let lines = workload("i");
+        {
+            let service = Service::new(cfg.clone()).unwrap();
+            service.admit("t", SPEC, TenantOptions::default()).unwrap();
+            drive(&service, &mut Feeder::new("t", 1), &lines);
+            // Dropped without drain(): the crash path.
+        }
+        let dir = root.join("t");
+        assert!(!list_checkpoints(&dir).is_empty(), "the lost run must leave checkpoints");
+        let journal =
+            std::fs::OpenOptions::new().write(true).open(dir.join("journal-00000000")).unwrap();
+        journal.set_len(keep).unwrap();
+        drop(journal);
+
+        let service = Service::new(cfg.clone()).unwrap();
+        let (ok, failed) = service.recover_all().unwrap();
+        assert!(ok.is_empty(), "keep {keep}: recovered {ok:?}");
+        let [(name, (code, msg))] = &failed[..] else { panic!("keep {keep}: {failed:?}") };
+        assert_eq!((name.as_str(), *code), ("t", REJECT_TENANT_FAILED), "keep {keep}: {msg}");
+        assert!(msg.contains("no durable records"), "keep {keep}: {msg}");
+
+        service.admit("t", SPEC, TenantOptions::default()).unwrap();
+        assert!(list_checkpoints(&dir).is_empty(), "keep {keep}: stale checkpoints survived");
+        drive(&service, &mut Feeder::new("t", 1), &lines);
+        let snap = snapshot_of(&service, "t");
+        assert_eq!(snap.state, TenantState::Running);
+        assert_eq!((snap.events, snap.triggers), (lines.len() as u64, ITERS as u64));
+        assert_eq!((snap.recovered_events, snap.checkpoints), (0, lines.len() as u64 / 8));
+        assert_eq!(service.drain(), 1);
+
+        let service = Service::new(cfg).unwrap();
+        let (ok, failed) = service.recover_all().unwrap();
+        assert_eq!(ok, vec!["t".to_owned()], "keep {keep}: {failed:?}");
+        assert_eq!(snapshot_of(&service, "t").triggers, ITERS as u64);
+        assert_eq!(trigger_keys(&dir).len(), ITERS);
+        drop(service);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
