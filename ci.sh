@@ -372,8 +372,9 @@ cargo test -q --release --test cli_rvmond --test service_isolation >/dev/null
 
 # A crash before a tenant's spec record reached the disk leaves an empty
 # journal. rvmond's startup recovery refuses that tenant (it cannot know
-# the spec); the next attach that carries the spec starts it over.
-echo "== start-over smoke (empty tenant journal + attach with spec, release)"
+# the spec) and `/healthz` shows it unrecovered; the next attach that
+# carries the spec starts it over.
+echo "== start-over smoke (empty tenant journal shows unrecovered + attach with spec, release)"
 if command -v python3 >/dev/null 2>&1; then
     SO_DIR="${TMPDIR:-/tmp}/rv-ci-startover-$$"
     SO_OUT="${TMPDIR:-/tmp}/rv-ci-startover-$$.out"
@@ -389,13 +390,20 @@ if command -v python3 >/dev/null 2>&1; then
     done
     SO_INGEST=$(sed -n 's/.*ingest on \([^ ]*\).*/\1/p' "$SO_OUT" | head -1)
     SO_HTTP=$(sed -n 's#.*\(http://[^ ]*\)/healthz.*#\1#p' "$SO_OUT" | head -1)
+    # Before the attach, the refused tenant is visible: `degraded`, not
+    # `ok`, and one unrecovered line naming it.
+    python3 -c 'import sys, urllib.request
+open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1] + "/healthz", timeout=10).read())
+' "$SO_HTTP" "$SO_HEALTH"
+    { head -1 "$SO_HEALTH" | grep -qx degraded && grep -q '^tenant t state=unrecovered ' "$SO_HEALTH"; } \
+        || { echo "tenant t's failed recovery is not on /healthz"; cat "$SO_HEALTH"; exit 1; }
     ./target/release/rvmonctl status --addr "$SO_INGEST" --tenant t \
         --spec specs/unsafe_iter.rv >/dev/null \
         || { echo "an attach with the spec did not start tenant t over"; exit 1; }
     python3 -c 'import sys, urllib.request
 open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1] + "/healthz", timeout=10).read())
 ' "$SO_HTTP" "$SO_HEALTH"
-    grep -q 'tenant t state=running' "$SO_HEALTH" \
+    { head -1 "$SO_HEALTH" | grep -qx ok && grep -q 'tenant t state=running' "$SO_HEALTH"; } \
         || { echo "tenant t is not running after the start-over"; cat "$SO_HEALTH"; exit 1; }
     kill -TERM "$SO_PID"
     wait "$SO_PID" || { echo "rvmond drain exited nonzero"; exit 1; }

@@ -184,9 +184,14 @@ pub(crate) fn encode_binding(b: Binding, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes [`encode_binding`]; `None` on truncated bytes.
+/// Decodes [`encode_binding`]; `None` on truncated bytes or on a domain
+/// that binds a parameter at or past `MAX_PARAMS` (whose slot bytes the
+/// loop below would otherwise leave unread, misparsing what follows).
 pub(crate) fn decode_binding(bytes: &[u8], pos: &mut usize) -> Option<Binding> {
     let domain = *bytes.get(*pos)?;
+    if u32::from(domain) >> MAX_PARAMS != 0 {
+        return None;
+    }
     *pos += 1;
     let mut pairs = Vec::new();
     for p in 0..MAX_PARAMS as u8 {
@@ -1123,6 +1128,52 @@ mod tests {
                 "a flipped byte at {target} must not survive"
             );
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A CRC-valid trigger record whose binding domain sets bit
+    /// `MAX_PARAMS` (`0b1000`), one past the last slot: the codec refuses
+    /// the domain, so the scan stops at that record as undecodable, with
+    /// no panic and no binding read.
+    #[test]
+    fn a_domain_past_the_last_slot_is_undecodable() {
+        let past_last = 1u8 << MAX_PARAMS;
+        let dir = temp_dir("wide-domain");
+        let mut w = JournalWriter::create(&dir).unwrap();
+        w.append(&aux(AUX_SPEC, b"spec text")).unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let mut body = 1u64.to_le_bytes().to_vec(); // seq
+        body.push(2); // Trigger
+        body.extend_from_slice(&5u64.to_le_bytes()); // event_seq
+        body.extend_from_slice(&0u32.to_le_bytes()); // ordinal
+        body.extend_from_slice(&0u16.to_le_bytes()); // block
+        body.extend_from_slice(&7u64.to_le_bytes()); // step
+        body.push(Verdict::Match.to_byte());
+        body.push(past_last);
+        body.extend_from_slice(&42u64.to_le_bytes());
+        assert!(Record::decode(2, &body[9..]).is_none());
+        let mut frame = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        let path = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let offset = bytes.len() as u64;
+        bytes.extend_from_slice(&frame);
+        std::fs::write(&path, &bytes).unwrap();
+        let scan = read_journal(&dir).unwrap();
+        assert_eq!(scan.records.len(), 1, "only the spec record decodes");
+        let t = scan.truncation.expect("the wide record is reported");
+        assert_eq!((t.offset, t.reason.as_str()), (offset, "undecodable record"));
+
+        // In a snapshot the binding is followed by more fields: a domain
+        // `{x0, x_MAX_PARAMS}` must not decode as `{x0}` and leave the
+        // second word to be read as the next field.
+        let mut wide = vec![1 | past_last];
+        wide.extend_from_slice(&1u64.to_le_bytes());
+        wide.extend_from_slice(&2u64.to_le_bytes());
+        let mut pos = 0;
+        assert_eq!(decode_binding(&wide, &mut pos), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -58,7 +58,7 @@
 //! high-water-mark duplicate suppression), so triggers are delivered
 //! exactly once across the crash.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -930,6 +930,9 @@ impl Drop for ConnPermit {
 pub struct Service {
     config: ServiceConfig,
     tenants: Arc<Mutex<HashMap<String, Tenant>>>,
+    /// Tenant directories that [`Service::recover_all`] could not bring
+    /// back, with the reject each got, until an admission starts them.
+    unrecovered: Mutex<BTreeMap<String, Reject>>,
     /// Service-level counters.
     pub stats: Arc<ServiceStats>,
     draining: Arc<AtomicBool>,
@@ -1092,6 +1095,7 @@ impl Service {
         Ok(Service {
             config,
             tenants,
+            unrecovered: Mutex::new(BTreeMap::new()),
             stats,
             draining: Arc::new(AtomicBool::new(false)),
             supervisor: Mutex::new(supervisor),
@@ -1265,12 +1269,16 @@ impl Service {
             r
         })?;
         tenants.insert(name.to_owned(), tenant);
+        self.unrecovered.lock().expect("unrecovered table poisoned").remove(name);
         self.stats.tenants_admitted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Recovers every tenant directory under the root (kill -9 or
-    /// post-drain restart), returning the recovered names sorted.
+    /// post-drain restart), returning the recovered names sorted. A
+    /// tenant that fails stays listed as unrecovered on `/healthz` and
+    /// `/metrics` until an admission (one that carries its spec, say)
+    /// starts it.
     ///
     /// # Errors
     ///
@@ -1294,7 +1302,12 @@ impl Service {
             let opts = read_options(&self.config.root.join(&name));
             match self.admit(&name, "", opts) {
                 Ok(()) => ok.push(name),
-                Err(r) => failed.push((name, r)),
+                Err(r) => {
+                    let mut unrecovered =
+                        self.unrecovered.lock().expect("unrecovered table poisoned");
+                    unrecovered.insert(name.clone(), r.clone());
+                    failed.push((name, r));
+                }
             }
         }
         Ok((ok, failed))
@@ -1582,16 +1595,33 @@ impl Service {
         self.each_book(|b| b.snap.clone())
     }
 
+    /// Tenants that failed recovery and have not been admitted since,
+    /// sorted by name, each with its reject.
+    #[must_use]
+    pub fn unrecovered(&self) -> Vec<(String, Reject)> {
+        let unrecovered = self.unrecovered.lock().expect("unrecovered table poisoned");
+        unrecovered.iter().map(|(name, r)| (name.clone(), r.clone())).collect()
+    }
+
     /// Plain-text liveness body for `/healthz`: a leading `ok` (or
-    /// `draining`), the daemon's version and uptime, one `tenant` line
-    /// per tenant, then one `slo` line per tenant (error budgets and
+    /// `draining`, or `degraded` while a tenant failed recovery), the
+    /// daemon's version and uptime, one `tenant` line per tenant, one
+    /// `tenant NAME state=unrecovered reason=…` line per tenant that
+    /// failed recovery, then one `slo` line per tenant (error budgets and
     /// burn rates). The `tenant` lines carry only restart-stable
     /// counters — SLO state deliberately rides separate lines.
     #[must_use]
     pub fn healthz(&self) -> String {
         let snaps = self.snapshots();
+        let unrecovered = self.unrecovered();
         let mut out = String::new();
-        out.push_str(if self.is_draining() { "draining\n" } else { "ok\n" });
+        out.push_str(if self.is_draining() {
+            "draining\n"
+        } else if !unrecovered.is_empty() {
+            "degraded\n"
+        } else {
+            "ok\n"
+        });
         out.push_str(&format!(
             "version {} commit {}\nuptime_s {}\n",
             self.config.version,
@@ -1620,6 +1650,11 @@ impl Service {
                 s.deduped_events,
                 s.gap_dropped_events,
             ));
+        }
+        for (name, (code, msg)) in &unrecovered {
+            let reason: String =
+                msg.chars().map(|c| if c.is_control() { ' ' } else { c }).collect();
+            out.push_str(&format!("tenant {name} state=unrecovered reason={code} {reason}\n"));
         }
         for (name, slo, recorded) in
             self.each_book(|b| (b.snap.name.clone(), b.slo.snapshot(), b.ring.recorded()))
@@ -1705,6 +1740,14 @@ impl Service {
             for s in &snaps {
                 f.sample(&[("tenant", &s.name)], get(s));
             }
+        }
+        let mut f = expo.family(
+            "rvmond_tenant_unrecovered",
+            "Tenants whose recovery failed (1 each), by reject code",
+            Kind::Gauge,
+        );
+        for (name, (code, _)) in self.unrecovered() {
+            f.sample(&[("tenant", &name), ("code", &code.to_string())], 1);
         }
         expo.family("rvmond_build_info", "Daemon build information", Kind::Gauge)
             .sample(&[("version", &self.config.version), ("commit", &self.config.commit)], 1);

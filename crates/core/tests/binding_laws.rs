@@ -4,11 +4,12 @@
 //! as expected. Each law is checked on a fixed battery of seeds; a
 //! failure names the seed that reproduces it.
 
-use rv_core::Binding;
+use rv_core::{Binding, MAX_PARAMS};
 use rv_heap::{Heap, HeapConfig, ObjId, SplitMix64};
 use rv_logic::{ParamId, ParamSet};
 
-const PARAMS: u8 = 4;
+/// Every slot a binding has, so the laws cover every domain a spec can bind.
+const PARAMS: u8 = MAX_PARAMS as u8;
 const OBJS: usize = 3;
 const CASES: u64 = 256;
 

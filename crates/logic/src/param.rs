@@ -10,10 +10,12 @@ use std::fmt;
 use crate::event::{Alphabet, EventId};
 
 /// The most parameters a spec may declare: the slot count of a runtime
-/// binding. The paper's largest property binds three (`Lock`, `Thread`
-/// and the implicit method nesting); eight leaves headroom while keeping
-/// bindings `Copy`. The spec compiler refuses a spec that declares more.
-pub const MAX_PARAMS: usize = 8;
+/// binding. The paper's largest evaluated property, UnsafeMapIter, binds
+/// three (`m`, `c`, `i`), as do the catalog's UnsafeMapIter and
+/// UnsafeSyncMap; no catalog spec declares more. Every engine table stores
+/// bindings by value, so the slot count sets their size. The spec compiler
+/// refuses a spec that declares more.
+pub const MAX_PARAMS: usize = 3;
 
 /// A dense identifier for a property parameter (the `x ∈ X` of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,8 +35,8 @@ impl fmt::Debug for ParamId {
     }
 }
 
-/// A set of parameters, as a 32-bit bitset. Real properties bind at most a
-/// few parameters (the paper's largest has two plus a thread).
+/// A set of parameters, as a 32-bit bitset. A spec binds at most
+/// [`MAX_PARAMS`] of them: UnsafeMapIter and UnsafeSyncMap bind three.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ParamSet(pub u32);
 

@@ -5,6 +5,8 @@
 
 use std::process::Command;
 
+use rv_monitor::core::MAX_PARAMS;
+
 fn rvmon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rvmon"))
 }
@@ -121,11 +123,15 @@ fn trace_rejects_unknown_events_and_objects_cleanly() {
 
 /// A spec that declares more parameters than a binding holds is refused
 /// at compile time, at the first parameter past the limit, by every
-/// command — `trace` used to accept it from `check` and then panic on the
-/// ninth parameter's slot.
+/// command — `trace` used to accept such a spec from `check` and then
+/// panic on the first slot past the binding's last.
 #[test]
 fn a_spec_wider_than_a_binding_is_a_spanned_diagnostic() {
     let spec = repo_path("specs/bad/too_many_params.rv");
+    let source = std::fs::read_to_string(&spec).expect("read spec");
+    // Every parameter of the fixture is declared `Object x`; the compiler
+    // points at the first one past the limit.
+    let first_excess = source.match_indices("Object ").nth(MAX_PARAMS).expect("a wide fixture").0;
     let events = std::env::temp_dir().join("rvmon_cli_errors_wide.events");
     std::fs::write(&events, "start a1\nlast k1\n").expect("write events file");
     let events = events.to_str().expect("utf-8");
@@ -133,12 +139,49 @@ fn a_spec_wider_than_a_binding_is_a_spanned_diagnostic() {
         let (code, out, err) = run(&args);
         assert_eq!(code, 1, "rvmon {args:?}: stdout: {out} stderr: {err}");
         assert!(
-            err.contains(&format!("{spec}:1:86: error: spec declares 9 parameters")),
+            err.contains(&format!(
+                "{spec}:1:{}: error: spec declares 9 parameters",
+                first_excess + 1
+            )),
             "rvmon {args:?}: stderr: {err}"
         );
-        assert!(err.contains("at most 8"), "rvmon {args:?}: stderr: {err}");
+        assert!(err.contains(&format!("at most {MAX_PARAMS}")), "rvmon {args:?}: stderr: {err}");
         assert!(!err.contains("panicked"), "rvmon {args:?}: stderr: {err}");
     }
+}
+
+/// The boundary: a spec with exactly `MAX_PARAMS` parameters, and an event
+/// that binds all of them, checks and traces cleanly and fires its match.
+#[test]
+fn a_spec_as_wide_as_a_binding_checks_and_traces() {
+    let params: Vec<String> = (0..MAX_PARAMS).map(|p| format!("p{p}")).collect();
+    let declared: Vec<String> = params.iter().map(|p| format!("Object {p}")).collect();
+    let source = format!(
+        "Full({}) {{\n    event all({});\n    event first(p0);\n    ere: all first\n    \
+         @match {{ report \"all bound\"; }}\n}}\n",
+        declared.join(", "),
+        params.join(", ")
+    );
+    let dir = std::env::temp_dir();
+    let spec = dir.join(format!("rvmon_cli_errors_full_{}.rv", std::process::id()));
+    std::fs::write(&spec, source).expect("write spec");
+    let objects: Vec<String> = (0..MAX_PARAMS).map(|p| format!("o{p}")).collect();
+    let events = dir.join(format!("rvmon_cli_errors_full_{}.events", std::process::id()));
+    std::fs::write(&events, format!("all {}\nfirst o0\n", objects.join(" "))).expect("write");
+    let (spec_s, events_s) = (spec.to_str().expect("utf-8"), events.to_str().expect("utf-8"));
+    for args in [vec!["check", spec_s], vec!["trace", spec_s, events_s]] {
+        let (code, out, err) = run(&args);
+        assert_eq!(code, 0, "rvmon {args:?}: stdout: {out} stderr: {err}");
+        assert!(!err.contains("panicked"), "rvmon {args:?}: stderr: {err}");
+    }
+    let (_, out, _) = run(&["trace", spec_s, events_s]);
+    let last = format!("p{}=", MAX_PARAMS - 1);
+    assert!(
+        out.lines().any(|l| l.contains(r#""kind":"trigger""#) && l.contains(&last)),
+        "the match over every slot is reported: {out}"
+    );
+    std::fs::remove_file(&spec).expect("remove spec");
+    std::fs::remove_file(&events).expect("remove events");
 }
 
 /// Every file in `dir` with its contents, sorted by name.

@@ -13,10 +13,13 @@
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use rv_monitor::core::journal::SEGMENT_HEADER_LEN;
-use rv_monitor::core::service::{REJECT_TENANT_FAILED, TENANT_FLAG_PANIC_HANDLER};
+use rv_monitor::core::journal::{AUX_SPEC, SEGMENT_HEADER_LEN};
+use rv_monitor::core::service::{REJECT_BAD_SPEC, REJECT_TENANT_FAILED, TENANT_FLAG_PANIC_HANDLER};
 use rv_monitor::core::snapshot::list_checkpoints;
-use rv_monitor::core::{read_journal, Record, Service, ServiceConfig, TenantOptions, TenantState};
+use rv_monitor::core::{
+    read_journal, recover, EngineConfig, JournalWriter, NoopObserver, Record, RecoverError,
+    ReplayFrom, Service, ServiceConfig, TenantOptions, TenantState, MAX_PARAMS,
+};
 
 mod common;
 use common::Feeder;
@@ -351,4 +354,89 @@ fn a_journal_without_durable_records_starts_over_on_hello() {
         drop(service);
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// Asserts that `service` shows tenant `t` as unrecovered with `code`:
+/// `/healthz` leads with `degraded` and names it, and `/metrics` carries
+/// it in `rvmond_tenant_unrecovered`.
+fn assert_unrecovered(service: &Service, code: u16, reason: &str) {
+    let health = service.healthz();
+    assert!(health.starts_with("degraded\n"), "{health}");
+    let line = health
+        .lines()
+        .find(|l| l.starts_with("tenant t state=unrecovered "))
+        .unwrap_or_else(|| panic!("no unrecovered line: {health}"));
+    assert!(line.starts_with(&format!("tenant t state=unrecovered reason={code} ")), "{line}");
+    assert!(line.contains(reason), "{line}");
+    let expo = service.prometheus();
+    let sample = format!("rvmond_tenant_unrecovered{{tenant=\"t\",code=\"{code}\"}} 1\n");
+    assert!(expo.contains(&sample), "{expo}");
+    common::lint_exposition(&expo);
+}
+
+/// A tenant that fails recovery is not left out of sight: it is listed
+/// as unrecovered until an attach that carries its spec starts it over,
+/// and then it is an ordinary running tenant again.
+#[test]
+fn a_tenant_with_an_empty_journal_is_visible_until_started_over() {
+    let root = scratch("unrecovered-empty");
+    std::fs::create_dir_all(root.join("t")).unwrap();
+    std::fs::write(root.join("t").join("journal-00000000"), b"").unwrap();
+    let service = Service::new(config(&root)).unwrap();
+    assert!(service.healthz().starts_with("ok\n"), "nothing recovered yet is not a fault");
+    let (ok, failed) = service.recover_all().unwrap();
+    assert!(ok.is_empty(), "{ok:?}");
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert_eq!(service.unrecovered(), failed);
+    assert_unrecovered(&service, REJECT_TENANT_FAILED, "no durable records");
+
+    // An attach without the spec cannot start it; it stays unrecovered.
+    assert!(service.admit("t", "", TenantOptions::default()).is_err());
+    assert_unrecovered(&service, REJECT_TENANT_FAILED, "no durable records");
+
+    service.admit("t", SPEC, TenantOptions::default()).unwrap();
+    let health = service.healthz();
+    assert!(health.starts_with("ok\n"), "{health}");
+    assert!(health.contains("tenant t state=running "), "{health}");
+    assert!(!health.contains("state=unrecovered"), "{health}");
+    let expo = service.prometheus();
+    assert!(!expo.contains("rvmond_tenant_unrecovered{"), "{expo}");
+    assert!(service.unrecovered().is_empty());
+    assert_eq!(service.drain(), 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A tenant journaled with a spec wider than a binding now holds (one the
+/// compiler accepted when bindings had more slots) fails recovery as a
+/// spec error, and the service shows it as unrecovered.
+#[test]
+fn a_journaled_spec_wider_than_a_binding_is_an_unrecovered_spec_error() {
+    let root = scratch("unrecovered-wide");
+    let dir = root.join("t");
+    let params: Vec<String> = (0..=MAX_PARAMS).map(|p| format!("p{p}")).collect();
+    let declared: Vec<String> = params.iter().map(|p| format!("Object {p}")).collect();
+    let wide = format!(
+        "Wide({}) {{ event all({}); event first(p0); ere: all first @match {{ report \"w\"; }} }}",
+        declared.join(", "),
+        params.join(", ")
+    );
+    let mut w = JournalWriter::create(&dir).unwrap();
+    w.append(&Record::Aux { tag: AUX_SPEC, bytes: wide.into_bytes() }).unwrap();
+    w.sync().unwrap();
+    drop(w);
+
+    let err = recover(&dir, ReplayFrom::Start, &EngineConfig::default(), |_| NoopObserver).err();
+    let Some(RecoverError::Spec(msg)) = err else { panic!("expected RecoverError::Spec") };
+    assert!(msg.contains("journaled spec no longer compiles"), "{msg}");
+    assert!(msg.contains(&format!("at most {MAX_PARAMS}")), "{msg}");
+
+    let service = Service::new(config(&root)).unwrap();
+    let (ok, failed) = service.recover_all().unwrap();
+    assert!(ok.is_empty(), "{ok:?}");
+    let [(name, (code, reject))] = &failed[..] else { panic!("{failed:?}") };
+    assert_eq!((name.as_str(), *code), ("t", REJECT_BAD_SPEC), "{reject}");
+    assert_eq!(reject, &msg, "the reject carries the recovery error");
+    assert_unrecovered(&service, REJECT_BAD_SPEC, "journaled spec no longer compiles");
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
 }
